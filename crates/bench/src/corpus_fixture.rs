@@ -298,12 +298,14 @@ mod tests {
         };
         let mut savings = 0u64;
         for probe in derived_stream(12, 0xb0b) {
-            let knn = corpus.knn_query(&probe, 5);
+            let knn = corpus
+                .execute(&QueryRequest::knn(5).with_probe(probe.clone()))
+                .unwrap();
             let reference = corpus.knn_query_reference(&probe, 5);
-            assert_eq!(knn.matches, reference.matches);
-            assert_eq!(knn.ted_evals, reference.ted_evals);
+            assert_eq!(matches(&knn), reference.matches);
+            assert_eq!(knn.cost.ted_evals, reference.ted_evals);
             assert_eq!(reference.partial_evals, 0);
-            savings += knn.partial_evals;
+            savings += knn.cost.partial_evals;
 
             let radius = corpus
                 .execute(&QueryRequest::radius(2).with_probe(probe.clone()))
@@ -332,16 +334,19 @@ mod tests {
         let mut wanted = 0usize;
         let mut exact_full = 0u64;
         let mut approx_full = 0u64;
+        let matches = |r: &uplan_corpus::QueryResponse| match &r.outcome {
+            QueryOutcome::Matches(m) => m.clone(),
+            other => panic!("metric query answered {other:?}"),
+        };
         for probe in &probes {
-            let exact = corpus.knn_query(probe, 5);
+            let exact = corpus
+                .execute(&QueryRequest::knn(5).with_probe(probe.clone()))
+                .unwrap();
             let approx = corpus
                 .execute(&QueryRequest::knn(5).with_probe(probe.clone()).approx(0))
                 .unwrap();
-            let mut exact_d: Vec<u32> = exact.matches.iter().map(|&(_, d)| d).collect();
-            let approx_m = match &approx.outcome {
-                QueryOutcome::Matches(m) => m.clone(),
-                other => panic!("metric query answered {other:?}"),
-            };
+            let mut exact_d: Vec<u32> = matches(&exact).iter().map(|&(_, d)| d).collect();
+            let approx_m = matches(&approx);
             wanted += exact_d.len();
             for &(_, d) in &approx_m {
                 if let Some(pos) = exact_d.iter().position(|&e| e == d) {
@@ -349,8 +354,8 @@ mod tests {
                     hit += 1;
                 }
             }
-            exact_full += exact.ted_evals - exact.partial_evals;
-            approx_full += approx.cost.ted_evals - approx.cost.partial_evals;
+            exact_full += exact.cost.full_evals();
+            approx_full += approx.cost.full_evals();
         }
         let recall = hit as f64 / wanted as f64;
         assert!(

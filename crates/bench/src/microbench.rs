@@ -250,19 +250,6 @@ pub fn corpus(c: &mut Criterion) {
         })
     });
 
-    // The early-exit kernel path without the request plumbing: the direct
-    // k-NN method, where every pruned-but-visited node pays only a partial
-    // banded evaluation. The row tracks the kernel's timing in isolation
-    // (`knn_query` above carries the dispatch overhead too).
-    let mut probe_cursor = 0usize;
-    group.bench_function("knn_query_earlyexit", |b| {
-        b.iter(|| {
-            let probe = probes[probe_cursor % probes.len()];
-            probe_cursor += 1;
-            indexed.knn_query(probe, 5).ted_evals
-        })
-    });
-
     // Approximate mode: feature-vector shortlist + exact-TED re-rank at
     // the default candidate count. Recall vs exact is gated separately
     // (`repro corpus recall`, corpus-scale CI); this row tracks the

@@ -11,9 +11,13 @@
 //!
 //! The tree stores opaque `u32` item ids and never computes distances
 //! itself: every operation takes a `dist` closure and **returns how many
-//! times it called it**, because the whole point of the index is the
-//! evaluation count — benches and tests gate on evaluations, not wall
-//! clock, so the pruning claim is checkable on any machine.
+//! times it called it**. Those counts are determinism gates, not timings:
+//! the same tree and probe evaluate the same nodes on any machine, so
+//! tests pin the pruning claim and the identity of budgeted, threaded and
+//! kernel-on/off walks on them. Speed is measured in wall clock
+//! elsewhere. There is one traversal per query kind —
+//! [`BkTree::within_radius`] and [`BkTree::nearest_into`] — each taking an
+//! evaluation budget and a bounded metric.
 
 use std::collections::BinaryHeap;
 
@@ -83,24 +87,11 @@ impl BkTree {
     }
 
     /// All items within `radius` of the probe, as `(item, distance)` pairs
-    /// in unspecified order, plus the number of metric evaluations spent.
-    pub fn within_radius(
-        &self,
-        radius: u32,
-        mut dist: impl FnMut(u32) -> u32,
-    ) -> (Vec<(u32, u32)>, u64) {
-        let (out, evals, _) =
-            self.within_radius_limited(radius, u64::MAX, move |item, _| Some(dist(item)));
-        (out, evals)
-    }
-
-    /// [`BkTree::within_radius`] under a metric-evaluation budget and a
-    /// *bounded* metric: the traversal stops *before* the evaluation that
-    /// would exceed `limit` and the final `bool` reports whether it was cut
-    /// short. With `limit == u64::MAX` the walk, matches and eval count are
-    /// identical to the unbudgeted query — [`BkTree::within_radius`]
-    /// forwards here, so there is exactly one traversal implementation to
-    /// trust.
+    /// in unspecified order, plus the number of metric evaluations spent —
+    /// under a metric-evaluation budget and a *bounded* metric. The
+    /// traversal stops *before* the evaluation that would exceed `limit`
+    /// and the final `bool` reports whether it was cut short; unbudgeted
+    /// callers pass `u64::MAX`.
     ///
     /// `dist(item, bound)` may return `None` to assert the distance exceeds
     /// `bound` without computing it exactly (an early-exit metric kernel);
@@ -108,7 +99,7 @@ impl BkTree {
     /// each node's bound so that a `None` answer can neither be a match nor
     /// open any child edge — matches and evaluation *starts* are therefore
     /// identical to an always-exact metric, every `None` just costs less.
-    pub fn within_radius_limited(
+    pub fn within_radius(
         &self,
         radius: u32,
         limit: u64,
@@ -148,55 +139,29 @@ impl BkTree {
         (out, evals, false)
     }
 
-    /// The `k` nearest items to the probe, sorted by ascending distance
-    /// (then item id), plus the number of metric evaluations spent.
-    ///
-    /// The returned *distance multiset* always equals a brute-force scan's.
-    /// When more than `k` items tie at the k-th distance, *which* of the
-    /// tied items are returned depends on traversal order — pruning skips
-    /// subtrees that cannot strictly improve the result, so equal-distance
-    /// alternatives behind them are never visited.
-    pub fn nearest(&self, k: usize, mut dist: impl FnMut(u32) -> u32) -> (Vec<(u32, u32)>, u64) {
-        let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k + 1);
-        let evals = self.nearest_into(k, &mut best, |item| item, move |item, _| Some(dist(item)));
-        let sorted = best.into_sorted_vec();
-        (
-            sorted.into_iter().map(|(d, item)| (item, d)).collect(),
-            evals,
-        )
-    }
-
     /// k-NN into a caller-owned best-`k` max-heap of `(distance, tag)`
     /// entries, so one query can *merge across several trees*: the heap
     /// carries the worst-keeper bound from tree to tree, and every tree
     /// after the first prunes against the bound the previous trees already
     /// tightened. `tag` maps a local item id into the caller's id space
     /// (a sharded corpus maps shard-local ids to global plan ids). Returns
-    /// the number of metric evaluations spent in this tree.
-    pub fn nearest_into(
-        &self,
-        k: usize,
-        best: &mut BinaryHeap<(u32, u32)>,
-        tag: impl Fn(u32) -> u32,
-        dist: impl FnMut(u32, u32) -> Option<u32>,
-    ) -> u64 {
-        let (evals, _) = self.nearest_into_limited(k, u64::MAX, best, tag, dist);
-        evals
-    }
-
-    /// [`BkTree::nearest_into`] under a metric-evaluation budget: descent
-    /// stops *before* the evaluation that would exceed `limit`; the `bool`
-    /// reports whether it did. The heap then holds a best-effort prefix of
-    /// the answer. With `limit == u64::MAX` the walk and eval count are
-    /// identical to the unbudgeted query — [`BkTree::nearest_into`]
-    /// forwards here.
+    /// the number of metric evaluations spent in this tree and whether the
+    /// budget cut the descent short: it stops *before* the evaluation that
+    /// would exceed `limit`, leaving a best-effort prefix of the answer in
+    /// the heap. Unbudgeted callers pass `u64::MAX`.
     ///
-    /// The metric is bounded as in [`BkTree::within_radius_limited`]: while
-    /// the heap is filling every distance is needed exactly (the bound is
+    /// The heap's *distance multiset* always equals a brute-force scan's.
+    /// When more than `k` items tie at the k-th distance, *which* of the
+    /// tied items are kept depends on traversal order — pruning skips
+    /// subtrees that cannot strictly improve the result, so equal-distance
+    /// alternatives behind them are never visited.
+    ///
+    /// The metric is bounded as in [`BkTree::within_radius`]: while the
+    /// heap is filling every distance is needed exactly (the bound is
     /// `u32::MAX`); once it holds `k` entries a node only matters within
     /// worst-kept + max child edge, and a `None` beyond that can neither
     /// displace a kept entry nor survive any child's pruning check.
-    pub fn nearest_into_limited(
+    pub fn nearest_into(
         &self,
         k: usize,
         limit: u64,
@@ -358,6 +323,38 @@ mod tests {
         }
     }
 
+    /// An unbudgeted radius query under an always-exact metric.
+    fn within(
+        tree: &BkTree,
+        radius: u32,
+        mut dist: impl FnMut(u32) -> u32,
+    ) -> (Vec<(u32, u32)>, u64) {
+        let (out, evals, _) = tree.within_radius(radius, u64::MAX, |item, _| Some(dist(item)));
+        (out, evals)
+    }
+
+    /// An unbudgeted k-NN query under an always-exact metric, as
+    /// `(item, distance)` sorted by ascending distance (then item id).
+    fn nearest(
+        tree: &BkTree,
+        k: usize,
+        mut dist: impl FnMut(u32) -> u32,
+    ) -> (Vec<(u32, u32)>, u64) {
+        let mut best = BinaryHeap::new();
+        let (evals, _) = tree.nearest_into(
+            k,
+            u64::MAX,
+            &mut best,
+            |item| item,
+            |item, _| Some(dist(item)),
+        );
+        let sorted = best.into_sorted_vec();
+        (
+            sorted.into_iter().map(|(d, item)| (item, d)).collect(),
+            evals,
+        )
+    }
+
     fn build(values: &[u32]) -> BkTree {
         let mut tree = BkTree::new();
         for (i, _) in values.iter().enumerate() {
@@ -373,7 +370,7 @@ mod tests {
         let tree = build(&values);
         for probe in 0..45u32 {
             for radius in 0..10u32 {
-                let (mut got, evals) = tree.within_radius(radius, line_metric(&values, probe));
+                let (mut got, evals) = within(&tree, radius, line_metric(&values, probe));
                 got.sort_unstable();
                 let mut want: Vec<(u32, u32)> = values
                     .iter()
@@ -394,7 +391,7 @@ mod tests {
         let tree = build(&values);
         for probe in 0..45u32 {
             for k in 1..=values.len() + 1 {
-                let (got, _) = tree.nearest(k, line_metric(&values, probe));
+                let (got, _) = nearest(&tree, k, line_metric(&values, probe));
                 let mut want: Vec<u32> = values.iter().map(|v| v.abs_diff(probe)).collect();
                 want.sort_unstable();
                 want.truncate(k);
@@ -410,7 +407,7 @@ mod tests {
         // must not evaluate the whole population.
         let values: Vec<u32> = (0..512u32).map(|i| (i / 32) * 1000 + (i % 32)).collect();
         let tree = build(&values);
-        let (hits, evals) = tree.within_radius(1, line_metric(&values, 3015));
+        let (hits, evals) = within(&tree, 1, line_metric(&values, 3015));
         assert!(!hits.is_empty());
         assert!(
             evals * 4 < values.len() as u64,
@@ -425,10 +422,10 @@ mod tests {
         // different fingerprints) chain through 0-edges and stay findable.
         let values = [7u32, 7, 7, 9];
         let tree = build(&values);
-        let (mut hits, _) = tree.within_radius(0, line_metric(&values, 7));
+        let (mut hits, _) = within(&tree, 0, line_metric(&values, 7));
         hits.sort_unstable();
         assert_eq!(hits, vec![(0, 0), (1, 0), (2, 0)]);
-        let (knn, _) = tree.nearest(3, line_metric(&values, 7));
+        let (knn, _) = nearest(&tree, 3, line_metric(&values, 7));
         assert!(knn.iter().all(|&(_, d)| d == 0));
         assert_eq!(knn.len(), 3);
     }
@@ -445,14 +442,14 @@ mod tests {
         // the same evaluation counts* — it is the same tree, not an
         // equivalent one.
         for probe in 0..40u32 {
-            let (mut a, ae) = tree.within_radius(3, line_metric(&values, probe));
-            let (mut b, be) = rebuilt.within_radius(3, line_metric(&values, probe));
+            let (mut a, ae) = within(&tree, 3, line_metric(&values, probe));
+            let (mut b, be) = within(&rebuilt, 3, line_metric(&values, probe));
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
             assert_eq!(ae, be);
-            let (a, ae) = tree.nearest(4, line_metric(&values, probe));
-            let (b, be) = rebuilt.nearest(4, line_metric(&values, probe));
+            let (a, ae) = nearest(&tree, 4, line_metric(&values, probe));
+            let (b, be) = nearest(&rebuilt, 4, line_metric(&values, probe));
             assert_eq!(a, b);
             assert_eq!(ae, be);
         }
@@ -488,14 +485,22 @@ mod tests {
         for probe in 0..45u32 {
             for k in 1..=values.len() {
                 let mut best = BinaryHeap::with_capacity(k + 1);
-                let mut evals =
-                    ltree.nearest_into(k, &mut best, |i| i, line_metric_bounded(left, probe));
-                evals += rtree.nearest_into(
+                let (mut evals, _) = ltree.nearest_into(
                     k,
+                    u64::MAX,
                     &mut best,
-                    |i| i + left.len() as u32,
-                    line_metric_bounded(right, probe),
+                    |i| i,
+                    line_metric_bounded(left, probe),
                 );
+                evals += rtree
+                    .nearest_into(
+                        k,
+                        u64::MAX,
+                        &mut best,
+                        |i| i + left.len() as u32,
+                        line_metric_bounded(right, probe),
+                    )
+                    .0;
                 let mut got: Vec<u32> = best.into_sorted_vec().iter().map(|&(d, _)| d).collect();
                 got.sort_unstable();
                 let mut want: Vec<u32> = values.iter().map(|v| v.abs_diff(probe)).collect();
@@ -512,18 +517,18 @@ mod tests {
         let values: Vec<u32> = (0..512u32).map(|i| (i * 37) % 101).collect();
         let tree = build(&values);
         for probe in [0u32, 13, 50, 100] {
-            let (mut full, full_evals) = tree.within_radius(3, line_metric(&values, probe));
+            let (mut full, full_evals) = within(&tree, 3, line_metric(&values, probe));
             full.sort_unstable();
             // u64::MAX is the unbudgeted query, bit for bit.
             let (mut unlim, evals, cut) =
-                tree.within_radius_limited(3, u64::MAX, line_metric_bounded(&values, probe));
+                tree.within_radius(3, u64::MAX, line_metric_bounded(&values, probe));
             unlim.sort_unstable();
             assert_eq!(unlim, full);
             assert_eq!(evals, full_evals);
             assert!(!cut);
             for limit in [1u64, full_evals / 2, full_evals] {
                 let (part, spent, cut) =
-                    tree.within_radius_limited(3, limit, line_metric_bounded(&values, probe));
+                    tree.within_radius(3, limit, line_metric_bounded(&values, probe));
                 assert!(spent <= limit, "spent {spent} over budget {limit}");
                 if limit >= full_evals {
                     assert!(!cut);
@@ -536,7 +541,7 @@ mod tests {
             }
             // Same discipline for k-NN.
             let mut best = BinaryHeap::new();
-            let (full_knn_evals, cut) = tree.nearest_into_limited(
+            let (full_knn_evals, cut) = tree.nearest_into(
                 4,
                 u64::MAX,
                 &mut best,
@@ -544,11 +549,11 @@ mod tests {
                 line_metric_bounded(&values, probe),
             );
             assert!(!cut);
-            let (_, plain_evals) = tree.nearest(4, line_metric(&values, probe));
+            let (_, plain_evals) = nearest(&tree, 4, line_metric(&values, probe));
             assert_eq!(full_knn_evals, plain_evals);
             let mut best = BinaryHeap::new();
             let limit = full_knn_evals / 2;
-            let (spent, cut) = tree.nearest_into_limited(
+            let (spent, cut) = tree.nearest_into(
                 4,
                 limit,
                 &mut best,
@@ -574,13 +579,12 @@ mod tests {
         let mut total_partials = 0u64;
         for probe in 0..101u32 {
             for radius in [0u32, 2, 5] {
-                let (mut exact, exact_evals, _) =
-                    tree.within_radius_limited(radius, u64::MAX, |i, _| {
-                        Some(values[i as usize].abs_diff(probe))
-                    });
+                let (mut exact, exact_evals, _) = tree.within_radius(radius, u64::MAX, |i, _| {
+                    Some(values[i as usize].abs_diff(probe))
+                });
                 let mut partials = 0u64;
                 let (mut bounded, bounded_evals, _) =
-                    tree.within_radius_limited(radius, u64::MAX, |i, bound| {
+                    tree.within_radius(radius, u64::MAX, |i, bound| {
                         let d = values[i as usize].abs_diff(probe);
                         if d > bound {
                             partials += 1;
@@ -596,7 +600,7 @@ mod tests {
             }
             for k in [1usize, 4] {
                 let mut exact_best = BinaryHeap::new();
-                let (exact_evals, _) = tree.nearest_into_limited(
+                let (exact_evals, _) = tree.nearest_into(
                     k,
                     u64::MAX,
                     &mut exact_best,
@@ -604,7 +608,7 @@ mod tests {
                     |i, _| Some(values[i as usize].abs_diff(probe)),
                 );
                 let mut bounded_best = BinaryHeap::new();
-                let (bounded_evals, _) = tree.nearest_into_limited(
+                let (bounded_evals, _) = tree.nearest_into(
                     k,
                     u64::MAX,
                     &mut bounded_best,
@@ -626,13 +630,13 @@ mod tests {
     fn empty_and_k_zero_edge_cases() {
         let tree = BkTree::new();
         assert!(tree.is_empty());
-        let (hits, evals) = tree.within_radius(5, |_| 0);
+        let (hits, evals) = within(&tree, 5, |_| 0);
         assert!(hits.is_empty() && evals == 0);
-        let (knn, evals) = tree.nearest(3, |_| 0);
+        let (knn, evals) = nearest(&tree, 3, |_| 0);
         assert!(knn.is_empty() && evals == 0);
         let full = build(&[1, 2, 3]);
         assert_eq!(full.len(), 3);
-        let (knn, evals) = full.nearest(0, |_| 0);
+        let (knn, evals) = nearest(&full, 0, |_| 0);
         assert!(knn.is_empty() && evals == 0);
     }
 }

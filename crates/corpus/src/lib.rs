@@ -141,6 +141,49 @@ pub struct MetricQuery {
     pub candidates_considered: u64,
 }
 
+impl MetricQuery {
+    /// A query answered by full evaluations only (no early exits, no
+    /// shortlist).
+    fn exact(matches: Matches, ted_evals: u64) -> MetricQuery {
+        MetricQuery {
+            matches,
+            ted_evals,
+            partial_evals: 0,
+            candidates_considered: 0,
+        }
+    }
+}
+
+/// The production walk metric over `(shard, local id, bound)`: the banded
+/// early-exit TED kernel, counting the evaluations it abandons past the
+/// bound into `partials`.
+fn banded<'a>(
+    probe: &'a TedPlan,
+    scratch: &'a mut TedScratch,
+    partials: &'a mut u64,
+) -> impl FnMut(&CorpusShard, u32, u32) -> Option<u32> + 'a {
+    move |shard, local, bound| match probe.distance_bounded(
+        shard.store.ted(local as usize),
+        bound as usize,
+        scratch,
+    ) {
+        BoundedTed::Exact(d) => Some(d as u32),
+        BoundedTed::Exceeded => {
+            *partials += 1;
+            None
+        }
+    }
+}
+
+/// The reference walk metric: the full dynamic program at every node, so
+/// the kernel's early exits can be checked against it.
+fn full<'a>(
+    probe: &'a TedPlan,
+    scratch: &'a mut TedScratch,
+) -> impl FnMut(&CorpusShard, u32, u32) -> Option<u32> + 'a {
+    move |shard, local, _| Some(probe.distance(shard.store.ted(local as usize), scratch) as u32)
+}
+
 /// Aggregate corpus statistics (`repro corpus stats`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusStats {
@@ -470,7 +513,12 @@ impl ShardedCorpus {
         let Some(s) = self.claim(fp) else {
             return false;
         };
-        let novel = radius == 0 || self.radius_query(plan, radius).matches.is_empty();
+        let novel = radius == 0
+            || self
+                .radius_query(plan, radius, u64::MAX, 1)
+                .0
+                .matches
+                .is_empty();
         self.place(s, plan.clone(), fp);
         novel
     }
@@ -610,167 +658,145 @@ impl ShardedCorpus {
         novel
     }
 
-    /// Sequential radius query over every shard (the one radius traversal
-    /// implementation — threaded and budgeted entry points all reach it).
-    pub(crate) fn radius_query(&self, probe: &UnifiedPlan, radius: u32) -> MetricQuery {
-        let (query, _) = self.radius_query_limited(probe, radius, u64::MAX);
-        query
-    }
-
-    /// Radius query under a shared TED-evaluation budget spanning the
-    /// whole shard fan-out. With `limit == u64::MAX` the walk and eval
-    /// count are identical to the unbudgeted query. The `bool` reports
-    /// whether the budget cut the traversal short (the matches are then a
-    /// best-effort subset).
-    pub(crate) fn radius_query_limited(
-        &self,
-        probe: &UnifiedPlan,
+    /// The one radius walk: a budgeted BK radius traversal over each shard
+    /// of `shards` in turn, with the budget shared across them. `dist` is
+    /// the metric over `(shard, local id, bound)` (see
+    /// [`bktree::BkTree::within_radius`]). Returns the matches as
+    /// `(global id, distance)` in walk order, the TED evaluations started
+    /// and whether the budget cut the walk short.
+    fn radius_walk(
+        shards: &[CorpusShard],
         radius: u32,
         limit: u64,
-    ) -> (MetricQuery, bool) {
-        let probe = TedPlan::new(probe);
-        let mut scratch = TedScratch::default();
+        mut dist: impl FnMut(&CorpusShard, u32, u32) -> Option<u32>,
+    ) -> (Matches, u64, bool) {
         let mut matches = Vec::new();
-        let mut ted_evals = 0u64;
-        let mut partial_evals = 0u64;
-        let mut truncated = false;
-        for shard in &self.shards {
-            let store = &shard.store;
-            let (m, evals, cut) = shard.index.within_radius_limited(
-                radius,
-                limit.saturating_sub(ted_evals),
-                |other, bound| match probe.distance_bounded(
-                    store.ted(other as usize),
-                    bound as usize,
-                    &mut scratch,
-                ) {
-                    BoundedTed::Exact(d) => Some(d as u32),
-                    BoundedTed::Exceeded => {
-                        partial_evals += 1;
-                        None
-                    }
-                },
-            );
-            ted_evals += evals;
+        let mut evals = 0u64;
+        for shard in shards {
+            let (m, e, cut) =
+                shard
+                    .index
+                    .within_radius(radius, limit.saturating_sub(evals), |local, bound| {
+                        dist(shard, local, bound)
+                    });
+            evals += e;
             matches.extend(
                 m.into_iter()
                     .map(|(local, d)| (shard.globals[local as usize] as usize, d)),
             );
             if cut {
+                return (matches, evals, true);
+            }
+        }
+        (matches, evals, false)
+    }
+
+    /// The one k-NN walk: the query fans out across shards *sharing one
+    /// best-k heap*, so every shard after the first prunes against the
+    /// bound its predecessors already tightened — a merged k-NN costs
+    /// close to a single-tree one, not `shards ×` as much. The budget and
+    /// the metric work as in [`ShardedCorpus::radius_walk`]. Matches sort
+    /// by ascending distance (then id).
+    fn knn_walk(
+        &self,
+        k: usize,
+        limit: u64,
+        mut dist: impl FnMut(&CorpusShard, u32, u32) -> Option<u32>,
+    ) -> (Matches, u64, bool) {
+        // Sized by the corpus, not the request: `k` arrives off the wire.
+        let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
+        let mut evals = 0u64;
+        let mut truncated = false;
+        for shard in &self.shards {
+            let (e, cut) = shard.index.nearest_into(
+                k,
+                limit.saturating_sub(evals),
+                &mut best,
+                |local| shard.globals[local as usize],
+                |local, bound| dist(shard, local, bound),
+            );
+            evals += e;
+            if cut {
                 truncated = true;
                 break;
             }
         }
-        matches.sort_unstable();
-        (
-            MetricQuery {
-                matches,
-                ted_evals,
-                partial_evals,
-                candidates_considered: 0,
-            },
-            truncated,
-        )
+        let matches = best
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(d, id)| (id as usize, d))
+            .collect();
+        (matches, evals, truncated)
     }
 
-    /// [`ShardedCorpus::radius_query`] with the shard fan-out spread
-    /// across `threads` scoped worker threads.
+    /// Radius query under a TED-evaluation budget shared by the whole
+    /// shard fan-out (`u64::MAX` for none); the `bool` reports whether the
+    /// budget cut the walk short (the matches are then a best-effort
+    /// subset). Matches sort by id.
     ///
-    /// The answer is *identical* to the sequential query — same matches
-    /// **and** the same counted TED evaluations — because radius queries
-    /// share no pruning bound between shards (each shard's BK walk is
-    /// independent), so evaluating them concurrently changes nothing the
-    /// counted-evals gate measures. `threads <= 1` takes the sequential
-    /// path directly.
-    pub(crate) fn radius_query_threaded(
+    /// Unbudgeted queries spread the shards across `threads` scoped
+    /// workers, each walking its shard group. The answer is *identical* to
+    /// the sequential walk — same matches **and** the same counted TED
+    /// evaluations — because radius walks share no pruning bound between
+    /// shards. Budgeted queries ignore `threads` and walk sequentially, so
+    /// where the budget trips is deterministic.
+    pub(crate) fn radius_query(
         &self,
         probe: &UnifiedPlan,
         radius: u32,
+        limit: u64,
         threads: usize,
-    ) -> MetricQuery {
-        let threads = threads.clamp(1, self.shards.len());
-        if threads == 1 {
-            return self.radius_query(probe, radius);
-        }
-        let chunk = self.shards.len().div_ceil(threads);
+    ) -> (MetricQuery, bool) {
         let probe = TedPlan::new(probe);
-        let probe = &probe;
-        let mut matches = Vec::new();
-        let mut ted_evals = 0u64;
-        let mut partial_evals = 0u64;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        let mut scratch = TedScratch::default();
-                        let mut matches = Vec::new();
-                        let mut evals = 0u64;
-                        let mut partials = 0u64;
-                        for shard in group {
-                            let store = &shard.store;
-                            let (m, e, _) = shard.index.within_radius_limited(
-                                radius,
-                                u64::MAX,
-                                |other, bound| match probe.distance_bounded(
-                                    store.ted(other as usize),
-                                    bound as usize,
-                                    &mut scratch,
-                                ) {
-                                    BoundedTed::Exact(d) => Some(d as u32),
-                                    BoundedTed::Exceeded => {
-                                        partials += 1;
-                                        None
-                                    }
-                                },
-                            );
-                            evals += e;
-                            matches.extend(
-                                m.into_iter()
-                                    .map(|(local, d)| (shard.globals[local as usize] as usize, d)),
-                            );
-                        }
-                        (matches, evals, partials)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (m, e, p) = handle.join().expect("radius workers do not panic");
-                matches.extend(m);
-                ted_evals += e;
-                partial_evals += p;
-            }
-        });
-        matches.sort_unstable();
-        MetricQuery {
-            matches,
-            ted_evals,
-            partial_evals,
-            candidates_considered: 0,
+        let walk = |group: &[CorpusShard]| {
+            let mut scratch = TedScratch::default();
+            let mut partials = 0u64;
+            let (m, e, cut) = Self::radius_walk(
+                group,
+                radius,
+                limit,
+                banded(&probe, &mut scratch, &mut partials),
+            );
+            (m, e, partials, cut)
+        };
+        let threads = if limit == u64::MAX {
+            threads.clamp(1, self.shards.len())
+        } else {
+            1
+        };
+        let parts = if threads == 1 {
+            vec![walk(&self.shards)]
+        } else {
+            let chunk = self.shards.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .chunks(chunk)
+                    .map(|group| scope.spawn(move || walk(group)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("radius workers do not panic"))
+                    .collect()
+            })
+        };
+        let mut query = MetricQuery::exact(Vec::new(), 0);
+        let mut truncated = false;
+        for (m, e, p, cut) in parts {
+            query.matches.extend(m);
+            query.ted_evals += e;
+            query.partial_evals += p;
+            truncated |= cut;
         }
+        query.matches.sort_unstable();
+        (query, truncated)
     }
 
-    /// The one k-NN implementation. The query fans out across shards
-    /// *sharing one best-k heap*, so every shard after the first prunes
-    /// against the bound its predecessors already tightened — a merged
-    /// k-NN costs close to a single-tree one, not `shards ×` as much.
-    /// Matches sort by ascending distance (then id).
-    ///
-    /// Public as the direct typed path (benches and the kernel-identity
-    /// gates measure it without request plumbing); [`ShardedCorpus::execute`]
-    /// is the canonical entry point for everything else.
-    pub fn knn_query(&self, probe: &UnifiedPlan, k: usize) -> MetricQuery {
-        let (query, _) = self.knn_query_limited(probe, k, u64::MAX);
-        query
-    }
-
-    /// k-NN under a shared TED-evaluation budget spanning the whole shard
-    /// fan-out. With `limit == u64::MAX` the walk and eval count are
-    /// identical to the unbudgeted query. The `bool` reports whether the
+    /// k-NN under a TED-evaluation budget shared by the whole shard
+    /// fan-out (`u64::MAX` for none); the `bool` reports whether the
     /// budget cut the descent short (the matches are then a best-effort
     /// prefix of the answer).
-    pub(crate) fn knn_query_limited(
+    pub(crate) fn knn_query(
         &self,
         probe: &UnifiedPlan,
         k: usize,
@@ -778,48 +804,14 @@ impl ShardedCorpus {
     ) -> (MetricQuery, bool) {
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k + 1);
-        let mut ted_evals = 0u64;
         let mut partial_evals = 0u64;
-        let mut truncated = false;
-        for shard in &self.shards {
-            let store = &shard.store;
-            let (evals, cut) = shard.index.nearest_into_limited(
-                k,
-                limit.saturating_sub(ted_evals),
-                &mut best,
-                |local| shard.globals[local as usize],
-                |other, bound| match probe.distance_bounded(
-                    store.ted(other as usize),
-                    bound as usize,
-                    &mut scratch,
-                ) {
-                    BoundedTed::Exact(d) => Some(d as u32),
-                    BoundedTed::Exceeded => {
-                        partial_evals += 1;
-                        None
-                    }
-                },
-            );
-            ted_evals += evals;
-            if cut {
-                truncated = true;
-                break;
-            }
-        }
-        (
-            MetricQuery {
-                matches: best
-                    .into_sorted_vec()
-                    .into_iter()
-                    .map(|(d, id)| (id as usize, d))
-                    .collect(),
-                ted_evals,
-                partial_evals,
-                candidates_considered: 0,
-            },
-            truncated,
-        )
+        let (matches, ted_evals, truncated) =
+            self.knn_walk(k, limit, banded(&probe, &mut scratch, &mut partial_evals));
+        let query = MetricQuery {
+            partial_evals,
+            ..MetricQuery::exact(matches, ted_evals)
+        };
+        (query, truncated)
     }
 
     /// Approximate k-NN: the structural-feature pre-filter shortlists
@@ -846,7 +838,10 @@ impl ShardedCorpus {
         // query's answer and every cost counter) is identical with and
         // without hints; hints only skip work that provably cannot
         // change it.
-        let mut shortlist: BinaryHeap<(u64, usize)> = BinaryHeap::with_capacity(candidates + 1);
+        // Both heaps are sized by the corpus, not the request: `candidates`
+        // and `k` arrive off the wire.
+        let mut shortlist: BinaryHeap<(u64, usize)> =
+            BinaryHeap::with_capacity(candidates.min(self.len()) + 1);
         if candidates > 0 {
             let scan = |range: std::ops::Range<usize>, shortlist: &mut BinaryHeap<(u64, usize)>| {
                 for id in range {
@@ -886,7 +881,7 @@ impl ShardedCorpus {
         // evaluation.
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k + 1);
+        let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
         let mut ted_evals = 0u64;
         let mut partial_evals = 0u64;
         for &(_, id) in &shortlist {
@@ -934,28 +929,10 @@ impl ShardedCorpus {
     pub fn radius_query_reference(&self, probe: &UnifiedPlan, radius: u32) -> MetricQuery {
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let mut matches = Vec::new();
-        let mut ted_evals = 0u64;
-        for shard in &self.shards {
-            let store = &shard.store;
-            let (m, evals, _) = shard
-                .index
-                .within_radius_limited(radius, u64::MAX, |other, _| {
-                    Some(probe.distance(store.ted(other as usize), &mut scratch) as u32)
-                });
-            ted_evals += evals;
-            matches.extend(
-                m.into_iter()
-                    .map(|(local, d)| (shard.globals[local as usize] as usize, d)),
-            );
-        }
+        let (mut matches, ted_evals, _) =
+            Self::radius_walk(&self.shards, radius, u64::MAX, full(&probe, &mut scratch));
         matches.sort_unstable();
-        MetricQuery {
-            matches,
-            ted_evals,
-            partial_evals: 0,
-            candidates_considered: 0,
-        }
+        MetricQuery::exact(matches, ted_evals)
     }
 
     /// Reference k-NN with the early-exit kernel *disabled* (the
@@ -963,27 +940,8 @@ impl ShardedCorpus {
     pub fn knn_query_reference(&self, probe: &UnifiedPlan, k: usize) -> MetricQuery {
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k + 1);
-        let mut ted_evals = 0u64;
-        for shard in &self.shards {
-            let store = &shard.store;
-            ted_evals += shard.index.nearest_into(
-                k,
-                &mut best,
-                |local| shard.globals[local as usize],
-                |other, _| Some(probe.distance(store.ted(other as usize), &mut scratch) as u32),
-            );
-        }
-        MetricQuery {
-            matches: best
-                .into_sorted_vec()
-                .into_iter()
-                .map(|(d, id)| (id as usize, d))
-                .collect(),
-            ted_evals,
-            partial_evals: 0,
-            candidates_considered: 0,
-        }
+        let (matches, ted_evals, _) = self.knn_walk(k, u64::MAX, full(&probe, &mut scratch));
+        MetricQuery::exact(matches, ted_evals)
     }
 
     /// Brute-force reference for radius queries: a full TED scan. One
@@ -999,12 +957,7 @@ impl ShardedCorpus {
                 matches.push((id, d));
             }
         }
-        MetricQuery {
-            matches,
-            ted_evals: self.directory.len() as u64,
-            partial_evals: 0,
-            candidates_considered: 0,
-        }
+        MetricQuery::exact(matches, self.directory.len() as u64)
     }
 
     /// Brute-force reference for k-NN queries: same distance multiset, but
@@ -1019,12 +972,8 @@ impl ShardedCorpus {
             .collect();
         all.sort_unstable();
         all.truncate(k);
-        MetricQuery {
-            matches: all.into_iter().map(|(d, id)| (id, d)).collect(),
-            ted_evals: self.directory.len() as u64,
-            partial_evals: 0,
-            candidates_considered: 0,
-        }
+        let matches = all.into_iter().map(|(d, id)| (id, d)).collect();
+        MetricQuery::exact(matches, self.directory.len() as u64)
     }
 
     /// Aggregate statistics. O(1): the operation and depth aggregates are
@@ -1052,14 +1001,29 @@ impl ShardedCorpus {
     /// query.
     pub(crate) fn cluster_query(&self, radius: u32, threads: usize) -> (Vec<Cluster>, u64, u64) {
         let threads = threads.clamp(1, self.shards.len());
+        // One leader's radius walk over a shard group: `(matches, evals,
+        // partials)`, matches unsorted.
+        let walk = |group: &[CorpusShard], leader: usize, scratch: &mut TedScratch| {
+            let mut partials = 0u64;
+            let probe = self.ted_of(leader);
+            let (m, e, _) = Self::radius_walk(
+                group,
+                radius,
+                u64::MAX,
+                banded(probe, scratch, &mut partials),
+            );
+            (m, e, partials)
+        };
         let mut ted_evals = 0u64;
         let mut partial_evals = 0u64;
         if threads == 1 {
+            let mut scratch = TedScratch::default();
             let clusters = self.greedy_clusters(|leader| {
-                let q = self.radius_query(self.plan(leader), radius);
-                ted_evals += q.ted_evals;
-                partial_evals += q.partial_evals;
-                q.matches
+                let (mut matches, e, p) = walk(&self.shards, leader, &mut scratch);
+                ted_evals += e;
+                partial_evals += p;
+                matches.sort_unstable();
+                matches
             });
             return (clusters, ted_evals, partial_evals);
         }
@@ -1069,51 +1033,25 @@ impl ShardedCorpus {
             let (result_tx, result_rx) = mpsc::channel::<(Matches, u64, u64)>();
             // Workers receive leader *ids* (resolving the probe plan
             // themselves), sidestepping a reference-typed channel.
-            let probe_txs: Vec<mpsc::Sender<usize>> =
-                self.shards
-                    .chunks(chunk)
-                    .map(|group| {
-                        let (probe_tx, probe_rx) = mpsc::channel::<usize>();
-                        let result_tx = result_tx.clone();
-                        scope.spawn(move || {
-                            // One long-lived worker per shard group: exits when
-                            // the probe sender drops at the end of the run.
-                            let mut scratch = TedScratch::default();
-                            while let Ok(leader) = probe_rx.recv() {
-                                let probe = self.ted_of(leader);
-                                let mut matches: Matches = Vec::new();
-                                let mut evals = 0u64;
-                                let mut partials = 0u64;
-                                for shard in group {
-                                    let store = &shard.store;
-                                    let (m, e, _) = shard.index.within_radius_limited(
-                                        radius,
-                                        u64::MAX,
-                                        |other, bound| match probe.distance_bounded(
-                                            store.ted(other as usize),
-                                            bound as usize,
-                                            &mut scratch,
-                                        ) {
-                                            BoundedTed::Exact(d) => Some(d as u32),
-                                            BoundedTed::Exceeded => {
-                                                partials += 1;
-                                                None
-                                            }
-                                        },
-                                    );
-                                    evals += e;
-                                    matches.extend(m.into_iter().map(|(local, d)| {
-                                        (shard.globals[local as usize] as usize, d)
-                                    }));
-                                }
-                                if result_tx.send((matches, evals, partials)).is_err() {
-                                    return;
-                                }
+            let probe_txs: Vec<mpsc::Sender<usize>> = self
+                .shards
+                .chunks(chunk)
+                .map(|group| {
+                    let (probe_tx, probe_rx) = mpsc::channel::<usize>();
+                    let result_tx = result_tx.clone();
+                    scope.spawn(move || {
+                        // One long-lived worker per shard group: exits when
+                        // the probe sender drops at the end of the run.
+                        let mut scratch = TedScratch::default();
+                        while let Ok(leader) = probe_rx.recv() {
+                            if result_tx.send(walk(group, leader, &mut scratch)).is_err() {
+                                return;
                             }
-                        });
-                        probe_tx
-                    })
-                    .collect();
+                        }
+                    });
+                    probe_tx
+                })
+                .collect();
             drop(result_tx);
             self.greedy_clusters(|leader| {
                 for tx in &probe_txs {
@@ -1171,7 +1109,11 @@ impl ShardedCorpus {
                     continue;
                 }
                 only.push(id);
-                if b.radius_query(plan, radius).matches.is_empty() {
+                if b.radius_query(plan, radius, u64::MAX, 1)
+                    .0
+                    .matches
+                    .is_empty()
+                {
                     beyond.push(id);
                 }
             }
@@ -1639,13 +1581,13 @@ mod tests {
         }
         for probe in population() {
             for radius in 0..5u32 {
-                let indexed = corpus.radius_query(&probe, radius);
+                let indexed = corpus.radius_query(&probe, radius, u64::MAX, 1).0;
                 let scanned = corpus.scan_within_radius(&probe, radius);
                 assert_eq!(indexed.matches, scanned.matches, "radius {radius}");
                 assert!(indexed.ted_evals <= scanned.ted_evals);
             }
             for k in 1..=corpus.len() {
-                let indexed = corpus.knn_query(&probe, k);
+                let indexed = corpus.knn_query(&probe, k, u64::MAX).0;
                 let scanned = corpus.scan_nearest(&probe, k);
                 let d = |q: &MetricQuery| q.matches.iter().map(|&(_, d)| d).collect::<Vec<_>>();
                 assert_eq!(d(&indexed), d(&scanned), "k {k}");
@@ -1667,7 +1609,7 @@ mod tests {
             for probe in plans.iter().step_by(13) {
                 for radius in [0u32, 1, 3] {
                     assert_eq!(
-                        corpus.radius_query(probe, radius).matches,
+                        corpus.radius_query(probe, radius, u64::MAX, 1).0.matches,
                         corpus.scan_within_radius(probe, radius).matches,
                         "shards {shards} radius {radius}"
                     );
@@ -1675,7 +1617,7 @@ mod tests {
                 let d = |q: &MetricQuery| q.matches.iter().map(|&(_, d)| d).collect::<Vec<_>>();
                 for k in [1usize, 5, 20] {
                     assert_eq!(
-                        d(&corpus.knn_query(probe, k)),
+                        d(&corpus.knn_query(probe, k, u64::MAX).0),
                         d(&corpus.scan_nearest(probe, k)),
                         "shards {shards} k {k}"
                     );
@@ -1741,10 +1683,10 @@ mod tests {
             }
             for probe in plans.iter().step_by(17) {
                 for radius in [0u32, 1, 3] {
-                    let sequential = corpus.radius_query(probe, radius);
+                    let sequential = corpus.radius_query(probe, radius, u64::MAX, 1);
                     for threads in [1usize, 2, 4, 7, 32] {
                         assert_eq!(
-                            corpus.radius_query_threaded(probe, radius, threads),
+                            corpus.radius_query(probe, radius, u64::MAX, threads),
                             sequential,
                             "shards {shards} radius {radius} threads {threads}"
                         );
@@ -1860,11 +1802,11 @@ mod tests {
         // And the adopted index answers exactly like the built one —
         // matches *and* evaluation counts.
         for probe in wide_population(120).iter().step_by(17) {
-            let a = corpus.radius_query(probe, 2);
-            let b = loaded.radius_query(probe, 2);
+            let a = corpus.radius_query(probe, 2, u64::MAX, 1);
+            let b = loaded.radius_query(probe, 2, u64::MAX, 1);
             assert_eq!(a, b);
-            let a = corpus.knn_query(probe, 5);
-            let b = loaded.knn_query(probe, 5);
+            let a = corpus.knn_query(probe, 5, u64::MAX);
+            let b = loaded.knn_query(probe, 5, u64::MAX);
             assert_eq!(a, b);
         }
         // Saving the loaded corpus reproduces the document byte for byte.

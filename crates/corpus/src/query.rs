@@ -1,14 +1,14 @@
 //! # The unified query vocabulary: one request, one response, one entry point
 //!
 //! Every way of interrogating a corpus — k-NN, radius, clustering, stats —
-//! used to be its own method with its own threading variant
-//! (`within_radius`, `within_radius_threaded`, `nearest`, `clusters`, …).
-//! The `uplan-serve` daemon and the `repro corpus query` CLI need *one*
-//! schema that scripts, handlers and benches all speak, so this module
-//! folds the sprawl into a [`QueryRequest`] builder executed by
-//! [`ShardedCorpus::execute`], answering with a [`QueryResponse`] that has
-//! a stable JSON wire form (the same bytes over HTTP and from
-//! `repro corpus query --json`).
+//! is a [`QueryRequest`] executed by [`ShardedCorpus::execute`], the one
+//! public query entry point, answering with a [`QueryResponse`] that has a
+//! stable JSON wire form (the same bytes over HTTP and from
+//! `repro corpus query --json`). The `uplan-serve` daemon, the CLI, the
+//! benches and library callers all speak this schema. Behind it each query
+//! kind has one corpus walk over one BK traversal: radius queries,
+//! clustering and budgeted queries share the radius walk, and every k-NN
+//! query runs the k-NN walk.
 //!
 //! Two request knobs matter beyond the query parameters themselves:
 //!
@@ -45,7 +45,7 @@ use uplan_core::formats::unified;
 use uplan_core::UnifiedPlan;
 use uplan_obs::{trace, Counter, Histogram, Level};
 
-use crate::{Cluster, CorpusStats, Matches, MetricQuery, ShardedCorpus};
+use crate::{Cluster, CorpusStats, Matches, ShardedCorpus};
 
 /// Global-registry handles for the query path, one member per
 /// [`QueryKind`] wire name (index via [`QueryKind::metric_index`]).
@@ -709,28 +709,12 @@ impl ShardedCorpus {
             cost,
             epoch: None,
         };
-        let cost_of = |q: &MetricQuery| QueryCost {
-            ted_evals: q.ted_evals,
-            partial_evals: q.partial_evals,
-            candidates_considered: q.candidates_considered,
-        };
-        let budgeted = |q: MetricQuery, truncated: bool, budget: u64| {
-            if truncated {
-                Err(QueryError::BudgetExceeded {
-                    budget,
-                    spent: q.ted_evals,
-                })
-            } else {
-                let cost = cost_of(&q);
-                Ok(respond(QueryOutcome::Matches(q.matches), cost))
-            }
-        };
-        if let QueryMode::Approx { candidates } = request.mode {
-            let QueryKind::Knn { k } = request.kind else {
+        if let QueryMode::Approx { .. } = request.mode {
+            if !matches!(request.kind, QueryKind::Knn { .. }) {
                 return Err(QueryError::Unsupported(
                     "approximate mode applies to knn queries only".into(),
                 ));
-            };
+            }
             if request.max_ted_evals.is_some() {
                 return Err(QueryError::Unsupported(
                     "approximate queries do not accept a counted-TED budget \
@@ -738,74 +722,58 @@ impl ShardedCorpus {
                         .into(),
                 ));
             }
-            let probe = request.probe.as_ref().ok_or(QueryError::MissingProbe)?;
-            let candidates = if candidates == 0 {
-                DEFAULT_APPROX_CANDIDATES
-            } else {
-                candidates
-            };
-            let q = self.knn_query_approx(probe, k, candidates);
-            let cost = cost_of(&q);
-            return Ok(respond(QueryOutcome::Matches(q.matches), cost));
         }
-        match request.kind {
-            QueryKind::Knn { k } => {
-                let probe = request.probe.as_ref().ok_or(QueryError::MissingProbe)?;
-                match request.max_ted_evals {
-                    Some(budget) => {
-                        let (q, truncated) = self.knn_query_limited(probe, k, budget);
-                        budgeted(q, truncated, budget)
-                    }
-                    None => {
-                        let q = self.knn_query(probe, k);
-                        let cost = cost_of(&q);
-                        Ok(respond(QueryOutcome::Matches(q.matches), cost))
-                    }
-                }
+        if request.max_ted_evals.is_some()
+            && matches!(request.kind, QueryKind::Cluster { .. } | QueryKind::Stats)
+        {
+            return Err(QueryError::Unsupported(
+                "counted-TED budgets apply to knn and radius queries only".into(),
+            ));
+        }
+        let probe = || request.probe.as_ref().ok_or(QueryError::MissingProbe);
+        let limit = request.max_ted_evals.unwrap_or(u64::MAX);
+        let (q, truncated) = match (&request.kind, request.mode) {
+            (&QueryKind::Knn { k }, QueryMode::Approx { candidates }) => {
+                let candidates = if candidates == 0 {
+                    DEFAULT_APPROX_CANDIDATES
+                } else {
+                    candidates
+                };
+                (self.knn_query_approx(probe()?, k, candidates), false)
             }
-            QueryKind::Radius { radius } => {
-                let probe = request.probe.as_ref().ok_or(QueryError::MissingProbe)?;
-                match request.max_ted_evals {
-                    Some(budget) => {
-                        let (q, truncated) = self.radius_query_limited(probe, radius, budget);
-                        budgeted(q, truncated, budget)
-                    }
-                    None => {
-                        let q = self.radius_query_threaded(probe, radius, request.threads);
-                        let cost = cost_of(&q);
-                        Ok(respond(QueryOutcome::Matches(q.matches), cost))
-                    }
-                }
+            (&QueryKind::Knn { k }, _) => self.knn_query(probe()?, k, limit),
+            (&QueryKind::Radius { radius }, _) => {
+                self.radius_query(probe()?, radius, limit, request.threads)
             }
-            QueryKind::Cluster { radius } => {
-                if request.max_ted_evals.is_some() {
-                    return Err(QueryError::Unsupported(
-                        "counted-TED budgets apply to knn and radius queries only".into(),
-                    ));
-                }
+            (&QueryKind::Cluster { radius }, _) => {
                 let (clusters, ted_evals, partial_evals) =
                     self.cluster_query(radius, request.threads);
-                Ok(respond(
-                    QueryOutcome::Clusters(clusters),
-                    QueryCost {
-                        ted_evals,
-                        partial_evals,
-                        candidates_considered: 0,
-                    },
-                ))
+                let cost = QueryCost {
+                    ted_evals,
+                    partial_evals,
+                    candidates_considered: 0,
+                };
+                return Ok(respond(QueryOutcome::Clusters(clusters), cost));
             }
-            QueryKind::Stats => {
-                if request.max_ted_evals.is_some() {
-                    return Err(QueryError::Unsupported(
-                        "counted-TED budgets apply to knn and radius queries only".into(),
-                    ));
-                }
-                Ok(respond(
+            (QueryKind::Stats, _) => {
+                return Ok(respond(
                     QueryOutcome::Stats(self.stats()),
                     QueryCost::default(),
                 ))
             }
+        };
+        if truncated {
+            return Err(QueryError::BudgetExceeded {
+                budget: limit,
+                spent: q.ted_evals,
+            });
         }
+        let cost = QueryCost {
+            ted_evals: q.ted_evals,
+            partial_evals: q.partial_evals,
+            candidates_considered: q.candidates_considered,
+        };
+        Ok(respond(QueryOutcome::Matches(q.matches), cost))
     }
 }
 
@@ -849,7 +817,7 @@ mod tests {
         let knn = corpus
             .execute(&QueryRequest::knn(3).with_probe(probe.clone()))
             .unwrap();
-        let direct = corpus.knn_query(&probe, 3);
+        let (direct, _) = corpus.knn_query(&probe, 3, u64::MAX);
         assert_eq!(knn.outcome, QueryOutcome::Matches(direct.matches));
         assert_eq!(knn.cost.ted_evals, direct.ted_evals);
         assert_eq!(knn.cost.partial_evals, direct.partial_evals);
@@ -865,7 +833,7 @@ mod tests {
                         .with_threads(threads),
                 )
                 .unwrap();
-            let direct = corpus.radius_query(&probe, 1);
+            let (direct, _) = corpus.radius_query(&probe, 1, u64::MAX, 1);
             assert_eq!(radius.outcome, QueryOutcome::Matches(direct.matches));
             assert_eq!(radius.cost.ted_evals, direct.ted_evals);
             assert_eq!(radius.cost.partial_evals, direct.partial_evals);
@@ -1001,6 +969,83 @@ mod tests {
             corpus.execute(&QueryRequest::knn(2)).unwrap_err(),
             QueryError::MissingProbe
         );
+    }
+
+    #[test]
+    fn budgeted_radius_queries_ignore_threads() {
+        // Budgeted radius queries walk the shards sequentially whatever
+        // `threads` says, so every thread count trips (or fits) the budget
+        // at the same evaluation.
+        let mut corpus = ShardedCorpus::with_shards(4);
+        for wrappers in 0..16usize {
+            for scan in ["Scan_A", "Scan_B", "Scan_C"] {
+                let mut names: Vec<&str> = ["Gather", "Sort", "Hash", "Collect"]
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(bit, _)| wrappers >> bit & 1 == 1)
+                    .map(|(_, name)| name)
+                    .collect();
+                names.push(scan);
+                corpus.insert(chain(&names));
+            }
+        }
+        let probe = chain(&["Gather", "Sort", "Scan_A"]);
+        let radius = |threads: usize| {
+            QueryRequest::radius(2)
+                .with_probe(probe.clone())
+                .with_threads(threads)
+        };
+        let full = corpus.execute(&radius(1)).unwrap();
+        let spend = full.cost.ted_evals;
+        assert!(spend > 4, "the walk should span several shards");
+        for budget in 1..=spend + 1 {
+            let sequential = corpus.execute(&radius(1).with_eval_budget(budget));
+            for threads in [2usize, 4] {
+                assert_eq!(
+                    corpus.execute(&radius(threads).with_eval_budget(budget)),
+                    sequential,
+                    "budget {budget} threads {threads}"
+                );
+            }
+            if budget < spend {
+                assert_eq!(
+                    sequential.unwrap_err(),
+                    QueryError::BudgetExceeded {
+                        budget,
+                        spent: budget
+                    }
+                );
+            } else {
+                // A budget the walk fits under changes nothing.
+                let fitted = sequential.unwrap();
+                assert_eq!(fitted.outcome, full.outcome);
+                assert_eq!(fitted.cost, full.cost);
+            }
+        }
+    }
+
+    #[test]
+    fn huge_k_and_candidates_answer_instead_of_panicking() {
+        // `k` and `candidates` arrive off the wire; heaps are sized by the
+        // corpus, so a request for more neighbors than exist answers with
+        // every plan instead of failing to allocate.
+        let corpus = corpus();
+        let probe = unified::to_json(&chain(&["Gather", "Scan_A"]));
+        let huge = i64::MAX;
+        for members in [
+            format!("\"k\": {huge}"),
+            format!("\"k\": 2, \"mode\": \"approx\", \"candidates\": {huge}"),
+            format!("\"k\": {huge}, \"mode\": \"approx\", \"candidates\": {huge}"),
+        ] {
+            let text = format!("{{\"query\": \"knn\", {members}, \"probe\": {probe}}}");
+            let request = QueryRequest::from_json(&text, None).unwrap();
+            let response = corpus.execute(&request).unwrap();
+            let QueryOutcome::Matches(matches) = response.outcome else {
+                panic!("knn answered {:?}", response.outcome);
+            };
+            assert!(matches.len() <= corpus.len(), "{text}");
+            assert!(!matches.is_empty(), "{text}");
+        }
     }
 
     #[test]

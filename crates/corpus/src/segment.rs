@@ -857,8 +857,14 @@ mod tests {
             chain(&["Gather", "Sort", "Index_Scan"]),
             chain(&["Exchange", "Hash", "Bitmap_Scan"]),
         ] {
-            assert_eq!(lazy.knn_query(&probe, 5), eager.knn_query(&probe, 5));
-            assert_eq!(lazy.radius_query(&probe, 3), eager.radius_query(&probe, 3));
+            assert_eq!(
+                lazy.knn_query(&probe, 5, u64::MAX),
+                eager.knn_query(&probe, 5, u64::MAX)
+            );
+            assert_eq!(
+                lazy.radius_query(&probe, 3, u64::MAX, 1),
+                eager.radius_query(&probe, 3, u64::MAX, 1)
+            );
             assert_eq!(
                 lazy.knn_query_approx(&probe, 5, 32),
                 eager.knn_query_approx(&probe, 5, 32)

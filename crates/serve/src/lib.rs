@@ -991,6 +991,33 @@ mod tests {
         assert_eq!(reader.current().corpus().len(), 5);
     }
 
+    /// A `k` or `candidates` far beyond the corpus size answers 200 with at
+    /// most every plan — it must not take down the worker that serves it.
+    #[test]
+    fn huge_k_and_candidates_answer_200() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let probe = uplan_core::formats::unified::to_json(&chain(&["Scan_A"]));
+        let huge = i64::MAX;
+        for members in [
+            format!("\"k\": {huge}"),
+            format!("\"k\": 2, \"mode\": \"approx\", \"candidates\": {huge}"),
+        ] {
+            let req = HttpRequest {
+                method: "POST".into(),
+                path: "/knn".into(),
+                query: Vec::new(),
+                body: format!("{{{members}, \"probe\": {probe}}}").into_bytes(),
+            };
+            let response = handle(&state, &mut reader, &req);
+            assert_eq!(response.status, 200, "{}", response.body);
+            let doc = json::parse(&response.body).unwrap();
+            let matches = doc.get("matches").unwrap().as_array().unwrap();
+            assert!(matches.len() <= reader.current().corpus().len());
+        }
+    }
+
     fn quote_json(s: &str) -> String {
         JsonValue::from(s).to_compact()
     }
