@@ -424,7 +424,9 @@ impl ShardedCorpus {
 
     /// Plans whose payload is actually decoded in memory. Equals
     /// [`ShardedCorpus::len`] for an ingested corpus; starts at zero for a
-    /// lazily opened one and grows as queries touch plans.
+    /// lazily opened one and grows as queries touch plans. Clones share
+    /// one decode cache, so a plan decoded through any clone of a lazily
+    /// opened corpus counts as decoded in all of them.
     pub fn decoded_plans(&self) -> usize {
         self.shards.iter().map(|s| s.store.decoded()).sum()
     }

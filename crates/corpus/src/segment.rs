@@ -49,6 +49,7 @@ use uplan_core::formats::segment::{
     SegmentBuilder, SegmentFinish, SegmentMeta, SegmentShardEdges, SegmentView,
 };
 use uplan_core::{Error, Result, Symbol, UnifiedPlan};
+use uplan_obs::Counter;
 
 use crate::features::{FeatureVector, FEATURE_DIM};
 use crate::shard::LoadedPlan;
@@ -62,9 +63,11 @@ pub fn segment_file(id: u32) -> String {
     format!("seg-{id:05}.upls")
 }
 
-/// The decoded-bytes backing of a lazily opened corpus: every shard's
-/// [`crate::shard::PlanStore`] shares one source through an [`Arc`], so a
-/// plan body decodes at most once corpus-wide.
+/// The decoded-bytes backing of a lazily opened corpus, and its decode
+/// cache: every shard's [`crate::shard::PlanStore`] — in the store's own
+/// corpus and in every clone of it — shares one source through an
+/// [`Arc`], so a plan body decodes at most once per process, however many
+/// corpus snapshots address it.
 #[derive(Debug)]
 pub(crate) struct SegmentSource {
     /// The full symbol chain (from the manifest) every segment's plan
@@ -86,9 +89,52 @@ struct SegmentData {
     /// One flag per block: its CRC has been verified. Lazily set before
     /// the first plan of the block decodes.
     verified: Vec<OnceLock<()>>,
+    /// One write-once cell per plan: its decoded form, filled on first
+    /// touch from any corpus sharing this source. Boxed so an undecoded
+    /// plan costs one pointer, not a full inline [`LoadedPlan`].
+    plans: Vec<OnceLock<Box<LoadedPlan>>>,
+}
+
+/// Process-global lazy-decode counters. Each is bumped once per first
+/// touch (a plan decode, a block verification), never on a warm read.
+struct StoreMetrics {
+    /// `uplan_store_plans_decoded_total`.
+    plans_decoded: Arc<Counter>,
+    /// `uplan_store_blocks_verified_total`.
+    blocks_verified: Arc<Counter>,
+}
+
+fn store_metrics() -> &'static StoreMetrics {
+    static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = uplan_obs::global();
+        StoreMetrics {
+            plans_decoded: registry.counter(
+                "uplan_store_plans_decoded_total",
+                "segment-store plan bodies decoded on first touch",
+            ),
+            blocks_verified: registry.counter(
+                "uplan_store_blocks_verified_total",
+                "segment-store checksum blocks CRC-verified on first touch",
+            ),
+        }
+    })
 }
 
 impl SegmentSource {
+    /// Plan `idx` of segment `seg`, decoding it on first touch.
+    pub(crate) fn loaded(&self, seg: u32, idx: u32) -> &LoadedPlan {
+        self.segments[seg as usize].plans[idx as usize]
+            .get_or_init(|| Box::new(self.load(seg, idx)))
+    }
+
+    /// Whether plan `idx` of segment `seg` has been decoded.
+    pub(crate) fn is_decoded(&self, seg: u32, idx: u32) -> bool {
+        self.segments[seg as usize].plans[idx as usize]
+            .get()
+            .is_some()
+    }
+
     /// Decodes plan `idx` of segment `seg`, verifying its checksum block
     /// first (once per block).
     ///
@@ -96,7 +142,7 @@ impl SegmentSource {
     /// so bytes that die *between* open and first touch mean concurrent
     /// external damage — there is no good value to return mid-query.
     /// `repro corpus salvage` is the lenient path for damaged stores.
-    pub(crate) fn load(&self, seg: u32, idx: u32) -> LoadedPlan {
+    fn load(&self, seg: u32, idx: u32) -> LoadedPlan {
         let data = &self.segments[seg as usize];
         let block = idx as usize / CHECKSUM_BLOCK_PLANS as usize;
         data.verified[block].get_or_init(|| {
@@ -106,6 +152,7 @@ impl SegmentSource {
                      ({e}); the store changed after open — run `repro corpus salvage`"
                 )
             });
+            store_metrics().blocks_verified.inc();
         });
         let plan = decode_plan_at(
             &data.bytes,
@@ -119,6 +166,7 @@ impl SegmentSource {
                  run `repro corpus salvage`"
             )
         });
+        store_metrics().plans_decoded.inc();
         LoadedPlan::new(plan)
     }
 }
@@ -340,6 +388,9 @@ impl SegmentStore {
             views.push((view, bytes));
         }
 
+        // Register the decode counters now, so a scrape of a freshly
+        // opened store reports them at zero rather than omitting them.
+        store_metrics();
         let source = Arc::new(SegmentSource {
             symbols: manifest.symbols.clone(),
             segments: views
@@ -350,6 +401,7 @@ impl SegmentStore {
                     lens: view.plan_lens.clone(),
                     blocks: view.blocks.clone(),
                     verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
+                    plans: (0..view.plan_count).map(|_| OnceLock::new()).collect(),
                 })
                 .collect(),
         });

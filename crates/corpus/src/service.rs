@@ -21,7 +21,9 @@
 //! request it performs one atomic epoch load and only touches the (brief,
 //! publish-only) mutex when the epoch actually advanced. Writers never
 //! block readers: a merge clones the corpus off to the side and swaps the
-//! `Arc` in at the end.
+//! `Arc` in at the end. The clone shares every decoded plan with its
+//! base, so a lazily opened store decodes each plan once per process, not
+//! once per epoch.
 //!
 //! The delta queue is **bounded**: [`CorpusService::submit`] refuses plans
 //! beyond the configured capacity with [`ServiceError::Backpressure`],
@@ -327,8 +329,10 @@ impl CorpusService {
         let (corpus, novel, segment_id, segment_bytes) = match store_guard.as_mut() {
             // Persistent: the store's corpus is the canonical one — append
             // (deterministic parallel ingest + segment write + manifest
-            // swap) and publish a clone of it. The clone is cheap for a
-            // lazy corpus: undecoded slots stay undecoded.
+            // swap) and publish a clone of it. The clone copies pointers,
+            // never plans: it shares the store's decode cache, so plans the
+            // queries of earlier epochs decoded stay decoded, and plans the
+            // append's BK inserts decoded are warm for the next queries.
             Some(store) => match store.append(&drained, threads.max(1)) {
                 Ok(report) => (
                     store.corpus().clone(),
@@ -352,6 +356,8 @@ impl CorpusService {
                     (corpus, novel, None, 0)
                 }
             },
+            // In RAM: ingest into a clone of the published corpus, which
+            // shares every stored plan with it.
             None => {
                 let mut corpus = base.corpus.clone();
                 let novel = corpus.ingest_parallel(&drained, threads.max(1));
@@ -527,6 +533,61 @@ mod tests {
             published.corpus().to_binary_indexed().unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn merges_keep_the_lazy_store_warm() {
+        let root = std::env::temp_dir().join(format!("uplan-service-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (served, fresh) = (root.join("served"), root.join("fresh"));
+        let stream = plans(256);
+        let mut seed = ShardedCorpus::new();
+        seed.ingest_parallel(&stream[..200], 2);
+        for dir in [&served, &fresh] {
+            SegmentStore::create(dir, seed.clone()).unwrap();
+        }
+
+        let service = CorpusService::with_store(
+            SegmentStore::open(&served).unwrap(),
+            DEFAULT_PENDING_CAPACITY,
+        );
+        let requests = [
+            QueryRequest::knn(3).with_probe(chain(&["Sort", "Hash", "Index_Scan"])),
+            QueryRequest::radius(2).with_probe(chain(&["Gather", "Exchange", "Seq_Scan"])),
+        ];
+        let before = service.snapshot();
+        for request in &requests {
+            before.corpus().execute(request).unwrap();
+        }
+        let warm = before.corpus().decoded_plans();
+        assert!(warm > 0, "the queries decoded plans");
+
+        service.submit(stream[200..].to_vec()).unwrap();
+        assert_eq!(service.merge(2).epoch, 1);
+        let after = service.snapshot();
+        assert!(
+            after.corpus().decoded_plans() >= warm,
+            "the merge published a colder snapshot: {} of {warm} plans decoded",
+            after.corpus().decoded_plans()
+        );
+        let decoded = after.corpus().decoded_plans();
+        let answers: Vec<QueryResponse> = requests
+            .iter()
+            .map(|request| after.corpus().execute(request).unwrap())
+            .collect();
+        assert_eq!(
+            after.corpus().decoded_plans(),
+            decoded,
+            "rerunning the epoch-0 queries decoded plans again"
+        );
+
+        // Same answers and counted costs as a store that never served.
+        let mut reference = SegmentStore::open(&fresh).unwrap();
+        reference.append(&stream[200..], 1).unwrap();
+        for (request, answer) in requests.iter().zip(&answers) {
+            assert_eq!(&reference.corpus().execute(request).unwrap(), answer);
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! see, because every access goes through [`PlanStore::plan`] /
 //! [`PlanStore::ted`].
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use uplan_core::fingerprint::{Fingerprint, FingerprintOptions, FingerprintSet};
 use uplan_core::ted::{TedPlan, TedScratch};
@@ -32,7 +32,7 @@ use crate::segment::SegmentSource;
 /// A stored plan's in-memory form: the plan itself plus its pre-flattened
 /// TED view (every metric evaluation — BK routing, traversals, shortlist
 /// re-ranks — reads the view instead of re-flattening).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LoadedPlan {
     pub(crate) plan: UnifiedPlan,
     pub(crate) ted: TedPlan,
@@ -47,25 +47,23 @@ impl LoadedPlan {
     }
 }
 
-/// One plan's storage cell. For ingested plans the cell is filled at store
-/// time and the segment address is meaningless; for lazily opened plans
-/// the cell starts empty and fills on first touch from the shared
-/// [`SegmentSource`].
+/// One plan's storage slot. Either way the decoded plan is a shared,
+/// write-once value: cloning a slot copies a pointer or an address, never
+/// a plan.
 #[derive(Debug, Clone)]
-struct PlanSlot {
-    /// Index into the source's segment list (`u32::MAX` for eager slots).
-    seg: u32,
-    /// Plan index within that segment.
-    idx: u32,
-    /// The decoded plan, filled at most once. Boxed so an undecoded slot
-    /// costs pointers, not a full inline [`LoadedPlan`].
-    cell: OnceLock<Box<LoadedPlan>>,
+enum PlanSlot {
+    /// An ingested plan, decoded at store time.
+    Eager(Arc<LoadedPlan>),
+    /// Plan `idx` of segment `seg` in the store's [`SegmentSource`],
+    /// decoded on first touch into the source's own cell.
+    Lazy { seg: u32, idx: u32 },
 }
 
 /// Plan payload storage for one shard: dense by local id, decode-on-first-
-/// touch when backed by a segment source. Cloning preserves whatever is
-/// already decoded (cheap for an untouched lazy corpus, eager-deep for an
-/// ingested one).
+/// touch when backed by a segment source. Cloning copies pointers only:
+/// eager plans are `Arc`-shared, and lazy plans decode into cells of the
+/// shared source, so every clone — a published snapshot, the store's own
+/// corpus — sees what any other clone already decoded.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PlanStore {
     /// Shared decoded-bytes source for lazy slots; `None` for a purely
@@ -89,36 +87,28 @@ impl PlanStore {
 
     /// Appends an eagerly stored plan (flattening its TED view now).
     pub(crate) fn push(&mut self, plan: UnifiedPlan) {
-        let cell = OnceLock::new();
-        cell.set(Box::new(LoadedPlan::new(plan)))
-            .expect("fresh cell is empty");
-        self.slots.push(PlanSlot {
-            seg: u32::MAX,
-            idx: u32::MAX,
-            cell,
-        });
+        self.slots
+            .push(PlanSlot::Eager(Arc::new(LoadedPlan::new(plan))));
     }
 
     /// Appends a lazy slot addressing plan `idx` of segment `seg` in the
     /// store's source.
     pub(crate) fn push_lazy(&mut self, seg: u32, idx: u32) {
         debug_assert!(self.source.is_some(), "lazy slot needs a segment source");
-        self.slots.push(PlanSlot {
-            seg,
-            idx,
-            cell: OnceLock::new(),
-        });
+        self.slots.push(PlanSlot::Lazy { seg, idx });
+    }
+
+    fn source(&self) -> &SegmentSource {
+        self.source
+            .as_deref()
+            .expect("lazy slot without a segment source")
     }
 
     fn loaded(&self, local: usize) -> &LoadedPlan {
-        let slot = &self.slots[local];
-        slot.cell.get_or_init(|| {
-            let source = self
-                .source
-                .as_ref()
-                .expect("undecoded slot without a segment source");
-            Box::new(source.load(slot.seg, slot.idx))
-        })
+        match self.slots[local] {
+            PlanSlot::Eager(ref loaded) => loaded,
+            PlanSlot::Lazy { seg, idx } => self.source().loaded(seg, idx),
+        }
     }
 
     /// The stored plan, decoding it on first touch.
@@ -134,7 +124,13 @@ impl PlanStore {
     /// Plans whose payload has actually been decoded (lazy-open
     /// observability; everything, for an ingested store).
     pub(crate) fn decoded(&self) -> usize {
-        self.slots.iter().filter(|s| s.cell.get().is_some()).count()
+        self.slots
+            .iter()
+            .filter(|slot| match **slot {
+                PlanSlot::Eager(_) => true,
+                PlanSlot::Lazy { seg, idx } => self.source().is_decoded(seg, idx),
+            })
+            .count()
     }
 }
 

@@ -4,7 +4,7 @@
 //! not browsers on the open internet — no chunked transfer, no keep-alive,
 //! no TLS — and staying inside `std` keeps the workspace offline.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Upper bound on a request body (a raw fleet dump batch); larger
 /// submissions should be split — this is a backpressure boundary, not a
@@ -58,18 +58,29 @@ impl HttpRequest {
         let mut head = String::new();
         let mut content_length = 0usize;
         let mut request_line: Option<String> = None;
+        // Bytes of head still allowed. Each line is read through a `take`
+        // of the remaining budget, so a client that never sends a newline
+        // cannot make the daemon buffer more than `MAX_HEAD` bytes.
+        let mut budget = MAX_HEAD;
         loop {
             head.clear();
-            let n = reader.read_line(&mut head).map_err(HttpError::Io)?;
+            let n = reader
+                .by_ref()
+                .take(budget as u64)
+                .read_line(&mut head)
+                .map_err(HttpError::Io)?;
+            budget -= n;
+            if budget == 0 && !head.ends_with('\n') {
+                return Err(HttpError::Bad(format!(
+                    "request head exceeds {MAX_HEAD} bytes"
+                )));
+            }
             if n == 0 {
                 return if request_line.is_none() {
                     Ok(None)
                 } else {
                     Err(HttpError::Bad("connection closed mid-headers".into()))
                 };
-            }
-            if n > MAX_HEAD {
-                return Err(HttpError::Bad("header line too long".into()));
             }
             let line = head.trim_end_matches(['\r', '\n']);
             match &request_line {
@@ -252,6 +263,55 @@ mod tests {
         ));
         // Truncated body: the read fails rather than hanging forever.
         assert!(parse("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").is_err());
+    }
+
+    /// A reader that counts the bytes it hands out.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn head_limit_bounds_the_bytes_read() {
+        // One endless line: the read stops at the head budget, not at a
+        // newline that never comes.
+        let flood = vec![b'a'; 16 * MAX_HEAD];
+        let mut reader = BufReader::new(Counting {
+            inner: flood.as_slice(),
+            consumed: 0,
+        });
+        let capacity = reader.capacity();
+        assert!(matches!(
+            HttpRequest::read_from(&mut reader),
+            Err(HttpError::Bad(_))
+        ));
+        let consumed = reader.get_ref().consumed;
+        assert!(
+            consumed <= MAX_HEAD + capacity,
+            "read {consumed} bytes of a newline-free flood"
+        );
+
+        // The budget covers the request line plus all headers, not each
+        // line alone.
+        let header = format!("X-Pad: {}\r\n", "p".repeat(1000));
+        let many = format!(
+            "GET /stats HTTP/1.1\r\n{}\r\n",
+            header.repeat(MAX_HEAD / header.len() + 1)
+        );
+        assert!(matches!(parse(&many), Err(HttpError::Bad(_))));
+        let fitting = format!(
+            "GET /stats HTTP/1.1\r\n{}\r\n",
+            header.repeat(MAX_HEAD / header.len() - 1)
+        );
+        assert_eq!(parse(&fitting).unwrap().unwrap().path, "/stats");
     }
 
     #[test]

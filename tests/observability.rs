@@ -12,13 +12,18 @@
 //! 2. **Global ingest deltas** — `convert::ingest_raw` advances the
 //!    process-global counters by exactly the records it converted, with
 //!    lenient-mode skips attributed per pipeline stage.
+//! 3. **Global decode deltas** — a lazily opened segment store counts
+//!    each plan decode and each block verification once per process:
+//!    epoch merges never make a repeated query decode again.
 //!
 //! [`ServeMetrics`]: uplan::serve::ServeMetrics
 
 use std::sync::Arc;
 
 use uplan::convert::{ingest_raw, ingest_raw_with, RawIngestOptions};
-use uplan::corpus::{PlanCorpus, DEFAULT_PENDING_CAPACITY};
+use uplan::corpus::{
+    CorpusService, PlanCorpus, QueryRequest, SegmentStore, DEFAULT_PENDING_CAPACITY,
+};
 use uplan::serve::http::HttpRequest;
 use uplan::serve::{handle, ServeState};
 use uplan::testing::fixtures::{raw_dump_line, DialectFleet};
@@ -191,4 +196,55 @@ fn ingest_advances_the_global_counters_by_exact_deltas() {
     let json = uplan::obs::global().encode_json().to_compact();
     assert!(json.contains("\"uplan_ingest_records_total\""));
     assert!(json.contains("\"uplan_ingest_batch_records\""));
+}
+
+#[test]
+fn lazy_decodes_are_counted_once_per_process() {
+    const DECODED: &str = "uplan_store_plans_decoded_total";
+    const VERIFIED: &str = "uplan_store_blocks_verified_total";
+    let dir = std::env::temp_dir().join(format!("{}_obs_store", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Under 256 plans: one segment of exactly one checksum block.
+    let seed = corpus_fixture::derived_corpus(120, 0x0b5e_0003);
+    assert!(seed.len() < 256);
+    SegmentStore::create(&dir, seed).unwrap();
+
+    // This test is the only segment-store user in this binary, so the
+    // deltas are exact.
+    let decoded_before = global_counter(DECODED, &[]);
+    let verified_before = global_counter(VERIFIED, &[]);
+    let service =
+        CorpusService::with_store(SegmentStore::open(&dir).unwrap(), DEFAULT_PENDING_CAPACITY);
+    assert_eq!(
+        global_counter(DECODED, &[]),
+        decoded_before,
+        "open decodes nothing"
+    );
+
+    let stream = corpus_fixture::derived_stream(40, 0x9e);
+    let knn = QueryRequest::knn(5).with_probe(stream[0].clone());
+    let first = service.snapshot().execute(&knn).unwrap();
+    let touched = service.snapshot().corpus().decoded_plans() as u64;
+    assert!(touched > 0);
+    assert_eq!(global_counter(DECODED, &[]) - decoded_before, touched);
+    assert_eq!(global_counter(VERIFIED, &[]) - verified_before, 1);
+
+    // The merge's BK inserts decode whatever routing touches; the plans
+    // it stores are eager, so the snapshot's decoded count minus the
+    // novel plans is exactly the lazy decodes so far.
+    service.submit(stream[1..].to_vec()).unwrap();
+    let report = service.merge(2);
+    let lazy_decoded = service.snapshot().corpus().decoded_plans() - report.novel;
+    assert_eq!(
+        global_counter(DECODED, &[]) - decoded_before,
+        lazy_decoded as u64
+    );
+
+    // The same query on the new epoch decodes nothing it decoded before.
+    let decoded = global_counter(DECODED, &[]);
+    let again = service.snapshot().execute(&knn).unwrap();
+    assert_eq!(global_counter(DECODED, &[]), decoded);
+    assert_eq!(global_counter(VERIFIED, &[]) - verified_before, 1);
+    assert_eq!(again.epoch, Some(first.epoch.unwrap() + 1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
