@@ -1,17 +1,22 @@
 //! `repro corpus` — manage persistent plan corpora from the command line.
 //!
+//! Every corpus lives in an append-only segment-store directory (see
+//! `uplan_corpus::segment`): every verb that writes a corpus writes or
+//! appends to a store, and every verb that reads one opens a store lazily.
+//! Legacy monolithic `UPLN` documents and JSON-lines files convert with
+//! `import`; the reading verbs refuse them (exit 2) and say so.
+//!
 //! ```text
-//! repro corpus ingest <out> <source> <explain-file>... [--threads N] [--shards N] [--index]
-//!                     [--append] [--segmented]
-//! repro corpus ingest <out> --raw <dump.jsonl>... [--threads N] [--shards N] [--index]
-//!                     [--append] [--segmented] [--lenient] [--max-errors N] [--quarantine <file>]
+//! repro corpus ingest <store-dir> <source> <explain-file>... [--threads N] [--shards N]
+//! repro corpus ingest <store-dir> --raw <dump>... [--threads N] [--shards N]
+//!                     [--lenient] [--max-errors N] [--quarantine <file>]
 //!     Convert native EXPLAIN files (any of the converter dialects, see
-//!     `repro corpus sources`) and store them deduplicated. `<out>` ending
-//!     in .jsonl writes JSON lines; anything else writes the binary codec.
+//!     `repro corpus sources`) and append the distinct plans to the store
+//!     as one new segment, creating the store when `<store-dir>` is not one
+//!     yet. Cost is O(batch): the existing segments are never rewritten.
 //!     `--threads` fans ingest out across scoped worker threads (the
-//!     resulting corpus is byte-identical for every thread count);
-//!     `--shards` overrides the corpus shard count; `--index` persists the
-//!     BK-index topology (UPLN v2+) so the next load is index-free.
+//!     written segment is byte-identical for every thread count);
+//!     `--shards` sets the shard count of a store being created.
 //!     With `--raw`, the files are mixed-source dumps instead (JSON-lines,
 //!     `---`-separator-framed or `#<bytes>` length-prefixed; framing is
 //!     sniffed per file), each record source-sniffed via the converter
@@ -19,12 +24,17 @@
 //!     `--lenient` skips bad records instead of aborting and prints the
 //!     per-record error census; `--max-errors` bounds the tolerated
 //!     garbage; `--quarantine` writes failed records to a replayable
-//!     JSONL file. `--append` loads an existing `<out>` and grows it in
-//!     place instead of starting fresh. `--segmented` makes `<out>` an
-//!     append-only segment-store *directory* (also auto-detected when
-//!     `<out>` already is one): each ingest appends one immutable segment
-//!     and atomically rewrites only the small manifest — cost O(batch),
-//!     never a full-corpus rewrite.
+//!     JSONL file. `--segmented` is still accepted and selects nothing:
+//!     every ingest writes a store.
+//! repro corpus import <file> <store-dir> [--salvage]
+//!     The one verb that reads legacy corpus files: a monolithic binary
+//!     (`UPLN` v1–v4) document or a JSON-lines file becomes a new store.
+//!     Strict by default. `--salvage` recovers what a damaged file still
+//!     holds — the longest CRC-verified prefix of a v3+ document, the
+//!     decodable prefix of older versions, or the parseable lines of a
+//!     JSONL file — prints `salvaged R of D plans` plus what was dropped
+//!     and why, and imports the survivors (re-indexed). Exits 2 when
+//!     nothing could be recovered.
 //! repro corpus raw-fixture <out.jsonl> [queries] [--dirty N] [--seed HEX]
 //!     Write a deterministic mixed-source raw dump covering all nine
 //!     dialects ([queries] TPC-H-lite queries per relational engine,
@@ -33,66 +43,59 @@
 //!     input), printing exactly which lines are garbage.
 //! repro corpus raw-check <dump.jsonl> [--lenient]
 //!     Assert that 4-thread batched raw ingest of the dump produces a
-//!     corpus byte-identical to sequential per-source conversion (and
-//!     identical stats); prints both censuses. With `--lenient`, also
-//!     asserts that lenient ingest of a dirty dump is byte-identical to
-//!     strict ingest of its valid lines alone. Exits non-zero on any
-//!     divergence.
-//! repro corpus salvage <corpus> [--out <path>]
-//!     Recover what a damaged corpus file still holds: the longest
-//!     CRC-verified prefix of a binary (v3) document, the decodable
-//!     prefix of older versions, or the parseable lines of a JSONL file.
-//!     A segment-store *directory* salvages per segment: every segment
-//!     that parses, CRC-verifies and decodes whole is recovered in full,
-//!     damaged segments drop whole, and a missing manifest is rebuilt
+//!     corpus byte-identical (as segment bytes) to sequential per-source
+//!     conversion, with identical stats; prints both censuses. With
+//!     `--lenient`, also asserts that lenient ingest of a dirty dump is
+//!     byte-identical to strict ingest of its valid lines alone. Exits
+//!     non-zero on any divergence.
+//! repro corpus salvage <store-dir> [--out <store-dir>]
+//!     Recover what a damaged store still holds, per segment: every
+//!     segment that parses, CRC-verifies and decodes whole is recovered in
+//!     full, damaged segments drop whole, and a missing manifest is rebuilt
 //!     from the per-segment symbol deltas (a damaged symbol-carrying
 //!     segment then also drops the later segments that need its symbols).
 //!     Prints `salvaged R of D plans` plus what was dropped and why;
-//!     `--out` stores the recovered corpus (re-indexed). Exits 2 when
-//!     nothing could be recovered from a damaged file.
+//!     `--out` writes the recovered corpus (re-indexed) as a new store.
+//!     Exits 2 when nothing could be recovered.
 //! repro corpus compact <store-dir>
-//!     Merge every segment of an append-only store into one (fresh
-//!     symbol chain, fresh feature summaries), deleting the old segment
-//!     files after the manifest swaps. Read-amplification maintenance
-//!     for stores grown by many small appends.
-//! repro corpus mutate <in> <out> --op <truncate|bitflip|splice|duplicate> [--seed HEX]
-//!     Apply one seeded, reproducible corruption to a checksummed binary
-//!     corpus document and write the damaged copy — the generator behind
-//!     the CI fault-injection smoke step. Prints the mutation and, where
-//!     the codec's section map makes it provable, the exact
-//!     `expect-recoverable: N of M plans` a salvage must report.
-//! repro corpus fixture-ingest <out> [count] [--threads N] [--shards N] [--index] [--seed HEX]
-//!                             [--segmented] [--batches N]
+//!     Merge every segment of a store into one (fresh symbol chain, fresh
+//!     feature summaries), deleting the old segment files after the
+//!     manifest swaps. Read-amplification maintenance for stores grown by
+//!     many small appends.
+//! repro corpus mutate <store-dir> <out-dir> --op <truncate|bitflip|delete> [--seed HEX]
+//!     Copy a store and apply one seeded, reproducible fault to one of its
+//!     files — the generator behind the CI fault-injection smoke step.
+//!     Prints the fault and the exact `expect-recoverable: N of M plans` a
+//!     salvage of the copy must report.
+//! repro corpus fixture-ingest <store-dir> [count] [--threads N] [--shards N] [--seed HEX]
+//!                             [--batches N]
 //!     Ingest the seeded TPC-H-derived benchmark stream (the corpus/*
-//!     bench population, default 10000 plans) — the CI determinism gate:
-//!     everything it prints except the trailing `wrote …` line is
-//!     identical for every `--threads` value. `--segmented` writes an
-//!     append-only segment-store directory instead of one file,
-//!     splitting the stream into `--batches` appended segments (default
-//!     1) — the segmented-fleet gate diffs the resulting directories
-//!     byte for byte across thread counts.
-//! repro corpus campaign <out> [profile] [queries] [radius] [--index]
+//!     bench population, default 10000 plans) into a fresh store, split
+//!     into `--batches` appended segments (default 1); an existing store
+//!     at `<store-dir>` is cleared first. The CI determinism gate:
+//!     everything it prints except the trailing `wrote …` line, and every
+//!     file of the store, is identical for every `--threads` value.
+//! repro corpus campaign <store-dir> [profile] [queries] [radius]
 //!     Run a QPG campaign on an embedded engine profile (postgres, mysql,
-//!     tidb, sqlite) and persist every distinct observed plan.
-//! repro corpus stats <corpus>
-//!     Statistics of a stored corpus (binary or JSON lines), plus how its
-//!     metric index came to be: `persisted (0 TED evaluations on load)`
-//!     for indexed v2 documents, `rebuilt (N TED evaluations on load)`
-//!     otherwise. Stored files carry the distinct plan set only;
+//!     tidb, sqlite) and persist every distinct observed plan as a new
+//!     store.
+//! repro corpus stats <store-dir>
+//!     Corpus statistics from the manifest (zero plan decodes), how the
+//!     metric index came to be (`persisted (0 TED evaluations on load)`),
+//!     and the per-segment census: plans and on-disk bytes per section
+//!     (plan blocks vs symbols vs BK index vs feature rows vs offset and
+//!     fingerprint tables). Stores carry the distinct plan set only;
 //!     observed/duplicate counters are session-local and are printed by
-//!     ingest/campaign at observation time. For a segment-store
-//!     directory, prints the per-segment census instead: plans and
-//!     on-disk bytes per section (plan blocks vs symbols vs BK index vs
-//!     feature rows vs offset/fingerprint tables) for every segment.
-//! repro corpus cluster <corpus> [radius] [--dot] [--threads N]
+//!     ingest/campaign at observation time.
+//! repro corpus cluster <store-dir> [radius] [--dot] [--threads N]
 //!     Near-duplicate clusters at a TED radius (default 2), rendered as a
 //!     text report or Graphviz DOT. `--threads` fans each radius query
 //!     out across the corpus shards (identical clusters and TED counts).
-//! repro corpus diff <left> <right> [radius]
+//! repro corpus diff <left-dir> <right-dir> [radius]
 //!     Cross-corpus comparison: shared fingerprints, unique plans, and
 //!     which unique plans have no near-duplicate (within radius, default 2)
 //!     on the other side.
-//! repro corpus query <corpus> <knn|radius|cluster|stats> [--k N] [--radius R]
+//! repro corpus query <store-dir> <knn|radius|cluster|stats> [--k N] [--radius R]
 //!                    [--probe <plan.json>] [--probe-raw <record>] [--budget N]
 //!                    [--threads N] [--json]
 //!     Run one query through the unified request vocabulary — the same
@@ -102,26 +105,30 @@
 //!     tripped budget is an *operational* failure (exit 1), distinct from
 //!     bad arguments (exit 2). `--json` emits the exact `QueryResponse`
 //!     wire document the server sends.
-//! repro corpus open-gate <store-dir> <monolithic> [--k N] [--probes N]
-//!                    [--min-speedup F]
-//!     The lazy-load contract, measured: times open-and-first-query on a
-//!     segment store against a full decode (read + parse + same query) of
-//!     the monolithic document holding the same corpus, asserts that every
-//!     recall-gate probe answers with an identical `QueryResponse` —
-//!     matches *and* `QueryCost`, exact and approximate — on both loads,
-//!     and exits 1 when the measured speedup falls below the floor
-//!     (default 5x). The corpus-scale CI job drives this at the
-//!     100k-observation fixture size.
-//! repro corpus serve <corpus> [--addr HOST:PORT] [--threads N] [--queue N]
-//!                    [--merge-threads N] [--merge-interval-ms N] [--save <path>]
-//!     Serve the corpus over HTTP/1.1 + JSON on a snapshot/delta epoch
+//! repro corpus recall <store-dir> [--k N] [--candidates N] [--probes N]
+//!                     [--min-recall F] [--min-full-eval-ratio F]
+//!     The approximate-query quality gate: recall of approx k-NN against
+//!     exact k-NN and the full-TED-evaluation ratio it buys, over seeded
+//!     probes (at least one). Exits 1 below either floor.
+//! repro corpus open-gate <store-dir> [--k N] [--probes N] [--min-speedup F]
+//!     The lazy-load contract, measured: times open-and-first-query on the
+//!     store against an eager load of the same store (every plan decoded
+//!     before the first query), asserts that every recall-gate probe
+//!     answers with an identical `QueryResponse` — matches *and*
+//!     `QueryCost`, exact and approximate — on the lazy store and on a
+//!     one-shot ingest of the same plans into a fresh corpus, and exits 1
+//!     when the measured speedup falls below the floor (default 5x). The
+//!     corpus-scale CI job drives this at the 100k-observation fixture
+//!     size.
+//! repro corpus serve <store-dir> [--addr HOST:PORT] [--threads N] [--queue N]
+//!                    [--merge-threads N] [--merge-interval-ms N]
+//!                    [--slow-query-us N] [--slow-query-evals N]
+//!     Serve the store over HTTP/1.1 + JSON on a snapshot/delta epoch
 //!     model: lock-free k-NN/radius reads against epoch-consistent
-//!     snapshots while POST /ingest batches merge in the background.
-//!     Blocks until POST /shutdown, then drains gracefully and prints the
-//!     per-endpoint latency histograms; `--save` persists the final
-//!     snapshot (indexed). Serving a segment-store *directory* opens it
-//!     lazily and turns every epoch merge into a segment append — the
-//!     directory is always current, no `--save` needed.
+//!     snapshots while POST /ingest batches merge in the background. The
+//!     store opens lazily and every epoch merge appends one segment, so
+//!     the directory is always current. Blocks until POST /shutdown, then
+//!     drains gracefully and prints the per-endpoint latency histograms.
 //! repro corpus sources
 //!     List the accepted ingest source names.
 //! ```
@@ -129,7 +136,8 @@
 use minidb::profile::EngineProfile;
 use uplan_convert::{convert, RawIngestOptions, Source};
 use uplan_corpus::{
-    AppendReport, PlanCorpus, QueryError, QueryOutcome, QueryRequest, SegmentStore, DEFAULT_SHARDS,
+    encode_segment, AppendReport, PlanCorpus, QueryError, QueryOutcome, QueryRequest, SegmentStore,
+    DEFAULT_SHARDS,
 };
 use uplan_testing::generator::Generator;
 use uplan_testing::inject;
@@ -195,8 +203,8 @@ pub fn run(args: &[String]) -> i32 {
 }
 
 fn usage() -> String {
-    "usage: repro corpus <ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|cluster|\
-     diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ... \
+    "usage: repro corpus <ingest|import|raw-fixture|raw-check|fixture-ingest|campaign|stats|\
+     cluster|diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ... \
      (see crates/bench/src/corpus_cli.rs docs)"
         .to_owned()
 }
@@ -204,6 +212,7 @@ fn usage() -> String {
 fn run_inner(args: &[String]) -> Result<String, CliError> {
     match args.first().map(String::as_str) {
         Some("ingest") => ingest(&args[1..]),
+        Some("import") => import(&args[1..]),
         Some("raw-fixture") => raw_fixture(&args[1..]),
         Some("raw-check") => raw_check(&args[1..]),
         Some("fixture-ingest") => fixture_ingest(&args[1..]),
@@ -252,26 +261,21 @@ fn take_value<T: std::str::FromStr>(
         .map_err(|_| format!("bad {name} value {raw:?}"))
 }
 
-// Failing to write an output the arguments merely *name* is the
-// environment's fault, not the input's.
-fn save(corpus: &PlanCorpus, path: &str, indexed: bool) -> Result<(), CliError> {
-    let result = if path.ends_with(".jsonl") {
-        std::fs::write(path, corpus.to_jsonl()).map_err(|e| format!("{e}"))
-    } else if indexed {
-        corpus.save_indexed(path).map_err(|e| e.to_string())
-    } else {
-        corpus.save(path).map_err(|e| e.to_string())
-    };
-    result.map_err(|e| CliError::Operational(format!("cannot write {path}: {e}")))
+/// The positional arguments left once every known flag was taken: a
+/// leftover `--flag` is one this verb does not accept (exit 2), not a
+/// file name.
+fn positionals(args: Vec<String>) -> Result<Vec<String>, CliError> {
+    match args.iter().find(|a| a.starts_with("--")) {
+        Some(flag) => Err(format!("unknown flag {flag}").into()),
+        None => Ok(args),
+    }
 }
 
-/// `--append` support: an existing `<out>` is loaded and grown in place
-/// (keeping its own shard layout); otherwise ingest starts fresh.
-fn open_for_ingest(out: &str, append: bool, shards: usize) -> Result<PlanCorpus, CliError> {
-    if append && std::path::Path::new(out).exists() {
-        load(out)
-    } else {
-        Ok(PlanCorpus::with_shards(shards))
+fn parse_seed(args: &mut Vec<String>, default: u64) -> Result<u64, CliError> {
+    match take_value::<String>(args, "--seed")? {
+        Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
+            .map_err(|_| format!("bad --seed value {hex:?}").into()),
+        None => Ok(default),
     }
 }
 
@@ -289,8 +293,7 @@ fn append_batch(
         SegmentStore::open(dir)
             .map_err(|e| CliError::Input(format!("cannot open segment store {dir}: {e}")))?
     } else {
-        SegmentStore::create(dir, PlanCorpus::with_shards(shards))
-            .map_err(|e| CliError::Operational(format!("cannot create segment store {dir}: {e}")))?
+        new_store(dir, PlanCorpus::with_shards(shards))?
     };
     let report = store
         .append(plans, threads)
@@ -298,7 +301,19 @@ fn append_batch(
     Ok((store, report))
 }
 
-/// The report block a segmented ingest prints in place of `wrote <out>`.
+/// Creates a store at `dir` holding `corpus`. An existing store there is
+/// the arguments' fault (exit 2) — it is never overwritten; failing to
+/// write a directory the arguments merely *name* is the environment's
+/// (exit 1).
+fn new_store(dir: &str, corpus: PlanCorpus) -> Result<SegmentStore, CliError> {
+    if SegmentStore::is_store_dir(dir) {
+        return Err(format!("{dir} already holds a segment store").into());
+    }
+    SegmentStore::create(dir, corpus)
+        .map_err(|e| CliError::Operational(format!("cannot create segment store {dir}: {e}")))
+}
+
+/// The report block an ingest prints after its session summary.
 fn append_summary(dir: &str, store: &SegmentStore, report: &AppendReport) -> String {
     let segment = match report.segment_id {
         Some(id) => format!("segment {id} ({} bytes)", report.segment_bytes),
@@ -315,24 +330,35 @@ fn append_summary(dir: &str, store: &SegmentStore, report: &AppendReport) -> Str
     )
 }
 
-// Reading and parsing split the exit code: an unreadable path is
-// operational (exit 1), an unparseable file is bad input (exit 2).
-fn load(path: &str) -> Result<PlanCorpus, CliError> {
-    // A directory is a segment store: manifest and index sections decode
-    // eagerly, plan payloads stay on disk until a query touches them.
-    if std::path::Path::new(path).is_dir() {
+/// Opens the store a reading verb names. A missing path is operational
+/// (exit 1), like any unreadable input; a legacy corpus file is bad input
+/// (exit 2) with a pointer to `import`, like any other existing path that
+/// is not a store.
+fn open_store(path: &str) -> Result<SegmentStore, CliError> {
+    if SegmentStore::is_store_dir(path) {
         return SegmentStore::open(path)
-            .map(SegmentStore::into_corpus)
             .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")));
     }
-    let bytes = std::fs::read(path)
-        .map_err(|e| CliError::Operational(format!("cannot read corpus {path}: {e}")))?;
-    let parsed = if bytes.starts_with(&uplan_core::formats::binary::BINARY_MAGIC) {
-        PlanCorpus::from_binary(&bytes)
+    let path_ref = std::path::Path::new(path);
+    if !path_ref.exists() {
+        return Err(CliError::Operational(format!(
+            "cannot load corpus {path}: no such file or directory"
+        )));
+    }
+    Err(CliError::Input(if path_ref.is_file() {
+        format!(
+            "{path} is a legacy corpus file, not a segment store; convert it with \
+             `repro corpus import {path} <store-dir>`"
+        )
     } else {
-        PlanCorpus::from_jsonl(&String::from_utf8_lossy(&bytes))
-    };
-    parsed.map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")))
+        format!("{path} is not a segment store directory")
+    }))
+}
+
+/// A store's corpus, lazily opened: manifest and index sections decode
+/// eagerly, plan payloads stay on disk until a query touches them.
+fn load(path: &str) -> Result<PlanCorpus, CliError> {
+    open_store(path).map(SegmentStore::into_corpus)
 }
 
 /// Durable facts about a corpus — what a stored file can actually answer.
@@ -359,20 +385,20 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     let shards: usize = take_value(&mut args, "--shards")?.unwrap_or(DEFAULT_SHARDS);
-    let indexed = take_flag(&mut args, "--index");
     let raw = take_flag(&mut args, "--raw");
-    let append = take_flag(&mut args, "--append");
-    let segmented = take_flag(&mut args, "--segmented");
+    // Accepted for compatibility; every ingest writes a store.
+    take_flag(&mut args, "--segmented");
     let lenient = take_flag(&mut args, "--lenient");
     let max_errors: usize = take_value(&mut args, "--max-errors")?.unwrap_or(0);
     let quarantine: Option<String> = take_value(&mut args, "--quarantine")?;
+    let args = positionals(args)?;
     if raw {
         let options = RawIngestOptions {
             strict: !lenient,
             max_errors,
             quarantine: quarantine.map(std::path::PathBuf::from),
         };
-        return ingest_raw_dumps(&args, threads, shards, indexed, append, segmented, &options);
+        return ingest_raw_dumps(&args, threads, shards, &options);
     }
     if lenient || max_errors != 0 || quarantine.is_some() {
         return Err("--lenient/--max-errors/--quarantine only apply to --raw ingest".into());
@@ -381,10 +407,9 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
         [out, source, files @ ..] if !files.is_empty() => (out, source, files),
         _ => {
             return Err(
-                "usage: repro corpus ingest <out> <source> <explain-file>... \
-                 [--threads N] [--shards N] [--index], or \
-                 repro corpus ingest <out> --raw <dump.jsonl>... \
-                 [--threads N] [--shards N] [--index]"
+                "usage: repro corpus ingest <store-dir> <source> <explain-file>... \
+                 [--threads N] [--shards N], or \
+                 repro corpus ingest <store-dir> --raw <dump>... [--threads N] [--shards N]"
                     .into(),
             )
         }
@@ -396,57 +421,35 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Operational(format!("cannot read {file}: {e}")))?;
         plans.push(convert(source, &text).map_err(|e| format!("{file}: {e}"))?);
     }
-    // A segment store is append-only by construction: every ingest into
-    // one is an `--append` whether the flag was given or not.
-    if segmented || SegmentStore::is_store_dir(out) {
-        let (store, report) = append_batch(out, &plans, threads, shards)?;
-        return Ok(format!(
-            "ingested {} file(s) via {}\n{}",
-            files.len(),
-            source.name(),
-            append_summary(out, &store, &report)
-        ));
-    }
-    let mut corpus = open_for_ingest(out, append, shards)?;
-    corpus.ingest_parallel(&plans, threads);
-    save(&corpus, out, indexed)?;
+    let (store, report) = append_batch(out, &plans, threads, shards)?;
     Ok(format!(
-        "ingested {} file(s) via {}: {}\n{}\nwrote {out}",
+        "ingested {} file(s) via {}: observed {} plans this run ({} fingerprint duplicates)\n{}",
         files.len(),
         source.name(),
-        session_summary(&corpus),
-        summary(&corpus)
+        report.observed,
+        report.duplicates,
+        append_summary(out, &store, &report)
     ))
 }
 
 /// `ingest --raw`: mixed-source raw dumps (framing sniffed per file),
-/// source-sniffed per record, optionally lenient.
+/// source-sniffed per record, optionally lenient — converted into a
+/// staging corpus (batch-local dedup), then appended as one segment.
 fn ingest_raw_dumps(
     args: &[String],
     threads: usize,
     shards: usize,
-    indexed: bool,
-    append: bool,
-    segmented: bool,
     options: &RawIngestOptions,
 ) -> Result<String, CliError> {
     let (out, dumps) = match args {
         [out, dumps @ ..] if !dumps.is_empty() => (out, dumps),
         _ => {
-            return Err("usage: repro corpus ingest <out> --raw <dump.jsonl>... \
-                 [--threads N] [--shards N] [--index] [--append] [--segmented] \
-                 [--lenient] [--max-errors N] [--quarantine <file>]"
+            return Err("usage: repro corpus ingest <store-dir> --raw <dump>... \
+                 [--threads N] [--shards N] [--lenient] [--max-errors N] [--quarantine <file>]"
                 .into())
         }
     };
-    // Segment target: convert into a staging corpus (batch-local dedup),
-    // then append the staged plans as one new segment.
-    let store_target = segmented || SegmentStore::is_store_dir(out);
-    let mut corpus = if store_target {
-        PlanCorpus::with_shards(shards)
-    } else {
-        open_for_ingest(out, append, shards)?
-    };
+    let mut corpus = PlanCorpus::with_shards(shards);
     let mut lines = 0usize;
     let mut skipped = 0usize;
     let mut censuses = Vec::new();
@@ -475,26 +478,81 @@ fn ingest_raw_dumps(
     } else {
         format!("\nlenient: {skipped} record(s) skipped")
     };
-    if store_target {
-        let plans: Vec<uplan_core::UnifiedPlan> =
-            corpus.iter().map(|(_, plan)| plan.clone()).collect();
-        let (store, report) = append_batch(out, &plans, threads, shards)?;
-        return Ok(format!(
-            "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{}\n{}",
-            dumps.len(),
-            censuses.join("\n"),
-            session_summary(&corpus),
-            append_summary(out, &store, &report)
-        ));
-    }
-    save(&corpus, out, indexed)?;
+    let plans: Vec<uplan_core::UnifiedPlan> = corpus.iter().map(|(_, plan)| plan.clone()).collect();
+    let (store, report) = append_batch(out, &plans, threads, shards)?;
     Ok(format!(
-        "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{}\n{}\nwrote {out}",
+        "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{}\n{}",
         dumps.len(),
         censuses.join("\n"),
         session_summary(&corpus),
-        summary(&corpus)
+        append_summary(out, &store, &report)
     ))
+}
+
+/// `repro corpus import`: the one verb that reads legacy corpus files —
+/// strictly, or with `--salvage` through the lenient loader — and writes
+/// what it read as a new store.
+fn import(args: &[String]) -> Result<String, CliError> {
+    let mut args = args.to_vec();
+    let salvage = take_flag(&mut args, "--salvage");
+    let [file, out] = positionals(args)?
+        .try_into()
+        .map_err(|_| CliError::from("usage: repro corpus import <file> <store-dir> [--salvage]"))?;
+    if std::path::Path::new(&file).is_dir() {
+        return Err(format!("{file} is a directory; import reads legacy corpus files").into());
+    }
+    std::fs::metadata(&file)
+        .map_err(|e| CliError::Operational(format!("cannot read corpus {file}: {e}")))?;
+    let mut lines = Vec::new();
+    let corpus = if salvage {
+        let (corpus, report) =
+            PlanCorpus::load_salvage(&file).map_err(|e| CliError::Operational(e.to_string()))?;
+        lines.push(format!(
+            "salvaged {} of {} plans from {file} ({} dropped, {})",
+            report.recovered,
+            report.declared,
+            report.dropped,
+            if report.verified {
+                "checksum-verified"
+            } else {
+                "decodable, not verified"
+            }
+        ));
+        if let Some(error) = &report.error {
+            lines.push(format!("stopped at: {error}"));
+        }
+        if report.recovered == 0 && report.error.is_some() {
+            return Err(CliError::Input(lines.join("\n")));
+        }
+        if report.recovered > 0 {
+            lines.push(format!(
+                "index: {}",
+                if report.index_rebuilt {
+                    "rebuilt"
+                } else {
+                    "persisted"
+                }
+            ));
+        }
+        corpus
+    } else {
+        let corpus = PlanCorpus::load(&file)
+            .map_err(|e| CliError::Input(format!("cannot load corpus {file}: {e}")))?;
+        lines.push(format!(
+            "imported {} plans from {file}; index: {}",
+            corpus.len(),
+            if corpus.has_persisted_index() {
+                "persisted (0 TED evaluations on load)".to_owned()
+            } else {
+                format!("rebuilt ({} TED evaluations on load)", corpus.index_evals())
+            }
+        ));
+        corpus
+    };
+    let store = new_store(&out, corpus)?;
+    lines.push(summary(store.corpus()));
+    lines.push(format!("wrote {out} ({} segment(s))", store.census().len()));
+    Ok(lines.join("\n"))
 }
 
 /// A deterministic mixed-source raw dump covering all nine dialects: for
@@ -507,11 +565,8 @@ fn raw_fixture(args: &[String]) -> Result<String, CliError> {
     use uplan_testing::fixtures::{raw_dump_line, DialectFleet};
     let mut args = args.to_vec();
     let dirty: usize = take_value(&mut args, "--dirty")?.unwrap_or(0);
-    let seed = match take_value::<String>(&mut args, "--seed")? {
-        Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-            .map_err(|_| format!("bad --seed value {hex:?}"))?,
-        None => 0xD127_F1EE,
-    };
+    let seed = parse_seed(&mut args, 0xD127_F1EE)?;
+    let args = positionals(args)?;
     let out = args
         .first()
         .ok_or("usage: repro corpus raw-fixture <out.jsonl> [queries] [--dirty N] [--seed HEX]")?;
@@ -569,6 +624,7 @@ fn raw_fixture(args: &[String]) -> Result<String, CliError> {
 fn raw_check(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let lenient = take_flag(&mut args, "--lenient");
+    let args = positionals(args)?;
     let dump_path = args
         .first()
         .ok_or("usage: repro corpus raw-check <dump.jsonl> [--lenient]")?;
@@ -600,8 +656,8 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
             summary(&sequential)
         )));
     }
-    let batched_bytes = batched.to_binary_indexed().map_err(|e| e.to_string())?;
-    let sequential_bytes = sequential.to_binary_indexed().map_err(|e| e.to_string())?;
+    let batched_bytes = encode_segment(&batched).map_err(|e| e.to_string())?;
+    let sequential_bytes = encode_segment(&sequential).map_err(|e| e.to_string())?;
     if batched_bytes != sequential_bytes {
         return Err("raw ingest corpus bytes diverged from the sequential reference".into());
     }
@@ -630,7 +686,7 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
             let mut reference = PlanCorpus::new();
             uplan_convert::ingest_raw(&valid, &mut reference, 4)
                 .map_err(|e| CliError::Input(format!("valid subset re-ingest: {e}")))?;
-            let reference_bytes = reference.to_binary_indexed().map_err(|e| e.to_string())?;
+            let reference_bytes = encode_segment(&reference).map_err(|e| e.to_string())?;
             if reference_bytes != batched_bytes {
                 return Err(CliError::Input(
                     "lenient ingest diverged from strict ingest of the valid subset".into(),
@@ -641,7 +697,7 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
     }
     Ok(format!(
         "{dump_path}: {} line(s) — {}\n{}\n{}\nraw ingest == sequential per-source conversion \
-         ({} bytes, indexed){lenient_lines}",
+         ({} segment bytes){lenient_lines}",
         batched_report.lines,
         batched_report.census(),
         session_summary(&batched),
@@ -652,27 +708,24 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
 
 /// The CI gate behind the "deterministic under parallelism" and
 /// "index-free load" claims: ingests the seeded TPC-H-derived benchmark
-/// stream. Everything printed *except* the final `wrote …` line (which
-/// names the thread count) is identical for every `--threads` value, and
-/// the written files are byte-identical — CI diffs both.
+/// stream into a fresh store, split into `--batches` appended segments.
+/// Everything printed *except* the final `wrote …` line (which names the
+/// thread count) is identical for every `--threads` value, and so is
+/// every file of the store — CI diffs both.
 fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     let shards: usize = take_value(&mut args, "--shards")?.unwrap_or(DEFAULT_SHARDS);
-    let indexed = take_flag(&mut args, "--index");
-    let segmented = take_flag(&mut args, "--segmented");
+    // Accepted for compatibility; the fixture is always a store.
+    take_flag(&mut args, "--segmented");
     let batches: usize = take_value(&mut args, "--batches")?.unwrap_or(1);
-    let seed = match take_value::<String>(&mut args, "--seed")? {
-        Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-            .map_err(|_| format!("bad --seed value {hex:?}"))?,
-        None => 0x5eed_cafe,
-    };
+    let seed = parse_seed(&mut args, 0x5eed_cafe)?;
+    let args = positionals(args)?;
     let out = match args.as_slice() {
         [out] | [out, _] => out.clone(),
         _ => {
-            return Err("usage: repro corpus fixture-ingest <out> [count] \
-                 [--threads N] [--shards N] [--index] [--seed HEX] \
-                 [--segmented] [--batches N]"
+            return Err("usage: repro corpus fixture-ingest <store-dir> [count] \
+                 [--threads N] [--shards N] [--seed HEX] [--batches N]"
                 .into())
         }
     };
@@ -680,41 +733,9 @@ fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
         Some(n) => n.parse().map_err(|_| format!("bad plan count {n:?}"))?,
         None => 10_000,
     };
-    if batches != 1 && !segmented {
-        return Err("--batches needs --segmented".into());
-    }
     let stream = crate::corpus_fixture::derived_stream(count, seed);
-    if segmented {
-        return fixture_ingest_segmented(&out, &stream, threads, shards, batches, seed);
-    }
-    let mut corpus = PlanCorpus::with_shards(shards);
-    let novel = corpus.ingest_parallel(&stream, threads);
-    save(&corpus, &out, indexed)?;
-    Ok(format!(
-        "fixture-ingest: {count} TPC-H-derived plans (seed {seed:#x}, {} shards)\n\
-         {}\n{}\n{novel} fingerprint-novel plans; BK-index built with {} TED evaluations\n\
-         wrote {out} ({threads} thread(s){})",
-        corpus.shard_count(),
-        session_summary(&corpus),
-        summary(&corpus),
-        corpus.index_evals(),
-        if indexed { ", indexed" } else { "" },
-    ))
-}
-
-/// `fixture-ingest --segmented`: the stream split into `batches` appended
-/// segments. Always starts fresh (the determinism gate diffs whole
-/// directories); everything printed before the trailing `wrote …` line is
-/// identical for every `--threads` value, and so are the directory bytes.
-fn fixture_ingest_segmented(
-    out: &str,
-    stream: &[uplan_core::UnifiedPlan],
-    threads: usize,
-    shards: usize,
-    batches: usize,
-    seed: u64,
-) -> Result<String, CliError> {
-    let path = std::path::Path::new(out);
+    // Always starts fresh: the determinism gate diffs whole directories.
+    let path = std::path::Path::new(&out);
     if path.exists() {
         if !SegmentStore::is_store_dir(path) {
             return Err(format!("{out} exists and is not a segment store directory").into());
@@ -722,8 +743,7 @@ fn fixture_ingest_segmented(
         std::fs::remove_dir_all(path)
             .map_err(|e| CliError::Operational(format!("cannot clear {out}: {e}")))?;
     }
-    let mut store = SegmentStore::create(out, PlanCorpus::with_shards(shards))
-        .map_err(|e| CliError::Operational(format!("cannot create segment store {out}: {e}")))?;
+    let mut store = new_store(&out, PlanCorpus::with_shards(shards))?;
     let chunk = stream.len().div_ceil(batches.max(1)).max(1);
     let mut lines = vec![format!(
         "fixture-ingest: {} TPC-H-derived plans (seed {seed:#x}, {} shards, segmented x{batches})",
@@ -755,57 +775,23 @@ fn fixture_ingest_segmented(
     Ok(lines.join("\n"))
 }
 
-/// `repro corpus salvage`: recover what a damaged corpus file still
-/// holds, reporting exactly what was dropped.
+/// `repro corpus salvage`: recover what a damaged store still holds. The
+/// segment is the recovery unit — damaged segments drop whole, intact
+/// ones recover in full.
 fn salvage(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let out: Option<String> = take_value(&mut args, "--out")?;
+    let args = positionals(args)?;
     let path = args
         .first()
-        .ok_or("usage: repro corpus salvage <corpus> [--out <path>]")?;
-    if std::path::Path::new(path).is_dir() {
-        return segment_salvage(path, out);
+        .ok_or("usage: repro corpus salvage <store-dir> [--out <store-dir>]")?;
+    if std::path::Path::new(path).is_file() {
+        return Err(format!(
+            "{path} is a legacy corpus file; salvage it with \
+             `repro corpus import {path} <store-dir> --salvage`"
+        )
+        .into());
     }
-    let (corpus, report) =
-        PlanCorpus::load_salvage(path).map_err(|e| CliError::Operational(e.to_string()))?;
-    let mut lines = vec![format!(
-        "salvaged {} of {} plans from {path} ({} dropped, {})",
-        report.recovered,
-        report.declared,
-        report.dropped,
-        if report.verified {
-            "checksum-verified"
-        } else {
-            "decodable, not verified"
-        }
-    )];
-    if let Some(error) = &report.error {
-        lines.push(format!("stopped at: {error}"));
-    }
-    if report.recovered > 0 {
-        lines.push(format!(
-            "index: {}",
-            if report.index_rebuilt {
-                "rebuilt"
-            } else {
-                "persisted"
-            }
-        ));
-        lines.push(summary(&corpus));
-    }
-    if report.recovered == 0 && report.error.is_some() {
-        return Err(CliError::Input(lines.join("\n")));
-    }
-    if let Some(out) = out {
-        save(&corpus, &out, true)?;
-        lines.push(format!("wrote {out}"));
-    }
-    Ok(lines.join("\n"))
-}
-
-/// Salvage of a segment-store directory: the segment is the recovery
-/// unit — damaged segments drop whole, intact ones recover in full.
-fn segment_salvage(path: &str, out: Option<String>) -> Result<String, CliError> {
     let (corpus, report) =
         SegmentStore::salvage(path, uplan_core::fingerprint::FingerprintOptions::default())
             .map_err(|e| CliError::Operational(e.to_string()))?;
@@ -841,7 +827,7 @@ fn segment_salvage(path: &str, out: Option<String>) -> Result<String, CliError> 
         return Err(CliError::Input(lines.join("\n")));
     }
     if let Some(out) = out {
-        save(&corpus, &out, true)?;
+        new_store(&out, corpus)?;
         lines.push(format!("wrote {out}"));
     }
     Ok(lines.join("\n"))
@@ -849,14 +835,11 @@ fn segment_salvage(path: &str, out: Option<String>) -> Result<String, CliError> 
 
 /// `repro corpus compact`: merge every segment of a store into one.
 fn compact(args: &[String]) -> Result<String, CliError> {
+    let args = positionals(args.to_vec())?;
     let path = args
         .first()
         .ok_or("usage: repro corpus compact <store-dir>")?;
-    if !SegmentStore::is_store_dir(path) {
-        return Err(format!("{path} is not a segment store directory").into());
-    }
-    let mut store = SegmentStore::open(path)
-        .map_err(|e| CliError::Input(format!("cannot open segment store {path}: {e}")))?;
+    let mut store = open_store(path)?;
     let report = store
         .compact()
         .map_err(|e| CliError::Operational(format!("cannot compact {path}: {e}")))?;
@@ -869,58 +852,45 @@ fn compact(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// `repro corpus mutate`: one seeded corruption of a checksummed binary
-/// document, with the provable salvage expectation printed for the CI
-/// smoke gate to compare against `repro corpus salvage`.
+/// `repro corpus mutate`: one seeded fault applied to a copy of a store,
+/// with the exact salvage expectation printed for the CI smoke gate to
+/// compare against `repro corpus salvage`.
 fn mutate(args: &[String]) -> Result<String, CliError> {
-    let usage = "usage: repro corpus mutate <in> <out> \
-                 --op <truncate|bitflip|splice|duplicate> [--seed HEX]";
+    let usage = "usage: repro corpus mutate <store-dir> <out-dir> \
+                 --op <truncate|bitflip|delete> [--seed HEX]";
     let mut args = args.to_vec();
     let op: String = take_value(&mut args, "--op")?.ok_or(usage)?;
-    let seed = match take_value::<String>(&mut args, "--seed")? {
-        Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-            .map_err(|_| format!("bad --seed value {hex:?}"))?,
-        None => 0xFA_017,
-    };
-    let (input, out) = match args.as_slice() {
-        [input, out] => (input, out),
-        _ => return Err(usage.into()),
-    };
-    let bytes = std::fs::read(input)
-        .map_err(|e| CliError::Operational(format!("cannot read {input}: {e}")))?;
-    let sections = uplan_core::formats::binary::section_map(&bytes).map_err(|e| {
-        CliError::Input(format!(
-            "{input}: mutate needs an intact binary corpus document: {e}"
-        ))
-    })?;
-    let total = sections.last().map_or(0, |s| s.plans);
-    let mutation = match op.as_str() {
-        "truncate" => {
-            let cuts = inject::truncation_plan(&sections);
-            cuts[(seed as usize) % cuts.len()].clone()
-        }
-        "bitflip" => inject::bitflip_past_header(&sections, seed)
-            .ok_or_else(|| format!("{input}: document too small to mutate"))?,
-        "splice" => inject::splice_past_header(&sections, seed)
-            .ok_or_else(|| format!("{input}: document too small to mutate"))?,
-        "duplicate" => {
-            let dups = inject::duplicate_block_plan(&sections);
-            if dups.is_empty() {
-                return Err(format!("{input}: document too small to mutate").into());
-            }
-            dups[(seed as usize) % dups.len()].clone()
-        }
+    let seed = parse_seed(&mut args, 0xFA_017)?;
+    let [input, out] = positionals(args)?
+        .try_into()
+        .map_err(|_| CliError::from(usage))?;
+    let planner = match op.as_str() {
+        "truncate" => |dir: &std::path::Path, seed| inject::store_truncate_plan(dir, seed),
+        "bitflip" => |dir: &std::path::Path, seed| inject::store_bitflip_plan(dir, seed),
+        "delete" => |dir: &std::path::Path, _| inject::store_delete_plan(dir),
         other => return Err(format!("unknown --op {other:?}; {usage}").into()),
     };
-    let expectation = match inject::expected_recoverable(&sections, &mutation) {
-        Some(n) => format!("expect-recoverable: {n} of {total} plans"),
-        None => "expect-recoverable: unknown (duplicated blocks re-verify)".to_owned(),
-    };
-    std::fs::write(out, mutation.apply(&bytes))
+    let census: Vec<(u32, u64)> = open_store(&input)?
+        .census()
+        .iter()
+        .map(|c| (c.id, c.plans))
+        .collect();
+    if std::path::Path::new(&out).exists() {
+        return Err(format!("{out} already exists").into());
+    }
+    let dir = std::path::Path::new(&input);
+    let faults = planner(dir, seed)
+        .map_err(|e| CliError::Operational(format!("cannot read {input}: {e}")))?;
+    let fault = &faults[(seed as usize) % faults.len()];
+    let expected = inject::expected_store_recovery(&census, fault);
+    let total: u64 = census.iter().map(|(_, plans)| plans).sum();
+    fault
+        .apply_to_copy(dir, std::path::Path::new(&out))
         .map_err(|e| CliError::Operational(format!("cannot write {out}: {e}")))?;
     Ok(format!(
-        "mutate: {} (seed {seed:#x})\n{expectation}\nwrote {out}",
-        mutation.describe()
+        "mutate: {} (seed {seed:#x})\nexpect-recoverable: {} of {total} plans\nwrote {out}",
+        fault.describe(),
+        expected.recovered
     ))
 }
 
@@ -939,11 +909,10 @@ fn parse_profile(name: &str) -> Result<EngineProfile, String> {
 }
 
 fn campaign(args: &[String]) -> Result<String, CliError> {
-    let mut args = args.to_vec();
-    let indexed = take_flag(&mut args, "--index");
+    let args = positionals(args.to_vec())?;
     let out = args
         .first()
-        .ok_or("usage: repro corpus campaign <out> [profile] [queries] [radius] [--index]")?;
+        .ok_or("usage: repro corpus campaign <store-dir> [profile] [queries] [radius]")?;
     let profile = match args.get(1) {
         Some(name) => parse_profile(name)?,
         None => EngineProfile::Postgres,
@@ -968,43 +937,39 @@ fn campaign(args: &[String]) -> Result<String, CliError> {
             ..QpgConfig::default()
         },
     );
-    save(&outcome.corpus, out, indexed)?;
-    Ok(format!(
+    let report = format!(
         "campaign on {profile}: {} queries, {} mutations, {} oracle failures\n{}\n{}\nwrote {out}",
         outcome.queries,
         outcome.mutations,
         outcome.failures.len(),
         session_summary(&outcome.corpus),
         summary(&outcome.corpus)
-    ))
+    );
+    new_store(out, outcome.corpus)?;
+    Ok(report)
 }
 
+/// `repro corpus stats`: the corpus summary (from manifest counters —
+/// zero plan decodes) plus the per-segment on-disk byte census, section
+/// by section.
 fn stats(args: &[String]) -> Result<String, CliError> {
-    let path = args.first().ok_or("usage: repro corpus stats <corpus>")?;
-    if SegmentStore::is_store_dir(path) {
-        return segment_stats(path);
-    }
-    let corpus = load(path)?;
+    let args = positionals(args.to_vec())?;
+    let path = args
+        .first()
+        .ok_or("usage: repro corpus stats <store-dir>")?;
+    let store = open_store(path)?;
+    let corpus = store.corpus();
     let index = if corpus.has_persisted_index() {
-        format!(
-            "persisted ({} TED evaluations on load)",
-            corpus.index_evals()
-        )
+        "persisted"
     } else {
-        format!("rebuilt ({} TED evaluations on load)", corpus.index_evals())
+        "rebuilt"
     };
-    Ok(format!("{path}: {}\nindex: {index}", summary(&corpus)))
-}
-
-/// `repro corpus stats` on a segment-store directory: the corpus summary
-/// (from manifest counters — zero plan decodes) plus the per-segment
-/// on-disk byte census, section by section.
-fn segment_stats(path: &str) -> Result<String, CliError> {
-    let store = SegmentStore::open(path)
-        .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")))?;
     let mut lines = vec![
-        format!("{path}: {}", summary(store.corpus())),
-        "index: persisted (0 TED evaluations on load)".to_owned(),
+        format!("{path}: {}", summary(corpus)),
+        format!(
+            "index: {index} ({} TED evaluations on load)",
+            corpus.index_evals()
+        ),
         format!("segments: {}", store.census().len()),
     ];
     let mut total = 0usize;
@@ -1040,6 +1005,7 @@ fn cluster(args: &[String]) -> Result<String, CliError> {
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     // `--dot` may appear anywhere; positionals keep their order around it.
     let dot = take_flag(&mut args, "--dot");
+    let args = positionals(args)?;
     let path = args
         .first()
         .ok_or("usage: repro corpus cluster <corpus> [radius] [--dot] [--threads N]")?;
@@ -1074,9 +1040,10 @@ fn cluster(args: &[String]) -> Result<String, CliError> {
 }
 
 fn diff(args: &[String]) -> Result<String, CliError> {
-    let (left_path, right_path) = match args {
+    let args = positionals(args.to_vec())?;
+    let (left_path, right_path) = match args.as_slice() {
         [l, r, ..] => (l, r),
-        _ => return Err("usage: repro corpus diff <left> <right> [radius]".into()),
+        _ => return Err("usage: repro corpus diff <left-dir> <right-dir> [radius]".into()),
     };
     let radius: u32 = match args.get(2) {
         Some(r) => r.parse().map_err(|_| format!("bad radius {r:?}"))?,
@@ -1114,11 +1081,12 @@ fn query(args: &[String]) -> Result<String, CliError> {
     let candidates: Option<usize> = take_value(&mut args, "--candidates")?;
     let probe_path: Option<String> = take_value(&mut args, "--probe")?;
     let probe_raw_path: Option<String> = take_value(&mut args, "--probe-raw")?;
+    let args = positionals(args)?;
     let (path, kind) = match args.as_slice() {
         [path, kind] => (path, kind.as_str()),
         _ => {
             return Err(
-                "usage: repro corpus query <corpus> <knn|radius|cluster|stats> \
+                "usage: repro corpus query <store-dir> <knn|radius|cluster|stats> \
                  [--k N] [--radius R] [--probe <plan.json>] [--probe-raw <record>] \
                  [--mode exact|approx] [--candidates N] \
                  [--budget N] [--threads N] [--json]"
@@ -1221,13 +1189,17 @@ fn recall(args: &[String]) -> Result<String, CliError> {
     let probe_count: usize = take_value(&mut args, "--probes")?.unwrap_or(24);
     let min_recall: f64 = take_value(&mut args, "--min-recall")?.unwrap_or(0.95);
     let min_ratio: f64 = take_value(&mut args, "--min-full-eval-ratio")?.unwrap_or(5.0);
+    let args = positionals(args)?;
     let [path] = args.as_slice() else {
         return Err(
-            "usage: repro corpus recall <corpus> [--k N] [--candidates N] [--probes N] \
+            "usage: repro corpus recall <store-dir> [--k N] [--candidates N] [--probes N] \
              [--min-recall F] [--min-full-eval-ratio F]"
                 .into(),
         );
     };
+    if probe_count == 0 {
+        return Err("--probes must be at least 1".into());
+    }
     let corpus = load(path)?;
     let probes = crate::corpus_fixture::derived_stream(probe_count, 0x004e_ca11);
     let mut hit = 0usize;
@@ -1296,65 +1268,77 @@ fn recall(args: &[String]) -> Result<String, CliError> {
 }
 
 /// `repro corpus open-gate` — the lazy-load contract, measured. Times
-/// open-and-first-query on a segment store against a full decode of the
-/// monolithic document holding the same corpus, asserts every
+/// open-and-first-query on a segment store against an eager load of the
+/// same store (every plan decoded before the first query), asserts every
 /// recall-gate probe answers identically (matches *and* [`QueryCost`],
-/// exact and approximate k-NN) on both loads, and fails operationally
+/// exact and approximate k-NN) on the lazy store and on an independent
+/// one-shot ingest of the same plans, and fails operationally
 /// when the measured speedup misses the floor — so the corpus-scale CI
 /// job can gate on the command directly.
+///
+/// [`QueryCost`]: uplan_corpus::query::QueryCost
 fn open_gate(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let k: usize = take_value(&mut args, "--k")?.unwrap_or(5);
     let probe_count: usize = take_value(&mut args, "--probes")?.unwrap_or(24);
     let min_speedup: f64 = take_value(&mut args, "--min-speedup")?.unwrap_or(5.0);
-    let [store_path, mono_path] = args.as_slice() else {
+    let args = positionals(args)?;
+    let [store_path] = args.as_slice() else {
         return Err(
-            "usage: repro corpus open-gate <store-dir> <monolithic> [--k N] [--probes N] \
-             [--min-speedup F]"
+            "usage: repro corpus open-gate <store-dir> [--k N] [--probes N] [--min-speedup F]"
                 .into(),
         );
     };
-    if !SegmentStore::is_store_dir(store_path) {
-        return Err(CliError::Input(format!(
-            "{store_path}: not a segment store directory"
-        )));
+    if probe_count == 0 {
+        return Err("--probes must be at least 1".into());
     }
     let probes = crate::corpus_fixture::derived_stream(probe_count, 0x004e_ca11);
-    let first = QueryRequest::knn(k)
-        .with_probe(probes.first().expect("at least one probe").clone())
-        .approx(0);
+    let first = QueryRequest::knn(k).with_probe(probes[0].clone()).approx(0);
     let query_err = |e: QueryError| CliError::Input(e.to_string());
+    // The eager load: the same open, then every plan body decoded — what
+    // a reader without lazy decode pays before its first answer.
+    let eager_load = || -> Result<PlanCorpus, CliError> {
+        let corpus = load(store_path)?;
+        for (_, plan) in corpus.iter() {
+            std::hint::black_box(plan);
+        }
+        Ok(corpus)
+    };
 
-    // Timed halves, best of three. Both sides pay their full cold path:
-    // the store open reads and parses every manifest/index section (plan
-    // payloads stay on disk), the monolithic side reads and decodes the
-    // whole document before it can answer anything.
+    // Timed halves, best of three. Both sides read and parse every
+    // manifest and index section; only the eager side decodes every plan
+    // payload before it can answer anything.
     let mut lazy_secs = f64::INFINITY;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        let store = SegmentStore::open(store_path)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {store_path}: {e}")))?;
-        store.corpus().execute(&first).map_err(query_err)?;
+        load(store_path)?.execute(&first).map_err(query_err)?;
         lazy_secs = lazy_secs.min(t.elapsed().as_secs_f64());
     }
-    let mut mono_secs = f64::INFINITY;
+    let mut eager_secs = f64::INFINITY;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        let bytes = std::fs::read(mono_path)
-            .map_err(|e| CliError::Operational(format!("cannot read corpus {mono_path}: {e}")))?;
-        let corpus = PlanCorpus::from_binary(&bytes)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {mono_path}: {e}")))?;
-        corpus.execute(&first).map_err(query_err)?;
-        mono_secs = mono_secs.min(t.elapsed().as_secs_f64());
+        eager_load()?.execute(&first).map_err(query_err)?;
+        eager_secs = eager_secs.min(t.elapsed().as_secs_f64());
     }
-    let speedup = mono_secs / lazy_secs;
+    let speedup = eager_secs / lazy_secs;
 
     // Identity half: the lazy load must answer the recall-gate probes —
     // exact and approximate — with byte-for-byte the same responses
     // (matches, epoch-free cost counters, everything `QueryResponse`
-    // compares) the monolithic load produces.
+    // compares) as a reference built independently of the store: the
+    // same plans, in global id order, ingested in one shot into a fresh
+    // corpus with the same shards and fingerprint options. So the gate
+    // also checks that batched appends kept every answer and BK edge a
+    // single ingest would have produced.
     let lazy = load(store_path)?;
-    let mono = load(mono_path)?;
+    let reference = {
+        let eager = eager_load()?;
+        let plans: Vec<_> = eager.iter().map(|(_, plan)| plan.clone()).collect();
+        let mut fresh = PlanCorpus::with_options_and_shards(eager.options(), eager.shard_count());
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        fresh.ingest_parallel(&plans, threads);
+        fresh
+    };
     let mut answered = 0usize;
     for (i, probe) in probes.iter().enumerate() {
         for request in [
@@ -1362,12 +1346,12 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
             QueryRequest::knn(k).with_probe(probe.clone()).approx(0),
         ] {
             let lazy_response = lazy.execute(&request).map_err(query_err)?;
-            let mono_response = mono.execute(&request).map_err(query_err)?;
-            if lazy_response != mono_response {
+            let reference_response = reference.execute(&request).map_err(query_err)?;
+            if lazy_response != reference_response {
                 return Err(CliError::Operational(format!(
-                    "probe {i}: lazy and monolithic answers diverge\n\
-                     lazy:       {lazy_response:?}\n\
-                     monolithic: {mono_response:?}"
+                    "probe {i}: lazy and one-shot-ingest answers diverge\n\
+                     lazy:      {lazy_response:?}\n\
+                     reference: {reference_response:?}"
                 )));
             }
             answered += 1;
@@ -1375,12 +1359,12 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
     }
 
     let report = format!(
-        "{store_path}: open-and-first-query {:.1}ms vs monolithic decode {:.1}ms \
+        "{store_path}: open-and-first-query {:.1}ms vs eager decode {:.1}ms \
          ({speedup:.1}x faster; floor {min_speedup}x)\n\
          {answered} response(s) over {} probe(s) (exact + approx k-NN, k {k}): \
-         answers and QueryCost identical to the monolithic load",
+         answers and QueryCost identical to a one-shot ingest of the same plans",
         lazy_secs * 1e3,
-        mono_secs * 1e3,
+        eager_secs * 1e3,
         probes.len(),
     );
     if speedup < min_speedup {
@@ -1391,7 +1375,8 @@ fn open_gate(args: &[String]) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// `repro corpus serve` — the corpus daemon. Blocks until POST /shutdown.
+/// `repro corpus serve` — the corpus daemon over a segment store. Blocks
+/// until POST /shutdown.
 fn serve(args: &[String]) -> Result<String, CliError> {
     use uplan_serve::{Server, ServerConfig};
     let mut args = args.to_vec();
@@ -1403,12 +1388,12 @@ fn serve(args: &[String]) -> Result<String, CliError> {
     let merge_threads: usize =
         take_value(&mut args, "--merge-threads")?.unwrap_or(defaults.merge_threads);
     let merge_interval_ms: Option<u64> = take_value(&mut args, "--merge-interval-ms")?;
-    let save_path: Option<String> = take_value(&mut args, "--save")?;
     let slow_query_us: u64 = take_value(&mut args, "--slow-query-us")?.unwrap_or(0);
     let slow_query_evals: u64 = take_value(&mut args, "--slow-query-evals")?.unwrap_or(0);
+    let args = positionals(args)?;
     let path = args.first().ok_or(
-        "usage: repro corpus serve <corpus> [--addr HOST:PORT] [--threads N] [--queue N] \
-         [--merge-threads N] [--merge-interval-ms N] [--save <path>] \
+        "usage: repro corpus serve <store-dir> [--addr HOST:PORT] [--threads N] [--queue N] \
+         [--merge-threads N] [--merge-interval-ms N] \
          [--slow-query-us N] [--slow-query-evals N]",
     )?;
     let config = ServerConfig {
@@ -1422,50 +1407,29 @@ fn serve(args: &[String]) -> Result<String, CliError> {
         slow_query_us,
         slow_query_evals,
     };
-    // A segment-store directory serves lazily and persistently: the open
-    // decodes manifest + index sections only, and every epoch merge
-    // appends one segment — the directory is always current.
-    let (server, plans, segmented) = if SegmentStore::is_store_dir(path) {
-        let store = SegmentStore::open(path)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")))?;
-        let plans = store.corpus().len();
-        let service = uplan_corpus::service::CorpusService::with_store(store, queue_capacity);
-        let state = uplan_serve::ServeState::from_service(service, merge_threads);
-        let server = Server::bind_with_state(config, state)
-            .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
-        (server, plans, true)
-    } else {
-        let corpus = load(path)?;
-        let plans = corpus.len();
-        let server = Server::bind(config, corpus)
-            .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
-        (server, plans, false)
-    };
+    // The store serves lazily and persistently: the open decodes manifest
+    // + index sections only, and every epoch merge appends one segment —
+    // the directory is always current.
+    let store = open_store(path)?;
+    let plans = store.corpus().len();
+    let service = uplan_corpus::service::CorpusService::with_store(store, queue_capacity);
+    let state = uplan_serve::ServeState::from_service(service, merge_threads);
+    let server = Server::bind(config, state)
+        .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
     let state = server.state();
     println!(
-        "serving {path} ({plans} distinct plans{}) at http://{} with {threads} worker(s); \
-         POST /shutdown to stop",
-        if segmented {
-            ", segment store: merges append segments"
-        } else {
-            ""
-        },
+        "serving {path} ({plans} distinct plans, segment store: merges append segments) \
+         at http://{} with {threads} worker(s); POST /shutdown to stop",
         server.local_addr()
     );
     let snapshot = server
         .run()
         .map_err(|e| CliError::Operational(format!("server failed: {e}")))?;
-    if let Some(out) = &save_path {
-        save(snapshot.corpus(), out, true)?;
-    }
     Ok(format!(
-        "served {} request(s); final epoch {}, {} distinct plans{}\nmetrics: {}",
+        "served {} request(s); final epoch {}, {} distinct plans\nmetrics: {}",
         state.metrics().requests(),
         snapshot.epoch(),
         snapshot.corpus().len(),
-        save_path
-            .map(|p| format!("\nwrote {p}"))
-            .unwrap_or_default(),
         state.metrics().to_json_value().to_compact()
     ))
 }
@@ -1473,6 +1437,8 @@ fn serve(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use uplan_core::formats::legacy;
 
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -1487,14 +1453,74 @@ mod tests {
             .into_owned()
     }
 
+    /// Every file of a store directory, by name.
+    fn dir_bytes(dir: &str) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect()
+    }
+
+    fn remove(paths: &[&String]) {
+        for path in paths {
+            let path = std::path::Path::new(path.as_str());
+            if path.is_dir() {
+                std::fs::remove_dir_all(path).ok();
+            } else {
+                std::fs::remove_file(path).ok();
+            }
+        }
+    }
+
+    const TIDB_PLAN: &str = "\
++-----------------------+---------+-----------+---------------+---------------+
+| id                    | estRows | task      | access object | operator info |
++-----------------------+---------+-----------+---------------+---------------+
+| TableReader_7         | 5.00    | root      |               |               |
+| └─TableFullScan_5     | 100.00  | cop[tikv] | table:t0      |               |
++-----------------------+---------+-----------+---------------+---------------+
+";
+
     #[test]
     fn usage_errors_do_not_panic() {
         assert!(run_inner(&[]).is_err());
         assert!(run_inner(&strings(&["frobnicate"])).is_err());
         assert!(run_inner(&strings(&["ingest", "out"])).is_err());
         assert!(run_inner(&strings(&["ingest", "out", "oracle", "file"])).is_err());
-        assert!(run_inner(&strings(&["stats", "/definitely/not/here"])).is_err());
+        // A missing store is operational (exit 1) for every reading verb,
+        // like any unreadable input.
+        for verb in [
+            "stats",
+            "query",
+            "cluster",
+            "diff",
+            "recall",
+            "open-gate",
+            "compact",
+            "serve",
+        ] {
+            let mut args = vec![verb, "/definitely/not/here"];
+            match verb {
+                "diff" => args.push("/definitely/not/here"),
+                "query" => args.push("stats"),
+                _ => {}
+            }
+            let err = run_inner(&strings(&args)).unwrap_err();
+            assert_eq!(err.code(), 1, "{verb}: {err}");
+        }
         assert!(run_inner(&strings(&["campaign", "/no/dir/x", "db2"])).is_err());
+        // Retired flags are rejected as unknown, not read as file names.
+        for retired in ["--index", "--append"] {
+            let err = run_inner(&strings(&["ingest", "out", "--raw", "dump", retired]));
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                format!("unknown flag {retired}")
+            );
+        }
     }
 
     #[test]
@@ -1507,24 +1533,16 @@ mod tests {
     #[test]
     fn ingest_stats_cluster_diff_round_trip() {
         // Two tiny explain files through the TiDB table converter.
-        let plan_a = "\
-+-----------------------+---------+-----------+---------------+---------------+
-| id                    | estRows | task      | access object | operator info |
-+-----------------------+---------+-----------+---------------+---------------+
-| TableReader_7         | 5.00    | root      |               |               |
-| └─TableFullScan_5     | 100.00  | cop[tikv] | table:t0      |               |
-+-----------------------+---------+-----------+---------------+---------------+
-";
-        let plan_b = plan_a.replace("t0", "t1");
+        let plan_b = TIDB_PLAN.replace("t0", "t1");
         let file_a = temp("uplan_cli_a.explain");
         let file_b = temp("uplan_cli_b.explain");
-        std::fs::write(&file_a, plan_a).unwrap();
+        std::fs::write(&file_a, TIDB_PLAN).unwrap();
         std::fs::write(&file_b, &plan_b).unwrap();
 
-        let out_bin = temp("uplan_cli.uplanc");
+        let left = temp("uplan_cli_left");
         let report = run_inner(&strings(&[
             "ingest",
-            &out_bin,
+            &left,
             "tidb-table",
             &file_a,
             &file_b,
@@ -1539,40 +1557,37 @@ mod tests {
         );
         assert!(report.contains("1 distinct plans"), "{report}");
 
-        let out_jsonl = temp("uplan_cli.jsonl");
-        run_inner(&strings(&["ingest", &out_jsonl, "tidb-table", &file_a])).unwrap();
+        let right = temp("uplan_cli_right");
+        run_inner(&strings(&["ingest", &right, "tidb-table", &file_a])).unwrap();
 
-        let stats = run_inner(&strings(&["stats", &out_bin])).unwrap();
+        let stats = run_inner(&strings(&["stats", &left])).unwrap();
         assert!(stats.contains("1 distinct"), "{stats}");
 
-        let clustered = run_inner(&strings(&["cluster", &out_bin, "1"])).unwrap();
+        let clustered = run_inner(&strings(&["cluster", &left, "1"])).unwrap();
         assert!(clustered.contains("1 clusters over 1 plans"), "{clustered}");
-        let dot = run_inner(&strings(&["cluster", &out_bin, "--dot"])).unwrap();
+        let dot = run_inner(&strings(&["cluster", &left, "--dot"])).unwrap();
         assert!(dot.starts_with("digraph"), "{dot}");
         // Flag-first invocations must still honor the radius argument.
-        let dot_first = run_inner(&strings(&["cluster", &out_bin, "--dot", "5"])).unwrap();
+        let dot_first = run_inner(&strings(&["cluster", &left, "--dot", "5"])).unwrap();
         assert!(dot_first.contains("radius 5"), "{dot_first}");
-        assert!(run_inner(&strings(&["cluster", &out_bin, "--dot", "nope"])).is_err());
+        assert!(run_inner(&strings(&["cluster", &left, "--dot", "nope"])).is_err());
 
-        let diffed = run_inner(&strings(&["diff", &out_bin, &out_jsonl, "1"])).unwrap();
+        let diffed = run_inner(&strings(&["diff", &left, &right, "1"])).unwrap();
         assert!(diffed.contains("shared fingerprints: 1"), "{diffed}");
 
-        for f in [file_a, file_b, out_bin, out_jsonl] {
-            std::fs::remove_file(f).ok();
-        }
+        remove(&[&file_a, &file_b, &left, &right]);
     }
 
     #[test]
     fn fixture_ingest_is_thread_count_invariant_and_indexed_loads_are_eval_free() {
-        let out1 = temp("uplan_cli_fx1.uplanc");
-        let out4 = temp("uplan_cli_fx4.uplanc");
+        let out1 = temp("uplan_cli_fx1");
+        let out4 = temp("uplan_cli_fx4");
         let r1 = run_inner(&strings(&[
             "fixture-ingest",
             &out1,
             "300",
             "--threads",
             "1",
-            "--index",
         ]))
         .unwrap();
         let r4 = run_inner(&strings(&[
@@ -1581,12 +1596,11 @@ mod tests {
             "300",
             "--threads",
             "4",
-            "--index",
         ]))
         .unwrap();
         // Every line except the `wrote …` trailer (which names the thread
         // count) is identical — the same invariant the CI corpus-scale job
-        // diffs — and so are the written bytes.
+        // diffs — and so is every written file.
         let strip = |r: &str| {
             r.lines()
                 .filter(|l| !l.starts_with("wrote "))
@@ -1594,7 +1608,7 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(strip(&r1), strip(&r4));
-        assert_eq!(std::fs::read(&out1).unwrap(), std::fs::read(&out4).unwrap());
+        assert_eq!(dir_bytes(&out1), dir_bytes(&out4));
 
         let stats = run_inner(&strings(&["stats", &out4])).unwrap();
         assert!(
@@ -1602,20 +1616,13 @@ mod tests {
             "{stats}"
         );
 
-        // Without --index the load rebuilds (and reports its TED spend).
-        let plain = temp("uplan_cli_fx_plain.uplanc");
-        run_inner(&strings(&["fixture-ingest", &plain, "300"])).unwrap();
-        let stats = run_inner(&strings(&["stats", &plain])).unwrap();
-        assert!(stats.contains("index: rebuilt ("), "{stats}");
-
         // Flag errors are reported, not panicked.
         assert!(run_inner(&strings(&["fixture-ingest"])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &plain, "--threads"])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &plain, "--seed", "zz"])).is_err());
+        assert!(run_inner(&strings(&["fixture-ingest", &out1, "--threads"])).is_err());
+        assert!(run_inner(&strings(&["fixture-ingest", &out1, "--seed", "zz"])).is_err());
+        assert!(run_inner(&strings(&["fixture-ingest", &out1, "--index"])).is_err());
 
-        for f in [out1, out4, plain] {
-            std::fs::remove_file(f).ok();
-        }
+        remove(&[&out1, &out4]);
     }
 
     #[test]
@@ -1647,9 +1654,9 @@ mod tests {
             assert!(checked.contains(name), "{name} missing from {checked}");
         }
 
-        // `ingest --raw` writes byte-identical corpora for 1 and 4 threads.
-        let out1 = temp("uplan_cli_raw_t1.uplanc");
-        let out4 = temp("uplan_cli_raw_t4.uplanc");
+        // `ingest --raw` writes byte-identical stores for 1 and 4 threads.
+        let out1 = temp("uplan_cli_raw_t1");
+        let out4 = temp("uplan_cli_raw_t4");
         let r1 = run_inner(&strings(&[
             "ingest",
             &out1,
@@ -1657,7 +1664,6 @@ mod tests {
             &dump,
             "--threads",
             "1",
-            "--index",
         ]))
         .unwrap();
         run_inner(&strings(&[
@@ -1667,11 +1673,10 @@ mod tests {
             &dump,
             "--threads",
             "4",
-            "--index",
         ]))
         .unwrap();
         assert!(r1.contains("raw-ingested 22 plan line(s)"), "{r1}");
-        assert_eq!(std::fs::read(&out1).unwrap(), std::fs::read(&out4).unwrap());
+        assert_eq!(dir_bytes(&out1), dir_bytes(&out4));
         let stats = run_inner(&strings(&["stats", &out4])).unwrap();
         assert!(stats.contains("persisted (0 TED evaluations"), "{stats}");
 
@@ -1684,31 +1689,37 @@ mod tests {
         assert!(run_inner(&strings(&["ingest", &out1, "--raw"])).is_err());
         assert!(run_inner(&strings(&["raw-check", "/definitely/not/here"])).is_err());
 
-        for f in [dump, out1, out4] {
-            std::fs::remove_file(f).ok();
-        }
+        remove(&[&dump, &out1, &out4]);
     }
 
     #[test]
     fn salvage_and_mutate_agree_on_exact_expectations() {
-        let intact = temp("uplan_cli_slv.uplanc");
-        run_inner(&strings(&["fixture-ingest", &intact, "400", "--index"])).unwrap();
+        let intact = temp("uplan_cli_slv");
+        run_inner(&strings(&[
+            "fixture-ingest",
+            &intact,
+            "400",
+            "--batches",
+            "2",
+        ]))
+        .unwrap();
 
-        // An intact file salvages losslessly.
+        // An intact store salvages losslessly.
         let report = run_inner(&strings(&["salvage", &intact])).unwrap();
-        assert!(report.contains("0 dropped, checksum-verified"), "{report}");
+        assert!(report.contains("0 dropped; 2 of 2 segment(s)"), "{report}");
         assert!(report.contains("index: persisted"), "{report}");
 
-        // Every mutation op: the salvage outcome matches the printed
-        // expectation exactly (when one is provable).
+        // Every fault op: the salvage outcome matches the printed
+        // expectation exactly.
         for (op, seed) in [
             ("truncate", "0x5"),
             ("truncate", "0x2"),
             ("bitflip", "0xB"),
-            ("splice", "0x51"),
-            ("duplicate", "0x0"),
+            ("bitflip", "0x51"),
+            ("delete", "0x0"),
+            ("delete", "0x1"),
         ] {
-            let damaged = temp(&format!("uplan_cli_slv_{op}_{seed}.uplanc"));
+            let damaged = temp(&format!("uplan_cli_slv_{op}_{seed}"));
             let mutated = run_inner(&strings(&[
                 "mutate", &intact, &damaged, "--op", op, "--seed", seed,
             ]))
@@ -1717,27 +1728,30 @@ mod tests {
                 .lines()
                 .find_map(|l| l.strip_prefix("expect-recoverable: "))
                 .unwrap_or_else(|| panic!("no expectation in {mutated}"));
-            let salvage_result = run_inner(&strings(&["salvage", &damaged]));
-            if expectation.ends_with("plans") {
-                // "N of M plans" — must reappear verbatim in the salvage
-                // report (Ok for N > 0, Input error for N == 0).
-                let printed = match &salvage_result {
-                    Ok(report) => report.clone(),
-                    Err(CliError::Input(message)) => message.clone(),
-                    Err(other) => panic!("{op} seed {seed}: {other}"),
-                };
-                assert!(
-                    printed.contains(&format!("salvaged {expectation}")),
-                    "{op} seed {seed}: expected {expectation:?} in {printed:?}"
-                );
-            } else if let Err(err) = &salvage_result {
-                assert!(matches!(err, CliError::Input(_)), "{op} seed {seed}: {err}");
-            }
-            std::fs::remove_file(damaged).ok();
+            // "N of M plans" — must reappear verbatim in the salvage
+            // report (Ok for N > 0, Input error for N == 0).
+            let printed = match run_inner(&strings(&["salvage", &damaged])) {
+                Ok(report) => report,
+                Err(CliError::Input(message)) => message,
+                Err(other) => panic!("{op} seed {seed}: {other}"),
+            };
+            assert!(
+                printed.contains(&format!("salvaged {expectation}")),
+                "{op} seed {seed}: expected {expectation:?} in {printed:?}"
+            );
+            remove(&[&damaged]);
         }
 
+        // `--out` writes the survivors as a new store, never over one.
+        let recovered = temp("uplan_cli_slv_out");
+        run_inner(&strings(&["salvage", &intact, "--out", &recovered])).unwrap();
+        let stats = run_inner(&strings(&["stats", &recovered])).unwrap();
+        assert!(stats.contains("segments: 1"), "{stats}");
+        let again = run_inner(&strings(&["salvage", &intact, "--out", &recovered])).unwrap_err();
+        assert_eq!(again.code(), 2, "{again}");
+
         // Exit codes: unreadable paths are operational (1), bad
-        // arguments and unrecoverable files are input (2).
+        // arguments and unrecoverable stores are input (2).
         let missing = run_inner(&strings(&["salvage", "/definitely/not/here"])).unwrap_err();
         assert_eq!(missing.code(), 1, "{missing}");
         let usage = run_inner(&strings(&["mutate", &intact])).unwrap_err();
@@ -1745,7 +1759,87 @@ mod tests {
         let bad_op =
             run_inner(&strings(&["mutate", &intact, "/tmp/x", "--op", "scramble"])).unwrap_err();
         assert_eq!(bad_op.code(), 2, "{bad_op}");
-        std::fs::remove_file(intact).ok();
+        remove(&[&intact, &recovered]);
+    }
+
+    /// `import` is the one reader of legacy files: a v4 document and a
+    /// JSONL file become stores that answer exactly like the in-RAM legacy
+    /// load, and `--salvage` recovers exactly what the mutation geometry
+    /// promises.
+    #[test]
+    fn import_converts_legacy_files_and_salvages_exactly() {
+        let corpus = crate::corpus_fixture::derived_corpus(600, 0x1e9a);
+        let segment = encode_segment(&corpus).unwrap();
+        let v4 = legacy::indexed(&segment);
+        let doc = temp("uplan_cli_import.uplanc");
+        let jsonl = temp("uplan_cli_import.jsonl");
+        std::fs::write(&doc, &v4).unwrap();
+        std::fs::write(&jsonl, legacy::jsonl(&segment)).unwrap();
+
+        let probes = crate::corpus_fixture::derived_stream(6, 0x004e_ca11);
+        for (file, index) in [(&doc, "persisted (0 TED"), (&jsonl, "rebuilt (")] {
+            let store = temp(&format!("uplan_cli_import_{}", file.len()));
+            let report = run_inner(&strings(&["import", file, &store])).unwrap();
+            assert!(report.contains(&format!("index: {index}")), "{report}");
+            let in_ram = PlanCorpus::load(file).unwrap();
+            let imported = load(&store).unwrap();
+            for probe in &probes {
+                for request in [
+                    QueryRequest::knn(5).with_probe(probe.clone()),
+                    QueryRequest::radius(2).with_probe(probe.clone()),
+                ] {
+                    assert_eq!(
+                        imported.execute(&request).unwrap(),
+                        in_ram.execute(&request).unwrap(),
+                        "{file}"
+                    );
+                }
+            }
+            // A store is never imported over.
+            let again = run_inner(&strings(&["import", file, &store])).unwrap_err();
+            assert_eq!(again.code(), 2, "{again}");
+            remove(&[&store]);
+        }
+
+        // Reading verbs refuse legacy files and name the importer.
+        for verb in ["stats", "salvage", "open-gate", "serve"] {
+            let err = run_inner(&strings(&[verb, &doc])).unwrap_err();
+            assert_eq!(err.code(), 2, "{verb}: {err}");
+            assert!(
+                err.to_string().contains("repro corpus import"),
+                "{verb}: {err}"
+            );
+        }
+
+        // `--salvage` of damaged documents: exactly the promised count.
+        let sections = uplan_core::formats::binary::section_map(&v4).unwrap();
+        let total = sections.last().unwrap().plans;
+        let mut mutations = inject::truncation_plan(&sections);
+        mutations.extend(inject::bitflip_past_header(&sections, 0x5eed));
+        for (i, mutation) in mutations.iter().enumerate() {
+            let expected = inject::expected_recoverable(&sections, mutation).unwrap();
+            let damaged = temp(&format!("uplan_cli_import_damaged_{i}.uplanc"));
+            let store = temp(&format!("uplan_cli_import_damaged_{i}"));
+            let bytes = mutation.apply(&v4);
+            std::fs::write(&damaged, &bytes).unwrap();
+            let printed = match run_inner(&strings(&["import", &damaged, &store, "--salvage"])) {
+                Ok(report) => report,
+                Err(CliError::Input(message)) => message,
+                Err(other) => panic!("{}: {other}", mutation.describe()),
+            };
+            assert!(
+                printed.contains(&format!("salvaged {expected} of {total} plans")),
+                "{}: {printed}",
+                mutation.describe()
+            );
+            // Strict import refuses every damaged file (the plan includes
+            // the no-op truncation at the document's full length).
+            let strict = temp(&format!("uplan_cli_import_strict_{i}"));
+            let imported = run_inner(&strings(&["import", &damaged, &strict]));
+            assert_eq!(imported.is_ok(), bytes == v4, "{}", mutation.describe());
+            remove(&[&damaged, &store, &strict]);
+        }
+        remove(&[&doc, &jsonl]);
     }
 
     #[test]
@@ -1764,7 +1858,7 @@ mod tests {
         assert!(report.contains("injected 6 garbage line(s)"), "{report}");
 
         // Strict ingest of the dirty dump is a bad-input failure (2)...
-        let out = temp("uplan_cli_dirty.uplanc");
+        let out = temp("uplan_cli_dirty");
         let strict = run_inner(&strings(&["ingest", &out, "--raw", &dump])).unwrap_err();
         assert_eq!(strict.code(), 2, "{strict}");
 
@@ -1817,9 +1911,7 @@ mod tests {
         .unwrap_err();
         assert!(bounded.to_string().contains("max-errors 3"), "{bounded}");
 
-        for f in [dump, out, quarantine] {
-            std::fs::remove_file(f).ok();
-        }
+        remove(&[&dump, &out, &quarantine]);
     }
 
     #[test]
@@ -1841,12 +1933,12 @@ mod tests {
 
     #[test]
     fn campaign_writes_a_loadable_corpus() {
-        let out = temp("uplan_cli_campaign.uplanc");
+        let out = temp("uplan_cli_campaign");
         let report = run_inner(&strings(&["campaign", &out, "postgres", "60", "0"])).unwrap();
         assert!(report.contains("campaign on PostgreSQL"), "{report}");
         let corpus = PlanCorpus::load(&out).unwrap();
         assert!(!corpus.is_empty());
-        std::fs::remove_file(out).ok();
+        remove(&[&out]);
     }
 
     /// The segmented lifecycle end to end: fixture-ingest a batched store
@@ -1891,16 +1983,12 @@ mod tests {
         assert!(stats.contains("persisted (0 TED evaluations"), "{stats}");
         assert!(stats.contains("on disk:"), "{stats}");
 
-        // Lazy queries answer identically to the monolithic file.
-        let mono = temp("uplan_cli_seg_mono.uplanc");
-        run_inner(&strings(&["fixture-ingest", &mono, "600", "--index"])).unwrap();
-        let probe_corpus = crate::corpus_fixture::derived_stream(1, 0x004e_ca11);
+        // Lazy queries answer identically to the in-RAM corpus.
+        let mut in_ram = PlanCorpus::new();
+        in_ram.ingest_parallel(&crate::corpus_fixture::derived_stream(600, 0x5eed_cafe), 1);
+        let probe = crate::corpus_fixture::derived_stream(1, 0x004e_ca11).remove(0);
         let probe_file = temp("uplan_cli_seg_probe.json");
-        std::fs::write(
-            &probe_file,
-            uplan_core::formats::unified::to_json(&probe_corpus[0]),
-        )
-        .unwrap();
+        std::fs::write(&probe_file, uplan_core::formats::unified::to_json(&probe)).unwrap();
         let from_dir = run_inner(&strings(&[
             "query",
             &dir1,
@@ -1912,33 +2000,15 @@ mod tests {
             "--json",
         ]))
         .unwrap();
-        let from_file = run_inner(&strings(&[
-            "query",
-            &mono,
-            "knn",
-            "--k",
-            "5",
-            "--probe",
-            &probe_file,
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(from_dir, from_file, "lazy and in-RAM answers diverged");
+        let from_ram = in_ram
+            .execute(&QueryRequest::knn(5).with_probe(probe))
+            .unwrap()
+            .to_json();
+        assert_eq!(from_dir, from_ram, "lazy and in-RAM answers diverged");
 
         // ingest into the store appends a new segment (no --append needed).
         let explain = temp("uplan_cli_seg.explain");
-        std::fs::write(
-            &explain,
-            "\
-+-----------------------+---------+-----------+---------------+---------------+
-| id                    | estRows | task      | access object | operator info |
-+-----------------------+---------+-----------+---------------+---------------+
-| TableReader_7         | 5.00    | root      |               |               |
-| └─TableFullScan_5     | 100.00  | cop[tikv] | table:t0      |               |
-+-----------------------+---------+-----------+---------------+---------------+
-",
-        )
-        .unwrap();
+        std::fs::write(&explain, TIDB_PLAN).unwrap();
         let appended = run_inner(&strings(&["ingest", &dir1, "tidb-table", &explain])).unwrap();
         assert!(appended.contains("appended segment 3"), "{appended}");
         assert!(appended.contains("1 of 1 plan(s) admitted"), "{appended}");
@@ -1974,43 +2044,27 @@ mod tests {
             "--json",
         ]))
         .unwrap();
-        assert_eq!(after, from_file, "compaction changed answers");
+        assert_eq!(after, from_ram, "compaction changed answers");
 
-        // compact rejects non-stores; --batches needs --segmented.
-        assert!(run_inner(&strings(&["compact", &mono])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &mono, "10", "--batches", "2"])).is_err());
+        // compact rejects non-stores.
+        assert!(run_inner(&strings(&["compact", &probe_file])).is_err());
 
-        for dir in [&dir1, &dir4] {
-            std::fs::remove_dir_all(dir).ok();
-        }
-        for f in [mono, probe_file, explain] {
-            std::fs::remove_file(f).ok();
-        }
+        remove(&[&dir1, &dir4, &probe_file, &explain]);
     }
 
-    /// `open-gate` proves answer/cost identity between the lazy and the
-    /// monolithic load; the speedup floor itself is CI's concern (tiny
+    /// `open-gate` proves answer/cost identity between the lazy store
+    /// (three appended batches) and a one-shot ingest of its plans; the
+    /// speedup floor itself is CI's concern (tiny
     /// fixtures cannot honour a 5x decode gap, so the floor is lowered
     /// to exercise the pass path and raised to exercise the failure).
     #[test]
     fn open_gate_checks_identity_and_enforces_the_floor() {
         let dir = temp("uplan_cli_open_gate_store");
-        let mono = temp("uplan_cli_open_gate_mono.uplanc");
-        run_inner(&strings(&[
-            "fixture-ingest",
-            &dir,
-            "600",
-            "--segmented",
-            "--batches",
-            "3",
-        ]))
-        .unwrap();
-        run_inner(&strings(&["fixture-ingest", &mono, "600", "--index"])).unwrap();
+        run_inner(&strings(&["fixture-ingest", &dir, "600", "--batches", "3"])).unwrap();
 
         let report = run_inner(&strings(&[
             "open-gate",
             &dir,
-            &mono,
             "--probes",
             "4",
             "--min-speedup",
@@ -2018,7 +2072,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(
-            report.contains("answers and QueryCost identical to the monolithic load"),
+            report.contains("answers and QueryCost identical to a one-shot ingest"),
             "{report}"
         );
         assert!(report.contains("open-and-first-query"), "{report}");
@@ -2027,7 +2081,6 @@ mod tests {
         let failed = run_inner(&strings(&[
             "open-gate",
             &dir,
-            &mono,
             "--probes",
             "1",
             "--min-speedup",
@@ -2040,13 +2093,27 @@ mod tests {
             }
             other => panic!("expected an operational failure, got {other:?}"),
         }
-        // A monolithic file is not a store directory (exit 2).
+        // A second positional (the retired monolithic argument) is a usage
+        // error (exit 2).
         assert!(matches!(
-            run_inner(&strings(&["open-gate", &mono, &mono])).unwrap_err(),
+            run_inner(&strings(&["open-gate", &dir, &dir])).unwrap_err(),
             CliError::Input(_)
         ));
 
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_file(&mono).ok();
+        remove(&[&dir]);
+    }
+
+    /// Both gate verbs refuse an empty probe set (exit 2) instead of
+    /// panicking or passing vacuously.
+    #[test]
+    fn gate_verbs_reject_zero_probes() {
+        let dir = temp("uplan_cli_zero_probes");
+        run_inner(&strings(&["fixture-ingest", &dir, "50"])).unwrap();
+        for verb in ["open-gate", "recall"] {
+            let err = run_inner(&strings(&[verb, &dir, "--probes", "0"])).unwrap_err();
+            assert_eq!(err.code(), 2, "{verb}: {err}");
+            assert!(err.to_string().contains("--probes"), "{verb}: {err}");
+        }
+        remove(&[&dir]);
     }
 }

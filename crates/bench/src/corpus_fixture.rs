@@ -200,14 +200,20 @@ mod tests {
     #[test]
     fn indexed_load_is_ted_free_at_fixture_scale() {
         // The acceptance bar of the persisted index, enforced on *counted*
-        // TED evaluations: loading an indexed document spends zero, while
+        // TED evaluations: opening a segment store spends zero, while
         // answering queries exactly like the corpus that built its index
-        // insert by insert. (`corpus/load_binary_indexed_10k` is the same
-        // path at 10k; the smaller population keeps debug-mode tier-1
+        // insert by insert. (`corpus/open_segmented_100k` times the same
+        // open at 100k; the smaller population keeps debug-mode tier-1
         // fast.)
         let corpus = derived_corpus(800, 0x1dee);
         assert!(corpus.index_evals() > 0);
-        let loaded = PlanCorpus::from_binary(&corpus.to_binary_indexed().unwrap()).unwrap();
+        let dir = std::env::temp_dir().join(format!("uplan-fixture-open-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        uplan_corpus::SegmentStore::create(&dir, corpus.clone()).unwrap();
+        let loaded = uplan_corpus::SegmentStore::open(&dir)
+            .unwrap()
+            .into_corpus();
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             loaded.index_evals(),
             0,
@@ -239,8 +245,8 @@ mod tests {
         assert_eq!(novel_one, novel_four);
         assert_eq!(one.stats(), four.stats());
         assert_eq!(
-            one.to_binary_indexed().unwrap(),
-            four.to_binary_indexed().unwrap()
+            uplan_corpus::encode_segment(&one).unwrap(),
+            uplan_corpus::encode_segment(&four).unwrap()
         );
     }
 

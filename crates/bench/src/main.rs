@@ -12,17 +12,19 @@
 //!                         # quick run diffed against committed snapshots;
 //!                         # exits 1 on regression (UPLAN_BENCH_TOLERANCE
 //!                         # overrides the 1.5x noise tolerance)
-//! repro corpus <ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|cluster|diff|
-//!               salvage|mutate|sources> ...
-//!                         # manage persistent, TED-indexed plan corpora:
+//! repro corpus <ingest|import|raw-fixture|raw-check|fixture-ingest|campaign|stats|
+//!               cluster|diff|query|recall|open-gate|serve|salvage|mutate|compact|
+//!               sources> ...
+//!                         # manage persistent, TED-indexed plan corpora,
+//!                         # each an append-only segment-store directory:
 //!                         # parallel sharded ingest (--threads/--shards),
 //!                         # mixed-source raw-dump ingest (ingest --raw,
 //!                         # framed + source-sniffed per record, --lenient
-//!                         # skip-and-report with --quarantine), persisted-
-//!                         # BK-index saves (--index), corruption recovery
-//!                         # (salvage) and seeded fault injection (mutate),
-//!                         # and the CI gates (fixture-ingest, raw-fixture +
-//!                         # raw-check, mutate + salvage); see
+//!                         # skip-and-report with --quarantine), legacy-file
+//!                         # import, corruption recovery (salvage) and seeded
+//!                         # fault injection (mutate), serving, and the CI
+//!                         # gates (fixture-ingest, raw-fixture + raw-check,
+//!                         # mutate + salvage, recall, open-gate); see
 //!                         # crates/bench/src/corpus_cli.rs
 //! ```
 //!

@@ -971,8 +971,8 @@ mod tests {
         let seq_report = ingest_raw_sequential(&dump, &mut sequential).unwrap();
         assert_eq!(report, seq_report);
         assert_eq!(
-            parallel.to_binary_indexed().unwrap(),
-            sequential.to_binary_indexed().unwrap(),
+            uplan_corpus::encode_segment(&parallel).unwrap(),
+            uplan_corpus::encode_segment(&sequential).unwrap(),
             "raw ingest must be byte-identical to the sequential reference"
         );
         assert_eq!(parallel.observed(), 4);
@@ -1040,12 +1040,12 @@ mod tests {
         let mut reference = PlanCorpus::new();
         ingest_raw_sequential(&valid, &mut reference).unwrap();
         assert_eq!(
-            lenient.to_binary_indexed().unwrap(),
-            reference.to_binary_indexed().unwrap()
+            uplan_corpus::encode_segment(&lenient).unwrap(),
+            uplan_corpus::encode_segment(&reference).unwrap()
         );
         assert_eq!(
-            seq.to_binary_indexed().unwrap(),
-            reference.to_binary_indexed().unwrap()
+            uplan_corpus::encode_segment(&seq).unwrap(),
+            uplan_corpus::encode_segment(&reference).unwrap()
         );
     }
 
@@ -1115,8 +1115,8 @@ mod tests {
         let mut from_jsonl = PlanCorpus::new();
         ingest_raw(&jsonl, &mut from_jsonl, 2).unwrap();
         assert_eq!(
-            from_framed.to_binary_indexed().unwrap(),
-            from_jsonl.to_binary_indexed().unwrap()
+            uplan_corpus::encode_segment(&from_framed).unwrap(),
+            uplan_corpus::encode_segment(&from_jsonl).unwrap()
         );
     }
 
@@ -1146,8 +1146,8 @@ mod tests {
         let mut from_jsonl = PlanCorpus::new();
         ingest_raw(&jsonl, &mut from_jsonl, 2).unwrap();
         assert_eq!(
-            from_framed.to_binary_indexed().unwrap(),
-            from_jsonl.to_binary_indexed().unwrap()
+            uplan_corpus::encode_segment(&from_framed).unwrap(),
+            uplan_corpus::encode_segment(&from_jsonl).unwrap()
         );
     }
 

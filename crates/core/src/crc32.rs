@@ -1,7 +1,8 @@
-//! CRC32 (IEEE 802.3 polynomial) — the per-section checksum of UPLN v3.
+//! CRC32 (IEEE 802.3 polynomial) — the per-section checksum of segment
+//! files, manifests and UPLN v3+ documents.
 //!
-//! The binary codec protects each document section with a CRC32 so that a
-//! flipped byte in a multi-megabyte corpus file is *detected* at load time
+//! The codecs protect each file section with a CRC32 so that a flipped
+//! byte in a multi-megabyte corpus is *detected* at load time
 //! instead of silently corrupting plans (or, worse, the metric index,
 //! whose cached distances are trusted). The checksum has to be effectively
 //! free next to the decode it guards, so there are two paths:
@@ -15,9 +16,7 @@
 //!   reduction (identical result, far less delicate).
 //!
 //! A ~7 MB 10k-plan corpus checksums in well under a millisecond on the
-//! folding path, keeping the measured overhead of the checked format
-//! under 5% (`corpus/load_binary_checked_10k` vs
-//! `corpus/load_binary_indexed_10k`).
+//! folding path.
 //!
 //! The variant is the ubiquitous reflected CRC-32/ISO-HDLC (polynomial
 //! `0xEDB88320`, initial value and final XOR `0xFFFFFFFF`) — the same

@@ -1,12 +1,24 @@
-//! Compact binary plan codec — the persistence format of plan corpora.
+//! Compact binary plan codec — the plan-body encoding segment stores
+//! reuse, and the legacy whole-corpus (`UPLN`) import format.
 //!
 //! JSON is the interchange format of the unified representation; it is not
-//! the right format for *populations* of plans. A QPG campaign that
-//! accumulates 100k+ plans re-reads its corpus on every resume, and the
-//! JSON path pays per plan for lexing, escape handling and keyword
-//! re-validation. This module defines a symbol-table-prefixed, varint-
-//! encoded binary document that amortizes all of that across a whole
-//! corpus:
+//! the right format for *populations* of plans: the JSON path pays per plan
+//! for lexing, escape handling and keyword re-validation. This module
+//! defines a symbol-table-prefixed, varint-encoded binary encoding that
+//! amortizes all of that across many plans. It serves two roles:
+//!
+//! * **Plan bodies.** [`BinaryEncoder`] encodes plans against one shared
+//!   symbol table in checksummed blocks. The segment codec
+//!   ([`super::segment`]) wraps it, so every plan a segment store persists
+//!   is encoded here, byte for byte, and decoded here on first touch.
+//! * **Legacy documents.** Corpora used to be persisted as one monolithic
+//!   `UPLN` document each. No corpus is saved that way any more — segment
+//!   stores are the only corpus persistence — but every version stays
+//!   readable ([`BinaryDecoder`], [`salvage`]) so old files convert with
+//!   `repro corpus import`. The document framing itself stays writable:
+//!   [`to_bytes`] frames one plan (the golden-pinned plan encoding), and
+//!   the test-support `formats::legacy` writers (feature `legacy-writer`)
+//!   reframe segments as legacy documents.
 //!
 //! ```text
 //! document ::= magic            (4 bytes, "UPLN")
@@ -57,8 +69,8 @@
 //! Every identifier (operation, property, extension category) is written
 //! once into the document-local symbol table and referenced by index from
 //! then on; decoding validates and interns each spelling exactly once per
-//! *document*, not once per node, which is where the ~7× load speedup over
-//! JSON comes from. Property string values are inline (they are open-world
+//! *document*, not once per node, which is where the ~7× decode speedup
+//! over JSON comes from. Property string values are inline (they are open-world
 //! data, and the interner must never see them). Symbol-table spellings
 //! *are* interned — exactly like identifiers parsed from any other format
 //! — so, since interned spellings live for the process, the table is
@@ -66,21 +78,19 @@
 //! a bounded vocabulary, not memory proportional to its size.
 //!
 //! The format is versioned like the fingerprint scheme: a reader rejects
-//! documents whose version it does not understand, and
-//! [`BINARY_CODEC_VERSION`] bumps invalidate persisted corpora
-//! deliberately — except that each version is a strict superset of the one
-//! before, so the decoder keeps accepting all of them
+//! documents whose version it does not understand. Each version is a
+//! strict superset of the one before, so the decoder accepts all of them
 //! ([`MIN_SUPPORTED_BINARY_VERSION`]): a v1 document is exactly a v2
 //! document without the trailing index section, a v3 document is a v2
 //! document with its plan stream cut into checksummed blocks and three
 //! CRC32 trailers added, and a v4 document is a v3 document whose index
 //! flag byte is reinterpreted as a section-flags bitmap admitting an
 //! additional per-plan feature-vector section
-//! ([`FEATURED_BINARY_VERSION`], written only on request by
-//! [`BinaryEncoder::finish_with_sections`]). `tests/golden.rs` pins exact
-//! encodings for versions 1..=3; plain [`to_bytes`] and
-//! [`BinaryEncoder::finish`] stay on version 3 so existing documents stay
-//! byte-identical.
+//! ([`FEATURED_BINARY_VERSION`]). The encoder writes only the checksummed
+//! layouts: v3 from [`BinaryEncoder::finish`] and
+//! [`BinaryEncoder::finish_with_index`], v4 from
+//! [`BinaryEncoder::finish_with_sections`]. `tests/golden.rs` pins exact
+//! encodings for versions 1..=3.
 //!
 //! ## Checksums and salvage (version 3)
 //!
@@ -95,8 +105,8 @@
 //! reports exactly what was dropped. Each block pre-verifies its CRC
 //! before any of its plans decode, so every plan a v3 salvage returns
 //! came from verified bytes. The per-block granularity is the trade:
-//! 4-byte overhead per 256 plans is noise, while checksum *time* stays
-//! under 5% of the load it guards (see `corpus/load_binary_checked_10k`).
+//! 4-byte overhead per 256 plans is noise. Segment files reuse the same
+//! block framing.
 //!
 //! ## The index section (version 2)
 //!
@@ -122,10 +132,8 @@
 //! approximate similarity queries (vector-distance candidate generation
 //! before exact re-ranking in `uplan-corpus`); persisting them saves the
 //! recompute at load the same way the index section saves metric
-//! evaluations. The section is written only by
-//! [`BinaryEncoder::finish_with_sections`]; everything else keeps writing
-//! version 3, and readers that find an unexpected dimension simply drop
-//! the section and recompute — like an index whose fingerprint flags
+//! evaluations. Readers that find an unexpected dimension simply drop the
+//! section and recompute — like an index whose fingerprint flags
 //! disagree, it is a cache, not data.
 
 use std::collections::HashMap;
@@ -151,11 +159,6 @@ pub const BINARY_CODEC_VERSION: u32 = 3;
 /// that actually carry feature vectors pay the bump; everything else keeps
 /// writing [`BINARY_CODEC_VERSION`] byte-identically.
 pub const FEATURED_BINARY_VERSION: u32 = 4;
-
-/// Version written by [`BinaryEncoder::unchecked`]: the v2 layout without
-/// per-section checksums, kept writable for size/time-sensitive interop
-/// and for measuring the checksum overhead against the same population.
-pub const UNCHECKED_BINARY_VERSION: u32 = 2;
 
 /// Oldest codec version the decoder still reads. Version 1 documents are
 /// version 2 documents without the trailing index section, and version 2
@@ -286,10 +289,7 @@ pub struct BinaryEncoder {
     refs: HashMap<Symbol, u32>,
     body: Vec<u8>,
     plans: u64,
-    /// Write the checksummed v3 layout (the default); `false` emits the
-    /// bare [`UNCHECKED_BINARY_VERSION`] layout.
-    checked: bool,
-    /// Body offsets at which each checksum block starts (checked mode).
+    /// Body offsets at which each checksum block starts.
     block_starts: Vec<usize>,
 }
 
@@ -308,19 +308,7 @@ impl BinaryEncoder {
             refs: HashMap::new(),
             body: Vec::new(),
             plans: 0,
-            checked: true,
             block_starts: Vec::new(),
-        }
-    }
-
-    /// An empty encoder producing the pre-checksum
-    /// [`UNCHECKED_BINARY_VERSION`] layout — byte-identical plan bodies,
-    /// no CRC sections. Every reader keeps accepting it; new corpora
-    /// should prefer [`BinaryEncoder::new`].
-    pub fn unchecked() -> BinaryEncoder {
-        BinaryEncoder {
-            checked: false,
-            ..BinaryEncoder::new()
         }
     }
 
@@ -390,7 +378,7 @@ impl BinaryEncoder {
                 "document exceeds the codec limit of {MAX_SYMBOLS} distinct identifiers"
             )));
         }
-        if self.checked && self.plans.is_multiple_of(CHECKSUM_BLOCK_PLANS) {
+        if self.plans.is_multiple_of(CHECKSUM_BLOCK_PLANS) {
             self.block_starts.push(self.body.len());
         }
         self.plans += 1;
@@ -424,10 +412,8 @@ impl BinaryEncoder {
     /// Finalizes the document with both a persisted metric index and a
     /// per-plan feature section, bumping the document to
     /// [`FEATURED_BINARY_VERSION`]. The feature section must carry exactly
-    /// `plan_count × dim` values; only checked encoders may write it (the
-    /// featured layout is a superset of v3, not of v2).
+    /// `plan_count × dim` values.
     pub fn finish_with_sections(self, index: &IndexSection, features: &FeatureSection) -> Vec<u8> {
-        debug_assert!(self.checked, "featured documents are always checksummed");
         debug_assert_eq!(
             index.shards.iter().map(|s| s.nodes).sum::<u64>(),
             self.plans,
@@ -449,10 +435,8 @@ impl BinaryEncoder {
         let symbols = SymbolTable::read();
         let version = if features.is_some() {
             FEATURED_BINARY_VERSION
-        } else if self.checked {
-            BINARY_CODEC_VERSION
         } else {
-            UNCHECKED_BINARY_VERSION
+            BINARY_CODEC_VERSION
         };
         let mut out = Vec::with_capacity(self.body.len() + 16 * self.table.len() + 32);
         out.extend_from_slice(&BINARY_MAGIC);
@@ -464,22 +448,18 @@ impl BinaryEncoder {
             out.extend_from_slice(text.as_bytes());
         }
         write_varint(&mut out, self.plans);
-        if self.checked {
-            let header_crc = crc32(&out);
-            out.extend_from_slice(&header_crc.to_le_bytes());
-            for (i, &start) in self.block_starts.iter().enumerate() {
-                let end = self
-                    .block_starts
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(self.body.len());
-                let block = &self.body[start..end];
-                write_varint(&mut out, block.len() as u64);
-                out.extend_from_slice(block);
-                out.extend_from_slice(&crc32(block).to_le_bytes());
-            }
-        } else {
-            out.extend_from_slice(&self.body);
+        let header_crc = crc32(&out);
+        out.extend_from_slice(&header_crc.to_le_bytes());
+        for (i, &start) in self.block_starts.iter().enumerate() {
+            let end = self
+                .block_starts
+                .get(i + 1)
+                .copied()
+                .unwrap_or(self.body.len());
+            let block = &self.body[start..end];
+            write_varint(&mut out, block.len() as u64);
+            out.extend_from_slice(block);
+            out.extend_from_slice(&crc32(block).to_le_bytes());
         }
         let tail_start = out.len();
         out.push(u8::from(index.is_some()) | (u8::from(features.is_some()) << 1));
@@ -505,10 +485,8 @@ impl BinaryEncoder {
                 write_varint(&mut out, u64::from(value));
             }
         }
-        if self.checked {
-            let tail_crc = crc32(&out[tail_start..]);
-            out.extend_from_slice(&tail_crc.to_le_bytes());
-        }
+        let tail_crc = crc32(&out[tail_start..]);
+        out.extend_from_slice(&tail_crc.to_le_bytes());
         out
     }
 
@@ -1268,6 +1246,7 @@ pub fn from_bytes(input: &[u8]) -> Result<UnifiedPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formats::legacy::strip_checksums;
     use crate::model::{PlanNode, Property};
 
     fn sample() -> UnifiedPlan {
@@ -1365,10 +1344,10 @@ mod tests {
         );
     }
 
-    /// Rewrites a v2 no-index document (from [`BinaryEncoder::unchecked`])
-    /// as its exact v1 equivalent: the version varint drops to 1 and the
-    /// trailing zero index flag (which v1 does not have) is removed.
-    /// Byte-exact because both versions encode plans identically.
+    /// Rewrites a v2 no-index document as its exact v1 equivalent: the
+    /// version varint drops to 1 and the trailing zero index flag (which
+    /// v1 does not have) is removed. Byte-exact because both versions
+    /// encode plans identically.
     fn downgrade_to_v1(mut bytes: Vec<u8>) -> Vec<u8> {
         assert_eq!(bytes[4], 2, "version varint");
         assert_eq!(bytes.last(), Some(&0), "no-index flag");
@@ -1419,11 +1398,11 @@ mod tests {
     #[test]
     fn v1_documents_still_decode_identically() {
         let plans = [sample(), UnifiedPlan::new()];
-        let mut enc = BinaryEncoder::unchecked();
+        let mut enc = BinaryEncoder::new();
         for plan in &plans {
             enc.push(plan).unwrap();
         }
-        let v2 = enc.finish();
+        let v2 = strip_checksums(&enc.finish());
         let v1 = downgrade_to_v1(v2.clone());
         let (from_v1, ix1) = decode_all(&v1).unwrap();
         let (from_v2, ix2) = decode_all(&v2).unwrap();
@@ -1498,9 +1477,7 @@ mod tests {
         // A v3 document must not claim a feature section: flag bit 1 is
         // admitted from version 4 on only. (Flip the flag byte in an
         // unchecked v2 document so no checksum masks the structural error.)
-        let mut enc = BinaryEncoder::unchecked();
-        enc.push(&UnifiedPlan::new()).unwrap();
-        let mut doc = enc.finish();
+        let mut doc = strip_checksums(&to_bytes(&UnifiedPlan::new()).unwrap());
         let pos = doc.len() - 1;
         assert_eq!(doc[pos], 0);
         doc[pos] = 0b10;
@@ -1583,16 +1560,16 @@ mod tests {
         // Non-causal parent edge: one 2-node shard whose node 1 claims
         // parent 1 (itself). Unchecked layout, so the mutation reaches the
         // structural validator instead of tripping the tail checksum.
-        let mut enc = BinaryEncoder::unchecked();
+        let mut enc = BinaryEncoder::new();
         enc.push(&UnifiedPlan::new()).unwrap();
         enc.push(&UnifiedPlan::new()).unwrap();
-        let good = enc.finish_with_index(&IndexSection {
+        let good = strip_checksums(&enc.finish_with_index(&IndexSection {
             fingerprint_flags: 0,
             shards: vec![ShardTopology {
                 nodes: 2,
                 edges: vec![(0, 3)],
             }],
-        });
+        }));
         let mut non_causal = good.clone();
         let parent_pos = good.len() - 2;
         non_causal[parent_pos] = 1;
@@ -1859,11 +1836,11 @@ mod tests {
     #[test]
     fn salvage_of_unchecked_documents_is_best_effort() {
         let plans = [sample(), UnifiedPlan::new(), sample()];
-        let mut enc = BinaryEncoder::unchecked();
+        let mut enc = BinaryEncoder::new();
         for plan in &plans {
             enc.push(plan).unwrap();
         }
-        let bytes = enc.finish();
+        let bytes = strip_checksums(&enc.finish());
         let sections = section_map(&bytes).unwrap();
         // Pre-v3 sections are per-plan; truncating after the second plan
         // recovers two (decodable, unverified) plans.

@@ -1,7 +1,7 @@
-//! Append-only segment codec — the million-plan persistence layout.
+//! Append-only segment codec — the one corpus persistence layout.
 //!
-//! The monolithic [`super::binary`] document rewrites and re-decodes the
-//! whole corpus on every append and load; at 100k–1M plans both costs
+//! A monolithic [`super::binary`] document (the legacy layout) rewrites
+//! and re-decodes the whole corpus on every append and load; at 100k–1M plans both costs
 //! dominate the sub-millisecond query path. A *segment store* splits the
 //! corpus into a directory of immutable segment files plus one small
 //! manifest, so:
@@ -60,8 +60,8 @@
 //!                                 first-ever node has no edge)
 //! ```
 //!
-//! Plan bodies are byte-identical to what the monolithic encoder produces
-//! for the same plans under the same symbol chain — the segment codec
+//! Plan bodies are byte-identical to what [`BinaryEncoder`] produces for
+//! the same plans under the same symbol chain — the segment codec
 //! reuses [`BinaryEncoder`] for bodies and blocks and only frames them
 //! differently. Block CRCs are verified *lazily*: `parse_segment` checks
 //! the header and tail CRCs (cheap, covers all metadata) and records block
@@ -267,7 +267,7 @@ pub struct SegmentFinish {
 /// Streaming segment encoder: seed with the symbol chain so far, push the
 /// batch's plans in stream order, finish with the segment metadata.
 /// Wraps [`BinaryEncoder`] so plan bodies and checksum blocks are
-/// byte-identical to the monolithic codec's.
+/// byte-identical to a binary document's.
 #[derive(Debug)]
 pub struct SegmentBuilder {
     enc: BinaryEncoder,

@@ -24,17 +24,22 @@
 //!   parallelism*: any thread count produces byte-identical corpora,
 //!   because shard routing is a pure function of the fingerprint and each
 //!   shard sees its plans in stream order.
-//! * **Persistence** is the versioned binary codec of
-//!   [`uplan_core::formats::binary`] (one shared symbol table for the whole
-//!   corpus) with a JSON-lines fallback for interchange; [`ShardedCorpus::load`]
-//!   sniffs the magic bytes and accepts either. Version ≥ 2 documents can
-//!   carry the BK-index topology ([`ShardedCorpus::save_indexed`]), in
-//!   which case loading reconstructs the metric index with **zero** TED
-//!   evaluations; v1 documents (and index-free ones) rebuild it. Saves
-//!   default to the checksummed v3 layout, so a corrupted or truncated
-//!   file fails *detectably* — and [`ShardedCorpus::load_salvage`]
-//!   recovers the longest verified prefix of plans instead of losing the
-//!   corpus, reporting exactly what was dropped ([`SalvageReport`]).
+//! * **Persistence** is the append-only [`segment::SegmentStore`]: a
+//!   directory of immutable CRC-checked segment files plus a small
+//!   manifest, written only by [`SegmentStore::create`],
+//!   [`SegmentStore::append`] and [`SegmentStore::compact`]. Each segment
+//!   carries its plans, fingerprints, feature rows and BK-index topology,
+//!   so opening a store reconstructs the metric index with **zero** TED
+//!   evaluations and decodes plan bodies lazily; [`encode_segment`] is the
+//!   in-memory byte oracle of what `create` writes. Damaged stores salvage
+//!   per segment ([`SegmentStore::salvage`]).
+//! * **Legacy documents** — the monolithic binary codec of
+//!   [`uplan_core::formats::binary`] and JSON lines — stay readable so old
+//!   corpora convert into stores: [`ShardedCorpus::load`] sniffs the
+//!   format (adopting a persisted index without TED evaluations when the
+//!   document carries one), and [`ShardedCorpus::load_salvage`] recovers
+//!   the longest verified prefix of a damaged file, reporting exactly what
+//!   was dropped ([`SalvageReport`]). Nothing writes them any more.
 //!
 //! The store is the substrate the testing loop observes plans through
 //! (`uplan-testing`'s QPG), the `repro corpus` CLI manages, and
@@ -54,8 +59,7 @@ use std::sync::{Arc, OnceLock};
 
 use uplan_core::fingerprint::{fingerprint_with, Fingerprint, FingerprintOptions};
 use uplan_core::formats::binary::{
-    self, BinaryDecoder, BinaryEncoder, FeatureSection, IndexSection, ShardTopology, BINARY_MAGIC,
-    MAX_INDEX_SHARDS,
+    self, BinaryDecoder, IndexSection, BINARY_MAGIC, MAX_INDEX_SHARDS,
 };
 use uplan_core::formats::unified;
 use uplan_core::ted::{BoundedTed, TedPlan, TedScratch};
@@ -95,8 +99,8 @@ fn corpus_metrics() -> &'static CorpusMetrics {
 
 pub use query::{QueryError, QueryKind, QueryOutcome, QueryRequest, QueryResponse};
 pub use segment::{
-    segment_file, AppendReport, CompactReport, SegmentCensus, SegmentSalvageReport, SegmentStore,
-    MANIFEST_FILE,
+    encode_segment, segment_file, AppendReport, CompactReport, SegmentCensus, SegmentSalvageReport,
+    SegmentStore, MANIFEST_FILE,
 };
 pub use service::{
     CorpusService, CorpusSnapshot, MergeReport, ServiceError, SnapshotReader,
@@ -394,15 +398,15 @@ impl ShardedCorpus {
     }
 
     /// TED evaluations spent *building* the metric index so far (BK insert
-    /// routing, summed over shards). Zero after a load that adopted a
-    /// persisted index — the number `corpus/load_binary_indexed_10k` gates
-    /// on.
+    /// routing, summed over shards). Zero after a store open or a legacy
+    /// load that adopted a persisted index.
     pub fn index_evals(&self) -> u64 {
         self.shards.iter().map(|s| s.index_evals).sum()
     }
 
-    /// `true` when this corpus was loaded from a document whose persisted
-    /// index was adopted (zero TED evaluations on load).
+    /// `true` when this corpus was opened from a store, or loaded from a
+    /// legacy document whose persisted index was adopted (zero TED
+    /// evaluations on load).
     pub fn has_persisted_index(&self) -> bool {
         self.persisted_index
     }
@@ -610,25 +614,30 @@ impl ShardedCorpus {
                 novel: Vec::new(),
             })
             .collect();
-        let per = units.len().div_ceil(threads);
         let fps = &fps;
-        std::thread::scope(|scope| {
-            for group in units.chunks_mut(per) {
-                scope.spawn(move || {
-                    for unit in group {
-                        for &pos in &unit.work {
-                            let fp = fps[pos as usize];
-                            if !unit.shard.dedup.insert(fp) {
-                                continue;
-                            }
-                            // Global id patched in the merge below.
-                            let local = unit.shard.store(plans[pos as usize].clone(), fp, u32::MAX);
-                            unit.novel.push((pos, local));
-                        }
+        let ingest = |group: &mut [Unit<'_>]| {
+            for unit in group {
+                for &pos in &unit.work {
+                    let fp = fps[pos as usize];
+                    if !unit.shard.dedup.insert(fp) {
+                        continue;
                     }
-                });
+                    // Global id patched in the merge below.
+                    let local = unit.shard.store(plans[pos as usize].clone(), fp, u32::MAX);
+                    unit.novel.push((pos, local));
+                }
             }
-        });
+        };
+        if threads == 1 {
+            ingest(&mut units);
+        } else {
+            let per = units.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for group in units.chunks_mut(per) {
+                    scope.spawn(move || ingest(group));
+                }
+            });
+        }
 
         // Phase 4: stream-order merge — dense global ids identical to a
         // sequential observe() loop over the same stream.
@@ -1134,81 +1143,17 @@ impl ShardedCorpus {
     }
 
     // -----------------------------------------------------------------------
-    // Persistence
+    // Legacy documents (read-only; stores persist through `segment`)
     // -----------------------------------------------------------------------
 
-    fn encode_into(&self, mut enc: BinaryEncoder) -> Result<BinaryEncoder> {
-        for (_, plan) in self.iter() {
-            enc.push(plan)?;
-        }
-        Ok(enc)
-    }
-
-    fn index_section(&self) -> IndexSection {
-        IndexSection {
-            fingerprint_flags: options_flags(self.options),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardTopology {
-                    nodes: s.len() as u64,
-                    edges: s.index.edges(),
-                })
-                .collect(),
-        }
-    }
-
-    fn feature_section(&self) -> FeatureSection {
-        let mut values = Vec::with_capacity(self.directory.len() * FEATURE_DIM);
-        for &(s, local) in &self.directory {
-            values.extend_from_slice(&self.shards[s as usize].features[local as usize]);
-        }
-        FeatureSection {
-            dim: FEATURE_DIM as u32,
-            values,
-        }
-    }
-
-    /// Serializes the distinct plans as one binary document (shared symbol
-    /// table, see [`uplan_core::formats::binary`]) *without* the index
-    /// section — loading rebuilds the BK-trees. Errors only when a stored
-    /// plan exceeds the codec's depth limit.
-    pub fn to_binary(&self) -> Result<Vec<u8>> {
-        Ok(self.encode_into(BinaryEncoder::new())?.finish())
-    }
-
-    /// Serializes the distinct plans *plus* the BK-index topology (the
-    /// UPLN index section: per shard, one parent edge with its cached TED
-    /// per non-root node) *plus* the per-plan structural feature vectors
-    /// (the UPLN v4 feature section), so [`ShardedCorpus::from_binary`]
-    /// reconstructs the metric index with zero TED evaluations and adopts
-    /// the approximate-query pre-filter without recomputing it. Writes the
-    /// checksummed featured (v4) document version.
-    pub fn to_binary_indexed(&self) -> Result<Vec<u8>> {
-        Ok(self
-            .encode_into(BinaryEncoder::new())?
-            .finish_with_sections(&self.index_section(), &self.feature_section()))
-    }
-
-    /// [`ShardedCorpus::to_binary_indexed`] in the pre-checksum (v2)
-    /// layout: byte-identical plan bodies, no CRC sections. Kept for
-    /// interop with older readers and for measuring the checksum overhead
-    /// over the same population (`corpus/load_binary_indexed_10k` vs
-    /// `corpus/load_binary_checked_10k`); new corpora should prefer the
-    /// checked default.
-    pub fn to_binary_indexed_unchecked(&self) -> Result<Vec<u8>> {
-        Ok(self
-            .encode_into(BinaryEncoder::unchecked())?
-            .finish_with_index(&self.index_section()))
-    }
-
-    /// Loads a corpus from a binary document, rebuilding dedup state and —
-    /// when the document carries an index section written under the same
-    /// fingerprint options — adopting the persisted BK topology with zero
-    /// TED evaluations ([`ShardedCorpus::has_persisted_index`]). Index-free
-    /// documents (v1, or v2 saved without [`ShardedCorpus::save_indexed`])
-    /// rebuild the index. Only the distinct plan set is persisted, so the
-    /// loaded corpus's session counters restart at `observed == len`.
+    /// Loads a corpus from a legacy binary document, rebuilding dedup
+    /// state and — when the document carries an index section written
+    /// under the same fingerprint options — adopting the persisted BK
+    /// topology with zero TED evaluations
+    /// ([`ShardedCorpus::has_persisted_index`]). Index-free documents (v1,
+    /// or later versions written without the section) rebuild the index.
+    /// Only the distinct plan set is persisted, so the loaded corpus's
+    /// session counters restart at `observed == len`.
     pub fn from_binary(bytes: &[u8]) -> Result<ShardedCorpus> {
         Self::from_binary_with_options(bytes, FingerprintOptions::default())
     }
@@ -1216,7 +1161,7 @@ impl ShardedCorpus {
     /// [`ShardedCorpus::from_binary`] with explicit fingerprint options. A
     /// persisted index written under *different* options is ignored (its
     /// shard routing would not match) and the index is rebuilt instead.
-    pub fn from_binary_with_options(
+    fn from_binary_with_options(
         bytes: &[u8],
         options: FingerprintOptions,
     ) -> Result<ShardedCorpus> {
@@ -1322,7 +1267,7 @@ impl ShardedCorpus {
 
     /// [`ShardedCorpus::from_binary_salvage`] with explicit fingerprint
     /// options.
-    pub fn from_binary_salvage_with_options(
+    fn from_binary_salvage_with_options(
         bytes: &[u8],
         options: FingerprintOptions,
     ) -> (ShardedCorpus, SalvageReport) {
@@ -1368,7 +1313,7 @@ impl ShardedCorpus {
 
     /// Lenient JSON-lines load: skips unparseable lines instead of
     /// aborting, reporting how many were dropped and the first failure.
-    pub fn from_jsonl_salvage_with_options(
+    fn from_jsonl_salvage_with_options(
         text: &str,
         options: FingerprintOptions,
     ) -> (ShardedCorpus, SalvageReport) {
@@ -1426,17 +1371,6 @@ impl ShardedCorpus {
         ))
     }
 
-    /// Serializes the distinct plans as JSON lines (one compact unified
-    /// JSON document per line) — the interchange form (no index section).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (_, plan) in self.iter() {
-            out.push_str(&unified::to_json_value(plan).to_compact());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Loads a corpus from JSON lines.
     pub fn from_jsonl(text: &str) -> Result<ShardedCorpus> {
         Self::from_jsonl_with_options(text, FingerprintOptions::default())
@@ -1458,27 +1392,10 @@ impl ShardedCorpus {
         Ok(corpus)
     }
 
-    /// Writes the corpus to `path` in binary form without an index
-    /// section (the index is rebuilt on load).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        Self::write(path, self.to_binary()?)
-    }
-
-    /// Writes the corpus to `path` in binary form *with* the persisted
-    /// BK-index, making the next load index-free (zero TED evaluations).
-    pub fn save_indexed(&self, path: impl AsRef<Path>) -> Result<()> {
-        Self::write(path, self.to_binary_indexed()?)
-    }
-
-    fn write(path: impl AsRef<Path>, bytes: Vec<u8>) -> Result<()> {
-        std::fs::write(path.as_ref(), bytes)
-            .map_err(|e| Error::Semantic(format!("cannot write {}: {e}", path.as_ref().display())))
-    }
-
     /// Reads a corpus from `path`, sniffing the format: a directory opens
     /// as a lazy [`segment::SegmentStore`], the binary magic selects the
-    /// binary codec (adopting a persisted index when present), anything
-    /// else parses as JSON lines.
+    /// legacy binary codec (adopting a persisted index when present),
+    /// anything else parses as legacy JSON lines.
     pub fn load(path: impl AsRef<Path>) -> Result<ShardedCorpus> {
         if path.as_ref().is_dir() {
             return Ok(segment::SegmentStore::open(path.as_ref())?.into_corpus());
@@ -1506,7 +1423,15 @@ impl ShardedCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uplan_core::formats::binary::{BinaryEncoder, ShardTopology};
+    use uplan_core::formats::legacy;
     use uplan_core::{PlanNode, Property};
+
+    /// The corpus's segment bytes — the byte oracle, and the input of the
+    /// legacy-format writers.
+    fn segment(corpus: &ShardedCorpus) -> Vec<u8> {
+        encode_segment(corpus).unwrap()
+    }
 
     fn chain(names: &[&str]) -> UnifiedPlan {
         let mut node: Option<PlanNode> = None;
@@ -1641,7 +1566,7 @@ mod tests {
         for plan in &stream {
             sequential.observe(plan);
         }
-        let reference_bytes = sequential.to_binary_indexed().unwrap();
+        let reference_bytes = segment(&sequential);
         let reference_stats = sequential.stats();
 
         for threads in [1usize, 2, 4, 7] {
@@ -1650,7 +1575,7 @@ mod tests {
             assert_eq!(novel, sequential.len(), "threads {threads}");
             assert_eq!(corpus.stats(), reference_stats, "threads {threads}");
             assert_eq!(
-                corpus.to_binary_indexed().unwrap(),
+                segment(&corpus),
                 reference_bytes,
                 "threads {threads}: corpus bytes diverged"
             );
@@ -1666,10 +1591,7 @@ mod tests {
         let mut warm_par = ShardedCorpus::new();
         warm_par.ingest_parallel(&stream[..100], 3);
         warm_par.ingest_parallel(&stream[100..], 4);
-        assert_eq!(
-            warm_par.to_binary_indexed().unwrap(),
-            warm_seq.to_binary_indexed().unwrap()
-        );
+        assert_eq!(segment(&warm_par), segment(&warm_seq));
     }
 
     #[test]
@@ -1768,10 +1690,10 @@ mod tests {
             "series", 4,
         )]));
 
-        let bin = PlanCorpus::from_binary(&corpus.to_binary().unwrap()).unwrap();
+        let bin = PlanCorpus::from_binary(&legacy::plain(&segment(&corpus))).unwrap();
         assert_eq!(bin.len(), corpus.len());
         assert!(!bin.has_persisted_index());
-        let jsonl = PlanCorpus::from_jsonl(&corpus.to_jsonl()).unwrap();
+        let jsonl = PlanCorpus::from_jsonl(&legacy::jsonl(&segment(&corpus))).unwrap();
         assert_eq!(jsonl.len(), corpus.len());
         for (id, plan) in corpus.iter() {
             assert_eq!(bin.plan(id), plan);
@@ -1789,7 +1711,7 @@ mod tests {
         }
         assert!(corpus.index_evals() > 0, "building the index costs TED");
 
-        let bytes = corpus.to_binary_indexed().unwrap();
+        let bytes = legacy::indexed(&segment(&corpus));
         let loaded = PlanCorpus::from_binary(&bytes).unwrap();
         // The headline contract: not one TED evaluation spent loading.
         assert_eq!(loaded.index_evals(), 0);
@@ -1811,8 +1733,9 @@ mod tests {
             let b = loaded.knn_query(probe, 5, u64::MAX);
             assert_eq!(a, b);
         }
-        // Saving the loaded corpus reproduces the document byte for byte.
-        assert_eq!(loaded.to_binary_indexed().unwrap(), bytes);
+        // Re-encoding the loaded corpus reproduces the document byte for
+        // byte.
+        assert_eq!(legacy::indexed(&segment(&loaded)), bytes);
     }
 
     #[test]
@@ -1824,7 +1747,7 @@ mod tests {
         for plan in population() {
             corpus.insert(plan);
         }
-        let bytes = corpus.to_binary_indexed().unwrap();
+        let bytes = legacy::indexed(&segment(&corpus));
         let strict = FingerprintOptions {
             include_configuration_keys: false,
             ..FingerprintOptions::default()
@@ -1841,7 +1764,7 @@ mod tests {
         for plan in population() {
             corpus.insert(plan);
         }
-        let good = corpus.to_binary_indexed().unwrap();
+        let good = legacy::indexed(&segment(&corpus));
         // Find the index flag: it is the first byte of the trailing
         // section; corrupt a shard's node count right after the flags
         // byte + shard count varint so populations mismatch. Rather than
@@ -1884,15 +1807,15 @@ mod tests {
         // Process-unique names: concurrent test runs must not collide.
         let pid = std::process::id();
         let bin_path = dir.join(format!("uplan_corpus_test_{pid}.uplanc"));
-        corpus.save_indexed(&bin_path).unwrap();
+        std::fs::write(&bin_path, legacy::indexed(&segment(&corpus))).unwrap();
         let loaded = PlanCorpus::load(&bin_path).unwrap();
         assert_eq!(loaded.len(), corpus.len());
         assert!(loaded.has_persisted_index());
         let plain_path = dir.join(format!("uplan_corpus_test_plain_{pid}.uplanc"));
-        corpus.save(&plain_path).unwrap();
+        std::fs::write(&plain_path, legacy::plain(&segment(&corpus))).unwrap();
         assert!(!PlanCorpus::load(&plain_path).unwrap().has_persisted_index());
         let jsonl_path = dir.join(format!("uplan_corpus_test_{pid}.jsonl"));
-        std::fs::write(&jsonl_path, corpus.to_jsonl()).unwrap();
+        std::fs::write(&jsonl_path, legacy::jsonl(&segment(&corpus))).unwrap();
         assert_eq!(PlanCorpus::load(&jsonl_path).unwrap().len(), corpus.len());
         std::fs::remove_file(bin_path).ok();
         std::fs::remove_file(plain_path).ok();
@@ -1921,7 +1844,7 @@ mod tests {
         for plan in wide_population(300) {
             corpus.insert(plan);
         }
-        let bytes = corpus.to_binary_indexed().unwrap();
+        let bytes = legacy::indexed(&segment(&corpus));
 
         // Intact file: salvage is exactly a strict load.
         let (intact, report) = PlanCorpus::from_binary_salvage(&bytes);
@@ -1971,7 +1894,7 @@ mod tests {
             corpus.insert(plan);
         }
         let mut dirty = String::new();
-        for (i, line) in corpus.to_jsonl().lines().enumerate() {
+        for (i, line) in legacy::jsonl(&segment(&corpus)).lines().enumerate() {
             dirty.push_str(line);
             dirty.push('\n');
             if i == 1 {
@@ -1998,8 +1921,8 @@ mod tests {
         for plan in population() {
             corpus.insert(plan);
         }
-        let unchecked = corpus.to_binary_indexed_unchecked().unwrap();
-        let checked = corpus.to_binary_indexed().unwrap();
+        let unchecked = legacy::unchecked(&segment(&corpus));
+        let checked = legacy::indexed(&segment(&corpus));
         assert_ne!(unchecked, checked);
         let loaded = PlanCorpus::from_binary(&unchecked).unwrap();
         assert_eq!(loaded.len(), corpus.len());
@@ -2019,7 +1942,7 @@ mod tests {
         for plan in population() {
             corpus.insert(plan);
         }
-        let bytes = corpus.to_binary_indexed().unwrap();
+        let bytes = legacy::indexed(&segment(&corpus));
         // A partial write: half the document.
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let (_, report) = PlanCorpus::load_salvage(&path).unwrap();

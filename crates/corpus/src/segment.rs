@@ -11,7 +11,9 @@
 //! └── seg-00002.upls     BK subtree topology
 //! ```
 //!
-//! Three properties the monolithic document cannot offer:
+//! It is the only way a corpus is persisted. Three properties a
+//! monolithic document (the legacy layout `repro corpus import` reads)
+//! cannot offer:
 //!
 //! * **Append is O(batch).** [`SegmentStore::append`] ingests the batch,
 //!   writes the novel plans as one new segment file, and atomically
@@ -310,10 +312,18 @@ impl SegmentStore {
     }
 
     /// Creates a store at `dir` (made if missing) persisting `corpus`:
-    /// all current plans become segment 0. An empty corpus writes just a
-    /// manifest.
+    /// all current plans become segment 0 ([`encode_segment`]'s bytes). An
+    /// empty corpus writes just a manifest. Refuses a directory that
+    /// already holds a store — overwriting its manifest would orphan every
+    /// later segment — so callers replacing a store must clear it first.
     pub fn create(dir: impl Into<PathBuf>, corpus: ShardedCorpus) -> Result<SegmentStore> {
         let dir = dir.into();
+        if Self::is_store_dir(&dir) {
+            return Err(Error::Semantic(format!(
+                "{} already holds a segment store",
+                dir.display()
+            )));
+        }
         std::fs::create_dir_all(&dir).map_err(|e| write_err(&dir, e))?;
         let mut corpus = corpus;
         // The store re-derives hints segment by segment.
@@ -346,7 +356,7 @@ impl SegmentStore {
     }
 
     /// [`SegmentStore::open`] with explicit fingerprint options. Unlike
-    /// the monolithic loader (which silently rebuilds on a flags
+    /// the legacy document loader (which silently rebuilds on a flags
     /// mismatch), a mismatch here is an error: rebuilding would decode
     /// every plan, which defeats the lazy open — convert explicitly
     /// instead.
@@ -379,13 +389,24 @@ impl SegmentStore {
         }
 
         // Read and parse every segment (metadata only — no plan bodies).
-        let mut views: Vec<(SegmentView, Vec<u8>)> = Vec::with_capacity(manifest.segments.len());
+        // Each file's bytes move into the shared source; the views keep
+        // only the metadata the corpus is rebuilt from below.
+        let mut views: Vec<SegmentView> = Vec::with_capacity(manifest.segments.len());
+        let mut segments: Vec<SegmentData> = Vec::with_capacity(manifest.segments.len());
         for meta in &manifest.segments {
             let path = dir.join(segment_file(meta.id));
             let bytes = std::fs::read(&path).map_err(|e| read_err(&path, e))?;
-            let view = parse_segment(&bytes)?;
+            let mut view = parse_segment(&bytes)?;
             check_meta(&manifest, meta, &view)?;
-            views.push((view, bytes));
+            segments.push(SegmentData {
+                verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
+                plans: (0..view.plan_count).map(|_| OnceLock::new()).collect(),
+                bytes,
+                offsets: std::mem::take(&mut view.plan_offsets),
+                lens: std::mem::take(&mut view.plan_lens),
+                blocks: std::mem::take(&mut view.blocks),
+            });
+            views.push(view);
         }
 
         // Register the decode counters now, so a scrape of a freshly
@@ -393,17 +414,7 @@ impl SegmentStore {
         store_metrics();
         let source = Arc::new(SegmentSource {
             symbols: manifest.symbols.clone(),
-            segments: views
-                .iter()
-                .map(|(view, bytes)| SegmentData {
-                    bytes: bytes.clone(),
-                    offsets: view.plan_offsets.clone(),
-                    lens: view.plan_lens.clone(),
-                    blocks: view.blocks.clone(),
-                    verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
-                    plans: (0..view.plan_count).map(|_| OnceLock::new()).collect(),
-                })
-                .collect(),
+            segments,
         });
 
         let mut corpus = ShardedCorpus::with_options_and_shards(options, shard_count);
@@ -412,7 +423,7 @@ impl SegmentStore {
         }
         let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_count];
         let mut census = Vec::with_capacity(views.len());
-        for (seg_idx, (view, _)) in views.iter().enumerate() {
+        for (seg_idx, view) in views.iter().enumerate() {
             let start = corpus.directory.len();
             let before: Vec<usize> = corpus.shards.iter().map(|s| s.len()).collect();
             for idx in 0..view.plan_count as usize {
@@ -704,96 +715,34 @@ impl SegmentStore {
         start: usize,
         counts_before: &[usize],
     ) -> Result<Option<(u32, usize)>> {
-        let end = self.corpus.len();
-        if start == end {
+        if start == self.corpus.len() {
             return Ok(None);
         }
-        let corpus = &self.corpus;
-        let mut builder = SegmentBuilder::new(&self.manifest.symbols);
-        let mut fingerprints = Vec::with_capacity(end - start);
-        let mut features = Vec::with_capacity((end - start) * FEATURE_DIM);
-        let mut feature_min = [u32::MAX; FEATURE_DIM];
-        let mut feature_max = [0u32; FEATURE_DIM];
-        let mut min_fp = u64::MAX;
-        let mut max_fp = 0u64;
-        let mut operations = 0u64;
-        let mut max_depth = 0u32;
-        for global in start..end {
-            let plan = corpus.plan(global);
-            builder.push(plan)?;
-            let fp = corpus.fingerprint(global).0;
-            min_fp = min_fp.min(fp);
-            max_fp = max_fp.max(fp);
-            fingerprints.push(fp);
-            let (s, local) = corpus.directory[global];
-            let row = &corpus.shards[s as usize].features[local as usize];
-            for d in 0..FEATURE_DIM {
-                feature_min[d] = feature_min[d].min(row[d]);
-                feature_max[d] = feature_max[d].max(row[d]);
-            }
-            features.extend_from_slice(row);
-            operations += plan.operation_count() as u64;
-            max_depth = max_depth.max(plan.root.as_ref().map_or(0, |r| r.depth()) as u32);
-        }
-        let shards: Vec<SegmentShardEdges> = corpus
-            .shards
-            .iter()
-            .zip(counts_before)
-            .map(|(shard, &base)| {
-                let all = shard.index.edges();
-                let new = if base == 0 {
-                    &all[..]
-                } else {
-                    &all[base - 1..]
-                };
-                SegmentShardEdges {
-                    base: base as u64,
-                    count: (shard.len() - base) as u64,
-                    edges: new.to_vec(),
-                }
-            })
-            .collect();
-        let finish = SegmentFinish {
+        let EncodedSegment { bytes, delta, meta } = encode_range(
+            &self.corpus,
             id,
-            fingerprint_flags: self.manifest.fingerprint_flags,
-            shard_count: corpus.shard_count() as u32,
-            fingerprints,
-            feature_dim: FEATURE_DIM as u32,
-            features,
-            operations,
-            max_depth,
-            shards,
-        };
-        let (bytes, delta) = builder.finish(&finish);
+            start,
+            counts_before,
+            &self.manifest.symbols,
+        )?;
         write_atomic(&self.dir.join(segment_file(id)), &bytes)?;
-        let symbols_base = self.manifest.symbols.len() as u32;
         self.manifest.symbols.extend_from_slice(&delta);
-        self.manifest.segments.push(SegmentMeta {
-            id,
-            plan_count: (end - start) as u64,
-            symbols_base,
-            symbols_len: delta.len() as u32,
-            operations,
-            max_depth,
-            min_fingerprint: min_fp,
-            max_fingerprint: max_fp,
-            feature_min: feature_min.to_vec(),
-            feature_max: feature_max.to_vec(),
-        });
         // Section census from a re-parse of what was just written — also a
         // cheap self-check that the file round-trips.
         let view = parse_segment(&bytes)?;
+        let count = meta.plan_count as usize;
         self.census.push(SegmentCensus {
             id,
-            plans: (end - start) as u64,
+            plans: meta.plan_count,
             bytes: view.sections,
         });
         self.corpus.segment_hints.push(SegmentHint {
             start,
-            count: end - start,
-            feature_min,
-            feature_max,
+            count,
+            feature_min: vector_of(&meta.feature_min),
+            feature_max: vector_of(&meta.feature_max),
         });
+        self.manifest.segments.push(meta);
         Ok(Some((id, bytes.len())))
     }
 
@@ -803,6 +752,110 @@ impl SegmentStore {
             &encode_manifest(&self.manifest),
         )
     }
+}
+
+/// The exact bytes of the `seg-00000.upls` file [`SegmentStore::create`]
+/// writes for `corpus`: every plan, fingerprint, feature row and the whole
+/// BK topology as one segment over a fresh symbol chain. This is the
+/// in-memory byte oracle — two corpora with equal segment bytes hold the
+/// same plans, in the same order, indexed the same way. An empty corpus
+/// (which `create` persists as a manifest alone) encodes as the zero-plan
+/// segment, which still records its shard count and fingerprint options.
+pub fn encode_segment(corpus: &ShardedCorpus) -> Result<Vec<u8>> {
+    let zeros = vec![0usize; corpus.shard_count()];
+    Ok(encode_range(corpus, 0, 0, &zeros, &[])?.bytes)
+}
+
+/// One encoded segment: the file bytes, the symbols it appends to the
+/// chain, and its manifest entry.
+struct EncodedSegment {
+    bytes: Vec<u8>,
+    delta: Vec<Symbol>,
+    meta: SegmentMeta,
+}
+
+/// The one segment encoder behind [`SegmentStore::create`], `append` and
+/// `compact`: globals `start..corpus.len()` as segment `id`, against the
+/// symbol chain `chain` so far. `counts_before` holds each shard's size
+/// before the range, so the segment records exactly the BK edges the
+/// range added.
+fn encode_range(
+    corpus: &ShardedCorpus,
+    id: u32,
+    start: usize,
+    counts_before: &[usize],
+    chain: &[Symbol],
+) -> Result<EncodedSegment> {
+    let end = corpus.len();
+    let mut builder = SegmentBuilder::new(chain);
+    let mut fingerprints = Vec::with_capacity(end - start);
+    let mut features = Vec::with_capacity((end - start) * FEATURE_DIM);
+    let mut feature_min = [u32::MAX; FEATURE_DIM];
+    let mut feature_max = [0u32; FEATURE_DIM];
+    let mut min_fp = u64::MAX;
+    let mut max_fp = 0u64;
+    let mut operations = 0u64;
+    let mut max_depth = 0u32;
+    for global in start..end {
+        let plan = corpus.plan(global);
+        builder.push(plan)?;
+        let fp = corpus.fingerprint(global).0;
+        min_fp = min_fp.min(fp);
+        max_fp = max_fp.max(fp);
+        fingerprints.push(fp);
+        let (s, local) = corpus.directory[global];
+        let row = &corpus.shards[s as usize].features[local as usize];
+        for d in 0..FEATURE_DIM {
+            feature_min[d] = feature_min[d].min(row[d]);
+            feature_max[d] = feature_max[d].max(row[d]);
+        }
+        features.extend_from_slice(row);
+        operations += plan.operation_count() as u64;
+        max_depth = max_depth.max(plan.root.as_ref().map_or(0, |r| r.depth()) as u32);
+    }
+    let shards: Vec<SegmentShardEdges> = corpus
+        .shards
+        .iter()
+        .zip(counts_before)
+        .map(|(shard, &base)| {
+            let all = shard.index.edges();
+            let new = if base == 0 {
+                &all[..]
+            } else {
+                &all[base - 1..]
+            };
+            SegmentShardEdges {
+                base: base as u64,
+                count: (shard.len() - base) as u64,
+                edges: new.to_vec(),
+            }
+        })
+        .collect();
+    let finish = SegmentFinish {
+        id,
+        fingerprint_flags: options_flags(corpus.options()),
+        shard_count: corpus.shard_count() as u32,
+        fingerprints,
+        feature_dim: FEATURE_DIM as u32,
+        features,
+        operations,
+        max_depth,
+        shards,
+    };
+    let (bytes, delta) = builder.finish(&finish);
+    let meta = SegmentMeta {
+        id,
+        plan_count: (end - start) as u64,
+        symbols_base: chain.len() as u32,
+        symbols_len: delta.len() as u32,
+        operations,
+        max_depth,
+        min_fingerprint: min_fp,
+        max_fingerprint: max_fp,
+        feature_min: feature_min.to_vec(),
+        feature_max: feature_max.to_vec(),
+    };
+    Ok(EncodedSegment { bytes, delta, meta })
 }
 
 fn vector_of(values: &[u32]) -> FeatureVector {
@@ -958,6 +1011,47 @@ mod tests {
         for (id, plan) in lazy.iter() {
             assert_eq!(plan, eager.plan(id));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn encode_segment_is_the_first_segment_create_writes() {
+        let dir = tmp_dir("oracle");
+        let mut corpus = ShardedCorpus::new();
+        corpus.ingest_parallel(&stream(0, 300), 2);
+        let expected = encode_segment(&corpus).unwrap();
+        SegmentStore::create(&dir, corpus).unwrap();
+        assert_eq!(std::fs::read(dir.join(segment_file(0))).unwrap(), expected);
+        // An empty corpus still encodes (as the zero-plan segment), but
+        // create persists it as a manifest alone.
+        let empty = dir.join("empty");
+        assert!(!encode_segment(&ShardedCorpus::new()).unwrap().is_empty());
+        SegmentStore::create(&empty, ShardedCorpus::new()).unwrap();
+        assert!(!empty.join(segment_file(0)).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_refuses_a_directory_that_already_holds_a_store() {
+        let dir = tmp_dir("refuse");
+        let mut store = SegmentStore::create(&dir, ShardedCorpus::new()).unwrap();
+        store.append(&stream(0, 40), 1).unwrap();
+        store.append(&stream(40, 40), 1).unwrap();
+        drop(store);
+        let before = dir_files(&dir);
+        assert_eq!(before.len(), 3, "manifest plus two segments");
+        let mut other = ShardedCorpus::new();
+        other.ingest_parallel(&stream(200, 10), 1);
+        let err = SegmentStore::create(&dir, other).unwrap_err();
+        assert!(
+            err.to_string().contains("already holds a segment store"),
+            "{err}"
+        );
+        assert_eq!(
+            dir_files(&dir),
+            before,
+            "a refused create touched the store"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

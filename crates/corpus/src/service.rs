@@ -487,8 +487,8 @@ mod tests {
             sequential.observe(plan);
         }
         assert_eq!(
-            service.snapshot().corpus().to_binary_indexed().unwrap(),
-            sequential.to_binary_indexed().unwrap()
+            crate::encode_segment(service.snapshot().corpus()).unwrap(),
+            crate::encode_segment(&sequential).unwrap()
         );
 
         // An empty merge publishes nothing.
@@ -529,8 +529,8 @@ mod tests {
         let published = service.snapshot();
         assert_eq!(reopened.len(), published.corpus().len());
         assert_eq!(
-            reopened.to_binary_indexed().unwrap(),
-            published.corpus().to_binary_indexed().unwrap()
+            crate::encode_segment(&reopened).unwrap(),
+            crate::encode_segment(published.corpus()).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

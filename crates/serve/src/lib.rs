@@ -618,18 +618,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and wraps the corpus for serving. The corpus is
-    /// epoch 0; nothing is served until [`Server::run`].
-    pub fn bind(config: ServerConfig, corpus: PlanCorpus) -> std::io::Result<Server> {
-        let state = ServeState::new(corpus, config.queue_capacity, config.merge_threads);
-        Server::bind_with_state(config, state)
-    }
-
-    /// [`Server::bind`] with a caller-built state — the segment-store
-    /// path, where the state wraps a [`CorpusService::with_store`] service
-    /// so merges append segments. Slow-query thresholds are applied from
-    /// the config.
-    pub fn bind_with_state(config: ServerConfig, state: ServeState) -> std::io::Result<Server> {
+    /// Binds the listener for serving `state` — over a segment store, a
+    /// [`CorpusService::with_store`] service, so merges append segments.
+    /// The state's current snapshot is epoch 0; nothing is served until
+    /// [`Server::run`]. Slow-query thresholds are applied from the config.
+    pub fn bind(config: ServerConfig, state: ServeState) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(
@@ -821,7 +814,8 @@ mod tests {
             merge_interval: Duration::from_secs(60),
             ..ServerConfig::default()
         };
-        let server = Server::bind(config, seed_corpus()).unwrap();
+        let state = ServeState::new(seed_corpus(), config.queue_capacity, config.merge_threads);
+        let server = Server::bind(config, state).unwrap();
         let addr = server.local_addr();
         let runner = std::thread::spawn(move || server.run().unwrap());
 

@@ -75,8 +75,9 @@ pub struct QpgOutcome {
     pub mutations: usize,
     /// Queries executed.
     pub queries: usize,
-    /// Every distinct plan the campaign observed, metric-indexed — save it
-    /// with [`PlanCorpus::save`] to persist the campaign's coverage.
+    /// Every distinct plan the campaign observed, metric-indexed — persist
+    /// it with [`uplan_corpus::SegmentStore::create`] to keep the
+    /// campaign's coverage.
     pub corpus: PlanCorpus,
 }
 
@@ -253,19 +254,19 @@ mod tests {
         assert!(outcome.corpus.observed() > outcome.corpus.len() as u64);
         // The campaign observes through the sharded store.
         assert!(outcome.corpus.shard_count() > 1);
-        // The corpus round-trips through the binary codec, so a campaign
-        // can be persisted and resumed.
-        let reloaded =
-            uplan_corpus::PlanCorpus::from_binary(&outcome.corpus.to_binary().unwrap()).unwrap();
-        assert_eq!(reloaded.len(), outcome.corpus.len());
-        // Indexed persistence resumes the campaign without re-running a
-        // single TED evaluation to rebuild the metric index.
-        let resumed =
-            uplan_corpus::PlanCorpus::from_binary(&outcome.corpus.to_binary_indexed().unwrap())
-                .unwrap();
+        // The corpus persists as a segment store and reopens with its
+        // metric index, so a campaign can be resumed without re-running a
+        // single TED evaluation to rebuild it.
+        let dir = std::env::temp_dir().join(format!("uplan-qpg-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        uplan_corpus::SegmentStore::create(&dir, outcome.corpus.clone()).unwrap();
+        let resumed = uplan_corpus::SegmentStore::open(&dir)
+            .unwrap()
+            .into_corpus();
         assert_eq!(resumed.len(), outcome.corpus.len());
         assert_eq!(resumed.index_evals(), 0);
         assert!(resumed.has_persisted_index());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -290,8 +291,8 @@ mod tests {
         let mut replay = PlanCorpus::new();
         replay.ingest_parallel(&stream, 4);
         assert_eq!(
-            replay.to_binary_indexed().unwrap(),
-            corpus.to_binary_indexed().unwrap()
+            uplan_corpus::encode_segment(&replay).unwrap(),
+            uplan_corpus::encode_segment(&corpus).unwrap()
         );
     }
 

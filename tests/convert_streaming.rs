@@ -187,9 +187,9 @@ fn raw_ingest_is_byte_identical_to_per_source_conversion() {
     for (source, input) in fixtures() {
         reference.observe(&convert(*source, input).unwrap());
     }
-    let bytes = reference.to_binary_indexed().unwrap();
-    assert_eq!(batched.to_binary_indexed().unwrap(), bytes);
-    assert_eq!(sequential.to_binary_indexed().unwrap(), bytes);
+    let bytes = uplan::corpus::encode_segment(&reference).unwrap();
+    assert_eq!(uplan::corpus::encode_segment(&batched).unwrap(), bytes);
+    assert_eq!(uplan::corpus::encode_segment(&sequential).unwrap(), bytes);
     assert_eq!(batched.stats(), reference.stats());
 }
 
@@ -219,8 +219,8 @@ proptest! {
         prop_assert_eq!(&report, &seq_report);
         prop_assert_eq!(report.lines, picks.len());
         prop_assert_eq!(
-            batched.to_binary_indexed().unwrap(),
-            sequential.to_binary_indexed().unwrap()
+            uplan::corpus::encode_segment(&batched).unwrap(),
+            uplan::corpus::encode_segment(&sequential).unwrap()
         );
     }
 
@@ -272,8 +272,8 @@ proptest! {
         let strict_report = convert::ingest_raw(&valid, &mut reference, threads).unwrap();
         prop_assert_eq!(strict_report.lines, report.lines);
         prop_assert_eq!(strict_report.census(), report.census());
-        let bytes = reference.to_binary_indexed().unwrap();
-        prop_assert_eq!(lenient.to_binary_indexed().unwrap(), bytes.clone());
-        prop_assert_eq!(seq.to_binary_indexed().unwrap(), bytes);
+        let bytes = uplan::corpus::encode_segment(&reference).unwrap();
+        prop_assert_eq!(uplan::corpus::encode_segment(&lenient).unwrap(), bytes.clone());
+        prop_assert_eq!(uplan::corpus::encode_segment(&seq).unwrap(), bytes);
     }
 }

@@ -26,8 +26,9 @@ use minidb::profile::EngineProfile;
 use uplan::convert::{self, RawIngestOptions};
 use uplan::core::fingerprint::{fingerprint, FingerprintOptions};
 use uplan::core::formats::binary::{self, SectionBoundary};
+use uplan::core::formats::legacy;
 use uplan::core::UnifiedPlan;
-use uplan::corpus::{PlanCorpus, SegmentStore, MANIFEST_FILE};
+use uplan::corpus::{encode_segment, PlanCorpus, SegmentStore, MANIFEST_FILE};
 use uplan::testing::inject::{self, FaultMutation, StoreFault};
 use uplan::workloads::tpch;
 use uplan_bench::corpus_fixture;
@@ -41,7 +42,7 @@ fn fixture() -> &'static (Vec<u8>, Vec<u64>) {
     static DOC: OnceLock<(Vec<u8>, Vec<u64>)> = OnceLock::new();
     DOC.get_or_init(|| {
         let corpus = corpus_fixture::derived_corpus(1000, SEED);
-        let bytes = corpus.to_binary_indexed().unwrap();
+        let bytes = legacy::indexed(&encode_segment(&corpus).unwrap());
         let intact = binary::salvage(&bytes);
         assert!(intact.error.is_none(), "fixture document must be intact");
         assert!(intact.verified, "v3 documents salvage checksum-verified");
@@ -247,8 +248,8 @@ fn assert_store_contract(fault: &StoreFault) {
         }
     }
     assert_eq!(
-        corpus.to_binary_indexed().unwrap(),
-        reference.to_binary_indexed().unwrap(),
+        encode_segment(&corpus).unwrap(),
+        encode_segment(&reference).unwrap(),
         "{what}: salvage must reproduce the surviving batches byte-exactly"
     );
 
@@ -445,10 +446,10 @@ fn lenient_ingest_of_a_dirty_dump_equals_strict_ingest_of_the_valid_subset() {
     let reference_report = convert::ingest_raw(&valid_subset, &mut reference, 4).unwrap();
     assert_eq!(reference_report.lines, clean_lines);
     assert_eq!(reference_report.census(), report.census());
-    let bytes = reference.to_binary_indexed().unwrap();
-    assert_eq!(lenient.to_binary_indexed().unwrap(), bytes);
-    assert_eq!(lenient_seq.to_binary_indexed().unwrap(), bytes);
-    assert_eq!(lenient_one.to_binary_indexed().unwrap(), bytes);
+    let bytes = encode_segment(&reference).unwrap();
+    assert_eq!(encode_segment(&lenient).unwrap(), bytes);
+    assert_eq!(encode_segment(&lenient_seq).unwrap(), bytes);
+    assert_eq!(encode_segment(&lenient_one).unwrap(), bytes);
 
     // The quarantine file replays to the same failures: every record
     // fails again, none converts.
@@ -491,7 +492,7 @@ fn framed_encodings_of_the_dirty_dump_agree_with_jsonl() {
     assert_eq!(framed_report.errors.len(), jsonl_report.errors.len());
     assert_eq!(framed_report.census(), jsonl_report.census());
     assert_eq!(
-        framed.to_binary_indexed().unwrap(),
-        jsonl.to_binary_indexed().unwrap()
+        encode_segment(&framed).unwrap(),
+        encode_segment(&jsonl).unwrap()
     );
 }

@@ -158,11 +158,10 @@ const GOLDEN_BINARY_V1: [u8; 105] = [
 
 /// Exact version-2 encoding of the same plan: identical plan bytes, the
 /// version varint at offset 4 is 2, and one trailing zero byte (the "no
-/// index section" flag). Version 2 is still *written* — it is what
-/// [`BinaryEncoder::unchecked`] emits — so these bytes pin both the
-/// decoder and the unchecked writer. Any byte-level change invalidates
-/// every stored corpus and must be deliberate (bump
-/// `BINARY_CODEC_VERSION`, regenerate, and say so in the PR).
+/// index section" flag). Nothing writes version 2 any more; these bytes
+/// pin the decoder, and the test-support legacy writer
+/// (`uplan_core::formats::legacy::strip_checksums`) that derives v2 documents
+/// from v3 ones for the legacy-reader tests.
 const GOLDEN_BINARY_V2: [u8; 106] = [
     0x55, 0x50, 0x4c, 0x4e, 0x02, 0x06, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
     0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
@@ -213,7 +212,6 @@ fn golden_binary_plan() -> UnifiedPlan {
 fn binary_codec_encoding_matches_golden_bytes() {
     use uplan::core::formats::binary;
     assert_eq!(binary::BINARY_CODEC_VERSION, 3);
-    assert_eq!(binary::UNCHECKED_BINARY_VERSION, 2);
     assert_eq!(binary::MIN_SUPPORTED_BINARY_VERSION, 1);
     let bytes = binary::to_bytes(&golden_binary_plan()).unwrap();
     assert_eq!(
@@ -229,21 +227,22 @@ fn binary_codec_encoding_matches_golden_bytes() {
 }
 
 #[test]
-fn unchecked_encoder_still_writes_golden_v2_bytes() {
-    // `BinaryEncoder::unchecked()` is the compatibility writer: corpora it
-    // persists must stay byte-identical to the pre-checksum v2 encoding,
-    // and the decoder must keep accepting both pinned documents.
-    use uplan::core::formats::binary;
-    let mut enc = binary::BinaryEncoder::unchecked();
-    enc.push(&golden_binary_plan()).unwrap();
+fn legacy_writer_reproduces_the_retired_corpus_encodings() {
+    // The legacy-reader tests get their documents from the test-support
+    // writer, which reframes segment bytes. It must reproduce what the
+    // retired corpus writers emitted, byte for byte: the v2 golden from
+    // the v3 golden, and the indexed (v4) document of the fault-injection
+    // fixture corpus at its pinned length and CRC32.
+    use uplan::core::crc32::crc32;
+    use uplan::core::formats::legacy;
     assert_eq!(
-        enc.finish(),
-        GOLDEN_BINARY_V2.to_vec(),
-        "unchecked (v2) encoding drifted — persisted corpora would break"
+        legacy::strip_checksums(&GOLDEN_BINARY_V3),
+        GOLDEN_BINARY_V2.to_vec()
     );
-    let decoded = binary::from_bytes(&GOLDEN_BINARY_V2).unwrap();
-    assert_eq!(decoded, golden_binary_plan());
-    assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
+    let corpus = uplan_bench::corpus_fixture::derived_corpus(1000, 0xD15E_A5ED);
+    let document = legacy::indexed(&uplan::corpus::encode_segment(&corpus).unwrap());
+    assert_eq!(document.len(), 736_593);
+    assert_eq!(crc32(&document), 0x173a_3501);
 }
 
 #[test]
@@ -272,6 +271,10 @@ fn binary_codec_still_decodes_golden_v1_documents() {
     // encode.
     use uplan::core::formats::binary;
     let decoded = binary::from_bytes(&GOLDEN_BINARY_V1).unwrap();
+    assert_eq!(decoded, golden_binary_plan());
+    assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
+    // The pre-checksum v2 bytes decode to the same plan too.
+    let decoded = binary::from_bytes(&GOLDEN_BINARY_V2).unwrap();
     assert_eq!(decoded, golden_binary_plan());
     assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
     // And a v1 document loads as a corpus through the index-rebuild path.

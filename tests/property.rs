@@ -164,8 +164,13 @@ proptest! {
         for plan in &plans {
             corpus.observe(plan);
         }
-        let binary = uplan::corpus::PlanCorpus::from_binary(&corpus.to_binary().unwrap()).unwrap();
-        let jsonl = uplan::corpus::PlanCorpus::from_jsonl(&corpus.to_jsonl()).unwrap();
+        let segment = uplan::corpus::encode_segment(&corpus).unwrap();
+        let binary =
+            uplan::corpus::PlanCorpus::from_binary(&uplan::core::formats::legacy::plain(&segment))
+                .unwrap();
+        let jsonl =
+            uplan::corpus::PlanCorpus::from_jsonl(&uplan::core::formats::legacy::jsonl(&segment))
+                .unwrap();
         prop_assert_eq!(binary.len(), corpus.len());
         prop_assert_eq!(jsonl.len(), corpus.len());
         for (id, plan) in corpus.iter() {
@@ -178,18 +183,19 @@ proptest! {
 
     /// A v1-encoded document decodes identically under the current
     /// decoder: v1 and v2 differ only in the version varint and the
-    /// trailing index flag (v3 adds checksums, so it is derived from the
-    /// unchecked encoder), so rewriting a no-index v2 document as v1
-    /// byte-for-byte must change nothing about what it decodes to.
+    /// trailing index flag (v3 adds checksums, so the v2 document is the
+    /// v3 encoding with its checksums stripped), so rewriting a no-index
+    /// v2 document as v1 byte-for-byte must change nothing about what it
+    /// decodes to.
     #[test]
     fn v1_documents_decode_identically_under_the_v2_decoder(
         plans in prop::collection::vec(arb_plan(), 0..12),
     ) {
-        let mut enc = uplan::core::formats::binary::BinaryEncoder::unchecked();
+        let mut enc = uplan::core::formats::binary::BinaryEncoder::new();
         for plan in &plans {
             enc.push(plan).unwrap();
         }
-        let v2 = enc.finish();
+        let v2 = uplan::core::formats::legacy::strip_checksums(&enc.finish());
         let mut v1 = v2.clone();
         prop_assert_eq!(v1[4], 2u8, "version varint");
         prop_assert_eq!(v1.pop(), Some(0u8), "no-index flag");
@@ -219,8 +225,9 @@ proptest! {
         for plan in &plans {
             corpus.observe(plan);
         }
-        let loaded =
-            uplan::corpus::PlanCorpus::from_binary(&corpus.to_binary_indexed().unwrap()).unwrap();
+        let document =
+            uplan::core::formats::legacy::indexed(&uplan::corpus::encode_segment(&corpus).unwrap());
+        let loaded = uplan::corpus::PlanCorpus::from_binary(&document).unwrap();
         prop_assert_eq!(loaded.index_evals(), 0);
         prop_assert_eq!(loaded.len(), corpus.len());
         prop_assert!(loaded.has_persisted_index());

@@ -101,8 +101,8 @@ fn readers_stay_epoch_consistent_while_ingest_merges() {
     }
     assert_eq!(sequential.len(), snapshot.corpus().len());
     assert_eq!(
-        sequential.to_binary_indexed().unwrap(),
-        snapshot.corpus().to_binary_indexed().unwrap(),
+        uplan::corpus::encode_segment(&sequential).unwrap(),
+        uplan::corpus::encode_segment(snapshot.corpus()).unwrap(),
         "merged corpus diverged from sequential ingest"
     );
 }
