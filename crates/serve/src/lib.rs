@@ -1152,4 +1152,105 @@ mod tests {
             "{text}"
         );
     }
+
+    fn post_req(path: &str, query: &[(&str, &str)], body: &str) -> HttpRequest {
+        HttpRequest {
+            method: "POST".into(),
+            path: path.into(),
+            query: query
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    /// A lenient `/ingest` of a dump with a duplicate and an unclassifiable
+    /// record answers this exact body, and after a merge the served corpus
+    /// is byte-identical to raw-ingesting the same dump into the seed.
+    #[test]
+    fn lenient_ingest_body_and_merged_bytes_are_pinned() {
+        use uplan_convert::raw::{ingest_raw_with, RawIngestOptions};
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let dump = format!(
+            "{}\n{}\n\"complete nonsense\"\n{}\n",
+            pg_record(0),
+            pg_record(1),
+            pg_record(0)
+        );
+        let response = handle(
+            &state,
+            &mut reader,
+            &post_req("/ingest", &[("lenient", "1")], &dump),
+        );
+        assert_eq!(response.status, 202, "{}", response.body);
+        assert_eq!(
+            response.body,
+            r#"{"status":"accepted","records":3,"plans":2,"skipped":1,"pending":2,"epoch":0}"#
+        );
+        service.merge(1);
+        let mut reference = seed_corpus();
+        ingest_raw_with(&dump, &mut reference, 1, &RawIngestOptions::lenient()).unwrap();
+        assert_eq!(
+            uplan_corpus::encode_segment(reader.current().corpus()).unwrap(),
+            uplan_corpus::encode_segment(&reference).unwrap()
+        );
+    }
+
+    /// The exact 400 bodies of the three ways a `probe_raw` can fail.
+    #[test]
+    fn bad_probe_raw_bodies_are_pinned() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let two_plans = format!("{}\n{}\n", pg_record(0), pg_record(1));
+        let cases = [
+            (
+                "5".to_string(),
+                r#"{"status":"error","error":"bad-probe","message":"\"probe_raw\" is not a string"}"#,
+            ),
+            (
+                quote_json("complete nonsense"),
+                r#"{"status":"error","error":"bad-probe","message":"probe_raw does not convert: semantic error: line 1: cannot identify the plan dialect; accepted sources: postgres-text, postgres-json, mysql-json, mysql-table, tidb-table, sqlite-eqp, mongodb-json, neo4j-table, sparksql-text, influxdb-text, sqlserver-xml"}"#,
+            ),
+            (
+                quote_json(&two_plans),
+                r#"{"status":"error","error":"bad-probe","message":"probe_raw must hold exactly one plan record, got 2"}"#,
+            ),
+        ];
+        for (raw, expected) in cases {
+            let body = format!("{{\"k\": 1, \"probe_raw\": {raw}}}");
+            let response = handle(&state, &mut reader, &post_req("/knn", &[], &body));
+            assert_eq!((response.status, response.body.as_str()), (400, expected));
+        }
+    }
+
+    /// A `probe_raw` request answers byte-identically to the same request
+    /// carrying the converted plan as `probe` — including a `probe_raw`
+    /// that repeats one record, which is one distinct plan.
+    #[test]
+    fn probe_raw_answers_like_its_converted_probe() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let record = r#"[{"Plan": {"Node Type": "Limit", "Plan Rows": 3, "Plans": [{"Node Type": "Seq Scan", "Relation Name": "t0", "Filter": "(c0 > 1)", "Total Cost": 12.5}]}}]"#;
+        let plan = uplan_convert::convert(uplan_convert::detect(record).unwrap(), record).unwrap();
+        let probe = uplan_core::formats::unified::to_json(&plan);
+        for (path, members) in [("/knn", "\"k\": 3"), ("/radius", "\"radius\": 2")] {
+            let expected = handle(
+                &state,
+                &mut reader,
+                &post_req(path, &[], &format!("{{{members}, \"probe\": {probe}}}")),
+            );
+            assert_eq!(expected.status, 200, "{}", expected.body);
+            for raw in [record.to_string(), format!("{record}\n{record}\n")] {
+                let body = format!("{{{members}, \"probe_raw\": {}}}", quote_json(&raw));
+                let response = handle(&state, &mut reader, &post_req(path, &[], &body));
+                assert_eq!(response.status, 200, "{}", response.body);
+                assert_eq!(response.body, expected.body);
+            }
+        }
+    }
 }
