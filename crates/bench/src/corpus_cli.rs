@@ -1128,17 +1128,14 @@ fn query(args: &[String]) -> Result<String, CliError> {
     } else if let Some(file) = &probe_raw_path {
         let text = std::fs::read_to_string(file)
             .map_err(|e| CliError::Operational(format!("cannot read probe {file}: {e}")))?;
-        let mut staging = PlanCorpus::new();
-        uplan_convert::ingest_raw_with(&text, &mut staging, 1, &RawIngestOptions::default())
+        let (strict, fingerprints) = (RawIngestOptions::default(), Default::default());
+        let (plans, _) = uplan_convert::convert_raw_distinct(&text, &strict, fingerprints)
             .map_err(|e| CliError::Input(format!("{file}: {e}")))?;
-        if staging.len() != 1 {
-            return Err(format!(
-                "{file}: raw probe must hold exactly one plan record, got {}",
-                staging.len()
-            )
-            .into());
-        }
-        request = request.with_probe(staging.plan(0).clone());
+        let count = plans.len();
+        let [plan]: [_; 1] = plans.try_into().map_err(|_| {
+            format!("{file}: raw probe must hold exactly one plan record, got {count}")
+        })?;
+        request = request.with_probe(plan);
     }
     let response = match corpus.execute(&request) {
         Ok(response) => response,

@@ -38,8 +38,9 @@ pub mod sqlserver;
 pub mod tidb;
 
 pub use raw::{
-    ingest_raw, ingest_raw_sequential, ingest_raw_sequential_with, ingest_raw_with, sniff_framing,
-    RawErrorKind, RawFraming, RawIngestError, RawIngestOptions, RawIngestReport,
+    convert_raw, convert_raw_distinct, ingest_raw, ingest_raw_sequential,
+    ingest_raw_sequential_with, ingest_raw_with, sniff_framing, RawErrorKind, RawFraming,
+    RawIngestError, RawIngestOptions, RawIngestReport,
 };
 pub use spine::{NodeBuilder, SourceConverter};
 

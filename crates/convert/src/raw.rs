@@ -1,5 +1,5 @@
-//! Raw-dump corpus ingest: a mixed-source fleet dump, straight into a
-//! sharded corpus.
+//! Raw-dump conversion: a mixed-source fleet dump, framed, sniffed and
+//! converted into unified plans.
 //!
 //! Fleet tooling collects explain output from many DBMSs into one log with
 //! no declaration of which dialect produced each record. Three framings
@@ -21,16 +21,20 @@
 //!   dump — the framing collectors use when records may themselves
 //!   contain separator-looking lines.
 //!
-//! [`ingest_raw`] streams such a dump into a [`PlanCorpus`]: each record
-//! is source-sniffed through the converter registry ([`crate::detect`]),
-//! converted in parallel batches (one reused [`NodeBuilder`] per worker),
-//! and handed to [`PlanCorpus::ingest_parallel`] batch by batch — no
-//! intermediate [`UnifiedPlan`] buffering beyond the per-batch slice the
-//! sharded ingest consumes. Because shard routing and id assignment are
-//! deterministic, the resulting corpus is **byte-identical** to converting
-//! every record sequentially with its own source converter and observing
-//! the plans one by one ([`ingest_raw_sequential`], the reference path the
-//! CI gate diffs against).
+//! [`convert_raw`] is the one conversion entry, and it knows nothing of
+//! corpora: each record is source-sniffed through the converter registry
+//! ([`crate::detect`]), converted in parallel batches (one reused
+//! [`NodeBuilder`] per worker), and each batch of at most [`RAW_BATCH`]
+//! owned [`UnifiedPlan`]s goes to the caller in dump order — the whole
+//! dump is never buffered. The corpus wrappers sit on top of it:
+//! [`ingest_raw_with`] hands every batch to
+//! [`PlanCorpus::ingest_parallel`]. Because shard routing and id
+//! assignment are deterministic, the resulting corpus is
+//! **byte-identical** to converting every record sequentially with its own
+//! source converter and observing the plans one by one
+//! ([`ingest_raw_sequential_with`], the reference path the CI gate diffs
+//! against). Request-sized inputs that need plans, not a corpus, use
+//! [`convert_raw_distinct`]: the first plan of each fingerprint.
 //!
 //! ## Dirty dumps: lenient mode
 //!
@@ -46,9 +50,11 @@
 //! a run tolerates before giving up.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
+use uplan_core::fingerprint::{fingerprint_with, FingerprintOptions};
 use uplan_core::formats::json::{self, JsonValue};
 use uplan_core::{Error, Result, UnifiedPlan};
 use uplan_corpus::PlanCorpus;
@@ -222,9 +228,10 @@ pub struct RawIngestError {
 /// lenient mode) the per-record error census.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RawIngestReport {
-    /// Records successfully converted and ingested.
+    /// Records successfully converted.
     pub lines: usize,
-    /// Plans whose fingerprint was new to the corpus.
+    /// Plans whose fingerprint was new to the corpus (or, for
+    /// [`convert_raw_distinct`], to the dump).
     pub novel: usize,
     /// Converted records per detected source, in [`Source::ALL`] order
     /// (zero counts omitted).
@@ -534,46 +541,32 @@ fn classify<'a>(number: usize, raw: &'a str) -> Result<RawLine<'a>> {
 /// record costs itself, not the batch.
 fn convert_batch(batch: &[RawLine<'_>], threads: usize) -> Vec<Result<UnifiedPlan>> {
     let threads = threads.clamp(1, batch.len().max(1));
-    let mut converted: Vec<Result<UnifiedPlan>> = Vec::with_capacity(batch.len());
     if threads == 1 {
-        let mut builder = NodeBuilder::new(uplan_core::registry::Dbms::PostgreSql);
-        for line in batch {
-            builder.retarget(line.source.dbms());
-            converted.push(line.source.converter().convert(&line.text, &mut builder));
-        }
-    } else {
-        let chunk = batch.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        let mut builder = NodeBuilder::new(uplan_core::registry::Dbms::PostgreSql);
-                        group
-                            .iter()
-                            .map(|line| {
-                                builder.retarget(line.source.dbms());
-                                line.source.converter().convert(&line.text, &mut builder)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                converted.extend(handle.join().expect("converter workers do not panic"));
-            }
-        });
+        return convert_group(batch);
     }
-    batch
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = batch
+            .chunks(batch.len().div_ceil(threads))
+            .map(|group| scope.spawn(move || convert_group(group)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("converter workers do not panic"))
+            .collect()
+    })
+}
+
+/// One worker's share of [`convert_batch`], through one reused builder.
+fn convert_group(group: &[RawLine<'_>]) -> Vec<Result<UnifiedPlan>> {
+    let mut builder = NodeBuilder::new(uplan_core::registry::Dbms::PostgreSql);
+    group
         .iter()
-        .zip(converted)
-        .map(|(line, result)| {
-            result.map_err(|e| {
-                Error::Semantic(format!(
-                    "line {}: {} plan: {e}",
-                    line.number,
-                    line.source.name()
-                ))
+        .map(|line| {
+            builder.retarget(line.source.dbms());
+            let converted = line.source.converter().convert(&line.text, &mut builder);
+            converted.map_err(|e| {
+                let source = line.source.name();
+                Error::Semantic(format!("line {}: {source} plan: {e}", line.number))
             })
         })
         .collect()
@@ -642,6 +635,26 @@ impl<'o> ErrorSink<'o> {
         Ok(())
     }
 
+    /// [`ErrorSink::record`] with the census entry's message taken from
+    /// `err`.
+    fn skip(
+        &mut self,
+        err: Error,
+        line: usize,
+        source: Option<Source>,
+        kind: RawErrorKind,
+        raw: &str,
+    ) -> Result<()> {
+        let message = classify_error(&err);
+        let meta = RawIngestError {
+            line,
+            source,
+            kind,
+            message,
+        };
+        self.record(err, meta, raw)
+    }
+
     /// Moves the census into the report and writes the quarantine file
     /// (when configured — always, so an error-free run leaves an empty
     /// file rather than a stale one).
@@ -675,19 +688,20 @@ fn classify_error(err: &Error) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Ingest
+// Conversion entry and corpus ingest
 // ---------------------------------------------------------------------------
 
-/// Streams a mixed-source dump into `corpus` under explicit
-/// [`RawIngestOptions`] (see the module docs). `threads` fans out both
-/// the per-batch conversion and the sharded ingest; any thread count
-/// produces a byte-identical corpus — and in lenient mode, a corpus
-/// byte-identical to sequentially ingesting only the valid records.
-pub fn ingest_raw_with(
+/// Frames, sniffs and converts a mixed-source dump under explicit
+/// [`RawIngestOptions`] (see the module docs), handing each batch of at
+/// most [`RAW_BATCH`] converted plans to `on_batch` in dump order.
+/// `on_batch` returns how many of the plans were novel to it, which the
+/// report sums into [`RawIngestReport::novel`]. `threads` fans out the
+/// per-batch conversion; any thread count yields the same batches.
+pub fn convert_raw(
     dump: &str,
-    corpus: &mut PlanCorpus,
     threads: usize,
     options: &RawIngestOptions,
+    mut on_batch: impl FnMut(Vec<UnifiedPlan>) -> usize,
 ) -> Result<RawIngestReport> {
     let framing = sniff_framing(dump);
     let mut ingest_span = trace::span("convert.ingest", Level::Info, "ingest");
@@ -700,107 +714,53 @@ pub fn ingest_raw_with(
     };
     let mut sink = ErrorSink::new(options);
     let mut batch: Vec<RawLine<'_>> = Vec::with_capacity(RAW_BATCH);
-
-    fn flush(
-        batch: &mut Vec<RawLine<'_>>,
-        threads: usize,
-        counts: &mut [usize],
-        report: &mut RawIngestReport,
-        sink: &mut ErrorSink<'_>,
-        corpus: &mut PlanCorpus,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let metrics = ingest_metrics();
-        let mut span = trace::span("convert.ingest", Level::Debug, "batch");
-        span.field("records", batch.len());
-        let results = convert_batch(batch, threads);
-        let mut plans = Vec::with_capacity(batch.len());
-        for (line, result) in batch.iter().zip(results) {
-            match result {
-                Ok(plan) => {
-                    plans.push(plan);
-                    counts[source_index(line.source)] += 1;
-                    report.lines += 1;
-                    metrics.by_source[source_index(line.source)].inc();
-                }
-                Err(err) => {
-                    let message = classify_error(&err);
-                    sink.record(
-                        err,
-                        RawIngestError {
-                            line: line.number,
-                            source: Some(line.source),
-                            kind: RawErrorKind::Convert,
-                            message,
-                        },
-                        line.raw,
-                    )?;
-                }
-            }
-        }
-        let novel = corpus.ingest_parallel(&plans, threads);
-        report.novel += novel;
-        metrics.records.add(plans.len() as u64);
-        metrics.batches.inc();
-        metrics.batch_records.record(batch.len() as u64);
-        span.field("converted", plans.len());
-        span.field("skipped", batch.len() - plans.len());
-        span.field("novel", novel);
-        batch.clear();
-        Ok(())
-    }
-
-    for record in frame_records(dump, framing) {
-        match record {
-            Ok((number, raw)) => match classify(number, raw) {
-                Ok(classified) => {
-                    batch.push(classified);
-                    if batch.len() == RAW_BATCH {
-                        flush(
-                            &mut batch,
-                            threads,
-                            &mut counts,
-                            &mut report,
-                            &mut sink,
-                            corpus,
-                        )?;
+    let mut records = frame_records(dump, framing);
+    loop {
+        // A full batch flushes before the next record is handled; the last
+        // one flushes once the records run out.
+        let record = records.next();
+        if batch.len() == RAW_BATCH || (record.is_none() && !batch.is_empty()) {
+            let metrics = ingest_metrics();
+            let mut span = trace::span("convert.ingest", Level::Debug, "batch");
+            span.field("records", batch.len());
+            let mut plans = Vec::with_capacity(batch.len());
+            for (line, result) in batch.iter().zip(convert_batch(&batch, threads)) {
+                match result {
+                    Ok(plan) => {
+                        plans.push(plan);
+                        counts[source_index(line.source)] += 1;
+                        metrics.by_source[source_index(line.source)].inc();
+                    }
+                    Err(err) => {
+                        let source = Some(line.source);
+                        sink.skip(err, line.number, source, RawErrorKind::Convert, line.raw)?;
                     }
                 }
-                Err(err) => {
-                    let message = classify_error(&err);
-                    sink.record(
-                        err,
-                        RawIngestError {
-                            line: number,
-                            source: None,
-                            kind: RawErrorKind::Classify,
-                            message,
-                        },
-                        raw,
-                    )?;
-                }
+            }
+            let converted = plans.len();
+            report.lines += converted;
+            let novel = on_batch(plans);
+            report.novel += novel;
+            metrics.records.add(converted as u64);
+            metrics.batches.inc();
+            metrics.batch_records.record(batch.len() as u64);
+            span.field("converted", converted);
+            span.field("skipped", batch.len() - converted);
+            span.field("novel", novel);
+            batch.clear();
+        }
+        match record {
+            None => break,
+            Some(Ok((number, raw))) => match classify(number, raw) {
+                Ok(classified) => batch.push(classified),
+                Err(err) => sink.skip(err, number, None, RawErrorKind::Classify, raw)?,
             },
-            Err(frame) => {
-                let meta = RawIngestError {
-                    line: frame.line,
-                    source: None,
-                    kind: RawErrorKind::Frame,
-                    message: frame.message.clone(),
-                };
-                sink.record(Error::Semantic(frame.message), meta, frame.raw)?;
+            Some(Err(frame)) => {
+                let err = Error::Semantic(frame.message);
+                sink.skip(err, frame.line, None, RawErrorKind::Frame, frame.raw)?;
             }
         }
     }
-    flush(
-        &mut batch,
-        threads,
-        &mut counts,
-        &mut report,
-        &mut sink,
-        corpus,
-    )?;
 
     report.per_source = Source::ALL
         .into_iter()
@@ -812,6 +772,44 @@ pub fn ingest_raw_with(
     ingest_span.field("novel", report.novel);
     ingest_span.field("errors", report.errors.len());
     Ok(report)
+}
+
+/// [`convert_raw`] on the calling thread, keeping the first plan of each
+/// fingerprint under `fingerprints`: the plans a fresh corpus with those
+/// options would store, in its order, without building one
+/// ([`RawIngestReport::novel`] counts them). For request-sized dumps.
+pub fn convert_raw_distinct(
+    dump: &str,
+    options: &RawIngestOptions,
+    fingerprints: FingerprintOptions,
+) -> Result<(Vec<UnifiedPlan>, RawIngestReport)> {
+    let (mut seen, mut distinct) = (HashSet::new(), Vec::new());
+    let report = convert_raw(dump, 1, options, |plans| {
+        let before = distinct.len();
+        let novel = plans
+            .into_iter()
+            .filter(|p| seen.insert(fingerprint_with(p, fingerprints)));
+        distinct.extend(novel);
+        distinct.len() - before
+    })?;
+    Ok((distinct, report))
+}
+
+/// Streams a mixed-source dump into `corpus` under explicit
+/// [`RawIngestOptions`]: [`convert_raw`] with every batch handed to
+/// [`PlanCorpus::ingest_parallel`]. `threads` fans out both the per-batch
+/// conversion and the sharded ingest; any thread count produces a
+/// byte-identical corpus — and in lenient mode, a corpus byte-identical to
+/// sequentially ingesting only the valid records.
+pub fn ingest_raw_with(
+    dump: &str,
+    corpus: &mut PlanCorpus,
+    threads: usize,
+    options: &RawIngestOptions,
+) -> Result<RawIngestReport> {
+    convert_raw(dump, threads, options, |plans| {
+        corpus.ingest_parallel(&plans, threads)
+    })
 }
 
 /// [`ingest_raw_with`] under the default (strict) options.
@@ -976,6 +974,45 @@ mod tests {
             "raw ingest must be byte-identical to the sequential reference"
         );
         assert_eq!(parallel.observed(), 4);
+    }
+
+    #[test]
+    fn convert_raw_streams_bounded_batches_in_dump_order() {
+        // One record past a full batch: two batches, the second of one plan.
+        let records: Vec<String> = (0..=RAW_BATCH)
+            .map(|i| {
+                format!(r#"[{{"Plan": {{"Node Type": "Seq Scan", "Relation Name": "t{i}"}}}}]"#)
+            })
+            .collect();
+        let dump = records.join("\n");
+        let mut sizes = Vec::new();
+        let mut streamed = Vec::new();
+        let report = convert_raw(&dump, 2, &RawIngestOptions::default(), |plans| {
+            sizes.push(plans.len());
+            streamed.extend(plans);
+            0
+        })
+        .unwrap();
+        assert_eq!(sizes, [RAW_BATCH, 1]);
+        assert_eq!(report.lines, RAW_BATCH + 1);
+        let one_by_one: Vec<UnifiedPlan> = records
+            .iter()
+            .map(|record| crate::convert(Source::PostgresJson, record).unwrap())
+            .collect();
+        assert_eq!(streamed, one_by_one);
+    }
+
+    #[test]
+    fn distinct_plans_are_what_a_fresh_corpus_stores() {
+        let dump = format!("{}\n{}", mixed_dump(), string_line(INFLUX_DUMP));
+        let options = RawIngestOptions::default();
+        let (plans, report) = convert_raw_distinct(&dump, &options, Default::default()).unwrap();
+        let mut corpus = PlanCorpus::new();
+        let corpus_report = ingest_raw_with(&dump, &mut corpus, 1, &options).unwrap();
+        assert_eq!(report, corpus_report);
+        assert_eq!((report.lines, report.novel, plans.len()), (5, 3, 3));
+        let stored: Vec<&UnifiedPlan> = corpus.iter().map(|(_, plan)| plan).collect();
+        assert_eq!(plans.iter().collect::<Vec<_>>(), stored);
     }
 
     #[test]

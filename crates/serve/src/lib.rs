@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use uplan_convert::raw::{ingest_raw_with, RawIngestOptions};
+use uplan_convert::raw::{convert_raw_distinct, RawIngestOptions};
 use uplan_core::fingerprint::FingerprintOptions;
 use uplan_core::formats::json::{self, object, JsonValue, OwnedJsonValue};
 use uplan_core::UnifiedPlan;
@@ -277,9 +277,9 @@ pub fn handle(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest
 }
 
 /// POST /ingest: a raw framed fleet dump (JSONL / `---` / `#<len>`,
-/// source-sniffed per record) staged through the one conversion pipeline,
-/// then submitted to the bounded delta queue. `?lenient=1` skips bad
-/// records instead of rejecting the dump.
+/// source-sniffed per record) converted through the one conversion
+/// pipeline, then submitted to the bounded delta queue. `?lenient=1` skips
+/// bad records instead of rejecting the dump.
 fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
     let dump = match req.body_text() {
         Ok(d) => d,
@@ -294,12 +294,10 @@ fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
         strict: !req.flag("lenient"),
         ..RawIngestOptions::default()
     };
-    // Stage through a scratch corpus: the dump's records become unified
-    // plans (deduplicated within the batch) without touching the served
-    // corpus — the merge dedups against it later.
-    let mut staging = PlanCorpus::with_options(state.options);
-    let report = match ingest_raw_with(dump, &mut staging, 1, &options) {
-        Ok(report) => report,
+    // Deduplicated within the batch only: the merge dedups against the
+    // served corpus later.
+    let (plans, report) = match convert_raw_distinct(dump, &options, state.options) {
+        Ok(converted) => converted,
         Err(e) => {
             return (
                 HttpResponse::json(400, error_body("bad-dump", &e.to_string())),
@@ -307,7 +305,6 @@ fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
             )
         }
     };
-    let plans: Vec<UnifiedPlan> = staging.iter().map(|(_, plan)| plan.clone()).collect();
     let accepted = plans.len();
     match state.service.submit(plans) {
         Ok(pending) => {
@@ -341,7 +338,7 @@ fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
 /// POST /knn, /radius, /cluster: one [`QueryRequest`] body, answered from
 /// the worker's epoch-consistent snapshot. A `"probe_raw"` string member
 /// (one raw dump record) is converted through the same pipeline as
-/// `/ingest` before the query runs.
+/// `/ingest` into the probe plan before the query runs.
 fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpResponse, u64) {
     let body = if req.body.is_empty() {
         "{}"
@@ -356,8 +353,8 @@ fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpRes
             }
         }
     };
-    let doc = match json::parse(body) {
-        Ok(doc) => doc.into_owned(),
+    let mut doc = match json::parse(body) {
+        Ok(doc) => doc,
         Err(e) => {
             return (
                 HttpResponse::json(400, error_body("malformed", &e.to_string())),
@@ -365,8 +362,8 @@ fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpRes
             )
         }
     };
-    let doc = match resolve_raw_probe(doc) {
-        Ok(doc) => doc,
+    let raw_probe = match take_raw_probe(&mut doc) {
+        Ok(plan) => plan,
         Err(message) => {
             return (
                 HttpResponse::json(400, error_body("bad-probe", &message)),
@@ -375,7 +372,10 @@ fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpRes
         }
     };
     let request = match QueryRequest::from_json_value(&doc, Some(kind)) {
-        Ok(request) => request,
+        Ok(request) => QueryRequest {
+            probe: raw_probe.or(request.probe),
+            ..request
+        },
         Err(e) => return (query_error_response(&e), 0),
     };
     match reader.current().execute(&request) {
@@ -393,36 +393,33 @@ fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpRes
     }
 }
 
-/// Replaces a `"probe_raw"` member (one raw dump record as a JSON string)
-/// with the converted `"probe"` plan.
-fn resolve_raw_probe(doc: OwnedJsonValue) -> Result<OwnedJsonValue, String> {
+/// Removes a `"probe_raw"` member (one raw dump record as a JSON string)
+/// from the request object and converts it into the probe plan, under the
+/// default fingerprint options. A request that also carries `"probe"` (or
+/// a second `"probe_raw"`) is ambiguous and rejected before converting.
+fn take_raw_probe(doc: &mut JsonValue<'_>) -> Result<Option<UnifiedPlan>, String> {
     let JsonValue::Object(members) = doc else {
-        return Ok(doc);
+        return Ok(None);
     };
-    let mut out = Vec::with_capacity(members.len());
-    for (key, value) in members {
-        if key.as_ref() != "probe_raw" {
-            out.push((key, value));
-            continue;
-        }
-        let record = value
-            .as_str()
-            .ok_or_else(|| "\"probe_raw\" is not a string".to_string())?;
-        let mut staging = PlanCorpus::new();
-        ingest_raw_with(record, &mut staging, 1, &RawIngestOptions::default())
-            .map_err(|e| format!("probe_raw does not convert: {e}"))?;
-        if staging.len() != 1 {
-            return Err(format!(
-                "probe_raw must hold exactly one plan record, got {}",
-                staging.len()
-            ));
-        }
-        out.push((
-            "probe".into(),
-            uplan_core::formats::unified::to_json_value(staging.plan(0)),
-        ));
+    let Some(at) = members.iter().position(|(key, _)| key == "probe_raw") else {
+        return Ok(None);
+    };
+    let probes = members
+        .iter()
+        .filter(|(key, _)| key == "probe" || key == "probe_raw");
+    if probes.count() > 1 {
+        return Err("send one probe: \"probe\" and \"probe_raw\" are mutually exclusive".into());
     }
-    Ok(JsonValue::Object(out))
+    let (_, value) = members.remove(at);
+    let record = value.as_str().ok_or("\"probe_raw\" is not a string")?;
+    let strict = RawIngestOptions::default();
+    let (plans, _) = convert_raw_distinct(record, &strict, FingerprintOptions::default())
+        .map_err(|e| format!("probe_raw does not convert: {e}"))?;
+    let count = plans.len();
+    let [plan]: [_; 1] = plans
+        .try_into()
+        .map_err(|_| format!("probe_raw must hold exactly one plan record, got {count}"))?;
+    Ok(Some(plan))
 }
 
 /// GET /stats: the stats [`QueryResponse`] plus service fields (pending,
@@ -1224,6 +1221,30 @@ mod tests {
             let body = format!("{{\"k\": 1, \"probe_raw\": {raw}}}");
             let response = handle(&state, &mut reader, &post_req("/knn", &[], &body));
             assert_eq!((response.status, response.body.as_str()), (400, expected));
+        }
+    }
+
+    /// A body with both `probe` and `probe_raw` (or two `probe_raw`s) is
+    /// ambiguous, whichever member comes first: 400 `bad-probe`, before the
+    /// raw record is converted — an unconvertible record gets the same
+    /// answer.
+    #[test]
+    fn probe_and_probe_raw_together_are_rejected() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let probe = uplan_core::formats::unified::to_json(&chain(&["Scan_A"]));
+        let expected = r#"{"status":"error","error":"bad-probe","message":"send one probe: \"probe\" and \"probe_raw\" are mutually exclusive"}"#;
+        for raw in [quote_json(&pg_record(0)), quote_json("complete nonsense")] {
+            for members in [
+                format!("\"probe\": {probe}, \"probe_raw\": {raw}"),
+                format!("\"probe_raw\": {raw}, \"probe\": {probe}"),
+                format!("\"probe_raw\": {raw}, \"probe_raw\": {raw}"),
+            ] {
+                let body = format!("{{\"k\": 1, {members}}}");
+                let response = handle(&state, &mut reader, &post_req("/knn", &[], &body));
+                assert_eq!((response.status, response.body.as_str()), (400, expected));
+            }
         }
     }
 
