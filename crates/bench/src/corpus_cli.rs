@@ -2100,6 +2100,45 @@ mod tests {
         remove(&[&dir]);
     }
 
+    /// `query --probe-raw` answers exactly like `--probe` with the
+    /// converted plan; a file repeating one record is one plan, and two
+    /// distinct records are a usage error (exit 2).
+    #[test]
+    fn query_probe_raw_answers_like_its_converted_probe() {
+        let dir = temp("uplan_cli_probe_raw_store");
+        let (raw, twice, two, plan) = (
+            temp("uplan_cli_probe_raw.jsonl"),
+            temp("uplan_cli_probe_raw_twice.jsonl"),
+            temp("uplan_cli_probe_raw_two.jsonl"),
+            temp("uplan_cli_probe_raw_plan.json"),
+        );
+        run_inner(&strings(&["fixture-ingest", &dir, "50"])).unwrap();
+        let record = r#"[{"Plan": {"Node Type": "Hash Join", "Plans": [{"Node Type": "Seq Scan", "Relation Name": "orders"}, {"Node Type": "Hash", "Plans": [{"Node Type": "Seq Scan", "Relation Name": "lineitem"}]}]}}]"#;
+        let other = r#"[{"Plan": {"Node Type": "Seq Scan", "Relation Name": "nation"}}]"#;
+        std::fs::write(&raw, format!("{record}\n")).unwrap();
+        std::fs::write(&twice, format!("{record}\n{record}\n")).unwrap();
+        std::fs::write(&two, format!("{record}\n{other}\n")).unwrap();
+        let converted = convert(Source::PostgresJson, record).unwrap();
+        std::fs::write(&plan, uplan_core::formats::unified::to_json(&converted)).unwrap();
+
+        let knn = |flag: &str, file: &str| {
+            run_inner(&strings(&[
+                "query", &dir, "knn", "--k", "3", flag, file, "--json",
+            ]))
+        };
+        let expected = knn("--probe", &plan).unwrap();
+        assert!(expected.contains("\"matches\""), "{expected}");
+        assert_eq!(knn("--probe-raw", &raw).unwrap(), expected);
+        assert_eq!(knn("--probe-raw", &twice).unwrap(), expected);
+        let err = knn("--probe-raw", &two).unwrap_err();
+        assert_eq!(err.code(), 2, "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!("{two}: raw probe must hold exactly one plan record, got 2")
+        );
+        remove(&[&dir, &raw, &twice, &two, &plan]);
+    }
+
     /// Both gate verbs refuse an empty probe set (exit 2) instead of
     /// panicking or passing vacuously.
     #[test]
