@@ -1911,6 +1911,99 @@ mod tests {
         remove(&[&dump, &out, &quarantine]);
     }
 
+    /// The staging-corpus algorithm `ingest --raw` once ran, kept as the
+    /// oracle: every dump into one staging corpus, whose plans are then
+    /// appended to the store at `dir` (created when it is not one yet).
+    fn staged_raw_append(dir: &str, dumps: &[&String], options: &RawIngestOptions) -> AppendReport {
+        let mut staging = PlanCorpus::new();
+        for dump in dumps {
+            let text = std::fs::read_to_string(dump).unwrap();
+            uplan_convert::ingest_raw_with(&text, &mut staging, 1, options).unwrap();
+        }
+        let plans: Vec<uplan_core::UnifiedPlan> =
+            staging.iter().map(|(_, plan)| plan.clone()).collect();
+        let mut store = if SegmentStore::is_store_dir(dir) {
+            SegmentStore::open(dir).unwrap()
+        } else {
+            SegmentStore::create(dir, PlanCorpus::new()).unwrap()
+        };
+        store.append(&plans, 1).unwrap()
+    }
+
+    /// `ingest --raw` of two dumps that share plans, into a fresh store and
+    /// into one that already holds some of them: exact session, append and
+    /// lenient lines, and every store file equal to the staging oracle's.
+    #[test]
+    fn raw_ingest_of_several_dumps_matches_the_staging_oracle() {
+        let (d1, d2, d3) = (
+            temp("uplan_cli_pin_d1.jsonl"),
+            temp("uplan_cli_pin_d2.jsonl"),
+            temp("uplan_cli_pin_d3.jsonl"),
+        );
+        run_inner(&strings(&["raw-fixture", &d1, "1"])).unwrap();
+        run_inner(&strings(&["raw-fixture", &d2, "2"])).unwrap();
+        run_inner(&strings(&[
+            "raw-fixture",
+            &d3,
+            "3",
+            "--dirty",
+            "2",
+            "--seed",
+            "0x9",
+        ]))
+        .unwrap();
+        // Raw fixtures carry measured planning times, so segment sizes
+        // come from the oracle's append of the same dumps.
+        for (label, held, admitted) in [
+            ("fresh", None, "29 of 29 plan(s) admitted, 0 duplicate(s)"),
+            (
+                "held",
+                Some(&d1),
+                "18 of 29 plan(s) admitted, 11 duplicate(s)",
+            ),
+        ] {
+            let cli = temp(&format!("uplan_cli_pin_{label}"));
+            let oracle = temp(&format!("uplan_cli_pin_{label}_oracle"));
+            if let Some(held) = held {
+                for dir in [&cli, &oracle] {
+                    run_inner(&strings(&["ingest", dir, "--raw", held])).unwrap();
+                }
+            }
+            let report = run_inner(&strings(&[
+                "ingest",
+                &cli,
+                "--raw",
+                &d2,
+                &d3,
+                "--lenient",
+                "--threads",
+                "2",
+            ]))
+            .unwrap();
+            let lines: Vec<&str> = report.lines().collect();
+            assert_eq!(lines[0], "raw-ingested 55 plan line(s) from 2 dump(s)");
+            assert_eq!(lines[1], "lenient: 2 record(s) skipped");
+            let skipped =
+                format!("{d3}: skipped 2 — line 15 (classify), line 22 (tidb-table convert)");
+            assert_eq!(lines[4], skipped);
+            assert_eq!(
+                lines[5],
+                "observed 55 plans this run (26 fingerprint duplicates)"
+            );
+            let staged = staged_raw_append(&oracle, &[&d2, &d3], &RawIngestOptions::lenient());
+            let appended = format!(
+                "appended segment {} ({} bytes): {admitted}",
+                staged.segment_id.unwrap(),
+                staged.segment_bytes
+            );
+            assert_eq!(lines[6], appended, "{label}");
+            assert_eq!(lines[7], "29 distinct plans, 288 operations, max depth 14");
+            assert_eq!(dir_bytes(&cli), dir_bytes(&oracle), "{label}");
+            remove(&[&cli, &oracle]);
+        }
+        remove(&[&d1, &d2, &d3]);
+    }
+
     #[test]
     fn source_parse_errors_name_the_accepted_sources() {
         let err = run_inner(&strings(&["ingest", "out", "oracle", "file"]))
