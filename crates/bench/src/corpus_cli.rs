@@ -7,25 +7,27 @@
 //! `import`; the reading verbs refuse them (exit 2) and say so.
 //!
 //! ```text
-//! repro corpus ingest <store-dir> <source> <explain-file>... [--threads N] [--shards N]
-//! repro corpus ingest <store-dir> --raw <dump>... [--threads N] [--shards N]
+//! repro corpus ingest <store-dir> <source> <explain-file>... [--threads N]
+//! repro corpus ingest <store-dir> --raw <dump>... [--threads N]
 //!                     [--lenient] [--max-errors N] [--quarantine <file>]
 //!     Convert native EXPLAIN files (any of the converter dialects, see
 //!     `repro corpus sources`) and append the distinct plans to the store
-//!     as one new segment, creating the store when `<store-dir>` is not one
-//!     yet. Cost is O(batch): the existing segments are never rewritten.
-//!     `--threads` fans ingest out across scoped worker threads (the
-//!     written segment is byte-identical for every thread count);
-//!     `--shards` sets the shard count of a store being created.
+//!     as one new segment, creating the store (with the default shard
+//!     count) when `<store-dir>` is not one yet. Cost is O(batch): the
+//!     existing segments are never rewritten. `--threads` fans ingest out
+//!     across scoped worker threads (the written segment is byte-identical
+//!     for every thread count).
 //!     With `--raw`, the files are mixed-source dumps instead (JSON-lines,
 //!     `---`-separator-framed or `#<bytes>` length-prefixed; framing is
-//!     sniffed per file), each record source-sniffed via the converter
-//!     registry and streamed batch-wise into the sharded corpus.
+//!     sniffed per file). Each record is source-sniffed via the converter
+//!     registry and converted batch-wise, with no staging corpus: the
+//!     first plan of each fingerprint across all dumps is kept, in dump
+//!     order, and the kept plans are appended as one segment.
 //!     `--lenient` skips bad records instead of aborting and prints the
 //!     per-record error census; `--max-errors` bounds the tolerated
-//!     garbage; `--quarantine` writes failed records to a replayable
-//!     JSONL file. `--segmented` is still accepted and selects nothing:
-//!     every ingest writes a store.
+//!     garbage per dump; `--quarantine` writes every failed record of the
+//!     run, in dump order, to a replayable JSONL file. `--segmented` is
+//!     still accepted and selects nothing: every ingest writes a store.
 //! repro corpus import <file> <store-dir> [--salvage]
 //!     The one verb that reads legacy corpus files: a monolithic binary
 //!     (`UPLN` v1–v4) document or a JSON-lines file becomes a new store.
@@ -67,8 +69,7 @@
 //!     files — the generator behind the CI fault-injection smoke step.
 //!     Prints the fault and the exact `expect-recoverable: N of M plans` a
 //!     salvage of the copy must report.
-//! repro corpus fixture-ingest <store-dir> [count] [--threads N] [--shards N] [--seed HEX]
-//!                             [--batches N]
+//! repro corpus fixture-ingest <store-dir> [count] [--threads N] [--seed HEX] [--batches N]
 //!     Ingest the seeded TPC-H-derived benchmark stream (the corpus/*
 //!     bench population, default 10000 plans) into a fresh store, split
 //!     into `--batches` appended segments (default 1); an existing store
@@ -134,10 +135,11 @@
 //! ```
 
 use minidb::profile::EngineProfile;
+use std::collections::HashSet;
 use uplan_convert::{convert, RawIngestOptions, Source};
+use uplan_core::fingerprint::{fingerprint_with, FingerprintOptions};
 use uplan_corpus::{
     encode_segment, AppendReport, PlanCorpus, QueryError, QueryOutcome, QueryRequest, SegmentStore,
-    DEFAULT_SHARDS,
 };
 use uplan_testing::generator::Generator;
 use uplan_testing::inject;
@@ -280,20 +282,19 @@ fn parse_seed(args: &mut Vec<String>, default: u64) -> Result<u64, CliError> {
 }
 
 /// Appends one batch to the segment store at `dir`, creating the store
-/// first when the directory is not one yet. Cost is O(batch): one new
-/// segment file plus a manifest rewrite — the existing segments are never
-/// touched.
+/// (with the default shard count) first when the directory is not one yet.
+/// Cost is O(batch): one new segment file plus a manifest rewrite — the
+/// existing segments are never touched.
 fn append_batch(
     dir: &str,
     plans: &[uplan_core::UnifiedPlan],
     threads: usize,
-    shards: usize,
 ) -> Result<(SegmentStore, AppendReport), CliError> {
     let mut store = if SegmentStore::is_store_dir(dir) {
         SegmentStore::open(dir)
             .map_err(|e| CliError::Input(format!("cannot open segment store {dir}: {e}")))?
     } else {
-        new_store(dir, PlanCorpus::with_shards(shards))?
+        new_store(dir, PlanCorpus::new())?
     };
     let report = store
         .append(plans, threads)
@@ -372,21 +373,21 @@ fn summary(corpus: &PlanCorpus) -> String {
 
 /// Session-only dedup counters: persistence stores the distinct set, so
 /// these are reported at observation time and not by `stats` on a reloaded
-/// file.
-fn session_summary(corpus: &PlanCorpus) -> String {
-    format!(
-        "observed {} plans this run ({} fingerprint duplicates)",
-        corpus.observed(),
-        corpus.duplicates()
-    )
+/// store.
+fn session_line(observed: u64, duplicates: u64) -> String {
+    format!("observed {observed} plans this run ({duplicates} fingerprint duplicates)")
 }
+
+const INGEST_USAGE: &str = "usage: repro corpus ingest <store-dir> <source> <explain-file>... \
+     [--threads N], or repro corpus ingest <store-dir> --raw <dump>... [--threads N] \
+     [--lenient] [--max-errors N] [--quarantine <file>]";
 
 fn ingest(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
-    let shards: usize = take_value(&mut args, "--shards")?.unwrap_or(DEFAULT_SHARDS);
     let raw = take_flag(&mut args, "--raw");
-    // Accepted for compatibility; every ingest writes a store.
+    // Selects nothing (every ingest writes a store), but stays accepted:
+    // the benchmark's `perfbench/` ingest workload still passes it.
     take_flag(&mut args, "--segmented");
     let lenient = take_flag(&mut args, "--lenient");
     let max_errors: usize = take_value(&mut args, "--max-errors")?.unwrap_or(0);
@@ -398,21 +399,14 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
             max_errors,
             quarantine: quarantine.map(std::path::PathBuf::from),
         };
-        return ingest_raw_dumps(&args, threads, shards, &options);
+        return ingest_raw_dumps(&args, threads, &options);
     }
     if lenient || max_errors != 0 || quarantine.is_some() {
         return Err("--lenient/--max-errors/--quarantine only apply to --raw ingest".into());
     }
     let (out, source_name, files) = match args.as_slice() {
         [out, source, files @ ..] if !files.is_empty() => (out, source, files),
-        _ => {
-            return Err(
-                "usage: repro corpus ingest <store-dir> <source> <explain-file>... \
-                 [--threads N] [--shards N], or \
-                 repro corpus ingest <store-dir> --raw <dump>... [--threads N] [--shards N]"
-                    .into(),
-            )
-        }
+        _ => return Err(INGEST_USAGE.into()),
     };
     let source = Source::parse(source_name)?;
     let mut plans = Vec::with_capacity(files.len());
@@ -421,43 +415,56 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| CliError::Operational(format!("cannot read {file}: {e}")))?;
         plans.push(convert(source, &text).map_err(|e| format!("{file}: {e}"))?);
     }
-    let (store, report) = append_batch(out, &plans, threads, shards)?;
+    let (store, report) = append_batch(out, &plans, threads)?;
     Ok(format!(
-        "ingested {} file(s) via {}: observed {} plans this run ({} fingerprint duplicates)\n{}",
+        "ingested {} file(s) via {}: {}\n{}",
         files.len(),
         source.name(),
-        report.observed,
-        report.duplicates,
+        session_line(report.observed as u64, report.duplicates as u64),
         append_summary(out, &store, &report)
     ))
 }
 
 /// `ingest --raw`: mixed-source raw dumps (framing sniffed per file),
-/// source-sniffed per record, optionally lenient — converted into a
-/// staging corpus (batch-local dedup), then appended as one segment.
+/// source-sniffed per record, optionally lenient. Every dump streams
+/// through [`uplan_convert::convert_raw`]; the first plan of each
+/// fingerprint across the run is kept, in dump order, and the kept plans
+/// are appended as one segment.
 fn ingest_raw_dumps(
     args: &[String],
     threads: usize,
-    shards: usize,
     options: &RawIngestOptions,
 ) -> Result<String, CliError> {
     let (out, dumps) = match args {
         [out, dumps @ ..] if !dumps.is_empty() => (out, dumps),
-        _ => {
-            return Err("usage: repro corpus ingest <store-dir> --raw <dump>... \
-                 [--threads N] [--shards N] [--lenient] [--max-errors N] [--quarantine <file>]"
-                .into())
-        }
+        _ => return Err(INGEST_USAGE.into()),
     };
-    let mut corpus = PlanCorpus::with_shards(shards);
+    let mut seen = HashSet::new();
+    let mut distinct = Vec::new();
     let mut lines = 0usize;
     let mut skipped = 0usize;
+    let mut quarantined = String::new();
+    let quarantine_error = |e: std::io::Error| CliError::Operational(format!("quarantine: {e}"));
     let mut censuses = Vec::new();
     for dump in dumps {
         let text = std::fs::read_to_string(dump)
             .map_err(|e| CliError::Operational(format!("cannot read {dump}: {e}")))?;
-        let report = uplan_convert::ingest_raw_with(&text, &mut corpus, threads, options)
-            .map_err(|e| CliError::Input(format!("{dump}: {e}")))?;
+        let report = uplan_convert::convert_raw(&text, threads, options, |plans| {
+            let before = distinct.len();
+            let fingerprints = FingerprintOptions::default();
+            let novel = plans
+                .iter()
+                .filter(|p| seen.insert(fingerprint_with(p, fingerprints)));
+            // Clones are compact: converter output carries spare capacity.
+            distinct.extend(novel.cloned());
+            distinct.len() - before
+        })
+        .map_err(|e| CliError::Input(format!("{dump}: {e}")))?;
+        // Each dump's conversion rewrites the quarantine file with its own
+        // records; the run's file holds every dump's.
+        if let Some(path) = &options.quarantine {
+            quarantined += &std::fs::read_to_string(path).map_err(quarantine_error)?;
+        }
         lines += report.lines;
         skipped += report.errors.len();
         censuses.push(format!(
@@ -473,18 +480,20 @@ fn ingest_raw_dumps(
             ));
         }
     }
+    if let Some(path) = &options.quarantine {
+        std::fs::write(path, quarantined).map_err(quarantine_error)?;
+    }
     let lenient_line = if options.strict {
         String::new()
     } else {
         format!("\nlenient: {skipped} record(s) skipped")
     };
-    let plans: Vec<uplan_core::UnifiedPlan> = corpus.iter().map(|(_, plan)| plan.clone()).collect();
-    let (store, report) = append_batch(out, &plans, threads, shards)?;
+    let (store, report) = append_batch(out, &distinct, threads)?;
     Ok(format!(
         "raw-ingested {lines} plan line(s) from {} dump(s){lenient_line}\n{}\n{}\n{}",
         dumps.len(),
         censuses.join("\n"),
-        session_summary(&corpus),
+        session_line(lines as u64, (lines - distinct.len()) as u64),
         append_summary(out, &store, &report)
     ))
 }
@@ -700,7 +709,7 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
          ({} segment bytes){lenient_lines}",
         batched_report.lines,
         batched_report.census(),
-        session_summary(&batched),
+        session_line(batched.observed(), batched.duplicates()),
         summary(&batched),
         batched_bytes.len()
     ))
@@ -715,9 +724,6 @@ fn raw_check(args: &[String]) -> Result<String, CliError> {
 fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
     let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
-    let shards: usize = take_value(&mut args, "--shards")?.unwrap_or(DEFAULT_SHARDS);
-    // Accepted for compatibility; the fixture is always a store.
-    take_flag(&mut args, "--segmented");
     let batches: usize = take_value(&mut args, "--batches")?.unwrap_or(1);
     let seed = parse_seed(&mut args, 0x5eed_cafe)?;
     let args = positionals(args)?;
@@ -725,7 +731,7 @@ fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
         [out] | [out, _] => out.clone(),
         _ => {
             return Err("usage: repro corpus fixture-ingest <store-dir> [count] \
-                 [--threads N] [--shards N] [--seed HEX] [--batches N]"
+                 [--threads N] [--seed HEX] [--batches N]"
                 .into())
         }
     };
@@ -743,7 +749,7 @@ fn fixture_ingest(args: &[String]) -> Result<String, CliError> {
         std::fs::remove_dir_all(path)
             .map_err(|e| CliError::Operational(format!("cannot clear {out}: {e}")))?;
     }
-    let mut store = new_store(&out, PlanCorpus::with_shards(shards))?;
+    let mut store = new_store(&out, PlanCorpus::new())?;
     let chunk = stream.len().div_ceil(batches.max(1)).max(1);
     let mut lines = vec![format!(
         "fixture-ingest: {} TPC-H-derived plans (seed {seed:#x}, {} shards, segmented x{batches})",
@@ -942,7 +948,7 @@ fn campaign(args: &[String]) -> Result<String, CliError> {
         outcome.queries,
         outcome.mutations,
         outcome.failures.len(),
-        session_summary(&outcome.corpus),
+        session_line(outcome.corpus.observed(), outcome.corpus.duplicates()),
         summary(&outcome.corpus)
     );
     new_store(out, outcome.corpus)?;
@@ -1511,7 +1517,7 @@ mod tests {
         }
         assert!(run_inner(&strings(&["campaign", "/no/dir/x", "db2"])).is_err());
         // Retired flags are rejected as unknown, not read as file names.
-        for retired in ["--index", "--append"] {
+        for retired in ["--index", "--append", "--shards"] {
             let err = run_inner(&strings(&["ingest", "out", "--raw", "dump", retired]));
             assert_eq!(
                 err.unwrap_err().to_string(),
@@ -1617,7 +1623,10 @@ mod tests {
         assert!(run_inner(&strings(&["fixture-ingest"])).is_err());
         assert!(run_inner(&strings(&["fixture-ingest", &out1, "--threads"])).is_err());
         assert!(run_inner(&strings(&["fixture-ingest", &out1, "--seed", "zz"])).is_err());
-        assert!(run_inner(&strings(&["fixture-ingest", &out1, "--index"])).is_err());
+        for retired in ["--index", "--segmented", "--shards"] {
+            let err = run_inner(&strings(&["fixture-ingest", &out1, retired])).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown flag {retired}"));
+        }
 
         remove(&[&out1, &out4]);
     }
@@ -2004,6 +2013,61 @@ mod tests {
         remove(&[&d1, &d2, &d3]);
     }
 
+    /// A lenient run over several dirty dumps quarantines every skipped
+    /// record of the run, in dump order, and the file replays to exactly
+    /// those failures.
+    #[test]
+    fn quarantine_holds_every_skipped_record_of_a_multi_dump_run() {
+        let (a, b) = (temp("uplan_cli_q_a.jsonl"), temp("uplan_cli_q_b.jsonl"));
+        for (dump, dirty, seed) in [(&a, "2", "0x3"), (&b, "3", "0x4")] {
+            run_inner(&strings(&[
+                "raw-fixture",
+                dump,
+                "2",
+                "--dirty",
+                dirty,
+                "--seed",
+                seed,
+            ]))
+            .unwrap();
+        }
+        let out = temp("uplan_cli_q_store");
+        let quarantine = temp("uplan_cli_q.jsonl");
+        let lenient_ingest = |dumps: &[&String]| {
+            remove(&[&out]);
+            let mut args = strings(&["ingest", &out, "--raw"]);
+            args.extend(dumps.iter().map(|d| d.to_string()));
+            args.extend(strings(&["--lenient", "--quarantine", &quarantine]));
+            let report = run_inner(&args).unwrap();
+            (report, std::fs::read_to_string(&quarantine).unwrap())
+        };
+        let (report, quarantined) = lenient_ingest(&[&a, &b]);
+        assert!(report.contains("lenient: 5 record(s) skipped"), "{report}");
+        assert_eq!(quarantined.lines().count(), 5);
+        // In dump order: each dump's quarantine, concatenated.
+        let (_, of_a) = lenient_ingest(&[&a]);
+        let (_, of_b) = lenient_ingest(&[&b]);
+        assert_eq!(quarantined, format!("{of_a}{of_b}"));
+        std::fs::write(&quarantine, &quarantined).unwrap();
+
+        let replay = temp("uplan_cli_q_replay");
+        let replayed = run_inner(&strings(&[
+            "ingest",
+            &replay,
+            "--raw",
+            &quarantine,
+            "--lenient",
+        ]))
+        .unwrap();
+        assert!(
+            replayed.starts_with(
+                "raw-ingested 0 plan line(s) from 1 dump(s)\nlenient: 5 record(s) skipped"
+            ),
+            "{replayed}"
+        );
+        remove(&[&a, &b, &out, &quarantine, &replay]);
+    }
+
     #[test]
     fn source_parse_errors_name_the_accepted_sources() {
         let err = run_inner(&strings(&["ingest", "out", "oracle", "file"]))
@@ -2043,7 +2107,6 @@ mod tests {
                 "fixture-ingest",
                 dir,
                 "600",
-                "--segmented",
                 "--batches",
                 "3",
                 "--threads",

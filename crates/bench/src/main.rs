@@ -17,7 +17,7 @@
 //!               sources> ...
 //!                         # manage persistent, TED-indexed plan corpora,
 //!                         # each an append-only segment-store directory:
-//!                         # parallel sharded ingest (--threads/--shards),
+//!                         # parallel sharded ingest (--threads),
 //!                         # mixed-source raw-dump ingest (ingest --raw,
 //!                         # framed + source-sniffed per record, --lenient
 //!                         # skip-and-report with --quarantine), legacy-file

@@ -115,9 +115,9 @@ pub use service::{
 /// scales up to it. Four keeps metric queries ≥10× cheaper than scans even
 /// on small (1k-plan) populations — the tier-1 counted-evals gate — while
 /// covering the thread counts of commodity CI runners. Campaigns on wider
-/// machines can raise it per corpus ([`ShardedCorpus::with_shards`], CLI
-/// `--shards`); the pruning ratio recovers with population size (~44× for
-/// one shard at 10k plans).
+/// machines can raise it per corpus ([`ShardedCorpus::with_shards`]); the
+/// pruning ratio recovers with population size (~44× for one shard at 10k
+/// plans).
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// Result rows of a metric query: `(plan id, TED distance)`.
