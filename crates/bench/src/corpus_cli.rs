@@ -26,7 +26,9 @@
 //!     `--lenient` skips bad records instead of aborting and prints the
 //!     per-record error census; `--max-errors` bounds the tolerated
 //!     garbage per dump; `--quarantine` writes every failed record of the
-//!     run, in dump order, to a replayable JSONL file. `--segmented` is
+//!     run, in dump order, to a replayable JSONL file. `--max-errors` and
+//!     `--quarantine` need `--lenient`, and `--lenient` needs `--raw`; any
+//!     other combination exits 2 before a dump is read. `--segmented` is
 //!     still accepted and selects nothing: every ingest writes a store.
 //! repro corpus import <file> <store-dir> [--salvage]
 //!     The one verb that reads legacy corpus files: a monolithic binary
@@ -88,19 +90,19 @@
 //!     fingerprint tables). Stores carry the distinct plan set only;
 //!     observed/duplicate counters are session-local and are printed by
 //!     ingest/campaign at observation time.
-//! repro corpus cluster <store-dir> [radius] [--dot] [--threads N]
+//! repro corpus cluster <store-dir> [radius] [--dot]
 //!     Near-duplicate clusters at a TED radius (default 2), rendered as a
-//!     text report or Graphviz DOT. `--threads` fans each radius query
-//!     out across the corpus shards (identical clusters and TED counts).
+//!     text report or Graphviz DOT.
 //! repro corpus diff <left-dir> <right-dir> [radius]
 //!     Cross-corpus comparison: shared fingerprints, unique plans, and
 //!     which unique plans have no near-duplicate (within radius, default 2)
 //!     on the other side.
 //! repro corpus query <store-dir> <knn|radius|cluster|stats> [--k N] [--radius R]
-//!                    [--probe <plan.json>] [--probe-raw <record>] [--budget N]
-//!                    [--threads N] [--json]
+//!                    [--probe <plan.json>] [--probe-raw <record>]
+//!                    [--mode exact|approx] [--candidates N] [--budget N] [--json]
 //!     Run one query through the unified request vocabulary — the same
-//!     entry point `uplan-serve` answers over HTTP. `--probe` reads a
+//!     entry point `uplan-serve` answers over HTTP, on the calling
+//!     thread. `--probe` reads a
 //!     unified-JSON plan, `--probe-raw` a single raw dump record
 //!     (source-sniffed). `--budget` bounds counted TED evaluations; a
 //!     tripped budget is an *operational* failure (exit 1), distinct from
@@ -390,19 +392,19 @@ fn ingest(args: &[String]) -> Result<String, CliError> {
     // the benchmark's `perfbench/` ingest workload still passes it.
     take_flag(&mut args, "--segmented");
     let lenient = take_flag(&mut args, "--lenient");
-    let max_errors: usize = take_value(&mut args, "--max-errors")?.unwrap_or(0);
+    let max_errors: Option<usize> = take_value(&mut args, "--max-errors")?;
     let quarantine: Option<String> = take_value(&mut args, "--quarantine")?;
     let args = positionals(args)?;
+    if (max_errors.is_some() || quarantine.is_some()) && !lenient || (lenient && !raw) {
+        return Err("--max-errors and --quarantine need --lenient, which needs --raw".into());
+    }
     if raw {
         let options = RawIngestOptions {
             strict: !lenient,
-            max_errors,
+            max_errors: max_errors.unwrap_or(0),
             quarantine: quarantine.map(std::path::PathBuf::from),
         };
         return ingest_raw_dumps(&args, threads, &options);
-    }
-    if lenient || max_errors != 0 || quarantine.is_some() {
-        return Err("--lenient/--max-errors/--quarantine only apply to --raw ingest".into());
     }
     let (out, source_name, files) = match args.as_slice() {
         [out, source, files @ ..] if !files.is_empty() => (out, source, files),
@@ -1008,22 +1010,19 @@ fn stats(args: &[String]) -> Result<String, CliError> {
 
 fn cluster(args: &[String]) -> Result<String, CliError> {
     let mut args = args.to_vec();
-    let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     // `--dot` may appear anywhere; positionals keep their order around it.
     let dot = take_flag(&mut args, "--dot");
     let args = positionals(args)?;
     let path = args
         .first()
-        .ok_or("usage: repro corpus cluster <corpus> [radius] [--dot] [--threads N]")?;
+        .ok_or("usage: repro corpus cluster <corpus> [radius] [--dot]")?;
     let radius: u32 = match args.get(1) {
         Some(r) => r.parse().map_err(|_| format!("bad radius {r:?}"))?,
         None => 2,
     };
     let corpus = load(path)?;
-    // The radius fan-out parallelizes across shards; the clusters (and
-    // their counted TED evaluations) are identical for every thread count.
     let response = corpus
-        .execute(&QueryRequest::cluster(radius).with_threads(threads))
+        .execute(&QueryRequest::cluster(radius))
         .map_err(|e| CliError::Input(e.to_string()))?;
     let QueryOutcome::Clusters(clusters) = &response.outcome else {
         unreachable!("cluster queries answer clusters")
@@ -1082,7 +1081,6 @@ fn query(args: &[String]) -> Result<String, CliError> {
     let k: Option<usize> = take_value(&mut args, "--k")?;
     let radius: Option<u32> = take_value(&mut args, "--radius")?;
     let budget: Option<u64> = take_value(&mut args, "--budget")?;
-    let threads: usize = take_value(&mut args, "--threads")?.unwrap_or(1);
     let mode: Option<String> = take_value(&mut args, "--mode")?;
     let candidates: Option<usize> = take_value(&mut args, "--candidates")?;
     let probe_path: Option<String> = take_value(&mut args, "--probe")?;
@@ -1095,7 +1093,7 @@ fn query(args: &[String]) -> Result<String, CliError> {
                 "usage: repro corpus query <store-dir> <knn|radius|cluster|stats> \
                  [--k N] [--radius R] [--probe <plan.json>] [--probe-raw <record>] \
                  [--mode exact|approx] [--candidates N] \
-                 [--budget N] [--threads N] [--json]"
+                 [--budget N] [--json]"
                     .into(),
             )
         }
@@ -1112,7 +1110,6 @@ fn query(args: &[String]) -> Result<String, CliError> {
             )
         }
     };
-    request = request.with_threads(threads);
     if let Some(budget) = budget {
         request = request.with_eval_budget(budget);
     }
@@ -1524,6 +1521,66 @@ mod tests {
                 format!("unknown flag {retired}")
             );
         }
+        // Queries run on the calling thread: no verb that queries takes a
+        // thread count.
+        let thread_counts: [&[&str]; 2] = [
+            &["cluster", "/definitely/not/here", "--threads", "2"],
+            &["query", "/definitely/not/here", "stats", "--threads", "2"],
+        ];
+        for args in thread_counts {
+            let err = run_inner(&strings(args)).unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag --threads", "{args:?}");
+        }
+    }
+
+    #[test]
+    fn ingest_option_combinations_are_checked_before_any_dump_is_read() {
+        // A clean dump: the bad combinations must fail before it is read,
+        // and must not write a quarantine file or a store.
+        let dump = temp("uplan_cli_flags.jsonl");
+        run_inner(&strings(&["raw-fixture", &dump, "1"])).unwrap();
+        let (out, quarantine) = (temp("uplan_cli_flags"), temp("uplan_cli_flags_q.jsonl"));
+        let raw: &[&str] = &["ingest", &out, "--raw", &dump];
+        let native: &[&str] = &["ingest", &out, "tidb-table", &dump];
+        let q: &[&str] = &["--quarantine", &quarantine];
+        let cases: [(&[&str], &[&str]); 6] = [
+            (raw, q),
+            (raw, &["--max-errors", "5"]),
+            (raw, &["--max-errors", "5", "--quarantine", &quarantine]),
+            (native, &["--lenient"]),
+            (native, &["--lenient", "--quarantine", &quarantine]),
+            (native, q),
+        ];
+        for (form, flags) in cases {
+            let args = strings(&[form, flags].concat());
+            let err = run_inner(&args).unwrap_err();
+            assert_eq!(err.code(), 2, "{args:?}: {err}");
+            assert_eq!(
+                err.to_string(),
+                "--max-errors and --quarantine need --lenient, which needs --raw",
+                "{args:?}"
+            );
+            assert!(!std::path::Path::new(&quarantine).exists(), "{args:?}");
+            assert!(!std::path::Path::new(&out).exists(), "{args:?}");
+        }
+        // With --lenient the same flags are accepted.
+        let lenient = strings(&[raw, &["--lenient", "--max-errors", "5"], q].concat());
+        run_inner(&lenient).unwrap();
+        assert_eq!(std::fs::read_to_string(&quarantine).unwrap(), "");
+        remove(&[&dump, &out, &quarantine]);
+    }
+
+    #[test]
+    fn raw_fixture_writes_identical_files_on_every_run() {
+        let (a, b) = (
+            temp("uplan_cli_fixture_a.jsonl"),
+            temp("uplan_cli_fixture_b.jsonl"),
+        );
+        let first = run_inner(&strings(&["raw-fixture", &a, "2", "--dirty", "3"])).unwrap();
+        let second = run_inner(&strings(&["raw-fixture", &b, "2", "--dirty", "3"])).unwrap();
+        assert_eq!(first.replace(&a, &b), second);
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+        remove(&[&a, &b]);
     }
 
     #[test]
@@ -1685,11 +1742,6 @@ mod tests {
         assert_eq!(dir_bytes(&out1), dir_bytes(&out4));
         let stats = run_inner(&strings(&["stats", &out4])).unwrap();
         assert!(stats.contains("persisted (0 TED evaluations"), "{stats}");
-
-        // Threaded clustering answers exactly like the sequential path.
-        let seq = run_inner(&strings(&["cluster", &out4, "2"])).unwrap();
-        let par = run_inner(&strings(&["cluster", &out4, "2", "--threads", "4"])).unwrap();
-        assert_eq!(seq, par);
 
         // Usage errors stay errors.
         assert!(run_inner(&strings(&["ingest", &out1, "--raw"])).is_err());

@@ -13,7 +13,7 @@
 //! itself: every operation takes a `dist` closure and **returns how many
 //! times it called it**. Those counts are determinism gates, not timings:
 //! the same tree and probe evaluate the same nodes on any machine, so
-//! tests pin the pruning claim and the identity of budgeted, threaded and
+//! tests pin the pruning claim and the identity of budgeted and
 //! kernel-on/off walks on them. Speed is measured in wall clock
 //! elsewhere. There is one traversal per query kind —
 //! [`BkTree::within_radius`] and [`BkTree::nearest_into`] — each taking an

@@ -19,8 +19,8 @@
 //! * **Scale** is sharding: a [`ShardedCorpus`] splits fingerprint space by
 //!   prefix into independent `FingerprintSet` + BK-tree shards, so a
 //!   fuzzing campaign's ingest fans out across threads without locks
-//!   ([`ShardedCorpus::ingest_parallel`]) while queries fan out across
-//!   shards and merge by distance. Ingest is *deterministic under
+//!   ([`ShardedCorpus::ingest_parallel`]) while a query walks the shards
+//!   in turn and merges by distance. Ingest is *deterministic under
 //!   parallelism*: any thread count produces byte-identical corpora,
 //!   because shard routing is a pure function of the fingerprint and each
 //!   shard sees its plans in stream order.
@@ -521,7 +521,7 @@ impl ShardedCorpus {
         };
         let novel = radius == 0
             || self
-                .radius_query(plan, radius, u64::MAX, 1)
+                .radius_query(plan, radius, u64::MAX)
                 .0
                 .matches
                 .is_empty();
@@ -670,20 +670,21 @@ impl ShardedCorpus {
     }
 
     /// The one radius walk: a budgeted BK radius traversal over each shard
-    /// of `shards` in turn, with the budget shared across them. `dist` is
-    /// the metric over `(shard, local id, bound)` (see
+    /// in turn, with the budget shared across them. `dist` is the metric
+    /// over `(shard, local id, bound)` (see
     /// [`bktree::BkTree::within_radius`]). Returns the matches as
-    /// `(global id, distance)` in walk order, the TED evaluations started
+    /// `(global id, distance)` sorted by id, the TED evaluations started
     /// and whether the budget cut the walk short.
     fn radius_walk(
-        shards: &[CorpusShard],
+        &self,
         radius: u32,
         limit: u64,
         mut dist: impl FnMut(&CorpusShard, u32, u32) -> Option<u32>,
     ) -> (Matches, u64, bool) {
         let mut matches = Vec::new();
         let mut evals = 0u64;
-        for shard in shards {
+        let mut truncated = false;
+        for shard in &self.shards {
             let (m, e, cut) =
                 shard
                     .index
@@ -696,10 +697,12 @@ impl ShardedCorpus {
                     .map(|(local, d)| (shard.globals[local as usize] as usize, d)),
             );
             if cut {
-                return (matches, evals, true);
+                truncated = true;
+                break;
             }
         }
-        (matches, evals, false)
+        matches.sort_unstable();
+        (matches, evals, truncated)
     }
 
     /// The one k-NN walk: the query fans out across shards *sharing one
@@ -741,70 +744,32 @@ impl ShardedCorpus {
     }
 
     /// Radius query under a TED-evaluation budget shared by the whole
-    /// shard fan-out (`u64::MAX` for none); the `bool` reports whether the
-    /// budget cut the walk short (the matches are then a best-effort
-    /// subset). Matches sort by id.
-    ///
-    /// Unbudgeted queries spread the shards across `threads` scoped
-    /// workers, each walking its shard group. The answer is *identical* to
-    /// the sequential walk — same matches **and** the same counted TED
-    /// evaluations — because radius walks share no pruning bound between
-    /// shards. Budgeted queries ignore `threads` and walk sequentially, so
-    /// where the budget trips is deterministic.
+    /// shard walk (`u64::MAX` for none), run on the calling thread; the
+    /// `bool` reports whether the budget cut the walk short (the matches
+    /// are then a best-effort subset). Matches sort by id.
     pub(crate) fn radius_query(
         &self,
         probe: &UnifiedPlan,
         radius: u32,
         limit: u64,
-        threads: usize,
     ) -> (MetricQuery, bool) {
         let probe = TedPlan::new(probe);
-        let walk = |group: &[CorpusShard]| {
-            let mut scratch = TedScratch::default();
-            let mut partials = 0u64;
-            let (m, e, cut) = Self::radius_walk(
-                group,
-                radius,
-                limit,
-                banded(&probe, &mut scratch, &mut partials),
-            );
-            (m, e, partials, cut)
+        let mut scratch = TedScratch::default();
+        let mut partial_evals = 0u64;
+        let (matches, ted_evals, truncated) = self.radius_walk(
+            radius,
+            limit,
+            banded(&probe, &mut scratch, &mut partial_evals),
+        );
+        let query = MetricQuery {
+            partial_evals,
+            ..MetricQuery::exact(matches, ted_evals)
         };
-        let threads = if limit == u64::MAX {
-            threads.clamp(1, self.shards.len())
-        } else {
-            1
-        };
-        let parts = if threads == 1 {
-            vec![walk(&self.shards)]
-        } else {
-            let chunk = self.shards.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .chunks(chunk)
-                    .map(|group| scope.spawn(move || walk(group)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("radius workers do not panic"))
-                    .collect()
-            })
-        };
-        let mut query = MetricQuery::exact(Vec::new(), 0);
-        let mut truncated = false;
-        for (m, e, p, cut) in parts {
-            query.matches.extend(m);
-            query.ted_evals += e;
-            query.partial_evals += p;
-            truncated |= cut;
-        }
-        query.matches.sort_unstable();
         (query, truncated)
     }
 
     /// k-NN under a TED-evaluation budget shared by the whole shard
-    /// fan-out (`u64::MAX` for none); the `bool` reports whether the
+    /// walk (`u64::MAX` for none); the `bool` reports whether the
     /// budget cut the descent short (the matches are then a best-effort
     /// prefix of the answer).
     pub(crate) fn knn_query(
@@ -940,9 +905,8 @@ impl ShardedCorpus {
     pub fn radius_query_reference(&self, probe: &UnifiedPlan, radius: u32) -> MetricQuery {
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let (mut matches, ted_evals, _) =
-            Self::radius_walk(&self.shards, radius, u64::MAX, full(&probe, &mut scratch));
-        matches.sort_unstable();
+        let (matches, ted_evals, _) =
+            self.radius_walk(radius, u64::MAX, full(&probe, &mut scratch));
         MetricQuery::exact(matches, ted_evals)
     }
 
@@ -1000,92 +964,13 @@ impl ShardedCorpus {
         }
     }
 
-    /// The one clustering implementation: greedy leader clustering with
-    /// every leader's radius query fanned out across shards on `threads`
-    /// worker threads. Same clusters for every thread count — the greedy
-    /// pass is sequential over leaders, only each query's shard visits run
-    /// concurrently. Returns `(clusters, ted_evals, partial_evals)`.
-    ///
-    /// Unlike fanning out a fresh threaded radius query per leader, the
-    /// workers are spawned **once** and fed probes over channels, so a
-    /// large corpus pays thread start-up per clustering run, not per
-    /// query.
-    pub(crate) fn cluster_query(&self, radius: u32, threads: usize) -> (Vec<Cluster>, u64, u64) {
-        let threads = threads.clamp(1, self.shards.len());
-        // One leader's radius walk over a shard group: `(matches, evals,
-        // partials)`, matches unsorted.
-        let walk = |group: &[CorpusShard], leader: usize, scratch: &mut TedScratch| {
-            let mut partials = 0u64;
-            let probe = self.ted_of(leader);
-            let (m, e, _) = Self::radius_walk(
-                group,
-                radius,
-                u64::MAX,
-                banded(probe, scratch, &mut partials),
-            );
-            (m, e, partials)
-        };
-        let mut ted_evals = 0u64;
-        let mut partial_evals = 0u64;
-        if threads == 1 {
-            let mut scratch = TedScratch::default();
-            let clusters = self.greedy_clusters(|leader| {
-                let (mut matches, e, p) = walk(&self.shards, leader, &mut scratch);
-                ted_evals += e;
-                partial_evals += p;
-                matches.sort_unstable();
-                matches
-            });
-            return (clusters, ted_evals, partial_evals);
-        }
-        use std::sync::mpsc;
-        let chunk = self.shards.len().div_ceil(threads);
-        let clusters = std::thread::scope(|scope| {
-            let (result_tx, result_rx) = mpsc::channel::<(Matches, u64, u64)>();
-            // Workers receive leader *ids* (resolving the probe plan
-            // themselves), sidestepping a reference-typed channel.
-            let probe_txs: Vec<mpsc::Sender<usize>> = self
-                .shards
-                .chunks(chunk)
-                .map(|group| {
-                    let (probe_tx, probe_rx) = mpsc::channel::<usize>();
-                    let result_tx = result_tx.clone();
-                    scope.spawn(move || {
-                        // One long-lived worker per shard group: exits when
-                        // the probe sender drops at the end of the run.
-                        let mut scratch = TedScratch::default();
-                        while let Ok(leader) = probe_rx.recv() {
-                            if result_tx.send(walk(group, leader, &mut scratch)).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                    probe_tx
-                })
-                .collect();
-            drop(result_tx);
-            self.greedy_clusters(|leader| {
-                for tx in &probe_txs {
-                    tx.send(leader).expect("cluster workers outlive the run");
-                }
-                let mut matches: Matches = Vec::new();
-                for _ in &probe_txs {
-                    let (m, e, p) = result_rx.recv().expect("cluster worker result");
-                    ted_evals += e;
-                    partial_evals += p;
-                    matches.extend(m);
-                }
-                matches.sort_unstable();
-                matches
-            })
-        });
-        (clusters, ted_evals, partial_evals)
-    }
-
-    /// The greedy pass over a radius-query oracle taking a leader plan id
-    /// (the oracle must return matches sorted by plan id, like the query
-    /// methods do).
-    fn greedy_clusters(&self, mut query: impl FnMut(usize) -> Matches) -> Vec<Cluster> {
+    /// The one clustering implementation: greedy leader clustering, each
+    /// unclaimed plan in id order leading a radius walk that claims every
+    /// unclaimed plan within `radius`. Returns `(clusters, ted_evals,
+    /// partial_evals)`.
+    pub(crate) fn cluster_query(&self, radius: u32) -> (Vec<Cluster>, u64, u64) {
+        let mut scratch = TedScratch::default();
+        let (mut ted_evals, mut partial_evals) = (0u64, 0u64);
         let mut claimed = vec![false; self.directory.len()];
         let mut out = Vec::new();
         for leader in 0..self.directory.len() {
@@ -1093,8 +978,15 @@ impl ShardedCorpus {
                 continue;
             }
             claimed[leader] = true;
+            let probe = self.ted_of(leader);
+            let (matches, e, _) = self.radius_walk(
+                radius,
+                u64::MAX,
+                banded(probe, &mut scratch, &mut partial_evals),
+            );
+            ted_evals += e;
             let mut members = vec![(leader, 0u32)];
-            for (id, d) in query(leader) {
+            for (id, d) in matches {
                 if !claimed[id] {
                     claimed[id] = true;
                     members.push((id, d));
@@ -1102,7 +994,7 @@ impl ShardedCorpus {
             }
             out.push(Cluster { leader, members });
         }
-        out
+        (out, ted_evals, partial_evals)
     }
 
     /// Diffs two corpora: exact differences by fingerprint, then — for the
@@ -1120,11 +1012,7 @@ impl ShardedCorpus {
                     continue;
                 }
                 only.push(id);
-                if b.radius_query(plan, radius, u64::MAX, 1)
-                    .0
-                    .matches
-                    .is_empty()
-                {
+                if b.radius_query(plan, radius, u64::MAX).0.matches.is_empty() {
                     beyond.push(id);
                 }
             }
@@ -1508,7 +1396,7 @@ mod tests {
         }
         for probe in population() {
             for radius in 0..5u32 {
-                let indexed = corpus.radius_query(&probe, radius, u64::MAX, 1).0;
+                let indexed = corpus.radius_query(&probe, radius, u64::MAX).0;
                 let scanned = corpus.scan_within_radius(&probe, radius);
                 assert_eq!(indexed.matches, scanned.matches, "radius {radius}");
                 assert!(indexed.ted_evals <= scanned.ted_evals);
@@ -1536,7 +1424,7 @@ mod tests {
             for probe in plans.iter().step_by(13) {
                 for radius in [0u32, 1, 3] {
                     assert_eq!(
-                        corpus.radius_query(probe, radius, u64::MAX, 1).0.matches,
+                        corpus.radius_query(probe, radius, u64::MAX).0.matches,
                         corpus.scan_within_radius(probe, radius).matches,
                         "shards {shards} radius {radius}"
                     );
@@ -1595,31 +1483,40 @@ mod tests {
     }
 
     #[test]
-    fn threaded_radius_fanout_changes_neither_matches_nor_counted_evals() {
-        // The counted-evals gate of the parallel fan-out: for every thread
-        // count, the threaded query is *equal* to the sequential one —
-        // including the TED evaluation count the BK-tree is judged by.
+    fn clusters_agree_with_a_scan_oracle_at_every_shard_count() {
+        // Greedy leader clustering over brute-force radius scans: the
+        // clusters (leaders, members, distances) the BK walk must
+        // reproduce for every shard count, and the sum of the walk's
+        // counted evaluations must equal what its radius queries report.
         let plans = wide_population(200);
         for shards in [1usize, 4, 16] {
             let mut corpus = ShardedCorpus::with_shards(shards);
             for plan in &plans {
                 corpus.observe(plan);
             }
-            for probe in plans.iter().step_by(17) {
-                for radius in [0u32, 1, 3] {
-                    let sequential = corpus.radius_query(probe, radius, u64::MAX, 1);
-                    for threads in [1usize, 2, 4, 7, 32] {
-                        assert_eq!(
-                            corpus.radius_query(probe, radius, u64::MAX, threads),
-                            sequential,
-                            "shards {shards} radius {radius} threads {threads}"
-                        );
+            let mut claimed = vec![false; corpus.len()];
+            let mut oracle = Vec::new();
+            let (mut ted_evals, mut partial_evals) = (0u64, 0u64);
+            for leader in 0..corpus.len() {
+                if claimed[leader] {
+                    continue;
+                }
+                claimed[leader] = true;
+                let probe = corpus.plan(leader).clone();
+                let (query, _) = corpus.radius_query(&probe, 2, u64::MAX);
+                ted_evals += query.ted_evals;
+                partial_evals += query.partial_evals;
+                let mut members = vec![(leader, 0u32)];
+                for (id, d) in corpus.scan_within_radius(&probe, 2).matches {
+                    if !std::mem::replace(&mut claimed[id], true) {
+                        members.push((id, d));
                     }
                 }
+                oracle.push(Cluster { leader, members });
             }
             assert_eq!(
-                corpus.cluster_query(2, 4),
-                corpus.cluster_query(2, 1),
+                corpus.cluster_query(2),
+                (oracle, ted_evals, partial_evals),
                 "shards {shards}"
             );
         }
@@ -1645,7 +1542,7 @@ mod tests {
         for plan in population() {
             corpus.insert(plan);
         }
-        let clusters = corpus.cluster_query(1, 1).0;
+        let clusters = corpus.cluster_query(1).0;
         let mut seen: Vec<usize> = clusters
             .iter()
             .flat_map(|c| c.members.iter().map(|&(id, _)| id))
@@ -1657,7 +1554,7 @@ mod tests {
             assert!(c.members.iter().all(|&(_, d)| d <= 1));
         }
         // Radius large enough: one cluster.
-        assert_eq!(corpus.cluster_query(100, 1).0.len(), 1);
+        assert_eq!(corpus.cluster_query(100).0.len(), 1);
     }
 
     #[test]
@@ -1726,8 +1623,8 @@ mod tests {
         // And the adopted index answers exactly like the built one —
         // matches *and* evaluation counts.
         for probe in wide_population(120).iter().step_by(17) {
-            let a = corpus.radius_query(probe, 2, u64::MAX, 1);
-            let b = loaded.radius_query(probe, 2, u64::MAX, 1);
+            let a = corpus.radius_query(probe, 2, u64::MAX);
+            let b = loaded.radius_query(probe, 2, u64::MAX);
             assert_eq!(a, b);
             let a = corpus.knn_query(probe, 5, u64::MAX);
             let b = loaded.knn_query(probe, 5, u64::MAX);

@@ -10,20 +10,15 @@
 //! clustering and budgeted queries share the radius walk, and every k-NN
 //! query runs the k-NN walk.
 //!
-//! Two request knobs matter beyond the query parameters themselves:
+//! Every query runs on the thread that executes it. Two request knobs
+//! matter beyond the query parameters themselves:
 //!
-//! * **`threads`** fans the shard visits of radius and cluster queries out
-//!   across scoped workers — same matches, same counted TED evaluations
-//!   (shard walks are independent). k-NN ignores it: the shared best-k
-//!   heap that makes merged k-NN cheap is inherently sequential.
 //! * **`max_ted_evals`** is a per-request *counted-TED budget* in the
 //!   spirit of the paper's evaluation-count discipline: the traversal
 //!   stops before the evaluation that would exceed the budget and the
 //!   request fails with [`QueryError::BudgetExceeded`] — a distinct,
 //!   machine-readable outcome (HTTP 422 on the wire) rather than a
-//!   silently partial answer. Budgeted queries always run the sequential
-//!   shard fan-out so the evaluation count that tripped (or respected)
-//!   the budget is deterministic.
+//!   silently partial answer.
 //! * **`mode`** selects between the default [`QueryMode::Exact`] answer
 //!   and [`QueryMode::Approx`], which generates a candidate shortlist by
 //!   feature-vector distance (see [`crate::features`]) and re-ranks only
@@ -190,18 +185,14 @@ impl QueryKind {
 }
 
 /// One corpus query: what to ask ([`QueryKind`]), what to ask it about
-/// (the probe plan, for k-NN and radius), and how to run it (threads,
-/// counted-TED budget). Built with the `QueryRequest::knn(5)`-style
+/// (the probe plan, for k-NN and radius), and how to run it (counted-TED
+/// budget, mode). Built with the `QueryRequest::knn(5)`-style
 /// constructors plus `with_*` chainers; executed by
 /// [`ShardedCorpus::execute`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The query itself.
     pub kind: QueryKind,
-    /// Worker threads for the shard fan-out of radius and cluster queries
-    /// (k-NN and stats ignore it). Budgeted queries run sequentially
-    /// regardless, so the counted evaluations are deterministic.
-    pub threads: usize,
     /// Counted-TED budget: the query fails with
     /// [`QueryError::BudgetExceeded`] rather than spend more evaluations
     /// than this. Only k-NN and radius queries accept a budget.
@@ -216,7 +207,6 @@ impl QueryRequest {
     fn with_kind(kind: QueryKind) -> QueryRequest {
         QueryRequest {
             kind,
-            threads: 1,
             max_ted_evals: None,
             mode: QueryMode::Exact,
             probe: None,
@@ -246,12 +236,6 @@ impl QueryRequest {
     /// Sets the probe plan.
     pub fn with_probe(mut self, probe: UnifiedPlan) -> QueryRequest {
         self.probe = Some(probe);
-        self
-    }
-
-    /// Sets the shard fan-out thread count.
-    pub fn with_threads(mut self, threads: usize) -> QueryRequest {
-        self.threads = threads.max(1);
         self
     }
 
@@ -285,9 +269,6 @@ impl QueryRequest {
             }
             QueryKind::Stats => {}
         }
-        if self.threads != 1 {
-            members.push(("threads", JsonValue::from(self.threads)));
-        }
         if let Some(budget) = self.max_ted_evals {
             members.push(("max_ted_evals", int(budget)));
         }
@@ -317,14 +298,7 @@ impl QueryRequest {
         for (key, _) in members {
             if !matches!(
                 key.as_ref(),
-                "query"
-                    | "k"
-                    | "radius"
-                    | "threads"
-                    | "max_ted_evals"
-                    | "mode"
-                    | "candidates"
-                    | "probe"
+                "query" | "k" | "radius" | "max_ted_evals" | "mode" | "candidates" | "probe"
             ) {
                 return Err(QueryError::Malformed(format!(
                     "unknown request member {key:?}"
@@ -409,7 +383,6 @@ impl QueryRequest {
         };
         Ok(QueryRequest {
             kind,
-            threads: uint("threads")?.unwrap_or(1).max(1) as usize,
             max_ted_evals: uint("max_ted_evals")?,
             mode,
             probe,
@@ -668,12 +641,10 @@ impl std::error::Error for QueryError {}
 
 impl ShardedCorpus {
     /// Executes a [`QueryRequest`] — the single query entry point the CLI,
-    /// the `uplan-serve` handlers and library callers all share.
-    ///
-    /// Budgeted k-NN / radius queries run the sequential shard fan-out so
-    /// their counted evaluations (and hence where the budget trips) are
-    /// deterministic; unbudgeted radius and cluster queries honor
-    /// `threads`, which changes neither matches nor counted evaluations.
+    /// the `uplan-serve` handlers and library callers all share. The
+    /// query runs on the calling thread, walking the shards in order, so
+    /// its counted evaluations (and where a budget trips) are
+    /// deterministic.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, QueryError> {
         let idx = request.kind.metric_index();
         let mut span = trace::span("corpus.query", Level::Debug, "query");
@@ -742,12 +713,9 @@ impl ShardedCorpus {
                 (self.knn_query_approx(probe()?, k, candidates), false)
             }
             (&QueryKind::Knn { k }, _) => self.knn_query(probe()?, k, limit),
-            (&QueryKind::Radius { radius }, _) => {
-                self.radius_query(probe()?, radius, limit, request.threads)
-            }
+            (&QueryKind::Radius { radius }, _) => self.radius_query(probe()?, radius, limit),
             (&QueryKind::Cluster { radius }, _) => {
-                let (clusters, ted_evals, partial_evals) =
-                    self.cluster_query(radius, request.threads);
+                let (clusters, ted_evals, partial_evals) = self.cluster_query(radius);
                 let cost = QueryCost {
                     ted_evals,
                     partial_evals,
@@ -825,22 +793,16 @@ mod tests {
         assert_eq!(knn.query, "knn");
         assert_eq!(knn.epoch, None);
 
-        for threads in [1usize, 4] {
-            let radius = corpus
-                .execute(
-                    &QueryRequest::radius(1)
-                        .with_probe(probe.clone())
-                        .with_threads(threads),
-                )
-                .unwrap();
-            let (direct, _) = corpus.radius_query(&probe, 1, u64::MAX, 1);
-            assert_eq!(radius.outcome, QueryOutcome::Matches(direct.matches));
-            assert_eq!(radius.cost.ted_evals, direct.ted_evals);
-            assert_eq!(radius.cost.partial_evals, direct.partial_evals);
-        }
+        let radius = corpus
+            .execute(&QueryRequest::radius(1).with_probe(probe.clone()))
+            .unwrap();
+        let (direct, _) = corpus.radius_query(&probe, 1, u64::MAX);
+        assert_eq!(radius.outcome, QueryOutcome::Matches(direct.matches));
+        assert_eq!(radius.cost.ted_evals, direct.ted_evals);
+        assert_eq!(radius.cost.partial_evals, direct.partial_evals);
 
         let clusters = corpus.execute(&QueryRequest::cluster(1)).unwrap();
-        let (direct, evals, partials) = corpus.cluster_query(1, 1);
+        let (direct, evals, partials) = corpus.cluster_query(1);
         assert_eq!(clusters.outcome, QueryOutcome::Clusters(direct));
         assert_eq!(clusters.cost.ted_evals, evals);
         assert_eq!(clusters.cost.partial_evals, partials);
@@ -972,10 +934,11 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_radius_queries_ignore_threads() {
-        // Budgeted radius queries walk the shards sequentially whatever
-        // `threads` says, so every thread count trips (or fits) the budget
-        // at the same evaluation.
+    fn every_radius_budget_trips_or_fits_at_its_own_evaluation() {
+        // A radius walk shares one budget across the shards it visits in
+        // turn: every budget below the unbudgeted spend trips after
+        // exactly that many evaluations, and every budget at or above it
+        // changes nothing.
         let mut corpus = ShardedCorpus::with_shards(4);
         for wrappers in 0..16usize {
             for scan in ["Scan_A", "Scan_B", "Scan_C"] {
@@ -990,26 +953,15 @@ mod tests {
             }
         }
         let probe = chain(&["Gather", "Sort", "Scan_A"]);
-        let radius = |threads: usize| {
-            QueryRequest::radius(2)
-                .with_probe(probe.clone())
-                .with_threads(threads)
-        };
-        let full = corpus.execute(&radius(1)).unwrap();
+        let radius = QueryRequest::radius(2).with_probe(probe);
+        let full = corpus.execute(&radius).unwrap();
         let spend = full.cost.ted_evals;
         assert!(spend > 4, "the walk should span several shards");
         for budget in 1..=spend + 1 {
-            let sequential = corpus.execute(&radius(1).with_eval_budget(budget));
-            for threads in [2usize, 4] {
-                assert_eq!(
-                    corpus.execute(&radius(threads).with_eval_budget(budget)),
-                    sequential,
-                    "budget {budget} threads {threads}"
-                );
-            }
+            let budgeted = corpus.execute(&radius.clone().with_eval_budget(budget));
             if budget < spend {
                 assert_eq!(
-                    sequential.unwrap_err(),
+                    budgeted.unwrap_err(),
                     QueryError::BudgetExceeded {
                         budget,
                         spent: budget
@@ -1017,7 +969,7 @@ mod tests {
                 );
             } else {
                 // A budget the walk fits under changes nothing.
-                let fitted = sequential.unwrap();
+                let fitted = budgeted.unwrap();
                 assert_eq!(fitted.outcome, full.outcome);
                 assert_eq!(fitted.cost, full.cost);
             }
@@ -1057,9 +1009,8 @@ mod tests {
             QueryRequest::knn(5).with_probe(probe.clone()).approx(64),
             QueryRequest::radius(3)
                 .with_probe(probe)
-                .with_threads(4)
                 .with_eval_budget(1000),
-            QueryRequest::cluster(2).with_threads(2),
+            QueryRequest::cluster(2),
             QueryRequest::stats(),
         ];
         for request in requests {
@@ -1103,6 +1054,8 @@ mod tests {
             "{\"k\": 2, \"mode\": 3}",
             "{\"k\": 2, \"candidates\": 8}",
             "{\"k\": 2, \"mode\": \"exact\", \"candidates\": 8}",
+            "{\"k\": 2, \"threads\": 2}",
+            "{\"radius\": 1, \"threads\": 4}",
         ] {
             assert_eq!(
                 QueryRequest::from_json(bad, Some("knn"))
@@ -1112,6 +1065,14 @@ mod tests {
                 "{bad}"
             );
         }
+        // Queries run on the thread that executes them: a thread count is
+        // not a request member, on any endpoint.
+        assert_eq!(
+            QueryRequest::from_json("{\"radius\": 1, \"threads\": 4}", Some("radius")),
+            Err(QueryError::Malformed(
+                "unknown request member \"threads\"".into()
+            ))
+        );
     }
 
     #[test]

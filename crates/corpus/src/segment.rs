@@ -967,8 +967,8 @@ mod tests {
                 eager.knn_query(&probe, 5, u64::MAX)
             );
             assert_eq!(
-                lazy.radius_query(&probe, 3, u64::MAX, 1),
-                eager.radius_query(&probe, 3, u64::MAX, 1)
+                lazy.radius_query(&probe, 3, u64::MAX),
+                eager.radius_query(&probe, 3, u64::MAX)
             );
             assert_eq!(
                 lazy.knn_query_approx(&probe, 5, 32),
