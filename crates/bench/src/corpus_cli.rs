@@ -138,6 +138,7 @@
 
 use minidb::profile::EngineProfile;
 use std::collections::HashSet;
+use std::io::BufReader;
 use uplan_convert::{convert, RawIngestOptions, Source};
 use uplan_core::fingerprint::{fingerprint_with, FingerprintOptions};
 use uplan_corpus::{
@@ -195,10 +196,7 @@ impl From<&str> for CliError {
 /// Entry point; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
     match run_inner(args) {
-        Ok(report) => {
-            println!("{report}");
-            0
-        }
+        Ok(report) => crate::print_report(&report, 0),
         Err(error) => {
             eprintln!("{error}");
             error.code()
@@ -449,9 +447,10 @@ fn ingest_raw_dumps(
     let quarantine_error = |e: std::io::Error| CliError::Operational(format!("quarantine: {e}"));
     let mut censuses = Vec::new();
     for dump in dumps {
-        let text = std::fs::read_to_string(dump)
-            .map_err(|e| CliError::Operational(format!("cannot read {dump}: {e}")))?;
-        let report = uplan_convert::convert_raw(&text, threads, options, |plans| {
+        let read_error =
+            |e: std::io::Error| CliError::Operational(format!("cannot read {dump}: {e}"));
+        let file = std::fs::File::open(dump).map_err(read_error)?;
+        let report = uplan_convert::convert_raw(BufReader::new(file), threads, options, |plans| {
             let before = distinct.len();
             let fingerprints = FingerprintOptions::default();
             let novel = plans
@@ -461,6 +460,7 @@ fn ingest_raw_dumps(
             distinct.extend(novel.cloned());
             distinct.len() - before
         })
+        .map_err(read_error)?
         .map_err(|e| CliError::Input(format!("{dump}: {e}")))?;
         // Each dump's conversion rewrites the quarantine file with its own
         // records; the run's file holds every dump's.
@@ -1417,11 +1417,13 @@ fn serve(args: &[String]) -> Result<String, CliError> {
     let server = Server::bind(config, state)
         .map_err(|e| CliError::Operational(format!("cannot bind the server: {e}")))?;
     let state = server.state();
-    println!(
+    let banner = format!(
         "serving {path} ({plans} distinct plans, segment store: merges append segments) \
          at http://{} with {threads} worker(s); POST /shutdown to stop",
         server.local_addr()
     );
+    crate::write_stdout(&banner)
+        .map_err(|e| CliError::Operational(format!("cannot write to stdout: {e}")))?;
     let snapshot = server
         .run()
         .map_err(|e| CliError::Operational(format!("server failed: {e}")))?;

@@ -19,3 +19,27 @@ pub mod microbench;
 pub mod snapshot;
 
 pub use experiments::*;
+
+/// Writes `text` and a newline to stdout. A reader that closed the pipe
+/// early (`repro … | head`) ends the output quietly; any other write
+/// failure is returned.
+pub fn write_stdout(text: &str) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        written => written,
+    }
+}
+
+/// Prints a command's finished report through [`write_stdout`] and returns
+/// the command's exit code `code`, or 1 when stdout failed.
+pub fn print_report(report: &str, code: i32) -> i32 {
+    match write_stdout(report) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("cannot write the report: {e}");
+            1
+        }
+    }
+}

@@ -68,14 +68,13 @@ fn run(args: &[String]) -> i32 {
             .get(1)
             .map(String::as_str)
             .unwrap_or("BENCH_snapshot.json");
-        match experiments::snapshot::run(path) {
-            Ok(summary) => println!("{summary}"),
+        return match experiments::snapshot::run(path) {
+            Ok(summary) => experiments::print_report(&summary, 0),
             Err(e) => {
                 eprintln!("snapshot failed: {e}");
-                return 1;
+                1
             }
-        }
-        return 0;
+        };
     }
     if which == "corpus" {
         return experiments::corpus_cli::run(&args[1..]);
@@ -87,8 +86,7 @@ fn run(args: &[String]) -> i32 {
             return 2;
         }
         let (report, failed) = experiments::compare::run(&paths);
-        println!("{report}");
-        return if failed { 1 } else { 0 };
+        return experiments::print_report(&report, i32::from(failed));
     }
     let run = |name: &str| -> Option<String> {
         let output = match name {
@@ -113,25 +111,30 @@ fn run(args: &[String]) -> i32 {
         Some(output)
     };
     let print = |name: &str, output: String| {
-        println!("\n================ {name} ================");
-        println!("{output}");
+        experiments::print_report(
+            &format!("\n================ {name} ================\n{output}"),
+            0,
+        )
     };
     if which == "all" {
         for name in [
             "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig1", "fig2",
             "fig3", "fig4", "listing1", "listing3", "q11", "effort", "ablation",
         ] {
-            print(name, run(name).expect("every listed experiment exists"));
+            let code = print(name, run(name).expect("every listed experiment exists"));
+            if code != 0 {
+                return code;
+            }
         }
+        0
     } else {
         // An unknown name is bad input, not a successful no-op run.
         match run(which) {
             Some(output) => print(which, output),
             None => {
                 eprintln!("unknown experiment {which:?} (see `repro` module docs for the list)");
-                return 2;
+                2
             }
         }
     }
-    0
 }

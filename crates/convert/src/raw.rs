@@ -22,14 +22,19 @@
 //!   contain separator-looking lines.
 //!
 //! [`convert_raw`] is the one conversion entry, and it knows nothing of
-//! corpora: each record is source-sniffed through the converter registry
-//! ([`crate::detect`]), converted in parallel batches (one reused
-//! [`NodeBuilder`] per worker), and each batch of at most [`RAW_BATCH`]
-//! owned [`UnifiedPlan`]s goes to the caller in dump order — the whole
-//! dump is never buffered. The corpus wrappers sit on top of it:
-//! [`ingest_raw_with`] hands every batch to
-//! [`PlanCorpus::ingest_parallel`]. Because shard routing and id
-//! assignment are deterministic, the resulting corpus is
+//! corpora. It reads the dump through any [`BufRead`], so a file streams
+//! from disk: records are framed one at a time into a reused buffer of at
+//! most [`RAW_BATCH`] records, and only that one batch of raw text is in
+//! memory at a time, whatever the dump's size (a `#<n>` header allocates
+//! for the bytes that actually follow it, not for `n`). Each batch is
+//! converted in record order — JSON-string unwrap, source sniff through the
+//! converter registry ([`crate::detect`]) and convert through a reused
+//! [`NodeBuilder`], split across `threads` with the calling thread
+//! converting one chunk (one thread spawns nothing) — and its owned
+//! [`UnifiedPlan`]s go to the caller in dump order. The corpus wrappers
+//! take in-memory dumps and sit on top of it: [`ingest_raw_with`] hands
+//! every batch to [`PlanCorpus::ingest_parallel`]. Because shard routing
+//! and id assignment are deterministic, the resulting corpus is
 //! **byte-identical** to converting every record sequentially with its own
 //! source converter and observing the plans one by one
 //! ([`ingest_raw_sequential_with`], the reference path the CI gate diffs
@@ -41,8 +46,8 @@
 //! Real fleet dumps are dirty — truncated records, interleaved garbage,
 //! unknown dialects. The default is strict (first bad record aborts, as a
 //! curated corpus build should), but [`RawIngestOptions`] turns the same
-//! pipeline lenient: failures are *collected per record* into the
-//! report's error census ([`RawIngestError`]: line number, detected
+//! pipeline lenient: failures are *collected per record*, in dump order,
+//! into the report's error census ([`RawIngestError`]: line number, detected
 //! source, error kind) while every convertible record still ingests —
 //! and the corpus stays byte-identical to sequentially ingesting only
 //! the valid records. Failed records can be written to a quarantine
@@ -51,11 +56,14 @@
 
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::io::{self, BufRead, Read};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use uplan_core::fingerprint::{fingerprint_with, FingerprintOptions};
 use uplan_core::formats::json::{self, JsonValue};
+use uplan_core::registry::Dbms;
 use uplan_core::{Error, Result, UnifiedPlan};
 use uplan_corpus::PlanCorpus;
 use uplan_obs::{trace, Counter, Histogram, Level};
@@ -143,8 +151,8 @@ impl RawErrorKind {
     }
 }
 
-/// Records per conversion/ingest batch — the only window of converted
-/// plans alive at once.
+/// Records per conversion/ingest batch — the only window of raw records
+/// and of converted plans alive at once.
 pub const RAW_BATCH: usize = 512;
 
 /// How a raw ingest treats records that fail to frame, classify or
@@ -306,184 +314,254 @@ impl RawFraming {
 /// separator framing, `#<digits>` selects length-prefixed framing,
 /// anything else is JSON lines.
 pub fn sniff_framing(dump: &str) -> RawFraming {
-    for line in dump.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "---" {
-            return RawFraming::Separator;
-        }
-        if line
-            .strip_prefix('#')
-            .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
-        {
-            return RawFraming::LengthPrefixed;
-        }
-        return RawFraming::JsonLines;
-    }
-    RawFraming::JsonLines
+    dump.lines()
+        .map(str::trim)
+        .find(|line| !line.is_empty())
+        .map_or(RawFraming::JsonLines, framing_of)
 }
 
-/// A record the framer could not cut out of the dump.
-struct FrameError<'a> {
+/// The framing a dump whose first non-blank line is `first` (trimmed) is
+/// read under.
+fn framing_of(first: &str) -> RawFraming {
+    if first == "---" {
+        RawFraming::Separator
+    } else if is_length_header(first) {
+        RawFraming::LengthPrefixed
+    } else {
+        RawFraming::JsonLines
+    }
+}
+
+/// `#<digits>`: the shape of a length-prefix header line (trimmed).
+fn is_length_header(line: &str) -> bool {
+    line.strip_prefix('#')
+        .is_some_and(|digits| !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// One framed record of a [`Batch`]: its 1-based first line number and
+/// where its text sits in the batch buffer.
+struct Framed {
     line: usize,
-    message: String,
-    /// The offending header/line, for quarantine.
-    raw: &'a str,
+    /// The record's text, or for a frame error the offending header line.
+    span: Range<usize>,
+    /// Why the record could not be cut out of the dump, if it could not.
+    frame_error: Option<String>,
 }
 
-type RecordResult<'a> = std::result::Result<(usize, &'a str), FrameError<'a>>;
-
-/// Streaming record iterator over a framed dump: yields `(first line
-/// number, record text)` without materializing the record list.
-enum Records<'a> {
-    Lines {
-        lines: std::str::Lines<'a>,
-        number: usize,
-    },
-    Separator {
-        dump: &'a str,
-        pos: usize,
-        line: usize,
-    },
-    LengthPrefixed {
-        dump: &'a str,
-        pos: usize,
-        line: usize,
-    },
+/// Up to [`RAW_BATCH`] framed records, their text in one reused buffer.
+#[derive(Default)]
+struct Batch {
+    text: String,
+    records: Vec<Framed>,
 }
 
-fn frame_records(dump: &str, framing: RawFraming) -> Records<'_> {
-    match framing {
-        RawFraming::JsonLines => Records::Lines {
-            lines: dump.lines(),
-            number: 0,
-        },
-        RawFraming::Separator => Records::Separator {
-            dump,
-            pos: 0,
-            line: 0,
-        },
-        RawFraming::LengthPrefixed => Records::LengthPrefixed {
-            dump,
-            pos: 0,
-            line: 0,
-        },
-    }
+/// The one framer: cuts records out of a dump read through `R`, one at a
+/// time, so only the records being framed are ever in memory.
+struct Framer<R> {
+    reader: R,
+    framing: RawFraming,
+    /// Lines consumed so far (the last line read is line `line`).
+    line: usize,
+    /// Bytes consumed so far.
+    bytes: usize,
+    /// The first non-blank line, read to sniff the framing and not yet
+    /// framed.
+    sniffed: Option<String>,
+    /// A length-prefixed payload, read before it is known to be whole.
+    payload: Vec<u8>,
+    /// Set once the rest of the dump is unframeable.
+    done: bool,
 }
 
-/// Consumes one line (without its newline) starting at `*pos`, advancing
-/// past the newline. `None` at end of input.
-fn take_line<'a>(dump: &'a str, pos: &mut usize) -> Option<(&'a str, usize, usize)> {
-    if *pos >= dump.len() {
-        return None;
-    }
-    let start = *pos;
-    let end = dump[start..].find('\n').map_or(dump.len(), |i| start + i);
-    *pos = (end + 1).min(dump.len());
-    Some((&dump[start..end], start, end))
-}
-
-impl<'a> Iterator for Records<'a> {
-    type Item = RecordResult<'a>;
-
-    fn next(&mut self) -> Option<RecordResult<'a>> {
-        match self {
-            Records::Lines { lines, number } => {
-                for line in lines.by_ref() {
-                    *number += 1;
-                    let trimmed = line.trim();
-                    if !trimmed.is_empty() {
-                        return Some(Ok((*number, trimmed)));
-                    }
-                }
-                None
+impl<R: BufRead> Framer<R> {
+    /// Reads up to the dump's first non-blank line and sniffs the framing
+    /// from it (see [`sniff_framing`]).
+    fn new(mut reader: R) -> io::Result<Framer<R>> {
+        let (mut line, mut bytes) = (0, 0);
+        let mut first = String::new();
+        let framing = loop {
+            first.clear();
+            let read = reader.read_line(&mut first)?;
+            if read == 0 {
+                break RawFraming::JsonLines;
             }
-            Records::Separator { dump, pos, line } => {
-                let mut record: Option<(usize, usize)> = None; // (byte start, line no)
-                let mut record_end = 0usize;
-                loop {
-                    match take_line(dump, pos) {
-                        None => {
-                            return record.map(|(start, ln)| Ok((ln, &dump[start..record_end])));
-                        }
-                        Some((text, start, end)) => {
-                            *line += 1;
-                            let trimmed = text.trim();
-                            if trimmed.is_empty() || trimmed == "---" {
-                                if let Some((start, ln)) = record {
-                                    return Some(Ok((ln, &dump[start..record_end])));
-                                }
-                            } else {
-                                if record.is_none() {
-                                    record = Some((start, *line));
-                                }
-                                record_end = end;
-                            }
-                        }
-                    }
-                }
+            let trimmed = first.trim();
+            if !trimmed.is_empty() {
+                break framing_of(trimmed);
             }
-            Records::LengthPrefixed { dump, pos, line } => {
-                loop {
-                    let (text, _, _) = take_line(dump, pos)?;
-                    *line += 1;
-                    let header = text.trim();
-                    if header.is_empty() {
-                        continue;
-                    }
-                    let len = header.strip_prefix('#').and_then(|digits| {
-                        (!digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()))
-                            .then(|| digits.parse::<usize>().ok())
-                            .flatten()
-                    });
-                    let Some(len) = len else {
-                        return Some(Err(FrameError {
-                            line: *line,
-                            message: format!(
-                                "line {}: expected a '#<bytes>' record header, found {header:?}",
-                                *line
-                            ),
-                            raw: text,
-                        }));
-                    };
-                    let start = *pos;
-                    let end = match start.checked_add(len) {
-                        Some(end) if end <= dump.len() && dump.is_char_boundary(end) => end,
-                        _ => {
-                            // The record's end cannot be located: the rest
-                            // of the dump is unframeable.
-                            let message = format!(
-                                "line {}: record length {len} overruns the dump \
-                                 (or splits a UTF-8 character)",
-                                *line
-                            );
-                            let err = FrameError {
-                                line: *line,
-                                message,
-                                raw: text,
-                            };
-                            *pos = dump.len();
-                            return Some(Err(err));
-                        }
-                    };
-                    let record_line = *line + 1;
-                    let payload = &dump[start..end];
-                    *line += payload.matches('\n').count();
-                    *pos = end;
-                    // One separator newline after the payload is part of
-                    // the framing, not the next record.
-                    if dump[end..].starts_with('\n') {
-                        *pos = end + 1;
-                        if !payload.ends_with('\n') {
-                            *line += 1;
-                        }
-                    }
-                    return Some(Ok((record_line, payload)));
-                }
+            line += 1;
+            bytes += read;
+        };
+        Ok(Framer {
+            reader,
+            framing,
+            line,
+            bytes,
+            sniffed: (!first.is_empty()).then_some(first),
+            payload: Vec::new(),
+            done: false,
+        })
+    }
+
+    /// Appends the next line (with its newline, if any) to `text` and
+    /// returns where it starts; `None` at end of input.
+    fn read_line(&mut self, text: &mut String) -> io::Result<Option<usize>> {
+        let start = text.len();
+        match self.sniffed.take() {
+            Some(first) => text.push_str(&first),
+            None if self.reader.read_line(text)? == 0 => return Ok(None),
+            None => {}
+        }
+        self.line += 1;
+        self.bytes += text.len() - start;
+        Ok(Some(start))
+    }
+
+    /// Frames up to [`RAW_BATCH`] records into `batch`, replacing what it
+    /// held. An empty batch means the dump is exhausted.
+    fn fill(&mut self, batch: &mut Batch) -> io::Result<()> {
+        batch.text.clear();
+        batch.records.clear();
+        while batch.records.len() < RAW_BATCH {
+            match self.next_record(&mut batch.text)? {
+                Some(record) => batch.records.push(record),
+                None => break,
             }
         }
+        Ok(())
+    }
+
+    /// Appends the next record's text to `text`; `None` at end of input.
+    fn next_record(&mut self, text: &mut String) -> io::Result<Option<Framed>> {
+        match self.framing {
+            RawFraming::JsonLines => self.next_line_record(text),
+            RawFraming::Separator => self.next_separated_record(text),
+            RawFraming::LengthPrefixed => self.next_prefixed_record(text),
+        }
+    }
+
+    /// JSON lines: every non-blank line, trimmed.
+    fn next_line_record(&mut self, text: &mut String) -> io::Result<Option<Framed>> {
+        while let Some(start) = self.read_line(text)? {
+            let line = &text[start..];
+            let trimmed = line.trim();
+            if trimmed.is_empty() {
+                text.truncate(start);
+                continue;
+            }
+            let begin = start + (line.len() - line.trim_start().len());
+            return Ok(Some(Framed {
+                line: self.line,
+                span: begin..begin + trimmed.len(),
+                frame_error: None,
+            }));
+        }
+        Ok(None)
+    }
+
+    /// Separator framing: the lines between `---` or blank lines.
+    fn next_separated_record(&mut self, text: &mut String) -> io::Result<Option<Framed>> {
+        let mut record: Option<(usize, usize)> = None; // (line number, start)
+        let mut end = 0;
+        while let Some(start) = self.read_line(text)? {
+            let line = &text[start..];
+            let body = line.strip_suffix('\n').unwrap_or(line);
+            let trimmed = body.trim();
+            if trimmed.is_empty() || trimmed == "---" {
+                text.truncate(start);
+                if record.is_some() {
+                    break;
+                }
+            } else {
+                record.get_or_insert((self.line, start));
+                end = start + body.len();
+            }
+        }
+        Ok(record.map(|(line, start)| Framed {
+            line,
+            span: start..end,
+            frame_error: None,
+        }))
+    }
+
+    /// Length-prefixed framing: a `#<n>` header line, then exactly `n`
+    /// bytes of record. The payload is read through `take(n)`, so a header
+    /// that overruns the dump costs only the bytes that exist.
+    fn next_prefixed_record(&mut self, text: &mut String) -> io::Result<Option<Framed>> {
+        if self.done {
+            return Ok(None);
+        }
+        let (start, header_end, header) = loop {
+            let Some(start) = self.read_line(text)? else {
+                return Ok(None);
+            };
+            let line = &text[start..];
+            let body = line.strip_suffix('\n').unwrap_or(line);
+            let header = body.trim();
+            if !header.is_empty() {
+                break (start, start + body.len(), header);
+            }
+            text.truncate(start);
+        };
+        let error = |message: String| Framed {
+            line: self.line,
+            span: start..header_end,
+            frame_error: Some(message),
+        };
+        let Some(len) = is_length_header(header)
+            .then(|| header[1..].parse::<usize>().ok())
+            .flatten()
+        else {
+            let message = format!(
+                "line {}: expected a '#<bytes>' record header, found {header:?}",
+                self.line
+            );
+            return Ok(Some(error(message)));
+        };
+        self.payload.clear();
+        let read = (&mut self.reader)
+            .take(len as u64)
+            .read_to_end(&mut self.payload)?;
+        let payload = match std::str::from_utf8(&self.payload) {
+            Ok(payload) if read == len => payload,
+            // Invalid bytes inside the payload are a bad dump, not a bad
+            // frame; a character cut at the payload's end is a bad frame.
+            Err(e) if e.error_len().is_some() => {
+                let message = "stream did not contain valid UTF-8";
+                return Err(io::Error::new(io::ErrorKind::InvalidData, message));
+            }
+            _ => {
+                // The record's end cannot be located: the rest of the dump
+                // is unframeable.
+                self.done = true;
+                let message = format!(
+                    "line {}: record length {len} overruns the dump \
+                     (or splits a UTF-8 character)",
+                    self.line
+                );
+                return Ok(Some(error(message)));
+            }
+        };
+        let record = Framed {
+            line: self.line + 1,
+            span: start..start + len,
+            frame_error: None,
+        };
+        text.truncate(start);
+        text.push_str(payload);
+        self.line += payload.matches('\n').count();
+        self.bytes += len;
+        // One separator newline after the payload is part of the framing,
+        // not the next record.
+        let ends_line = payload.ends_with('\n');
+        if self.reader.fill_buf()?.first() == Some(&b'\n') {
+            self.reader.consume(1);
+            self.bytes += 1;
+            if !ends_line {
+                self.line += 1;
+            }
+        }
+        Ok(Some(record))
     }
 }
 
@@ -491,20 +569,12 @@ impl<'a> Iterator for Records<'a> {
 // Classification and conversion
 // ---------------------------------------------------------------------------
 
-/// One classified record: its 1-based first line number, detected source,
-/// the dump text (decoded from the JSON string wrapper where applicable)
-/// and the raw record (for quarantine).
-struct RawLine<'a> {
-    number: usize,
-    source: Source,
-    text: Cow<'a, str>,
-    raw: &'a str,
-}
-
-/// Classifies one record (see the module docs for the record formats).
-fn classify<'a>(number: usize, raw: &'a str) -> Result<RawLine<'a>> {
+/// Classifies one record (see the module docs for the record formats):
+/// its source and its dump text, decoded from the JSON string wrapper
+/// where it has one.
+fn classify(number: usize, raw: &str) -> Result<(Source, Cow<'_, str>)> {
     let record = raw.trim();
-    let text: Cow<'a, str> = if record.starts_with('"') {
+    let text = if record.starts_with('"') {
         match json::parse(record)
             .map_err(|e| Error::Semantic(format!("line {number}: not a JSON value: {e}")))?
         {
@@ -528,52 +598,70 @@ fn classify<'a>(number: usize, raw: &'a str) -> Result<RawLine<'a>> {
             Source::ALL.map(Source::name).join(", ")
         ))
     })?;
-    Ok(RawLine {
-        number,
-        source,
-        text,
-        raw,
-    })
+    Ok((source, text))
 }
 
-/// Converts one batch across `threads` scoped workers (each with its own
-/// reused builder), preserving record order. Per-record results: a failed
-/// record costs itself, not the batch.
-fn convert_batch(batch: &[RawLine<'_>], threads: usize) -> Vec<Result<UnifiedPlan>> {
-    let threads = threads.clamp(1, batch.len().max(1));
-    if threads == 1 {
-        return convert_group(batch);
+/// What one framed record became.
+enum Outcome {
+    Plan(Source, UnifiedPlan),
+    /// The stage that rejected the record, the source detected (if
+    /// classification got that far) and why.
+    Failed(RawErrorKind, Option<Source>, Error),
+}
+
+/// The whole per-record chain — frame check, JSON-string unwrap, `detect`
+/// and convert — through one reused builder.
+fn convert_record(text: &str, record: &Framed, builder: &mut NodeBuilder) -> Outcome {
+    if let Some(message) = &record.frame_error {
+        return Outcome::Failed(RawErrorKind::Frame, None, Error::Semantic(message.clone()));
     }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batch
-            .chunks(batch.len().div_ceil(threads))
-            .map(|group| scope.spawn(move || convert_group(group)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("converter workers do not panic"))
-            .collect()
-    })
+    let (source, dump) = match classify(record.line, &text[record.span.clone()]) {
+        Ok(classified) => classified,
+        Err(err) => return Outcome::Failed(RawErrorKind::Classify, None, err),
+    };
+    builder.retarget(source.dbms());
+    match source.converter().convert(&dump, builder) {
+        Ok(plan) => Outcome::Plan(source, plan),
+        Err(e) => {
+            let err = Error::Semantic(format!("line {}: {} plan: {e}", record.line, source.name()));
+            Outcome::Failed(RawErrorKind::Convert, Some(source), err)
+        }
+    }
 }
 
-/// One worker's share of [`convert_batch`], through one reused builder.
-fn convert_group(group: &[RawLine<'_>]) -> Vec<Result<UnifiedPlan>> {
-    let mut builder = NodeBuilder::new(uplan_core::registry::Dbms::PostgreSql);
-    group
-        .iter()
-        .map(|line| {
-            builder.retarget(line.source.dbms());
-            let converted = line.source.converter().convert(&line.text, &mut builder);
-            converted.map_err(|e| {
-                let source = line.source.name();
-                Error::Semantic(format!("line {}: {source} plan: {e}", line.number))
+/// Converts one batch in record order: with `threads > 1` the batch splits
+/// into that many chunks, the calling thread converts the first and scoped
+/// workers the rest; with one thread nothing is spawned.
+fn convert_batch(batch: &Batch, threads: usize, builder: &mut NodeBuilder) -> Vec<Outcome> {
+    let records = &batch.records;
+    let convert_chunk = |chunk: &[Framed], builder: &mut NodeBuilder| -> Vec<Outcome> {
+        chunk
+            .iter()
+            .map(|record| convert_record(&batch.text, record, builder))
+            .collect()
+    };
+    let threads = threads.clamp(1, records.len().max(1));
+    if threads == 1 {
+        return convert_chunk(records, builder);
+    }
+    let mut chunks = records.chunks(records.len().div_ceil(threads));
+    let own = chunks.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks
+            .map(|chunk| {
+                scope.spawn(move || convert_chunk(chunk, &mut NodeBuilder::new(Dbms::PostgreSql)))
             })
-        })
-        .collect()
+            .collect();
+        let mut outcomes = convert_chunk(own, builder);
+        for worker in workers {
+            outcomes.extend(worker.join().expect("converter workers do not panic"));
+        }
+        outcomes
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Error collection (lenient mode)
+// Per-dump totals and error collection (lenient mode)
 // ---------------------------------------------------------------------------
 
 /// Encodes a failed record as one replayable JSONL line.
@@ -586,57 +674,61 @@ fn quarantine_line(raw: &str) -> String {
     }
 }
 
-/// Collects per-record failures under the run's [`RawIngestOptions`]:
-/// strict runs re-raise the first error, lenient runs accumulate (and
-/// quarantine) until `max_errors` is exceeded.
-struct ErrorSink<'o> {
+fn classify_error(err: &Error) -> String {
+    match err {
+        Error::Semantic(message) => message.clone(),
+        other => other.to_string(),
+    }
+}
+
+/// The per-dump totals both conversion paths keep under the run's
+/// [`RawIngestOptions`]: the report with its per-source census and, in
+/// lenient mode, its error census and the records to quarantine.
+struct Tally<'o> {
     options: &'o RawIngestOptions,
-    errors: Vec<RawIngestError>,
+    counts: [usize; Source::ALL.len()],
+    report: RawIngestReport,
     quarantined: Vec<String>,
 }
 
-impl<'o> ErrorSink<'o> {
-    fn new(options: &'o RawIngestOptions) -> ErrorSink<'o> {
-        ErrorSink {
+impl<'o> Tally<'o> {
+    fn new(framing: RawFraming, options: &'o RawIngestOptions) -> Tally<'o> {
+        Tally {
             options,
-            errors: Vec::new(),
+            counts: [0; Source::ALL.len()],
+            report: RawIngestReport {
+                framing,
+                ..RawIngestReport::default()
+            },
             quarantined: Vec::new(),
         }
     }
 
-    fn record(&mut self, err: Error, meta: RawIngestError, raw: &str) -> Result<()> {
-        if self.options.strict {
-            return Err(err);
+    /// Counts one record's outcome (`text` holds the record's framed
+    /// text), returning its plan if it converted.
+    fn add(
+        &mut self,
+        record: &Framed,
+        outcome: Outcome,
+        text: &str,
+    ) -> Result<Option<(Source, UnifiedPlan)>> {
+        match outcome {
+            Outcome::Plan(source, plan) => {
+                self.counts[source_index(source)] += 1;
+                self.report.lines += 1;
+                Ok(Some((source, plan)))
+            }
+            Outcome::Failed(kind, source, err) => {
+                let raw = &text[record.span.clone()];
+                self.skip(err, record.line, source, kind, raw)?;
+                Ok(None)
+            }
         }
-        let metrics = ingest_metrics();
-        metrics.skipped[meta.kind.metric_index()].inc();
-        if self.options.quarantine.is_some() {
-            self.quarantined.push(quarantine_line(raw));
-            metrics.quarantined.inc();
-        }
-        trace::event(
-            "convert.ingest",
-            Level::Warn,
-            "record_skipped",
-            &[
-                ("line", (meta.line as u64).into()),
-                ("kind", meta.kind.name().into()),
-            ],
-        );
-        self.errors.push(meta);
-        if self.options.max_errors > 0 && self.errors.len() > self.options.max_errors {
-            return Err(Error::Semantic(format!(
-                "giving up after {} bad records (max-errors {}); first: {}",
-                self.errors.len(),
-                self.options.max_errors,
-                self.errors[0].message
-            )));
-        }
-        Ok(())
     }
 
-    /// [`ErrorSink::record`] with the census entry's message taken from
-    /// `err`.
+    /// Collects one failed record: strict runs re-raise `err`, lenient runs
+    /// add it to the error census (the entry's message taken from `err`)
+    /// and quarantine it, failing once `max_errors` is exceeded.
     fn skip(
         &mut self,
         err: Error,
@@ -645,25 +737,48 @@ impl<'o> ErrorSink<'o> {
         kind: RawErrorKind,
         raw: &str,
     ) -> Result<()> {
-        let message = classify_error(&err);
-        let meta = RawIngestError {
+        if self.options.strict {
+            return Err(err);
+        }
+        let metrics = ingest_metrics();
+        metrics.skipped[kind.metric_index()].inc();
+        if self.options.quarantine.is_some() {
+            self.quarantined.push(quarantine_line(raw));
+            metrics.quarantined.inc();
+        }
+        trace::event(
+            "convert.ingest",
+            Level::Warn,
+            "record_skipped",
+            &[("line", (line as u64).into()), ("kind", kind.name().into())],
+        );
+        let errors = &mut self.report.errors;
+        errors.push(RawIngestError {
             line,
             source,
             kind,
-            message,
-        };
-        self.record(err, meta, raw)
+            message: classify_error(&err),
+        });
+        if self.options.max_errors > 0 && errors.len() > self.options.max_errors {
+            return Err(Error::Semantic(format!(
+                "giving up after {} bad records (max-errors {}); first: {}",
+                errors.len(),
+                self.options.max_errors,
+                errors[0].message
+            )));
+        }
+        Ok(())
     }
 
-    /// Moves the census into the report and writes the quarantine file
-    /// (when configured — always, so an error-free run leaves an empty
-    /// file rather than a stale one).
-    fn finish(mut self, report: &mut RawIngestReport) -> Result<()> {
-        // Batched conversion discovers convert failures after the classify
-        // failures of the same batch; re-establish dump order (line numbers
-        // are unique per record).
-        self.errors.sort_by_key(|e| e.line);
-        report.errors = self.errors;
+    /// Completes the report and writes the quarantine file (when
+    /// configured — always, so an error-free run leaves an empty file
+    /// rather than a stale one).
+    fn finish(mut self) -> Result<RawIngestReport> {
+        self.report.per_source = Source::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
         if let Some(path) = &self.options.quarantine {
             let mut contents = self.quarantined.join("\n");
             if !contents.is_empty() {
@@ -676,14 +791,7 @@ impl<'o> ErrorSink<'o> {
                 ))
             })?;
         }
-        Ok(())
-    }
-}
-
-fn classify_error(err: &Error) -> String {
-    match err {
-        Error::Semantic(message) => message.clone(),
-        other => other.to_string(),
+        Ok(self.report)
     }
 }
 
@@ -691,111 +799,99 @@ fn classify_error(err: &Error) -> String {
 // Conversion entry and corpus ingest
 // ---------------------------------------------------------------------------
 
-/// Frames, sniffs and converts a mixed-source dump under explicit
-/// [`RawIngestOptions`] (see the module docs), handing each batch of at
-/// most [`RAW_BATCH`] converted plans to `on_batch` in dump order.
-/// `on_batch` returns how many of the plans were novel to it, which the
-/// report sums into [`RawIngestReport::novel`]. `threads` fans out the
+/// Frames, sniffs and converts a mixed-source dump read from `reader`
+/// under explicit [`RawIngestOptions`] (see the module docs), handing each
+/// batch of at most [`RAW_BATCH`] converted plans to `on_batch` in dump
+/// order. `on_batch` returns how many of the plans were novel to it, which
+/// the report sums into [`RawIngestReport::novel`]. `threads` fans out the
 /// per-batch conversion; any thread count yields the same batches.
+///
+/// Only one batch of raw records is in memory at a time, whatever the
+/// dump's size. The outer error is a failed read (including a dump that is
+/// not UTF-8); the inner one a bad record under the options, or an
+/// unwritable quarantine file.
 pub fn convert_raw(
-    dump: &str,
+    reader: impl BufRead,
     threads: usize,
     options: &RawIngestOptions,
     mut on_batch: impl FnMut(Vec<UnifiedPlan>) -> usize,
-) -> Result<RawIngestReport> {
-    let framing = sniff_framing(dump);
+) -> io::Result<Result<RawIngestReport>> {
+    let mut framer = Framer::new(reader)?;
     let mut ingest_span = trace::span("convert.ingest", Level::Info, "ingest");
-    ingest_span.field("framing", framing.name());
-    ingest_span.field("bytes", dump.len());
-    let mut counts = [0usize; Source::ALL.len()];
-    let mut report = RawIngestReport {
-        framing,
-        ..RawIngestReport::default()
-    };
-    let mut sink = ErrorSink::new(options);
-    let mut batch: Vec<RawLine<'_>> = Vec::with_capacity(RAW_BATCH);
-    let mut records = frame_records(dump, framing);
+    ingest_span.field("framing", framer.framing.name());
+    let mut tally = Tally::new(framer.framing, options);
+    let mut builder = NodeBuilder::new(Dbms::PostgreSql);
+    let mut batch = Batch::default();
     loop {
-        // A full batch flushes before the next record is handled; the last
-        // one flushes once the records run out.
-        let record = records.next();
-        if batch.len() == RAW_BATCH || (record.is_none() && !batch.is_empty()) {
-            let metrics = ingest_metrics();
-            let mut span = trace::span("convert.ingest", Level::Debug, "batch");
-            span.field("records", batch.len());
-            let mut plans = Vec::with_capacity(batch.len());
-            for (line, result) in batch.iter().zip(convert_batch(&batch, threads)) {
-                match result {
-                    Ok(plan) => {
-                        plans.push(plan);
-                        counts[source_index(line.source)] += 1;
-                        metrics.by_source[source_index(line.source)].inc();
-                    }
-                    Err(err) => {
-                        let source = Some(line.source);
-                        sink.skip(err, line.number, source, RawErrorKind::Convert, line.raw)?;
-                    }
+        framer.fill(&mut batch)?;
+        if batch.records.is_empty() {
+            break;
+        }
+        let metrics = ingest_metrics();
+        let mut span = trace::span("convert.ingest", Level::Debug, "batch");
+        span.field("records", batch.records.len());
+        let outcomes = convert_batch(&batch, threads, &mut builder);
+        let mut plans = Vec::with_capacity(outcomes.len());
+        for (record, outcome) in batch.records.iter().zip(outcomes) {
+            match tally.add(record, outcome, &batch.text) {
+                Ok(Some((source, plan))) => {
+                    metrics.by_source[source_index(source)].inc();
+                    plans.push(plan);
                 }
-            }
-            let converted = plans.len();
-            report.lines += converted;
-            let novel = on_batch(plans);
-            report.novel += novel;
-            metrics.records.add(converted as u64);
-            metrics.batches.inc();
-            metrics.batch_records.record(batch.len() as u64);
-            span.field("converted", converted);
-            span.field("skipped", batch.len() - converted);
-            span.field("novel", novel);
-            batch.clear();
-        }
-        match record {
-            None => break,
-            Some(Ok((number, raw))) => match classify(number, raw) {
-                Ok(classified) => batch.push(classified),
-                Err(err) => sink.skip(err, number, None, RawErrorKind::Classify, raw)?,
-            },
-            Some(Err(frame)) => {
-                let err = Error::Semantic(frame.message);
-                sink.skip(err, frame.line, None, RawErrorKind::Frame, frame.raw)?;
+                Ok(None) => {}
+                Err(err) => return Ok(Err(err)),
             }
         }
+        let converted = plans.len();
+        let novel = on_batch(plans);
+        tally.report.novel += novel;
+        metrics.records.add(converted as u64);
+        metrics.batches.inc();
+        metrics.batch_records.record(batch.records.len() as u64);
+        span.field("converted", converted);
+        span.field("skipped", batch.records.len() - converted);
+        span.field("novel", novel);
     }
-
-    report.per_source = Source::ALL
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, n)| n > 0)
-        .collect();
-    sink.finish(&mut report)?;
-    ingest_span.field("lines", report.lines);
-    ingest_span.field("novel", report.novel);
-    ingest_span.field("errors", report.errors.len());
+    ingest_span.field("bytes", framer.bytes);
+    let report = tally.finish();
+    if let Ok(report) = &report {
+        ingest_span.field("lines", report.lines);
+        ingest_span.field("novel", report.novel);
+        ingest_span.field("errors", report.errors.len());
+    }
     Ok(report)
 }
 
-/// [`convert_raw`] on the calling thread, keeping the first plan of each
-/// fingerprint under `fingerprints`: the plans a fresh corpus with those
-/// options would store, in its order, without building one
-/// ([`RawIngestReport::novel`] counts them). For request-sized dumps.
+/// An in-memory dump reads without I/O errors — a `&str` is UTF-8, and a
+/// payload cut inside a character is a frame error — but a read error
+/// would still surface as an error, never a panic.
+fn read_error(e: io::Error) -> Error {
+    Error::Semantic(format!("cannot read the dump: {e}"))
+}
+
+/// [`convert_raw`] of an in-memory dump on the calling thread, keeping the
+/// first plan of each fingerprint under `fingerprints`: the plans a fresh
+/// corpus with those options would store, in its order, without building
+/// one ([`RawIngestReport::novel`] counts them). For request-sized dumps.
 pub fn convert_raw_distinct(
     dump: &str,
     options: &RawIngestOptions,
     fingerprints: FingerprintOptions,
 ) -> Result<(Vec<UnifiedPlan>, RawIngestReport)> {
     let (mut seen, mut distinct) = (HashSet::new(), Vec::new());
-    let report = convert_raw(dump, 1, options, |plans| {
+    let report = convert_raw(dump.as_bytes(), 1, options, |plans| {
         let before = distinct.len();
         let novel = plans
             .into_iter()
             .filter(|p| seen.insert(fingerprint_with(p, fingerprints)));
         distinct.extend(novel);
         distinct.len() - before
-    })?;
+    })
+    .map_err(read_error)??;
     Ok((distinct, report))
 }
 
-/// Streams a mixed-source dump into `corpus` under explicit
+/// Streams an in-memory mixed-source dump into `corpus` under explicit
 /// [`RawIngestOptions`]: [`convert_raw`] with every batch handed to
 /// [`PlanCorpus::ingest_parallel`]. `threads` fans out both the per-batch
 /// conversion and the sharded ingest; any thread count produces a
@@ -807,9 +903,10 @@ pub fn ingest_raw_with(
     threads: usize,
     options: &RawIngestOptions,
 ) -> Result<RawIngestReport> {
-    convert_raw(dump, threads, options, |plans| {
+    convert_raw(dump.as_bytes(), threads, options, |plans| {
         corpus.ingest_parallel(&plans, threads)
     })
+    .map_err(read_error)?
 }
 
 /// [`ingest_raw_with`] under the default (strict) options.
@@ -817,96 +914,28 @@ pub fn ingest_raw(dump: &str, corpus: &mut PlanCorpus, threads: usize) -> Result
     ingest_raw_with(dump, corpus, threads, &RawIngestOptions::default())
 }
 
-/// The sequential per-source reference path: classify, convert and observe
-/// each record in order — no batching, no worker threads. [`ingest_raw_with`]
-/// is contractually byte-identical to this under the same options (the CI
-/// raw-ingest gate compares the two corpora with `cmp`).
+/// The sequential per-source reference path: frame, classify, convert and
+/// observe each record in order — no batching, no worker threads.
+/// [`ingest_raw_with`] is contractually byte-identical to this under the
+/// same options (the CI raw-ingest gate compares the two corpora with
+/// `cmp`).
 pub fn ingest_raw_sequential_with(
     dump: &str,
     corpus: &mut PlanCorpus,
     options: &RawIngestOptions,
 ) -> Result<RawIngestReport> {
-    let framing = sniff_framing(dump);
-    let mut counts = [0usize; Source::ALL.len()];
-    let mut report = RawIngestReport {
-        framing,
-        ..RawIngestReport::default()
-    };
-    let mut sink = ErrorSink::new(options);
-    let mut builder = NodeBuilder::new(uplan_core::registry::Dbms::PostgreSql);
-    for record in frame_records(dump, framing) {
-        let (number, raw) = match record {
-            Ok(record) => record,
-            Err(frame) => {
-                let meta = RawIngestError {
-                    line: frame.line,
-                    source: None,
-                    kind: RawErrorKind::Frame,
-                    message: frame.message.clone(),
-                };
-                sink.record(Error::Semantic(frame.message), meta, frame.raw)?;
-                continue;
-            }
-        };
-        let classified = match classify(number, raw) {
-            Ok(classified) => classified,
-            Err(err) => {
-                let message = classify_error(&err);
-                sink.record(
-                    err,
-                    RawIngestError {
-                        line: number,
-                        source: None,
-                        kind: RawErrorKind::Classify,
-                        message,
-                    },
-                    raw,
-                )?;
-                continue;
-            }
-        };
-        builder.retarget(classified.source.dbms());
-        let converted = classified
-            .source
-            .converter()
-            .convert(&classified.text, &mut builder)
-            .map_err(|e| {
-                Error::Semantic(format!(
-                    "line {}: {} plan: {e}",
-                    classified.number,
-                    classified.source.name()
-                ))
-            });
-        match converted {
-            Ok(plan) => {
-                counts[source_index(classified.source)] += 1;
-                report.lines += 1;
-                if corpus.observe(&plan) {
-                    report.novel += 1;
-                }
-            }
-            Err(err) => {
-                let message = classify_error(&err);
-                sink.record(
-                    err,
-                    RawIngestError {
-                        line: classified.number,
-                        source: Some(classified.source),
-                        kind: RawErrorKind::Convert,
-                        message,
-                    },
-                    classified.raw,
-                )?;
-            }
+    let mut framer = Framer::new(dump.as_bytes()).map_err(read_error)?;
+    let mut tally = Tally::new(framer.framing, options);
+    let mut builder = NodeBuilder::new(Dbms::PostgreSql);
+    let mut text = String::new();
+    while let Some(record) = framer.next_record(&mut text).map_err(read_error)? {
+        let outcome = convert_record(&text, &record, &mut builder);
+        if let Some((_, plan)) = tally.add(&record, outcome, &text)? {
+            tally.report.novel += usize::from(corpus.observe(&plan));
         }
+        text.clear();
     }
-    report.per_source = Source::ALL
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, n)| n > 0)
-        .collect();
-    sink.finish(&mut report)?;
-    Ok(report)
+    tally.finish()
 }
 
 /// [`ingest_raw_sequential_with`] under the default (strict) options.
@@ -987,11 +1016,12 @@ mod tests {
         let dump = records.join("\n");
         let mut sizes = Vec::new();
         let mut streamed = Vec::new();
-        let report = convert_raw(&dump, 2, &RawIngestOptions::default(), |plans| {
+        let report = convert_raw(dump.as_bytes(), 2, &RawIngestOptions::default(), |plans| {
             sizes.push(plans.len());
             streamed.extend(plans);
             0
         })
+        .unwrap()
         .unwrap();
         assert_eq!(sizes, [RAW_BATCH, 1]);
         assert_eq!(report.lines, RAW_BATCH + 1);
@@ -1000,6 +1030,170 @@ mod tests {
             .map(|record| crate::convert(Source::PostgresJson, record).unwrap())
             .collect();
         assert_eq!(streamed, one_by_one);
+    }
+
+    /// A reader over `bytes` that counts what it has handed out.
+    struct CountingReader<'a> {
+        bytes: &'a [u8],
+        read: &'a std::cell::Cell<usize>,
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            self.read.set(self.read.get() + n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_ahead_stays_within_one_batch_of_the_delivered_records() {
+        // Batches of raw text a run may have read beyond the records it has
+        // delivered: the one being framed, nothing more.
+        const READ_AHEAD_BATCHES: usize = 1;
+        let records: Vec<String> = (0..16 * RAW_BATCH)
+            .map(|i| {
+                format!(r#"[{{"Plan": {{"Node Type": "Seq Scan", "Relation Name": "t{i:06}"}}}}]"#)
+            })
+            .collect();
+        let record_bytes = records[0].len() + 1;
+        assert!(records.iter().all(|r| r.len() + 1 == record_bytes));
+        let dump = records.join("\n") + "\n";
+        let read = std::cell::Cell::new(0);
+        let reader = io::BufReader::new(CountingReader {
+            bytes: dump.as_bytes(),
+            read: &read,
+        });
+        let mut delivered = 0;
+        let report = convert_raw(reader, 2, &RawIngestOptions::default(), |plans| {
+            delivered += plans.len();
+            let bound = (delivered + READ_AHEAD_BATCHES * RAW_BATCH) * record_bytes;
+            assert!(
+                read.get() <= bound,
+                "read {} bytes with {delivered} records delivered (bound {bound})",
+                read.get()
+            );
+            0
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!((report.lines, delivered), (records.len(), records.len()));
+        assert_eq!(read.get(), dump.len());
+    }
+
+    /// Everything a lenient run over `reader` produces: all plans, the
+    /// report and the quarantine file's bytes.
+    fn lenient_run(
+        reader: impl BufRead,
+        quarantine: &std::path::Path,
+    ) -> (Vec<UnifiedPlan>, RawIngestReport, Vec<u8>) {
+        let options = RawIngestOptions {
+            quarantine: Some(quarantine.to_owned()),
+            ..RawIngestOptions::lenient()
+        };
+        let mut plans = Vec::new();
+        let report = convert_raw(reader, 2, &options, |batch| {
+            plans.extend(batch);
+            0
+        })
+        .unwrap()
+        .unwrap();
+        (plans, report, std::fs::read(quarantine).unwrap())
+    }
+
+    #[test]
+    fn every_reader_boundary_frames_like_the_in_memory_dump() {
+        let jsonl = mixed_dump();
+        let separated = format!("---\n{TIDB_DUMP}---\n{INFLUX_DUMP}\n---\n{TIDB_DUMP}");
+        let prefixed = format!(
+            "#{}\n{}#{}\n{}\n#{}\n{}",
+            TIDB_DUMP.len(),
+            TIDB_DUMP,
+            INFLUX_DUMP.len(),
+            INFLUX_DUMP,
+            PG_JSON.len(),
+            PG_JSON,
+        );
+        let overrun = format!(
+            "#{}\n{}#nonsense\n#999999\ntruncated",
+            TIDB_DUMP.len(),
+            TIDB_DUMP
+        );
+        let dumps = [
+            (jsonl.clone(), "", 4),
+            (jsonl.replace('\n', "\r\n"), "", 4),
+            (format!("\n  \n{jsonl}"), "", 4),
+            (separated.clone(), "", 3),
+            (format!("\n\n{separated}"), "", 3),
+            (prefixed.clone(), "", 3),
+            (format!("\n \n{prefixed}"), "", 3),
+            (overrun, "record length 999999 overruns the dump", 1),
+            ("#99999999999\n{}".to_owned(), "overruns the dump", 0),
+            (
+                format!("#1\n\u{e9}{PG_JSON}"),
+                "splits a UTF-8 character",
+                0,
+            ),
+        ];
+        let path = |tag: &str| {
+            std::env::temp_dir().join(format!("uplan_raw_boundary_{tag}_{}", std::process::id()))
+        };
+        for (dump, frame_error, lines) in dumps {
+            let whole = lenient_run(dump.as_bytes(), &path("whole"));
+            assert_eq!(whole.1.lines, lines, "{dump:?}");
+            assert_eq!(whole.0.len(), lines, "{dump:?}");
+            if !frame_error.is_empty() {
+                assert!(
+                    whole
+                        .1
+                        .errors
+                        .iter()
+                        .any(|e| e.message.contains(frame_error)),
+                    "{dump:?}: {:?}",
+                    whole.1.errors
+                );
+            }
+            // The in-memory `&str` entries see the same dump.
+            let options = RawIngestOptions::lenient();
+            let (_, distinct) = convert_raw_distinct(&dump, &options, Default::default()).unwrap();
+            assert_eq!(
+                (distinct.lines, &distinct.per_source, &distinct.errors),
+                (lines, &whole.1.per_source, &whole.1.errors)
+            );
+            for capacity in 1..=7 {
+                let reader = io::BufReader::with_capacity(capacity, dump.as_bytes());
+                let run = lenient_run(reader, &path("boundary"));
+                assert_eq!(run, whole, "{dump:?} read {capacity} bytes at a time");
+                assert_eq!(run.1.census(), whole.1.census());
+            }
+        }
+        std::fs::remove_file(path("whole")).ok();
+        std::fs::remove_file(path("boundary")).ok();
+    }
+
+    #[test]
+    fn failures_surface_in_dump_order() {
+        // Line 1 sniffs as PostgreSQL JSON but fails to convert; line 2
+        // fails to classify. Both paths name line 1 first at every thread
+        // count, strict and lenient.
+        let dump = "[{\"Plan\": {\"Node Type\": \ngarbage here\n";
+        let mut corpus = PlanCorpus::new();
+        let sequential = ingest_raw_sequential(dump, &mut corpus).unwrap_err();
+        assert!(sequential
+            .to_string()
+            .contains("line 1: postgres-json plan"));
+        let capped = RawIngestOptions {
+            max_errors: 1,
+            ..RawIngestOptions::lenient()
+        };
+        let capped_sequential = ingest_raw_sequential_with(dump, &mut corpus, &capped).unwrap_err();
+        assert!(capped_sequential.to_string().contains("first: line 1:"));
+        for threads in [1, 2, 4] {
+            let strict = ingest_raw(dump, &mut corpus, threads).unwrap_err();
+            assert_eq!(strict, sequential, "{threads} threads");
+            let capped = ingest_raw_with(dump, &mut corpus, threads, &capped).unwrap_err();
+            assert_eq!(capped, capped_sequential, "{threads} threads");
+        }
     }
 
     #[test]
