@@ -19,7 +19,8 @@
 //!     for every thread count).
 //!     With `--raw`, the files are mixed-source dumps instead (JSON-lines,
 //!     `---`-separator-framed or `#<bytes>` length-prefixed; framing is
-//!     sniffed per file). Each record is source-sniffed via the converter
+//!     sniffed per file). Each dump streams from disk, one batch of
+//!     records at a time; each record is source-sniffed via the converter
 //!     registry and converted batch-wise, with no staging corpus: the
 //!     first plan of each fingerprint across all dumps is kept, in dump
 //!     order, and the kept plans are appended as one segment.
