@@ -226,6 +226,67 @@ fn binary_codec_encoding_matches_golden_bytes() {
     assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
 }
 
+/// Exact plan-body bytes of [`golden_binary_plan`]: what the codec writes
+/// for it inside a checksum block, between the block length and the block
+/// CRC, when it is the first plan against an empty symbol chain.
+const GOLDEN_PLAN_BODY: [u8; 33] = [
+    0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, 0x01, 0x00, 0x02, 0x03, 0xd0, //
+    0x0f, 0x00, 0x00, 0x03, 0x01, 0x02, 0x04, 0x05, 0x06, 0x63, 0x30, 0x20, //
+    0x3c, 0x20, 0x35, 0x00, 0x01, 0x03, 0x05, 0x03, 0x04,
+];
+
+/// Exact segment file of a one-plan corpus holding [`golden_binary_plan`]
+/// (what `SegmentStore::create` writes as `seg-00000.upls`). Regenerate
+/// with `print_golden_values`.
+const GOLDEN_SEGMENT: [u8; 164] = [
+    0x55, 0x50, 0x4c, 0x53, 0x01, 0x00, 0x13, 0x04, 0x00, 0x06, 0x09, 0x48, //
+    0x61, 0x73, 0x68, 0x5f, 0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, //
+    0x6c, 0x5f, 0x54, 0x61, 0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, //
+    0x04, 0x72, 0x6f, 0x77, 0x73, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, 0x5f, //
+    0x53, 0x63, 0x61, 0x6e, 0x06, 0x66, 0x69, 0x6c, 0x74, 0x65, 0x72, 0x0f, //
+    0x77, 0x6f, 0x72, 0x6b, 0x65, 0x72, 0x73, 0x5f, 0x70, 0x6c, 0x61, 0x6e, //
+    0x6e, 0x65, 0x64, 0x01, 0xfb, 0x96, 0x9c, 0x0c, 0x21, 0x01, 0x02, 0x00, //
+    0x00, 0x02, 0x00, 0x01, 0x01, 0x00, 0x02, 0x03, 0xd0, 0x0f, 0x00, 0x00, //
+    0x03, 0x01, 0x02, 0x04, 0x05, 0x06, 0x63, 0x30, 0x20, 0x3c, 0x20, 0x35, //
+    0x00, 0x01, 0x03, 0x05, 0x03, 0x04, 0x0f, 0xe3, 0x7d, 0x46, 0x21, 0xf6, //
+    0xaa, 0xef, 0xbb, 0xf4, 0xa9, 0x80, 0xc7, 0x64, 0x14, 0x02, 0x00, 0x01, //
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x02, 0x02, 0x00, 0x01, 0x00, 0x01, //
+    0x00, 0x01, 0x01, 0x00, 0x02, 0x03, 0x02, 0x04, 0x00, 0x00, 0x00, 0x01, //
+    0x00, 0x00, 0x00, 0x00, 0x76, 0x15, 0x10, 0x89, //
+];
+
+/// The segment bytes of a fresh default corpus holding only
+/// [`golden_binary_plan`].
+fn golden_segment() -> Vec<u8> {
+    let mut corpus = uplan::corpus::PlanCorpus::new();
+    corpus.insert(golden_binary_plan());
+    uplan::corpus::encode_segment(&corpus).unwrap()
+}
+
+#[test]
+fn segment_encoding_matches_golden_bytes() {
+    use uplan::core::formats::segment::{decode_plan_at, parse_segment, verify_block};
+    let bytes = golden_segment();
+    assert_eq!(
+        bytes,
+        GOLDEN_SEGMENT.to_vec(),
+        "segment encoding drifted — persisted stores would break"
+    );
+    // The plan body inside the segment is the pinned body, byte for byte.
+    let view = parse_segment(&GOLDEN_SEGMENT).unwrap();
+    let (at, len) = (view.plan_offsets[0], view.plan_lens[0]);
+    assert_eq!(
+        &GOLDEN_SEGMENT[at as usize..(at + len) as usize],
+        &GOLDEN_PLAN_BODY[..]
+    );
+    assert_eq!(&GOLDEN_BINARY_V3[77..110], &GOLDEN_PLAN_BODY[..]);
+    // And the pinned bytes decode back to the reference plan.
+    verify_block(&GOLDEN_SEGMENT, view.blocks[0]).unwrap();
+    let decoded = decode_plan_at(&GOLDEN_SEGMENT, at, len, &view.delta).unwrap();
+    assert_eq!(decoded, golden_binary_plan());
+    assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
+}
+
 #[test]
 fn legacy_writer_reproduces_the_retired_corpus_encodings() {
     // The legacy-reader tests get their documents from the test-support
@@ -334,6 +395,13 @@ fn print_golden_values() {
     println!("];");
     let bytes = uplan::core::formats::binary::to_bytes(&golden_binary_plan()).unwrap();
     println!("const GOLDEN_BINARY_V3: [u8; {}] = [", bytes.len());
+    for chunk in bytes.chunks(12) {
+        let row: Vec<String> = chunk.iter().map(|b| format!("{b:#04x}")).collect();
+        println!("    {}, //", row.join(", "));
+    }
+    println!("];");
+    let bytes = golden_segment();
+    println!("const GOLDEN_SEGMENT: [u8; {}] = [", bytes.len());
     for chunk in bytes.chunks(12) {
         let row: Vec<String> = chunk.iter().map(|b| format!("{b:#04x}")).collect();
         println!("    {}, //", row.join(", "));
