@@ -3,8 +3,9 @@
 //! Every corpus lives in an append-only segment-store directory (see
 //! `uplan_corpus::segment`): every verb that writes a corpus writes or
 //! appends to a store, and every verb that reads one opens a store lazily.
-//! Legacy monolithic `UPLN` documents and JSON-lines files convert with
-//! `import`; the reading verbs refuse them (exit 2) and say so.
+//! A regular file where a store belongs is refused (exit 2): monolithic
+//! `UPLN` documents and JSON-lines corpus files from before the segment
+//! store convert into one with an older `repro`.
 //!
 //! ```text
 //! repro corpus ingest <store-dir> <source> <explain-file>... [--threads N]
@@ -31,15 +32,6 @@
 //!     `--quarantine` need `--lenient`, and `--lenient` needs `--raw`; any
 //!     other combination exits 2 before a dump is read. `--segmented` is
 //!     still accepted and selects nothing: every ingest writes a store.
-//! repro corpus import <file> <store-dir> [--salvage]
-//!     The one verb that reads legacy corpus files: a monolithic binary
-//!     (`UPLN` v1–v4) document or a JSON-lines file becomes a new store.
-//!     Strict by default. `--salvage` recovers what a damaged file still
-//!     holds — the longest CRC-verified prefix of a v3+ document, the
-//!     decodable prefix of older versions, or the parseable lines of a
-//!     JSONL file — prints `salvaged R of D plans` plus what was dropped
-//!     and why, and imports the survivors (re-indexed). Exits 2 when
-//!     nothing could be recovered.
 //! repro corpus raw-fixture <out.jsonl> [queries] [--dirty N] [--seed HEX]
 //!     Write a deterministic mixed-source raw dump covering all nine
 //!     dialects ([queries] TPC-H-lite queries per relational engine,
@@ -206,7 +198,7 @@ pub fn run(args: &[String]) -> i32 {
 }
 
 fn usage() -> String {
-    "usage: repro corpus <ingest|import|raw-fixture|raw-check|fixture-ingest|campaign|stats|\
+    "usage: repro corpus <ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|\
      cluster|diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ... \
      (see crates/bench/src/corpus_cli.rs docs)"
         .to_owned()
@@ -215,7 +207,6 @@ fn usage() -> String {
 fn run_inner(args: &[String]) -> Result<String, CliError> {
     match args.first().map(String::as_str) {
         Some("ingest") => ingest(&args[1..]),
-        Some("import") => import(&args[1..]),
         Some("raw-fixture") => raw_fixture(&args[1..]),
         Some("raw-check") => raw_check(&args[1..]),
         Some("fixture-ingest") => fixture_ingest(&args[1..]),
@@ -333,28 +324,34 @@ fn append_summary(dir: &str, store: &SegmentStore, report: &AppendReport) -> Str
 }
 
 /// Opens the store a reading verb names. A missing path is operational
-/// (exit 1), like any unreadable input; a legacy corpus file is bad input
-/// (exit 2) with a pointer to `import`, like any other existing path that
-/// is not a store.
+/// (exit 1), like any unreadable input; any other existing path that is
+/// not a store is bad input (exit 2).
 fn open_store(path: &str) -> Result<SegmentStore, CliError> {
     if SegmentStore::is_store_dir(path) {
         return SegmentStore::open(path)
             .map_err(|e| CliError::Input(format!("cannot load corpus {path}: {e}")));
     }
-    let path_ref = std::path::Path::new(path);
-    if !path_ref.exists() {
+    if !std::path::Path::new(path).exists() {
         return Err(CliError::Operational(format!(
             "cannot load corpus {path}: no such file or directory"
         )));
     }
-    Err(CliError::Input(if path_ref.is_file() {
-        format!(
-            "{path} is a legacy corpus file, not a segment store; convert it with \
-             `repro corpus import {path} <store-dir>`"
-        )
-    } else {
-        format!("{path} is not a segment store directory")
-    }))
+    refuse_file(path)?;
+    Err(CliError::Input(format!(
+        "{path} is not a segment store directory"
+    )))
+}
+
+/// Refuses a regular file where a store directory belongs (exit 2). Such a
+/// file is most likely a corpus document from before the segment store.
+fn refuse_file(path: &str) -> Result<(), CliError> {
+    if std::path::Path::new(path).is_file() {
+        return Err(CliError::Input(format!(
+            "{path} is a regular file, not a segment store directory; legacy \
+             UPLN and JSON-lines corpus files convert into a store with an older `repro`"
+        )));
+    }
+    Ok(())
 }
 
 /// A store's corpus, lazily opened: manifest and index sections decode
@@ -499,72 +496,6 @@ fn ingest_raw_dumps(
         session_line(lines as u64, (lines - distinct.len()) as u64),
         append_summary(out, &store, &report)
     ))
-}
-
-/// `repro corpus import`: the one verb that reads legacy corpus files —
-/// strictly, or with `--salvage` through the lenient loader — and writes
-/// what it read as a new store.
-fn import(args: &[String]) -> Result<String, CliError> {
-    let mut args = args.to_vec();
-    let salvage = take_flag(&mut args, "--salvage");
-    let [file, out] = positionals(args)?
-        .try_into()
-        .map_err(|_| CliError::from("usage: repro corpus import <file> <store-dir> [--salvage]"))?;
-    if std::path::Path::new(&file).is_dir() {
-        return Err(format!("{file} is a directory; import reads legacy corpus files").into());
-    }
-    std::fs::metadata(&file)
-        .map_err(|e| CliError::Operational(format!("cannot read corpus {file}: {e}")))?;
-    let mut lines = Vec::new();
-    let corpus = if salvage {
-        let (corpus, report) =
-            PlanCorpus::load_salvage(&file).map_err(|e| CliError::Operational(e.to_string()))?;
-        lines.push(format!(
-            "salvaged {} of {} plans from {file} ({} dropped, {})",
-            report.recovered,
-            report.declared,
-            report.dropped,
-            if report.verified {
-                "checksum-verified"
-            } else {
-                "decodable, not verified"
-            }
-        ));
-        if let Some(error) = &report.error {
-            lines.push(format!("stopped at: {error}"));
-        }
-        if report.recovered == 0 && report.error.is_some() {
-            return Err(CliError::Input(lines.join("\n")));
-        }
-        if report.recovered > 0 {
-            lines.push(format!(
-                "index: {}",
-                if report.index_rebuilt {
-                    "rebuilt"
-                } else {
-                    "persisted"
-                }
-            ));
-        }
-        corpus
-    } else {
-        let corpus = PlanCorpus::load(&file)
-            .map_err(|e| CliError::Input(format!("cannot load corpus {file}: {e}")))?;
-        lines.push(format!(
-            "imported {} plans from {file}; index: {}",
-            corpus.len(),
-            if corpus.has_persisted_index() {
-                "persisted (0 TED evaluations on load)".to_owned()
-            } else {
-                format!("rebuilt ({} TED evaluations on load)", corpus.index_evals())
-            }
-        ));
-        corpus
-    };
-    let store = new_store(&out, corpus)?;
-    lines.push(summary(store.corpus()));
-    lines.push(format!("wrote {out} ({} segment(s))", store.census().len()));
-    Ok(lines.join("\n"))
 }
 
 /// A deterministic mixed-source raw dump covering all nine dialects: for
@@ -794,13 +725,7 @@ fn salvage(args: &[String]) -> Result<String, CliError> {
     let path = args
         .first()
         .ok_or("usage: repro corpus salvage <store-dir> [--out <store-dir>]")?;
-    if std::path::Path::new(path).is_file() {
-        return Err(format!(
-            "{path} is a legacy corpus file; salvage it with \
-             `repro corpus import {path} <store-dir> --salvage`"
-        )
-        .into());
-    }
+    refuse_file(path)?;
     let (corpus, report) =
         SegmentStore::salvage(path, uplan_core::fingerprint::FingerprintOptions::default())
             .map_err(|e| CliError::Operational(e.to_string()))?;
@@ -1441,7 +1366,6 @@ fn serve(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use uplan_core::formats::legacy;
 
     fn strings(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -1823,84 +1747,25 @@ mod tests {
         remove(&[&intact, &recovered]);
     }
 
-    /// `import` is the one reader of legacy files: a v4 document and a
-    /// JSONL file become stores that answer exactly like the in-RAM legacy
-    /// load, and `--salvage` recovers exactly what the mutation geometry
-    /// promises.
+    /// A regular file where a store belongs is bad input (exit 2) for
+    /// every verb that reads a store, and the message points legacy corpus
+    /// files at their migration path.
     #[test]
-    fn import_converts_legacy_files_and_salvages_exactly() {
-        let corpus = crate::corpus_fixture::derived_corpus(600, 0x1e9a);
-        let segment = encode_segment(&corpus).unwrap();
-        let v4 = legacy::indexed(&segment);
-        let doc = temp("uplan_cli_import.uplanc");
-        let jsonl = temp("uplan_cli_import.jsonl");
-        std::fs::write(&doc, &v4).unwrap();
-        std::fs::write(&jsonl, legacy::jsonl(&segment)).unwrap();
-
-        let probes = crate::corpus_fixture::derived_stream(6, 0x004e_ca11);
-        for (file, index) in [(&doc, "persisted (0 TED"), (&jsonl, "rebuilt (")] {
-            let store = temp(&format!("uplan_cli_import_{}", file.len()));
-            let report = run_inner(&strings(&["import", file, &store])).unwrap();
-            assert!(report.contains(&format!("index: {index}")), "{report}");
-            let in_ram = PlanCorpus::load(file).unwrap();
-            let imported = load(&store).unwrap();
-            for probe in &probes {
-                for request in [
-                    QueryRequest::knn(5).with_probe(probe.clone()),
-                    QueryRequest::radius(2).with_probe(probe.clone()),
-                ] {
-                    assert_eq!(
-                        imported.execute(&request).unwrap(),
-                        in_ram.execute(&request).unwrap(),
-                        "{file}"
-                    );
-                }
-            }
-            // A store is never imported over.
-            let again = run_inner(&strings(&["import", file, &store])).unwrap_err();
-            assert_eq!(again.code(), 2, "{again}");
-            remove(&[&store]);
-        }
-
-        // Reading verbs refuse legacy files and name the importer.
+    fn reading_verbs_refuse_regular_files() {
+        let file = temp("uplan_cli_not_a_store.uplanc");
+        std::fs::write(&file, b"UPLN").unwrap();
         for verb in ["stats", "salvage", "open-gate", "serve"] {
-            let err = run_inner(&strings(&[verb, &doc])).unwrap_err();
+            let err = run_inner(&strings(&[verb, &file])).unwrap_err();
             assert_eq!(err.code(), 2, "{verb}: {err}");
-            assert!(
-                err.to_string().contains("repro corpus import"),
-                "{verb}: {err}"
-            );
+            let message = err.to_string();
+            assert!(message.contains("not a segment store"), "{verb}: {message}");
+            assert!(message.contains("an older `repro`"), "{verb}: {message}");
         }
-
-        // `--salvage` of damaged documents: exactly the promised count.
-        let sections = uplan_core::formats::binary::section_map(&v4).unwrap();
-        let total = sections.last().unwrap().plans;
-        let mut mutations = inject::truncation_plan(&sections);
-        mutations.extend(inject::bitflip_past_header(&sections, 0x5eed));
-        for (i, mutation) in mutations.iter().enumerate() {
-            let expected = inject::expected_recoverable(&sections, mutation).unwrap();
-            let damaged = temp(&format!("uplan_cli_import_damaged_{i}.uplanc"));
-            let store = temp(&format!("uplan_cli_import_damaged_{i}"));
-            let bytes = mutation.apply(&v4);
-            std::fs::write(&damaged, &bytes).unwrap();
-            let printed = match run_inner(&strings(&["import", &damaged, &store, "--salvage"])) {
-                Ok(report) => report,
-                Err(CliError::Input(message)) => message,
-                Err(other) => panic!("{}: {other}", mutation.describe()),
-            };
-            assert!(
-                printed.contains(&format!("salvaged {expected} of {total} plans")),
-                "{}: {printed}",
-                mutation.describe()
-            );
-            // Strict import refuses every damaged file (the plan includes
-            // the no-op truncation at the document's full length).
-            let strict = temp(&format!("uplan_cli_import_strict_{i}"));
-            let imported = run_inner(&strings(&["import", &damaged, &strict]));
-            assert_eq!(imported.is_ok(), bytes == v4, "{}", mutation.describe());
-            remove(&[&damaged, &store, &strict]);
-        }
-        remove(&[&doc, &jsonl]);
+        // `import` is not a verb.
+        let err = run_inner(&strings(&["import", &file, "/tmp/x"])).unwrap_err();
+        assert_eq!(err.code(), 2, "{err}");
+        assert!(err.to_string().starts_with("usage:"), "{err}");
+        remove(&[&file]);
     }
 
     #[test]
@@ -2145,7 +2010,7 @@ mod tests {
         let out = temp("uplan_cli_campaign");
         let report = run_inner(&strings(&["campaign", &out, "postgres", "60", "0"])).unwrap();
         assert!(report.contains("campaign on PostgreSQL"), "{report}");
-        let corpus = PlanCorpus::load(&out).unwrap();
+        let corpus = SegmentStore::open(&out).unwrap().into_corpus();
         assert!(!corpus.is_empty());
         remove(&[&out]);
     }

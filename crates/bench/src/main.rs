@@ -12,16 +12,15 @@
 //!                         # quick run diffed against committed snapshots;
 //!                         # exits 1 on regression (UPLAN_BENCH_TOLERANCE
 //!                         # overrides the 1.5x noise tolerance)
-//! repro corpus <ingest|import|raw-fixture|raw-check|fixture-ingest|campaign|stats|
-//!               cluster|diff|query|recall|open-gate|serve|salvage|mutate|compact|
-//!               sources> ...
+//! repro corpus <ingest|raw-fixture|raw-check|fixture-ingest|campaign|stats|cluster|
+//!               diff|query|recall|open-gate|serve|salvage|mutate|compact|sources> ...
 //!                         # manage persistent, TED-indexed plan corpora,
 //!                         # each an append-only segment-store directory:
 //!                         # parallel sharded ingest (--threads),
 //!                         # mixed-source raw-dump ingest (ingest --raw,
 //!                         # framed + source-sniffed per record, --lenient
-//!                         # skip-and-report with --quarantine), legacy-file
-//!                         # import, corruption recovery (salvage) and seeded
+//!                         # skip-and-report with --quarantine), corruption
+//!                         # recovery (salvage) and seeded
 //!                         # fault injection (mutate), serving, and the CI
 //!                         # gates (fixture-ingest, raw-fixture + raw-check,
 //!                         # mutate + salvage, recall, open-gate); see

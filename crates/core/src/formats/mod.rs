@@ -9,11 +9,10 @@
 //! * [`json`] — a zero-copy JSON document model, tree parser, pull reader
 //!   and writer (used both to serialize unified plans and to parse native
 //!   DBMS explain output);
-//! * [`binary`] — the compact, symbol-table-prefixed binary plan codec
-//!   (versioned, varint-encoded): the plan-body encoding segments reuse,
-//!   and the legacy monolithic `UPLN` corpus format `repro corpus import`
-//!   reads;
-//! * [`segment`] — the segment-store file formats corpora persist through;
+//! * [`binary`] — the compact, symbol-ref, varint-encoded plan-body codec
+//!   every persisted plan is written in;
+//! * [`segment`] — the segment-store file formats corpora persist through
+//!   (the one on-disk corpus format);
 //! * [`xml`] — an XML element model, writer and a small parser (SQL Server
 //!   exposes plans as XML showplans);
 //! * [`yaml`] — a YAML writer (PostgreSQL's `FORMAT YAML`);
@@ -22,8 +21,6 @@
 
 pub mod binary;
 pub mod json;
-#[cfg(any(test, feature = "legacy-writer"))]
-pub mod legacy;
 pub mod segment;
 pub mod unified;
 pub mod xml;

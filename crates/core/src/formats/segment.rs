@@ -1,9 +1,9 @@
 //! Append-only segment codec — the one corpus persistence layout.
 //!
-//! A monolithic [`super::binary`] document (the legacy layout) rewrites
-//! and re-decodes the whole corpus on every append and load; at 100k–1M plans both costs
-//! dominate the sub-millisecond query path. A *segment store* splits the
-//! corpus into a directory of immutable segment files plus one small
+//! A corpus persisted as one monolithic document would be rewritten and
+//! re-decoded whole on every append and load; at 100k–1M plans both costs
+//! would dominate the sub-millisecond query path. A *segment store* splits
+//! the corpus into a directory of immutable segment files plus one small
 //! manifest, so:
 //!
 //! * **Append is O(batch)**: ingest writes one new segment file and
@@ -24,8 +24,8 @@
 //! segment  ::= magic             (4 bytes, "UPLS")
 //!              version           (varint; 1)
 //!              segment_id        (varint)
-//!              fingerprint_flags (1 byte — same meaning as the UPLN
-//!                                 index section's flags byte)
+//!              fingerprint_flags (1 byte; the fingerprint options and
+//!                                 scheme the shard routing used)
 //!              shard_count       (varint)
 //!              symbols_base      (varint; chain length before this
 //!                                 segment)
@@ -35,10 +35,10 @@
 //!              plan_count        (varint)
 //!              header_crc        (4 bytes LE; CRC32 of every preceding
 //!                                 byte)
-//!              block*            (exactly as UPLN v3: block_len varint,
-//!                                 ≤ CHECKSUM_BLOCK_PLANS plan bodies,
-//!                                 block_crc; symbol refs are
-//!                                 *chain-global* indices)
+//!              block*            (block_len varint, ≤ CHECKSUM_BLOCK_PLANS
+//!                                 plan bodies, block_crc — CRC32 of the
+//!                                 bodies; symbol refs are *chain-global*
+//!                                 indices)
 //!              tail              (see below)
 //!              tail_crc          (4 bytes LE; CRC32 of the tail bytes)
 //! tail     ::= plan_len*         (plan_count varints; per-plan body byte
@@ -60,10 +60,9 @@
 //!                                 first-ever node has no edge)
 //! ```
 //!
-//! Plan bodies are byte-identical to what [`BinaryEncoder`] produces for
-//! the same plans under the same symbol chain — the segment codec
-//! reuses [`BinaryEncoder`] for bodies and blocks and only frames them
-//! differently. Block CRCs are verified *lazily*: `parse_segment` checks
+//! Plan bodies use the [`super::binary`] plan-body grammar, encoded
+//! against the shared symbol chain; the segment codec frames the bodies
+//! and their checksum blocks. Block CRCs are verified *lazily*: `parse_segment` checks
 //! the header and tail CRCs (cheap, covers all metadata) and records block
 //! extents; a block's data CRC is checked once, before the first plan in
 //! it decodes ([`verify_block`]).
@@ -146,8 +145,8 @@ pub struct SegmentMeta {
 /// The decoded manifest of a segment store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Fingerprint options + scheme flags (same byte as the UPLN index
-    /// section) every segment was routed under.
+    /// Fingerprint options + scheme flags every segment was routed
+    /// under.
     pub fingerprint_flags: u8,
     /// Shard count of the corpus the store persists.
     pub shard_count: u32,
@@ -266,8 +265,7 @@ pub struct SegmentFinish {
 
 /// Streaming segment encoder: seed with the symbol chain so far, push the
 /// batch's plans in stream order, finish with the segment metadata.
-/// Wraps [`BinaryEncoder`] so plan bodies and checksum blocks are
-/// byte-identical to a binary document's.
+/// Plan bodies are encoded by the [`super::binary`] codec.
 #[derive(Debug)]
 pub struct SegmentBuilder {
     enc: BinaryEncoder,
@@ -290,7 +288,10 @@ impl SegmentBuilder {
         }
     }
 
-    /// Encodes one plan body (same errors as [`BinaryEncoder::push`]).
+    /// Encodes one plan body. Errors (leaving the segment unchanged) on
+    /// plans deeper than [`MAX_PLAN_DEPTH`](super::binary::MAX_PLAN_DEPTH)
+    /// or pushing the symbol chain past
+    /// [`MAX_SYMBOLS`](super::binary::MAX_SYMBOLS) identifiers.
     pub fn push(&mut self, plan: &UnifiedPlan) -> Result<()> {
         let at = self.enc.body_len();
         self.enc.push(plan)?;
@@ -334,7 +335,7 @@ impl SegmentBuilder {
         let header_crc = crc32(&out);
         out.extend_from_slice(&header_crc.to_le_bytes());
 
-        // Blocks, framed exactly like a UPLN v3 document.
+        // Blocks: length, plan bodies, CRC32 of the bodies.
         for (i, &start) in block_starts.iter().enumerate() {
             let end = block_starts.get(i + 1).copied().unwrap_or(body.len());
             let block = &body[start..end];
@@ -439,7 +440,7 @@ pub fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// Minimal byte cursor for the segment layouts (the plan-body grammar
-/// itself is delegated to [`BinaryDecoder`]).
+/// itself is decoded by the [`super::binary`] codec).
 struct Reader<'a> {
     input: &'a [u8],
     pos: usize,
@@ -859,10 +860,8 @@ pub fn decode_plan_at(
     len: u32,
     symbols: &[Symbol],
 ) -> Result<UnifiedPlan> {
-    let mut dec = BinaryDecoder::for_plan_bodies(bytes, offset as usize, symbols, 1);
-    let plan = dec
-        .next_plan()?
-        .ok_or_else(|| Error::parse(offset as usize, "empty plan body"))?;
+    let mut dec = BinaryDecoder::new(bytes, offset as usize, symbols);
+    let plan = dec.decode_plan()?;
     if dec.position() != offset as usize + len as usize {
         return Err(Error::parse(
             dec.position(),
@@ -1078,5 +1077,101 @@ mod tests {
         let mut junk = SEGMENT_MAGIC.to_vec();
         junk.extend_from_slice(&[1, 0xff, 0xff, 0xff, 0xff, 0xff]);
         assert!(parse_segment(&junk).is_err());
+    }
+
+    /// Every plan of a parsed segment, each block verified first.
+    fn decode_all(bytes: &[u8], chain: &[Symbol]) -> Result<Vec<UnifiedPlan>> {
+        let view = parse_segment(bytes)?;
+        for &block in &view.blocks {
+            verify_block(bytes, block)?;
+        }
+        (0..view.plan_count as usize)
+            .map(|i| decode_plan_at(bytes, view.plan_offsets[i], view.plan_lens[i], chain))
+            .collect()
+    }
+
+    #[test]
+    fn segments_round_trip_across_block_boundaries() {
+        // Exactly one block, a full block, and a multi-block segment with
+        // a ragged final block.
+        for n in [1usize, 256, 600] {
+            let plans: Vec<UnifiedPlan> = (0..n).map(|i| plan(&format!("scan_{i}"), 2)).collect();
+            let (bytes, delta) = build_segment(&plans, &[], 0);
+            let view = parse_segment(&bytes).unwrap();
+            assert_eq!(view.blocks.len(), n.div_ceil(256), "{n} plans");
+            assert_eq!(decode_all(&bytes, &delta).unwrap(), plans, "{n} plans");
+        }
+    }
+
+    #[test]
+    fn every_byte_inversion_of_a_segment_is_detected() {
+        // No single corrupted byte slips through a full read: the header,
+        // every block and the tail are CRC-covered, and the few uncovered
+        // bytes (magic, version, block lengths, the CRCs themselves) fail
+        // structurally.
+        let plans: Vec<UnifiedPlan> = (0..5).map(|i| plan(&format!("scan_{i}"), 2)).collect();
+        let (bytes, delta) = build_segment(&plans, &[], 0);
+        assert_eq!(decode_all(&bytes, &delta).unwrap(), plans);
+        for i in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[i] ^= 0xff;
+            assert!(
+                decode_all(&corrupt, &delta).is_err(),
+                "inverted byte {i} went undetected"
+            );
+        }
+    }
+
+    #[test]
+    fn unsupported_versions_are_rejected_in_both_directions() {
+        let (segment, _) = build_segment(&[plan("scan", 1)], &[], 0);
+        let manifest = encode_manifest(&Manifest {
+            fingerprint_flags: 0,
+            shard_count: 1,
+            feature_dim: 1,
+            symbols: Vec::new(),
+            segments: Vec::new(),
+        });
+        for bad in [0u8, 2, 0x7f] {
+            let mut doc = segment.clone();
+            doc[4] = bad;
+            let err = parse_segment(&doc).unwrap_err();
+            assert!(err.to_string().contains("version"), "{bad}: {err}");
+            let mut doc = manifest.clone();
+            doc[4] = bad;
+            let err = decode_manifest(&doc).unwrap_err();
+            assert!(err.to_string().contains("version"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn version_and_magic_are_enforced() {
+        let (good, _) = build_segment(&[plan("scan", 1)], &[], 0);
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let err = parse_segment(&bad_magic).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        // A manifest is not a segment, nor the other way round.
+        let mut swapped = good.clone();
+        swapped[..4].copy_from_slice(&MANIFEST_MAGIC);
+        assert!(parse_segment(&swapped).is_err());
+        assert!(decode_manifest(&good).is_err());
+        assert!(parse_segment(&[]).is_err());
+        assert!(parse_segment(&good[..good.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn trailing_garbage_is_rejected() {
+        let (mut bytes, delta) = build_segment(&[plan("scan", 2)], &[], 0);
+        let view = parse_segment(&bytes).unwrap();
+        let (at, len) = (view.plan_offsets[0], view.plan_lens[0]);
+        // A body shorter than its recorded length leaves trailing bytes
+        // inside the record: the decode must consume exactly `len`.
+        let err = decode_plan_at(&bytes, at, len + 1, &delta).unwrap_err();
+        assert!(err.to_string().contains("consumed"), "{err}");
+        // Bytes past the tail CRC are rejected by the parse.
+        bytes.push(0xaa);
+        let err = parse_segment(&bytes).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
     }
 }

@@ -74,14 +74,14 @@
 //!   tree at all; steady-state JSON conversion copies bytes only into
 //!   property *values*.
 //! * **The binary codec amortizes across a corpus** ([`formats::binary`]):
-//!   a document carries one symbol table for *all* its plans, so decoding
-//!   validates and interns each identifier once per document — not once per
-//!   node — and plan bodies decode with no lexing, no escape handling and
-//!   no keyword re-validation (~7× faster than the JSON-lines load of the
-//!   same 10k-plan corpus; `corpus/load_*` benches). The codec is
-//!   versioned ([`formats::binary::BINARY_CODEC_VERSION`]): readers reject
-//!   unknown versions, and `tests/golden.rs` pins the exact v1 encoding —
-//!   persisted corpora must never silently change shape.
+//!   a segment store carries one symbol chain for *all* its plans, so
+//!   decoding validates and interns each identifier once per store — not
+//!   once per node — and plan bodies decode with no lexing, no escape
+//!   handling and no keyword re-validation. The segment layout is
+//!   versioned ([`formats::segment::SEGMENT_CODEC_VERSION`]): readers
+//!   reject unknown versions, and `tests/golden.rs` pins the exact bytes
+//!   of a one-plan segment — persisted corpora must never silently change
+//!   shape.
 //! * **The interner does not serialize parallel ingest**: the spelling map
 //!   is sharded across [`symbol::SHARD_COUNT`] locks (selected by spelling
 //!   hash), and the index→entry table's write lock is taken only when a

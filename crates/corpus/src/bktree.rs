@@ -244,7 +244,7 @@ impl BkTree {
     // A corpus shard inserts local ids 0, 1, 2, … in order, so node index,
     // insertion order and item id all coincide; the whole tree is then
     // described by one `(parent, edge distance)` pair per non-root node.
-    // Persisting those pairs (the UPLN v2 index section) lets a reload
+    // Persisting those pairs (each segment's BK edge groups) lets a reload
     // rebuild the exact tree without re-evaluating a single distance — the
     // cached edge distances *are* the distances `insert` would have
     // computed.

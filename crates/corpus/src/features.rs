@@ -25,9 +25,9 @@
 //! TED evaluations. Exact mode never consults these vectors.
 //!
 //! Vectors are deterministic functions of the plan, so persisting them
-//! (the version-4 feature section of `uplan_core::formats::binary`) is a
-//! pure cache: a load that finds a section with the expected width adopts
-//! it, anything else recomputes.
+//! (the feature rows of every segment file, see
+//! `uplan_core::formats::segment`) is a pure cache: a store open adopts
+//! them instead of recomputing.
 
 use uplan_core::model::PlanNode;
 use uplan_core::model::Property;

@@ -33,13 +33,6 @@
 //!   evaluations and decodes plan bodies lazily; [`encode_segment`] is the
 //!   in-memory byte oracle of what `create` writes. Damaged stores salvage
 //!   per segment ([`SegmentStore::salvage`]).
-//! * **Legacy documents** — the monolithic binary codec of
-//!   [`uplan_core::formats::binary`] and JSON lines — stay readable so old
-//!   corpora convert into stores: [`ShardedCorpus::load`] sniffs the
-//!   format (adopting a persisted index without TED evaluations when the
-//!   document carries one), and [`ShardedCorpus::load_salvage`] recovers
-//!   the longest verified prefix of a damaged file, reporting exactly what
-//!   was dropped ([`SalvageReport`]). Nothing writes them any more.
 //!
 //! The store is the substrate the testing loop observes plans through
 //! (`uplan-testing`'s QPG), the `repro corpus` CLI manages, and
@@ -54,18 +47,15 @@ pub mod service;
 mod shard;
 
 use std::collections::{BinaryHeap, HashSet};
-use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use uplan_core::fingerprint::{fingerprint_with, Fingerprint, FingerprintOptions};
-use uplan_core::formats::binary::{
-    self, BinaryDecoder, IndexSection, BINARY_MAGIC, MAX_INDEX_SHARDS,
-};
+use uplan_core::formats::binary::MAX_INDEX_SHARDS;
 use uplan_core::formats::unified;
 use uplan_core::ted::{BoundedTed, TedPlan, TedScratch};
-use uplan_core::{Error, Result, UnifiedPlan};
+use uplan_core::{Result, UnifiedPlan};
 
-use features::{features_of, l1_distance, FeatureVector, FEATURE_DIM};
+use features::{features_of, l1_distance};
 use shard::CorpusShard;
 
 /// Global-registry handles for the store side of the corpus: how many
@@ -216,31 +206,6 @@ pub struct Cluster {
     pub members: Vec<(usize, u32)>,
 }
 
-/// What a lenient load ([`ShardedCorpus::load_salvage`]) recovered from a
-/// possibly damaged corpus file (`repro corpus salvage`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SalvageReport {
-    /// Plans the file declared: the binary header's plan count, or the
-    /// number of non-empty lines of a JSONL file.
-    pub declared: u64,
-    /// Plans successfully decoded from the file.
-    pub decoded: usize,
-    /// Distinct plans stored (`decoded` minus fingerprint duplicates).
-    pub recovered: usize,
-    /// Declared plans lost to corruption or truncation.
-    pub dropped: u64,
-    /// `true` when every recovered plan came from CRC-verified bytes
-    /// (binary v3); pre-checksum and JSONL recoveries are
-    /// decodable-not-verified.
-    pub verified: bool,
-    /// Why recovery stopped early (first error, with position) — `None`
-    /// for a file that was intact end to end.
-    pub error: Option<String>,
-    /// `true` when the metric index had to be rebuilt instead of adopted
-    /// (always the case once any plan was dropped).
-    pub index_rebuilt: bool,
-}
-
 /// Outcome of diffing two corpora (`repro corpus diff`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusDiff {
@@ -276,12 +241,12 @@ fn shard_index(fp: Fingerprint, bits: u32) -> usize {
     }
 }
 
-/// The index section's flags byte: the [`FingerprintOptions`] in the low
-/// bits plus the fingerprint *scheme* version in the high bits — shard
-/// routing depends on both, and the loader only adopts a persisted index
-/// whose flags match its own. A future scheme bump therefore changes the
-/// byte and old indexed corpora degrade to the rebuild path (they keep
-/// loading) instead of hard-erroring on mismatched routing.
+/// The fingerprint-flags byte of every manifest and segment: the
+/// [`FingerprintOptions`] in the low bits plus the fingerprint *scheme*
+/// version in the high bits. Shard routing depends on both, so a store
+/// opens only under the flags it was written with; a future scheme bump
+/// changes the byte and makes an old store refuse to open instead of
+/// answering through mismatched routing.
 fn options_flags(options: FingerprintOptions) -> u8 {
     u8::from(options.strip_numeric_suffixes)
         | u8::from(options.include_configuration_keys) << 1
@@ -398,15 +363,14 @@ impl ShardedCorpus {
     }
 
     /// TED evaluations spent *building* the metric index so far (BK insert
-    /// routing, summed over shards). Zero after a store open or a legacy
-    /// load that adopted a persisted index.
+    /// routing, summed over shards). Zero after a store open, which
+    /// adopts the persisted index.
     pub fn index_evals(&self) -> u64 {
         self.shards.iter().map(|s| s.index_evals).sum()
     }
 
-    /// `true` when this corpus was opened from a store, or loaded from a
-    /// legacy document whose persisted index was adopted (zero TED
-    /// evaluations on load).
+    /// `true` when this corpus was opened from a store, adopting its
+    /// persisted index (zero TED evaluations on load).
     pub fn has_persisted_index(&self) -> bool {
         self.persisted_index
     }
@@ -1030,241 +994,10 @@ impl ShardedCorpus {
         }
     }
 
-    // -----------------------------------------------------------------------
-    // Legacy documents (read-only; stores persist through `segment`)
-    // -----------------------------------------------------------------------
-
-    /// Loads a corpus from a legacy binary document, rebuilding dedup
-    /// state and — when the document carries an index section written
-    /// under the same fingerprint options — adopting the persisted BK
-    /// topology with zero TED evaluations
-    /// ([`ShardedCorpus::has_persisted_index`]). Index-free documents (v1,
-    /// or later versions written without the section) rebuild the index.
-    /// Only the distinct plan set is persisted, so the loaded corpus's
-    /// session counters restart at `observed == len`.
-    pub fn from_binary(bytes: &[u8]) -> Result<ShardedCorpus> {
-        Self::from_binary_with_options(bytes, FingerprintOptions::default())
-    }
-
-    /// [`ShardedCorpus::from_binary`] with explicit fingerprint options. A
-    /// persisted index written under *different* options is ignored (its
-    /// shard routing would not match) and the index is rebuilt instead.
-    fn from_binary_with_options(
-        bytes: &[u8],
-        options: FingerprintOptions,
-    ) -> Result<ShardedCorpus> {
-        let mut dec = BinaryDecoder::new(bytes)?;
-        let mut plans = Vec::new();
-        while let Some(plan) = dec.next_plan()? {
-            plans.push(plan);
-        }
-        // A persisted feature section is adopted only at the exact width
-        // this build computes; anything else (an older or newer layout) is
-        // dropped and the vectors recompute at store time — it is a cache.
-        let features = dec.take_features().and_then(|section| {
-            let rows: Option<Vec<FeatureVector>> = (section.dim as usize == FEATURE_DIM
-                && section.values.len() == plans.len() * FEATURE_DIM)
-                .then(|| {
-                    section
-                        .values
-                        .chunks_exact(FEATURE_DIM)
-                        .map(|row| {
-                            let mut v = [0u32; FEATURE_DIM];
-                            v.copy_from_slice(row);
-                            v
-                        })
-                        .collect()
-                });
-            rows
-        });
-        match dec.take_index() {
-            Some(index) if index.fingerprint_flags == options_flags(options) => {
-                Self::from_plans_indexed(plans, &index, features, options)
-            }
-            _ => {
-                let mut corpus = ShardedCorpus::with_options(options);
-                for plan in plans {
-                    corpus.insert(plan);
-                }
-                Ok(corpus)
-            }
-        }
-    }
-
-    /// The indexed-load path: route every plan to its shard (fingerprints
-    /// recomputed — cheap, no TED), then adopt each shard's persisted BK
-    /// topology. Structural mismatches (populations that cannot be the
-    /// ones the index was built over) are errors: a persisted index is
-    /// trusted for distances but never for shape.
-    fn from_plans_indexed(
-        plans: Vec<UnifiedPlan>,
-        index: &IndexSection,
-        features: Option<Vec<FeatureVector>>,
-        options: FingerprintOptions,
-    ) -> Result<ShardedCorpus> {
-        let shard_count = index.shards.len();
-        if shard_count == 0 || !shard_count.is_power_of_two() {
-            return Err(Error::Semantic(format!(
-                "persisted index has a non-power-of-two shard count {shard_count}"
-            )));
-        }
-        let mut corpus = ShardedCorpus::with_options_and_shards(options, shard_count);
-        corpus.observed = plans.len() as u64;
-        for (pos, plan) in plans.into_iter().enumerate() {
-            let fp = fingerprint_with(&plan, options);
-            let s = shard_index(fp, corpus.shard_bits);
-            if !corpus.shards[s].dedup.insert(fp) {
-                return Err(Error::Semantic(
-                    "persisted index over a document with duplicate fingerprints".into(),
-                ));
-            }
-            let global = u32::try_from(corpus.directory.len()).expect("corpus overflow");
-            corpus.operations += plan.operation_count();
-            corpus.max_depth = corpus
-                .max_depth
-                .max(plan.root.as_ref().map_or(0, |r| r.depth()));
-            let row = features.as_ref().map(|rows| rows[pos]);
-            let local = corpus.shards[s].store_with_features(plan, fp, global, row);
-            corpus.directory.push((s as u32, local));
-        }
-        for (i, (shard, topology)) in corpus.shards.iter_mut().zip(&index.shards).enumerate() {
-            if topology.nodes != shard.len() as u64 {
-                return Err(Error::Semantic(format!(
-                    "persisted index shard {i} covers {} items but {} plans route there",
-                    topology.nodes,
-                    shard.len()
-                )));
-            }
-            shard
-                .adopt_index(&topology.edges)
-                .map_err(Error::Semantic)?;
-        }
-        corpus.persisted_index = true;
-        Ok(corpus)
-    }
-
-    /// Lenient binary load: recovers the longest decodable prefix of a
-    /// possibly corrupted or truncated document instead of failing
-    /// wholesale (see [`uplan_core::formats::binary::salvage`]). Never
-    /// errors — a hopeless file yields an empty corpus and a report
-    /// saying why. When any plan was dropped (or index adoption failed)
-    /// the metric index is rebuilt from the survivors.
-    pub fn from_binary_salvage(bytes: &[u8]) -> (ShardedCorpus, SalvageReport) {
-        Self::from_binary_salvage_with_options(bytes, FingerprintOptions::default())
-    }
-
-    /// [`ShardedCorpus::from_binary_salvage`] with explicit fingerprint
-    /// options.
-    fn from_binary_salvage_with_options(
-        bytes: &[u8],
-        options: FingerprintOptions,
-    ) -> (ShardedCorpus, SalvageReport) {
-        let outcome = binary::salvage(bytes);
-        let declared = outcome.declared;
-        let decoded = outcome.plans.len();
-        let mut error = outcome.error.as_ref().map(ToString::to_string);
-        if error.is_none() {
-            // Intact document: take the strict path (adopting a persisted
-            // index where possible). Falls through when the index section
-            // is structurally unusable — the plans still salvage.
-            match Self::from_binary_with_options(bytes, options) {
-                Ok(corpus) => {
-                    let report = SalvageReport {
-                        declared,
-                        decoded,
-                        recovered: corpus.len(),
-                        dropped: 0,
-                        verified: outcome.verified,
-                        error: None,
-                        index_rebuilt: !corpus.has_persisted_index(),
-                    };
-                    return (corpus, report);
-                }
-                Err(e) => error = Some(e.to_string()),
-            }
-        }
-        let mut corpus = ShardedCorpus::with_options(options);
-        for plan in outcome.plans {
-            corpus.insert(plan);
-        }
-        let report = SalvageReport {
-            declared,
-            decoded,
-            recovered: corpus.len(),
-            dropped: declared.saturating_sub(decoded as u64),
-            verified: outcome.verified,
-            error,
-            index_rebuilt: !corpus.is_empty(),
-        };
-        (corpus, report)
-    }
-
-    /// Lenient JSON-lines load: skips unparseable lines instead of
-    /// aborting, reporting how many were dropped and the first failure.
-    fn from_jsonl_salvage_with_options(
-        text: &str,
-        options: FingerprintOptions,
-    ) -> (ShardedCorpus, SalvageReport) {
-        let mut corpus = ShardedCorpus::with_options(options);
-        let mut declared = 0u64;
-        let mut decoded = 0usize;
-        let mut error = None;
-        for (number, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            declared += 1;
-            match unified::from_json(line) {
-                Ok(plan) => {
-                    decoded += 1;
-                    corpus.insert(plan);
-                }
-                Err(e) => {
-                    if error.is_none() {
-                        error = Some(format!("line {}: {e}", number + 1));
-                    }
-                }
-            }
-        }
-        let report = SalvageReport {
-            declared,
-            decoded,
-            recovered: corpus.len(),
-            dropped: declared - decoded as u64,
-            verified: false,
-            error,
-            index_rebuilt: !corpus.is_empty(),
-        };
-        (corpus, report)
-    }
-
-    /// Lenient counterpart of [`ShardedCorpus::load`]: sniffs the format
-    /// and recovers what it can from a damaged file. Errors only when the
-    /// file cannot be read at all (an *operational* failure, distinct from
-    /// corrupt contents, which always salvage — possibly to zero plans).
-    pub fn load_salvage(path: impl AsRef<Path>) -> Result<(ShardedCorpus, SalvageReport)> {
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-            Error::Semantic(format!("cannot read {}: {e}", path.as_ref().display()))
-        })?;
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return Ok(Self::from_binary_salvage(&bytes));
-        }
-        // Not a binary document: treat as JSONL, decoding lossily so a
-        // stretch of non-UTF-8 garbage costs its lines, not the file.
-        let text = String::from_utf8_lossy(&bytes);
-        Ok(Self::from_jsonl_salvage_with_options(
-            &text,
-            FingerprintOptions::default(),
-        ))
-    }
-
-    /// Loads a corpus from JSON lines.
-    pub fn from_jsonl(text: &str) -> Result<ShardedCorpus> {
-        Self::from_jsonl_with_options(text, FingerprintOptions::default())
-    }
-
-    /// [`ShardedCorpus::from_jsonl`] with explicit fingerprint options.
+    /// Reads a corpus from JSON lines, one unified-JSON plan per line,
+    /// under the given fingerprint options. Plan JSON lines are an
+    /// interchange format (the daemon's `/diff` body), not a corpus
+    /// persistence format.
     pub fn from_jsonl_with_options(
         text: &str,
         options: FingerprintOptions,
@@ -1280,25 +1013,6 @@ impl ShardedCorpus {
         Ok(corpus)
     }
 
-    /// Reads a corpus from `path`, sniffing the format: a directory opens
-    /// as a lazy [`segment::SegmentStore`], the binary magic selects the
-    /// legacy binary codec (adopting a persisted index when present),
-    /// anything else parses as legacy JSON lines.
-    pub fn load(path: impl AsRef<Path>) -> Result<ShardedCorpus> {
-        if path.as_ref().is_dir() {
-            return Ok(segment::SegmentStore::open(path.as_ref())?.into_corpus());
-        }
-        let bytes = std::fs::read(path.as_ref()).map_err(|e| {
-            Error::Semantic(format!("cannot read {}: {e}", path.as_ref().display()))
-        })?;
-        if bytes.starts_with(&BINARY_MAGIC) {
-            return Self::from_binary(&bytes);
-        }
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| Error::Semantic("corpus file is neither binary nor UTF-8 JSONL".into()))?;
-        Self::from_jsonl(text)
-    }
-
     /// Distinct fingerprints as a set (cross-corpus bookkeeping).
     pub fn fingerprint_set(&self) -> HashSet<Fingerprint> {
         self.shards
@@ -1311,12 +1025,9 @@ impl ShardedCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uplan_core::formats::binary::{BinaryEncoder, ShardTopology};
-    use uplan_core::formats::legacy;
     use uplan_core::{PlanNode, Property};
 
-    /// The corpus's segment bytes — the byte oracle, and the input of the
-    /// legacy-format writers.
+    /// The corpus's segment bytes — the byte oracle.
     fn segment(corpus: &ShardedCorpus) -> Vec<u8> {
         encode_segment(corpus).unwrap()
     }
@@ -1587,10 +1298,20 @@ mod tests {
             "series", 4,
         )]));
 
-        let bin = PlanCorpus::from_binary(&legacy::plain(&segment(&corpus))).unwrap();
+        // Binary: through a segment store on disk.
+        let dir = std::env::temp_dir().join(format!("uplan_corpus_rt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        SegmentStore::create(&dir, corpus.clone()).unwrap();
+        let bin = SegmentStore::open(&dir).unwrap().into_corpus();
+        std::fs::remove_dir_all(&dir).ok();
+        // JSON lines: the plan interchange format `/diff` bodies use.
+        let text: String = corpus
+            .iter()
+            .map(|(_, plan)| unified::to_json_value(plan).to_compact() + "\n")
+            .collect();
+        let jsonl =
+            PlanCorpus::from_jsonl_with_options(&text, FingerprintOptions::default()).unwrap();
         assert_eq!(bin.len(), corpus.len());
-        assert!(!bin.has_persisted_index());
-        let jsonl = PlanCorpus::from_jsonl(&legacy::jsonl(&segment(&corpus))).unwrap();
         assert_eq!(jsonl.len(), corpus.len());
         for (id, plan) in corpus.iter() {
             assert_eq!(bin.plan(id), plan);
@@ -1598,126 +1319,6 @@ mod tests {
             assert_eq!(bin.fingerprint(id), corpus.fingerprint(id));
             assert_eq!(jsonl.fingerprint(id), corpus.fingerprint(id));
         }
-    }
-
-    #[test]
-    fn indexed_round_trip_adopts_the_index_with_zero_ted_evals() {
-        let mut corpus = PlanCorpus::new();
-        for plan in wide_population(120) {
-            corpus.insert(plan);
-        }
-        assert!(corpus.index_evals() > 0, "building the index costs TED");
-
-        let bytes = legacy::indexed(&segment(&corpus));
-        let loaded = PlanCorpus::from_binary(&bytes).unwrap();
-        // The headline contract: not one TED evaluation spent loading.
-        assert_eq!(loaded.index_evals(), 0);
-        assert!(loaded.has_persisted_index());
-        assert_eq!(loaded.len(), corpus.len());
-        assert_eq!(loaded.observed(), corpus.len() as u64);
-        assert_eq!(loaded.shard_count(), corpus.shard_count());
-        for (id, plan) in corpus.iter() {
-            assert_eq!(loaded.plan(id), plan);
-            assert_eq!(loaded.fingerprint(id), corpus.fingerprint(id));
-        }
-        // And the adopted index answers exactly like the built one —
-        // matches *and* evaluation counts.
-        for probe in wide_population(120).iter().step_by(17) {
-            let a = corpus.radius_query(probe, 2, u64::MAX);
-            let b = loaded.radius_query(probe, 2, u64::MAX);
-            assert_eq!(a, b);
-            let a = corpus.knn_query(probe, 5, u64::MAX);
-            let b = loaded.knn_query(probe, 5, u64::MAX);
-            assert_eq!(a, b);
-        }
-        // Re-encoding the loaded corpus reproduces the document byte for
-        // byte.
-        assert_eq!(legacy::indexed(&segment(&loaded)), bytes);
-    }
-
-    #[test]
-    fn foreign_option_indexes_are_ignored_not_trusted() {
-        // An index persisted under different fingerprint options routes
-        // differently; the loader must fall back to rebuilding, not adopt
-        // a wrong topology.
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let bytes = legacy::indexed(&segment(&corpus));
-        let strict = FingerprintOptions {
-            include_configuration_keys: false,
-            ..FingerprintOptions::default()
-        };
-        let loaded = PlanCorpus::from_binary_with_options(&bytes, strict).unwrap();
-        assert!(!loaded.has_persisted_index());
-        assert_eq!(loaded.len(), corpus.len());
-        assert_eq!(loaded.options(), strict);
-    }
-
-    #[test]
-    fn corrupted_index_sections_error_rather_than_misanswer() {
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let good = legacy::indexed(&segment(&corpus));
-        // Find the index flag: it is the first byte of the trailing
-        // section; corrupt a shard's node count right after the flags
-        // byte + shard count varint so populations mismatch. Rather than
-        // byte-surgery, rewrite the section wholesale through the encoder.
-        let mut enc = BinaryEncoder::new();
-        for (_, plan) in corpus.iter() {
-            enc.push(plan).unwrap();
-        }
-        let mut shards: Vec<ShardTopology> = corpus
-            .shards
-            .iter()
-            .map(|s| ShardTopology {
-                nodes: s.len() as u64,
-                edges: s.index.edges(),
-            })
-            .collect();
-        // Swap two non-equal node counts: totals still match the plan
-        // count, but per-shard populations cannot.
-        let (a, b) = {
-            let mut it = (0..shards.len()).filter(|&i| shards[i].nodes != shards[0].nodes);
-            (0, it.next().unwrap())
-        };
-        shards.swap(a, b);
-        let bad = enc.finish_with_index(&IndexSection {
-            fingerprint_flags: options_flags(corpus.options()),
-            shards,
-        });
-        let err = PlanCorpus::from_binary(&bad).unwrap_err();
-        assert!(err.to_string().contains("persisted index"), "{err}");
-        assert!(PlanCorpus::from_binary(&good).is_ok());
-    }
-
-    #[test]
-    fn load_sniffs_binary_and_jsonl() {
-        let dir = std::env::temp_dir();
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        // Process-unique names: concurrent test runs must not collide.
-        let pid = std::process::id();
-        let bin_path = dir.join(format!("uplan_corpus_test_{pid}.uplanc"));
-        std::fs::write(&bin_path, legacy::indexed(&segment(&corpus))).unwrap();
-        let loaded = PlanCorpus::load(&bin_path).unwrap();
-        assert_eq!(loaded.len(), corpus.len());
-        assert!(loaded.has_persisted_index());
-        let plain_path = dir.join(format!("uplan_corpus_test_plain_{pid}.uplanc"));
-        std::fs::write(&plain_path, legacy::plain(&segment(&corpus))).unwrap();
-        assert!(!PlanCorpus::load(&plain_path).unwrap().has_persisted_index());
-        let jsonl_path = dir.join(format!("uplan_corpus_test_{pid}.jsonl"));
-        std::fs::write(&jsonl_path, legacy::jsonl(&segment(&corpus))).unwrap();
-        assert_eq!(PlanCorpus::load(&jsonl_path).unwrap().len(), corpus.len());
-        std::fs::remove_file(bin_path).ok();
-        std::fs::remove_file(plain_path).ok();
-        std::fs::remove_file(jsonl_path).ok();
-        assert!(PlanCorpus::load(dir.join("definitely_missing.uplanc")).is_err());
     }
 
     #[test]
@@ -1733,119 +1334,6 @@ mod tests {
         assert_eq!(stats.duplicates, 6);
         assert_eq!(stats.operations, 1 + 2 + 2 + 3 + 3 + 4);
         assert_eq!(stats.max_depth, 4);
-    }
-
-    #[test]
-    fn salvage_load_recovers_the_verified_prefix() {
-        let mut corpus = PlanCorpus::new();
-        for plan in wide_population(300) {
-            corpus.insert(plan);
-        }
-        let bytes = legacy::indexed(&segment(&corpus));
-
-        // Intact file: salvage is exactly a strict load.
-        let (intact, report) = PlanCorpus::from_binary_salvage(&bytes);
-        assert_eq!(intact.len(), 300);
-        assert_eq!(report.recovered, 300);
-        assert_eq!(report.dropped, 0);
-        assert!(report.error.is_none());
-        assert!(report.verified);
-        assert!(!report.index_rebuilt);
-        assert_eq!(intact.index_evals(), 0);
-
-        // Truncated at the first block boundary: the first 256 plans
-        // survive, fingerprints intact, index rebuilt.
-        let sections = binary::section_map(&bytes).unwrap();
-        let block1 = sections
-            .iter()
-            .find(|s| s.plans == 256)
-            .expect("a 300-plan document spans two blocks");
-        let (salvaged, report) = PlanCorpus::from_binary_salvage(&bytes[..block1.end]);
-        assert_eq!(report.declared, 300);
-        assert_eq!(report.recovered, 256);
-        assert_eq!(report.dropped, 44);
-        assert!(report.verified);
-        assert!(report.index_rebuilt);
-        assert!(report.error.is_some());
-        for id in 0..salvaged.len() {
-            assert_eq!(salvaged.fingerprint(id), corpus.fingerprint(id));
-            assert_eq!(salvaged.plan(id), corpus.plan(id));
-        }
-
-        // A flipped byte mid-plan-stream: strict load errors, salvage
-        // recovers the blocks before it.
-        let mut corrupt = bytes.clone();
-        let offset = sections[1].end + 40;
-        corrupt[offset] ^= 0x40;
-        assert!(PlanCorpus::from_binary(&corrupt).is_err());
-        let (salvaged, report) = PlanCorpus::from_binary_salvage(&corrupt);
-        assert_eq!(salvaged.len(), 256);
-        assert_eq!(report.dropped, 44);
-        assert!(report.error.as_deref().unwrap().contains("checksum"));
-    }
-
-    #[test]
-    fn jsonl_salvage_skips_bad_lines_and_reports_the_first() {
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let mut dirty = String::new();
-        for (i, line) in legacy::jsonl(&segment(&corpus)).lines().enumerate() {
-            dirty.push_str(line);
-            dirty.push('\n');
-            if i == 1 {
-                dirty.push_str("{\"operation\": \"truncated\n");
-            }
-            if i == 3 {
-                dirty.push_str("complete garbage\n");
-            }
-        }
-        let (salvaged, report) =
-            PlanCorpus::from_jsonl_salvage_with_options(&dirty, FingerprintOptions::default());
-        assert_eq!(salvaged.len(), corpus.len());
-        assert_eq!(report.declared, corpus.len() as u64 + 2);
-        assert_eq!(report.dropped, 2);
-        assert!(report.error.as_deref().unwrap().starts_with("line 3:"));
-        for (id, plan) in corpus.iter() {
-            assert_eq!(salvaged.plan(id), plan);
-        }
-    }
-
-    #[test]
-    fn unchecked_documents_still_round_trip_and_salvage_unverified() {
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let unchecked = legacy::unchecked(&segment(&corpus));
-        let checked = legacy::indexed(&segment(&corpus));
-        assert_ne!(unchecked, checked);
-        let loaded = PlanCorpus::from_binary(&unchecked).unwrap();
-        assert_eq!(loaded.len(), corpus.len());
-        assert!(loaded.has_persisted_index());
-        let (salvaged, report) = PlanCorpus::from_binary_salvage(&unchecked);
-        assert_eq!(salvaged.len(), corpus.len());
-        assert!(!report.verified, "v2 bytes are decodable, not verified");
-        assert!(report.error.is_none());
-    }
-
-    #[test]
-    fn load_salvage_errors_only_on_unreadable_paths() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let path = dir.join(format!("uplan_salvage_test_{pid}.uplanc"));
-        let mut corpus = PlanCorpus::new();
-        for plan in population() {
-            corpus.insert(plan);
-        }
-        let bytes = legacy::indexed(&segment(&corpus));
-        // A partial write: half the document.
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let (_, report) = PlanCorpus::load_salvage(&path).unwrap();
-        assert!(report.error.is_some());
-        std::fs::remove_file(&path).ok();
-        assert!(PlanCorpus::load_salvage(dir.join("definitely_missing.uplanc")).is_err());
     }
 
     #[test]

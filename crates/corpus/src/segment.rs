@@ -12,8 +12,7 @@
 //! ```
 //!
 //! It is the only way a corpus is persisted. Three properties a
-//! monolithic document (the legacy layout `repro corpus import` reads)
-//! cannot offer:
+//! monolithic one-file corpus document could not offer:
 //!
 //! * **Append is O(batch).** [`SegmentStore::append`] ingests the batch,
 //!   writes the novel plans as one new segment file, and atomically
@@ -355,11 +354,10 @@ impl SegmentStore {
         Self::open_with_options(dir, FingerprintOptions::default())
     }
 
-    /// [`SegmentStore::open`] with explicit fingerprint options. Unlike
-    /// the legacy document loader (which silently rebuilds on a flags
-    /// mismatch), a mismatch here is an error: rebuilding would decode
-    /// every plan, which defeats the lazy open — convert explicitly
-    /// instead.
+    /// [`SegmentStore::open`] with explicit fingerprint options. A store
+    /// written under other options is an error, not a silent rebuild:
+    /// rebuilding would decode every plan, which defeats the lazy open —
+    /// convert explicitly instead.
     pub fn open_with_options(
         dir: impl Into<PathBuf>,
         options: FingerprintOptions,

@@ -173,7 +173,11 @@ impl CorpusShard {
     /// (evaluating TED against the plans already here). Returns the local
     /// id. The caller has already claimed `fp` in [`CorpusShard::dedup`].
     pub(crate) fn store(&mut self, plan: UnifiedPlan, fp: Fingerprint, global: u32) -> u32 {
-        let local = self.store_unindexed(plan, fp, global);
+        let local = u32::try_from(self.store.len()).expect("corpus shard overflow");
+        self.features.push(features_of(&plan));
+        self.store.push(plan);
+        self.fingerprints.push(fp);
+        self.globals.push(global);
         let store = &self.store;
         let probe = store.ted(local as usize);
         let mut scratch = TedScratch::default();
@@ -181,37 +185,6 @@ impl CorpusShard {
             probe.distance(store.ted(other as usize), &mut scratch) as u32
         });
         self.index_evals += evals;
-        local
-    }
-
-    /// Stores a plan *without* touching the BK-tree — the indexed-load
-    /// path, where the tree is adopted wholesale from a persisted topology
-    /// afterwards ([`CorpusShard::adopt_index`]).
-    pub(crate) fn store_unindexed(
-        &mut self,
-        plan: UnifiedPlan,
-        fp: Fingerprint,
-        global: u32,
-    ) -> u32 {
-        self.store_with_features(plan, fp, global, None)
-    }
-
-    /// [`CorpusShard::store_unindexed`] with an optional precomputed
-    /// feature vector (the featured-load path, where vectors are adopted
-    /// from the persisted section instead of recomputed).
-    pub(crate) fn store_with_features(
-        &mut self,
-        plan: UnifiedPlan,
-        fp: Fingerprint,
-        global: u32,
-        features: Option<FeatureVector>,
-    ) -> u32 {
-        let local = u32::try_from(self.store.len()).expect("corpus shard overflow");
-        self.features
-            .push(features.unwrap_or_else(|| features_of(&plan)));
-        self.store.push(plan);
-        self.fingerprints.push(fp);
-        self.globals.push(global);
         local
     }
 

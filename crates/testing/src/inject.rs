@@ -1,29 +1,21 @@
 //! Deterministic fault injection for the dirty-fleet hardening contract.
 //!
 //! Robustness claims are cheap; this module makes them testable. It
-//! produces *seeded, reproducible* corruptions of the three artifact
-//! kinds the toolchain ingests from the outside world — binary UPLN
-//! corpus documents, append-only segment-store directories, and raw
-//! mixed-source dumps — so a tier-1 test (and the CI smoke job, at a
-//! pinned seed) can drive every mutation through the loaders and assert
-//! the hardening contract: **no panic; either a bounded, descriptive
-//! error or a salvage whose surviving plans fingerprint-match the
-//! originals.**
-//!
-//! Binary mutations are planned over the document's
-//! [`SectionBoundary`] map (header, each checksummed plan block, document
-//! end), which is exactly the granularity at which the v3 codec can
-//! recover: [`expected_recoverable`] computes, for the mutation classes
-//! where the outcome is provably prefix-bounded, the *exact* number of
-//! plans a salvage must recover — turning the fuzz-style sweep into a
-//! precise oracle.
+//! produces *seeded, reproducible* corruptions of the two artifact kinds
+//! the toolchain ingests from the outside world — append-only
+//! segment-store directories and raw mixed-source dumps — so a tier-1
+//! test (and the CI smoke job, at a pinned seed) can drive every mutation
+//! through the loaders and assert the hardening contract: **no panic;
+//! either a bounded, descriptive error or a salvage whose surviving plans
+//! fingerprint-match the originals.** Store faults come with an exact
+//! oracle ([`expected_store_recovery`]), turning the sweep into a precise
+//! check.
 
 use std::io;
 use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use uplan_core::formats::binary::SectionBoundary;
 use uplan_corpus::MANIFEST_FILE;
 
 /// One reproducible corruption of a byte document.
@@ -41,21 +33,6 @@ pub enum FaultMutation {
         /// Bit index, 0–7.
         bit: u8,
     },
-    /// Insert foreign bytes, shifting the remainder of the document.
-    Splice {
-        /// Insertion offset.
-        at: usize,
-        /// The inserted bytes.
-        bytes: Vec<u8>,
-    },
-    /// Duplicate the byte range `start..end` immediately after itself —
-    /// the shape a retried append or a doubled write produces.
-    DuplicateBlock {
-        /// First duplicated byte.
-        start: usize,
-        /// One past the last duplicated byte (also the insertion point).
-        end: usize,
-    },
 }
 
 impl FaultMutation {
@@ -71,23 +48,6 @@ impl FaultMutation {
                 }
                 out
             }
-            FaultMutation::Splice { at, bytes } => {
-                let at = (*at).min(doc.len());
-                let mut out = Vec::with_capacity(doc.len() + bytes.len());
-                out.extend_from_slice(&doc[..at]);
-                out.extend_from_slice(bytes);
-                out.extend_from_slice(&doc[at..]);
-                out
-            }
-            FaultMutation::DuplicateBlock { start, end } => {
-                let end = (*end).min(doc.len());
-                let start = (*start).min(end);
-                let mut out = Vec::with_capacity(doc.len() + (end - start));
-                out.extend_from_slice(&doc[..end]);
-                out.extend_from_slice(&doc[start..end]);
-                out.extend_from_slice(&doc[end..]);
-                out
-            }
         }
     }
 
@@ -98,131 +58,7 @@ impl FaultMutation {
             FaultMutation::BitFlip { offset, bit } => {
                 format!("flip bit {bit} of byte {offset}")
             }
-            FaultMutation::Splice { at, bytes } => {
-                format!("splice {} bytes at {at}", bytes.len())
-            }
-            FaultMutation::DuplicateBlock { start, end } => {
-                format!("duplicate bytes {start}..{end}")
-            }
         }
-    }
-}
-
-/// Byte offset of the version varint in a UPLN document (right after the
-/// 4-byte magic). A fault here can silently re-route the decoder to a
-/// different codec version, so no exact recovery count can be promised.
-const VERSION_OFFSET: usize = 4;
-
-/// Truncations at every section boundary of the document — the exact
-/// offsets where the v3 codec promises clean prefix recovery.
-pub fn truncation_plan(sections: &[SectionBoundary]) -> Vec<FaultMutation> {
-    sections
-        .iter()
-        .map(|s| FaultMutation::Truncate { len: s.end })
-        .collect()
-}
-
-/// `count` seeded single-bit flips spread over the document.
-pub fn bitflip_sweep(doc_len: usize, seed: u64, count: usize) -> Vec<FaultMutation> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| FaultMutation::BitFlip {
-            offset: rng.gen_range(0..doc_len.max(1)),
-            bit: rng.gen_range(0..8u64) as u8,
-        })
-        .collect()
-}
-
-/// `count` seeded splices of 1–16 foreign bytes at random offsets.
-pub fn splice_plan(doc_len: usize, seed: u64, count: usize) -> Vec<FaultMutation> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let len = rng.gen_range(1..17usize);
-            FaultMutation::Splice {
-                at: rng.gen_range(0..doc_len.max(1) + 1),
-                bytes: (0..len).map(|_| rng.gen_range(0..256u64) as u8).collect(),
-            }
-        })
-        .collect()
-}
-
-/// A seeded single-bit flip constrained past the header section, where
-/// [`expected_recoverable`] is always exact (no version-byte blind spot).
-/// `None` when the document has no bytes past its header.
-pub fn bitflip_past_header(sections: &[SectionBoundary], seed: u64) -> Option<FaultMutation> {
-    let lo = sections.first()?.end;
-    let hi = sections.last()?.end;
-    if lo >= hi {
-        return None;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    Some(FaultMutation::BitFlip {
-        offset: rng.gen_range(lo..hi),
-        bit: rng.gen_range(0..8u64) as u8,
-    })
-}
-
-/// A seeded foreign-byte splice constrained past the header section (same
-/// exactness guarantee as [`bitflip_past_header`]).
-pub fn splice_past_header(sections: &[SectionBoundary], seed: u64) -> Option<FaultMutation> {
-    let lo = sections.first()?.end;
-    let hi = sections.last()?.end;
-    if lo >= hi {
-        return None;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let len = rng.gen_range(1..17usize);
-    Some(FaultMutation::Splice {
-        at: rng.gen_range(lo..hi),
-        bytes: (0..len).map(|_| rng.gen_range(0..256u64) as u8).collect(),
-    })
-}
-
-/// One duplication per document section (each block replayed after
-/// itself).
-pub fn duplicate_block_plan(sections: &[SectionBoundary]) -> Vec<FaultMutation> {
-    sections
-        .windows(2)
-        .map(|pair| FaultMutation::DuplicateBlock {
-            start: pair[0].end,
-            end: pair[1].end,
-        })
-        .collect()
-}
-
-/// The exact number of plans a salvage of the mutated document must
-/// recover, when that number is provable from the section map:
-///
-/// * **Truncate** — always exact: the cumulative plan count of the last
-///   section boundary at or before the cut (a cut mid-section loses that
-///   whole section to its checksum/bounds check).
-/// * **BitFlip / Splice** — exact everywhere except the version varint
-///   (a fault there re-routes the decoder to another codec version with
-///   no checksum to catch it): damage before the first boundary voids the
-///   header (0 plans), damage inside block *k* is caught by block *k*'s
-///   CRC (blocks before *k* survive), damage past the last block only
-///   voids the index tail (all plans survive).
-/// * **DuplicateBlock** — `None`: a duplicated block re-verifies (it is a
-///   byte-exact valid block), so the decoded stream diverges from the
-///   original sequence; the harness asserts only the no-panic/bounded
-///   -error half of the contract.
-pub fn expected_recoverable(sections: &[SectionBoundary], mutation: &FaultMutation) -> Option<u64> {
-    let prefix_plans = |offset: usize| {
-        sections
-            .iter()
-            .take_while(|s| s.end <= offset)
-            .map(|s| s.plans)
-            .max()
-            .unwrap_or(0)
-    };
-    match mutation {
-        FaultMutation::Truncate { len } => Some(prefix_plans(*len)),
-        FaultMutation::BitFlip { offset, .. } => {
-            (*offset != VERSION_OFFSET).then(|| prefix_plans(*offset))
-        }
-        FaultMutation::Splice { at, .. } => (*at != VERSION_OFFSET).then(|| prefix_plans(*at)),
-        FaultMutation::DuplicateBlock { .. } => None,
     }
 }
 
@@ -485,24 +321,6 @@ pub fn inject_garbage_lines(dump: &str, seed: u64, count: usize) -> (String, Vec
 mod tests {
     use super::*;
 
-    fn sections() -> Vec<SectionBoundary> {
-        vec![
-            SectionBoundary { end: 20, plans: 0 },
-            SectionBoundary {
-                end: 120,
-                plans: 256,
-            },
-            SectionBoundary {
-                end: 200,
-                plans: 300,
-            },
-            SectionBoundary {
-                end: 240,
-                plans: 300,
-            },
-        ]
-    }
-
     #[test]
     fn mutations_apply_reproducibly() {
         let doc: Vec<u8> = (0..=255).collect();
@@ -513,15 +331,6 @@ mod tests {
         let flipped = FaultMutation::BitFlip { offset: 3, bit: 0 }.apply(&doc);
         assert_eq!(flipped[3], 2);
         assert_eq!(flipped.len(), doc.len());
-        let spliced = FaultMutation::Splice {
-            at: 2,
-            bytes: vec![0xAA, 0xBB],
-        }
-        .apply(&doc);
-        assert_eq!(&spliced[..5], &[0, 1, 0xAA, 0xBB, 2]);
-        let doubled = FaultMutation::DuplicateBlock { start: 1, end: 3 }.apply(&doc);
-        assert_eq!(&doubled[..5], &[0, 1, 2, 1, 2]);
-        assert_eq!(doubled.len(), doc.len() + 2);
         // Out-of-range offsets clamp instead of panicking.
         assert_eq!(FaultMutation::Truncate { len: 999 }.apply(&doc), doc);
         assert_eq!(
@@ -532,80 +341,6 @@ mod tests {
             .apply(&doc),
             doc
         );
-    }
-
-    #[test]
-    fn expected_recovery_is_prefix_bounded() {
-        let sections = sections();
-        let expect = |m: &FaultMutation| expected_recoverable(&sections, m);
-        // Truncations: exact at and between boundaries.
-        assert_eq!(expect(&FaultMutation::Truncate { len: 240 }), Some(300));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 200 }), Some(300));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 199 }), Some(256));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 120 }), Some(256));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 60 }), Some(0));
-        assert_eq!(expect(&FaultMutation::Truncate { len: 0 }), Some(0));
-        // Flips: header → 0, block k → blocks before k, tail → all.
-        let flip = |offset| FaultMutation::BitFlip { offset, bit: 3 };
-        assert_eq!(expect(&flip(10)), Some(0));
-        assert_eq!(expect(&flip(150)), Some(256));
-        assert_eq!(expect(&flip(220)), Some(300));
-        // The version byte is the one blind spot.
-        assert_eq!(expect(&flip(VERSION_OFFSET)), None);
-        // Duplications are never exactly predictable.
-        assert_eq!(
-            expect(&FaultMutation::DuplicateBlock {
-                start: 20,
-                end: 120
-            }),
-            None
-        );
-    }
-
-    #[test]
-    fn plans_cover_every_section() {
-        let sections = sections();
-        let cuts = truncation_plan(&sections);
-        assert_eq!(cuts.len(), 4);
-        assert_eq!(cuts[0], FaultMutation::Truncate { len: 20 });
-        let dups = duplicate_block_plan(&sections);
-        assert_eq!(dups.len(), 3);
-        assert_eq!(
-            dups[0],
-            FaultMutation::DuplicateBlock {
-                start: 20,
-                end: 120
-            }
-        );
-        let flips = bitflip_sweep(240, 0xF00D, 48);
-        assert_eq!(
-            flips,
-            bitflip_sweep(240, 0xF00D, 48),
-            "seeded = reproducible"
-        );
-        assert_eq!(flips.len(), 48);
-        assert!(flips.iter().all(|m| match m {
-            FaultMutation::BitFlip { offset, bit } => *offset < 240 && *bit < 8,
-            _ => false,
-        }));
-        // The past-header variants always have an exact expectation.
-        for seed in 0..32u64 {
-            let flip = bitflip_past_header(&sections, seed).unwrap();
-            assert!(expected_recoverable(&sections, &flip).is_some(), "{flip:?}");
-            let splice = splice_past_header(&sections, seed).unwrap();
-            assert!(
-                expected_recoverable(&sections, &splice).is_some(),
-                "{splice:?}"
-            );
-        }
-        let splices = splice_plan(240, 0xF00D, 8);
-        assert_eq!(splices.len(), 8);
-        assert!(splices.iter().all(|m| match m {
-            FaultMutation::Splice { at, bytes } => {
-                *at <= 240 && !bytes.is_empty() && bytes.len() <= 16
-            }
-            _ => false,
-        }));
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! The dirty-fleet hardening contract, driven end to end by the seeded
 //! fault-injection harness (`uplan_testing::inject`).
 //!
-//! Three artifact kinds arrive from the outside world — binary UPLN
-//! corpus documents, append-only segment-store directories, and raw
-//! mixed-source dumps — and for all of them the contract is:
+//! Two artifact kinds arrive from the outside world — append-only
+//! segment-store directories and raw mixed-source dumps — and for both
+//! the contract is:
 //!
 //! * **no panic**, ever, on corrupted input;
 //! * strict loads either succeed losslessly or fail with a bounded,
 //!   descriptive error — never silently drop plans;
 //! * salvage recovers plans that **fingerprint-match** the originals, and
-//!   where the mutation class is prefix-bounded
-//!   ([`inject::expected_recoverable`]) recovers **exactly** the promised
-//!   count;
+//!   recovers **exactly** the count the per-segment oracle
+//!   ([`inject::expected_store_recovery`]) promises;
 //! * lenient raw ingest of a dump with ≥10% garbage is **byte-identical**
 //!   to a strict ingest of its valid subset, with an exact error census.
 //!
@@ -25,8 +24,6 @@ use std::sync::OnceLock;
 use minidb::profile::EngineProfile;
 use uplan::convert::{self, RawIngestOptions};
 use uplan::core::fingerprint::{fingerprint, FingerprintOptions};
-use uplan::core::formats::binary::{self, SectionBoundary};
-use uplan::core::formats::legacy;
 use uplan::core::UnifiedPlan;
 use uplan::corpus::{encode_segment, PlanCorpus, SegmentStore, MANIFEST_FILE};
 use uplan::testing::inject::{self, FaultMutation, StoreFault};
@@ -36,125 +33,12 @@ use uplan_bench::corpus_fixture;
 /// Seed of the fixture corpus (and default seed of the mutation sweeps).
 const SEED: u64 = 0xD15E_A5ED;
 
-/// A checked (v3), index-carrying document of ~1000 distinct derived
-/// TPC-H plans, plus the fingerprint of every plan in document order.
-fn fixture() -> &'static (Vec<u8>, Vec<u64>) {
-    static DOC: OnceLock<(Vec<u8>, Vec<u64>)> = OnceLock::new();
-    DOC.get_or_init(|| {
-        let corpus = corpus_fixture::derived_corpus(1000, SEED);
-        let bytes = legacy::indexed(&encode_segment(&corpus).unwrap());
-        let intact = binary::salvage(&bytes);
-        assert!(intact.error.is_none(), "fixture document must be intact");
-        assert!(intact.verified, "v3 documents salvage checksum-verified");
-        let prints: Vec<u64> = intact.plans.iter().map(|p| fingerprint(p).0).collect();
-        assert!(prints.len() >= 1000);
-        (bytes, prints)
-    })
-}
-
-/// Drives one mutation through both loaders and asserts the full
-/// hardening contract on the outcome.
-fn assert_contract(
-    bytes: &[u8],
-    prints: &[u64],
-    sections: &[SectionBoundary],
-    mutation: &FaultMutation,
-) {
-    let what = mutation.describe();
-    let corrupt = mutation.apply(bytes);
-
-    // Salvage never panics; where the mutation class is prefix-bounded it
-    // recovers *exactly* the promised count, and every survivor
-    // fingerprint-matches the original plan at its position.
-    let outcome = binary::salvage(&corrupt);
-    if let Some(expected) = inject::expected_recoverable(sections, mutation) {
-        assert_eq!(outcome.plans.len() as u64, expected, "{what}");
-        for (i, plan) in outcome.plans.iter().enumerate() {
-            assert_eq!(fingerprint(plan).0, prints[i], "{what}: salvaged plan {i}");
-        }
-        if expected < prints.len() as u64 {
-            assert!(
-                outcome.error.is_some(),
-                "{what}: lossy salvage must say why"
-            );
-        }
-    }
-
-    // The strict loader never panics and never *silently* loses plans: it
-    // either refuses the document or yields the full population.
-    match PlanCorpus::from_binary(&corrupt) {
-        Ok(loaded) => assert_eq!(loaded.len(), prints.len(), "{what}: silent loss"),
-        Err(e) => assert!(!e.to_string().is_empty(), "{what}: empty error"),
-    }
-}
-
-#[test]
-fn truncations_recover_exactly_the_promised_prefix() {
-    let (bytes, prints) = fixture();
-    let sections = binary::section_map(bytes).unwrap();
-    // header + ≥4 checksum blocks of 256 + document end for 1000+ plans.
-    assert!(sections.len() >= 6, "unexpected section map: {sections:?}");
-
-    // Cuts at every section boundary: clean prefix recovery.
-    for mutation in inject::truncation_plan(&sections) {
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-    // Cuts *inside* a section lose exactly that section — still an exact
-    // expectation.
-    for pair in sections.windows(2) {
-        let mid = (pair[0].end + pair[1].end) / 2;
-        let mutation = FaultMutation::Truncate { len: mid };
-        assert!(
-            inject::expected_recoverable(&sections, &mutation).is_some(),
-            "truncations are always exactly predictable"
-        );
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-}
-
-#[test]
-fn seeded_bitflips_are_caught_or_harmless_never_silent() {
-    let (bytes, prints) = fixture();
-    let sections = binary::section_map(bytes).unwrap();
-    // A document-wide sweep (the version varint may be hit — there the
-    // oracle abstains and the contract reduces to no-panic/no-silent-loss).
-    for mutation in inject::bitflip_sweep(bytes.len(), SEED, 32) {
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-    // Past the header the oracle is total: every seed has an exact count.
-    for seed in 0..8u64 {
-        let mutation = inject::bitflip_past_header(&sections, seed).unwrap();
-        assert!(inject::expected_recoverable(&sections, &mutation).is_some());
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-}
-
-#[test]
-fn splices_and_duplicated_blocks_never_panic_or_lose_plans_silently() {
-    let (bytes, prints) = fixture();
-    let sections = binary::section_map(bytes).unwrap();
-    for mutation in inject::splice_plan(bytes.len(), SEED, 12) {
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-    for seed in 0..8u64 {
-        let mutation = inject::splice_past_header(&sections, seed).unwrap();
-        assert!(inject::expected_recoverable(&sections, &mutation).is_some());
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-    // Replayed writes: a duplicated block re-verifies, so no exact count
-    // is promised — but the loaders must still never panic or lose plans
-    // without saying so.
-    for mutation in inject::duplicate_block_plan(&sections) {
-        assert_contract(bytes, prints, &sections, &mutation);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Segment-store half of the contract: per-file faults against an
-// append-only store directory. The segment is the recovery unit, so
-// `SegmentStore::salvage` must recover *exactly* the surviving segments'
-// plan counts ([`inject::expected_store_recovery`]) — and, byte for byte,
-// the corpus an eager re-ingest of the surviving batches produces.
+// Segment stores: per-file faults against an append-only store directory.
+// The segment is the recovery unit, so `SegmentStore::salvage` must
+// recover *exactly* the surviving segments' plan counts
+// ([`inject::expected_store_recovery`]) — and, byte for byte, the corpus
+// an eager re-ingest of the surviving batches produces.
 // ---------------------------------------------------------------------------
 
 /// A pristine store directory, its per-segment plan census, and the

@@ -139,59 +139,8 @@ fn tree_edit_distances_match_golden_values() {
     }
 }
 
-/// Exact version-1 encoding of a small reference plan. Version 1 is no
-/// longer written (the encoder emits version 2) but corpora persisted by
-/// earlier releases exist, so the *decoder* stays pinned to these bytes
-/// forever: any change that stops them decoding breaks stored corpora and
-/// must be deliberate.
-const GOLDEN_BINARY_V1: [u8; 105] = [
-    0x55, 0x50, 0x4c, 0x4e, 0x01, 0x06, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
-    0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
-    0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x04, 0x72, 0x6f, 0x77, //
-    0x73, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, 0x5f, 0x53, 0x63, 0x61, 0x6e, //
-    0x06, 0x66, 0x69, 0x6c, 0x74, 0x65, 0x72, 0x0f, 0x77, 0x6f, 0x72, 0x6b, //
-    0x65, 0x72, 0x73, 0x5f, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x65, 0x64, 0x01, //
-    0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, 0x01, 0x00, 0x02, 0x03, 0xd0, //
-    0x0f, 0x00, 0x00, 0x03, 0x01, 0x02, 0x04, 0x05, 0x06, 0x63, 0x30, 0x20, //
-    0x3c, 0x20, 0x35, 0x00, 0x01, 0x03, 0x05, 0x03, 0x04,
-];
-
-/// Exact version-2 encoding of the same plan: identical plan bytes, the
-/// version varint at offset 4 is 2, and one trailing zero byte (the "no
-/// index section" flag). Nothing writes version 2 any more; these bytes
-/// pin the decoder, and the test-support legacy writer
-/// (`uplan_core::formats::legacy::strip_checksums`) that derives v2 documents
-/// from v3 ones for the legacy-reader tests.
-const GOLDEN_BINARY_V2: [u8; 106] = [
-    0x55, 0x50, 0x4c, 0x4e, 0x02, 0x06, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
-    0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
-    0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x04, 0x72, 0x6f, 0x77, //
-    0x73, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, 0x5f, 0x53, 0x63, 0x61, 0x6e, //
-    0x06, 0x66, 0x69, 0x6c, 0x74, 0x65, 0x72, 0x0f, 0x77, 0x6f, 0x72, 0x6b, //
-    0x65, 0x72, 0x73, 0x5f, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x65, 0x64, 0x01, //
-    0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, 0x01, 0x00, 0x02, 0x03, 0xd0, //
-    0x0f, 0x00, 0x00, 0x03, 0x01, 0x02, 0x04, 0x05, 0x06, 0x63, 0x30, 0x20, //
-    0x3c, 0x20, 0x35, 0x00, 0x01, 0x03, 0x05, 0x03, 0x04, 0x00,
-];
-
-/// Exact version-3 (checksummed) encoding of the same plan: the version
-/// varint is 3, a CRC32 follows the header (after `plan_count`), each
-/// plan block carries a length varint and a trailing CRC32, and a tail
-/// CRC32 covers the index flag. The *plan* bytes inside the block are
-/// identical to v1/v2. Regenerate with `print_golden_values`.
-const GOLDEN_BINARY_V3: [u8; 119] = [
-    0x55, 0x50, 0x4c, 0x4e, 0x03, 0x06, 0x09, 0x48, 0x61, 0x73, 0x68, 0x5f, //
-    0x4a, 0x6f, 0x69, 0x6e, 0x0f, 0x46, 0x75, 0x6c, 0x6c, 0x5f, 0x54, 0x61, //
-    0x62, 0x6c, 0x65, 0x5f, 0x53, 0x63, 0x61, 0x6e, 0x04, 0x72, 0x6f, 0x77, //
-    0x73, 0x0a, 0x49, 0x6e, 0x64, 0x65, 0x78, 0x5f, 0x53, 0x63, 0x61, 0x6e, //
-    0x06, 0x66, 0x69, 0x6c, 0x74, 0x65, 0x72, 0x0f, 0x77, 0x6f, 0x72, 0x6b, //
-    0x65, 0x72, 0x73, 0x5f, 0x70, 0x6c, 0x61, 0x6e, 0x6e, 0x65, 0x64, 0x01, //
-    0x28, 0xd4, 0x55, 0x82, 0x21, 0x01, 0x02, 0x00, 0x00, 0x02, 0x00, 0x01, //
-    0x01, 0x00, 0x02, 0x03, 0xd0, 0x0f, 0x00, 0x00, 0x03, 0x01, 0x02, 0x04, //
-    0x05, 0x06, 0x63, 0x30, 0x20, 0x3c, 0x20, 0x35, 0x00, 0x01, 0x03, 0x05, //
-    0x03, 0x04, 0x0f, 0xe3, 0x7d, 0x46, 0x00, 0x8d, 0xef, 0x02, 0xd2, //
-];
-
+/// A small reference plan covering a join, two producers, every value
+/// kind the fixture needs, and a plan-level property.
 fn golden_binary_plan() -> UnifiedPlan {
     use uplan::core::{PlanNode, Property};
     UnifiedPlan::with_root(
@@ -206,24 +155,6 @@ fn golden_binary_plan() -> UnifiedPlan {
             ),
     )
     .with_plan_property(Property::status("workers_planned", 2))
-}
-
-#[test]
-fn binary_codec_encoding_matches_golden_bytes() {
-    use uplan::core::formats::binary;
-    assert_eq!(binary::BINARY_CODEC_VERSION, 3);
-    assert_eq!(binary::MIN_SUPPORTED_BINARY_VERSION, 1);
-    let bytes = binary::to_bytes(&golden_binary_plan()).unwrap();
-    assert_eq!(
-        bytes,
-        GOLDEN_BINARY_V3.to_vec(),
-        "binary codec v3 encoding drifted — persisted corpora would break"
-    );
-    // And the pinned bytes decode back to the reference plan, fingerprint
-    // and all.
-    let decoded = binary::from_bytes(&GOLDEN_BINARY_V3).unwrap();
-    assert_eq!(decoded, golden_binary_plan());
-    assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
 }
 
 /// Exact plan-body bytes of [`golden_binary_plan`]: what the codec writes
@@ -255,102 +186,71 @@ const GOLDEN_SEGMENT: [u8; 164] = [
     0x00, 0x00, 0x00, 0x00, 0x76, 0x15, 0x10, 0x89, //
 ];
 
-/// The segment bytes of a fresh default corpus holding only
-/// [`golden_binary_plan`].
-fn golden_segment() -> Vec<u8> {
+/// The segment bytes of a fresh default corpus holding only `plan` (what
+/// `SegmentStore::create` writes as its first segment).
+fn segment_of(plan: &UnifiedPlan) -> Vec<u8> {
     let mut corpus = uplan::corpus::PlanCorpus::new();
-    corpus.insert(golden_binary_plan());
+    corpus.insert(plan.clone());
     uplan::corpus::encode_segment(&corpus).unwrap()
 }
 
-#[test]
-fn segment_encoding_matches_golden_bytes() {
+/// Fully reads a one-plan segment: parse (header and tail CRCs), verify
+/// the plan block's CRC, decode the plan body.
+fn read_only_plan(segment: &[u8]) -> uplan::core::Result<UnifiedPlan> {
     use uplan::core::formats::segment::{decode_plan_at, parse_segment, verify_block};
-    let bytes = golden_segment();
+    let view = parse_segment(segment)?;
+    assert_eq!(view.plan_count, 1);
+    verify_block(segment, view.blocks[0])?;
+    decode_plan_at(
+        segment,
+        view.plan_offsets[0],
+        view.plan_lens[0],
+        &view.delta,
+    )
+}
+
+#[test]
+fn binary_codec_encoding_matches_golden_bytes() {
+    use uplan::core::formats::segment::parse_segment;
+    let segment = segment_of(&golden_binary_plan());
     assert_eq!(
-        bytes,
+        segment,
         GOLDEN_SEGMENT.to_vec(),
         "segment encoding drifted — persisted stores would break"
     );
     // The plan body inside the segment is the pinned body, byte for byte.
-    let view = parse_segment(&GOLDEN_SEGMENT).unwrap();
-    let (at, len) = (view.plan_offsets[0], view.plan_lens[0]);
-    assert_eq!(
-        &GOLDEN_SEGMENT[at as usize..(at + len) as usize],
-        &GOLDEN_PLAN_BODY[..]
-    );
-    assert_eq!(&GOLDEN_BINARY_V3[77..110], &GOLDEN_PLAN_BODY[..]);
-    // And the pinned bytes decode back to the reference plan.
-    verify_block(&GOLDEN_SEGMENT, view.blocks[0]).unwrap();
-    let decoded = decode_plan_at(&GOLDEN_SEGMENT, at, len, &view.delta).unwrap();
+    let view = parse_segment(&segment).unwrap();
+    let (at, len) = (view.plan_offsets[0] as usize, view.plan_lens[0] as usize);
+    assert_eq!(&segment[at..at + len], &GOLDEN_PLAN_BODY[..]);
+    // And the pinned bytes read back to the reference plan, fingerprint
+    // and all.
+    let decoded = read_only_plan(&GOLDEN_SEGMENT).unwrap();
     assert_eq!(decoded, golden_binary_plan());
     assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
 }
 
 #[test]
-fn legacy_writer_reproduces_the_retired_corpus_encodings() {
-    // The legacy-reader tests get their documents from the test-support
-    // writer, which reframes segment bytes. It must reproduce what the
-    // retired corpus writers emitted, byte for byte: the v2 golden from
-    // the v3 golden, and the indexed (v4) document of the fault-injection
-    // fixture corpus at its pinned length and CRC32.
-    use uplan::core::crc32::crc32;
-    use uplan::core::formats::legacy;
-    assert_eq!(
-        legacy::strip_checksums(&GOLDEN_BINARY_V3),
-        GOLDEN_BINARY_V2.to_vec()
-    );
-    let corpus = uplan_bench::corpus_fixture::derived_corpus(1000, 0xD15E_A5ED);
-    let document = legacy::indexed(&uplan::corpus::encode_segment(&corpus).unwrap());
-    assert_eq!(document.len(), 736_593);
-    assert_eq!(crc32(&document), 0x173a_3501);
-}
-
-#[test]
 fn checked_documents_reject_single_byte_corruption() {
-    // Every byte of the golden v3 document is covered by a checksum (or is
+    // Every byte of the golden segment is covered by a checksum (or is
     // structurally load-bearing): flipping any one bit must never decode
-    // to a *wrong* plan silently — it either errors or, where the flip
-    // lands in a checksummed-but-recoverable spot, still decodes to the
-    // reference plan (impossible for a 1-bit flip: CRC32 detects all
-    // single-bit errors, so every flip must error).
-    use uplan::core::formats::binary;
-    for offset in 0..GOLDEN_BINARY_V3.len() {
-        let mut corrupt = GOLDEN_BINARY_V3.to_vec();
+    // to a *wrong* plan silently. CRC32 detects all single-bit errors, so
+    // every flip must error.
+    for offset in 0..GOLDEN_SEGMENT.len() {
+        let mut corrupt = GOLDEN_SEGMENT.to_vec();
         corrupt[offset] ^= 0x01;
         assert!(
-            binary::from_bytes(&corrupt).is_err(),
+            read_only_plan(&corrupt).is_err(),
             "bit flip at byte {offset} decoded silently"
         );
     }
 }
 
 #[test]
-fn binary_codec_still_decodes_golden_v1_documents() {
-    // Corpora persisted before the v2 bump must keep loading, bit-compat
-    // forever: the v1 golden bytes decode to the same plan the v2 bytes
-    // encode.
-    use uplan::core::formats::binary;
-    let decoded = binary::from_bytes(&GOLDEN_BINARY_V1).unwrap();
-    assert_eq!(decoded, golden_binary_plan());
-    assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
-    // The pre-checksum v2 bytes decode to the same plan too.
-    let decoded = binary::from_bytes(&GOLDEN_BINARY_V2).unwrap();
-    assert_eq!(decoded, golden_binary_plan());
-    assert_eq!(fingerprint(&decoded), fingerprint(&golden_binary_plan()));
-    // And a v1 document loads as a corpus through the index-rebuild path.
-    let corpus = uplan::corpus::PlanCorpus::from_binary(&GOLDEN_BINARY_V1).unwrap();
-    assert_eq!(corpus.len(), 1);
-    assert!(!corpus.has_persisted_index());
-}
-
-#[test]
 fn binary_codec_round_trips_every_golden_fixture() {
-    // Fingerprint identity across the whole golden fixture set: what the
-    // codec persists is exactly what fingerprinting sees.
-    use uplan::core::formats::binary;
+    // Fingerprint identity across the whole golden fixture set: what a
+    // segment persists is exactly what fingerprinting sees.
     for (label, plan) in fixture_plans() {
-        let decoded = binary::from_bytes(&binary::to_bytes(&plan).unwrap()).unwrap();
+        let decoded = read_only_plan(&segment_of(&plan)).unwrap();
         assert_eq!(decoded, plan, "{label}");
         assert_eq!(fingerprint(&decoded), fingerprint(&plan), "{label}");
     }
@@ -393,14 +293,7 @@ fn print_golden_values() {
         .collect();
     println!("    {},", teds.join(", "));
     println!("];");
-    let bytes = uplan::core::formats::binary::to_bytes(&golden_binary_plan()).unwrap();
-    println!("const GOLDEN_BINARY_V3: [u8; {}] = [", bytes.len());
-    for chunk in bytes.chunks(12) {
-        let row: Vec<String> = chunk.iter().map(|b| format!("{b:#04x}")).collect();
-        println!("    {}, //", row.join(", "));
-    }
-    println!("];");
-    let bytes = golden_segment();
+    let bytes = segment_of(&golden_binary_plan());
     println!("const GOLDEN_SEGMENT: [u8; {}] = [", bytes.len());
     for chunk in bytes.chunks(12) {
         let row: Vec<String> = chunk.iter().map(|b| format!("{b:#04x}")).collect();

@@ -144,77 +144,77 @@ proptest! {
     /// The binary codec round-trips every representable plan, agrees plan-
     /// for-plan with the JSON round-trip, and preserves fingerprints — the
     /// "binary round-trip ≡ JSON round-trip" contract a persisted corpus
-    /// depends on.
+    /// depends on. The plan goes through a real segment: encoded by
+    /// `SegmentBuilder`, parsed, block-verified and decoded at its offset.
     #[test]
     fn binary_round_trip_equals_json_round_trip(plan in arb_plan()) {
-        let bytes = uplan::core::formats::binary::to_bytes(&plan).unwrap();
-        let from_binary = uplan::core::formats::binary::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&from_binary, &plan);
+        use uplan::core::formats::segment::{
+            decode_plan_at, parse_segment, verify_block, SegmentBuilder, SegmentFinish,
+            SegmentShardEdges,
+        };
+        let mut builder = SegmentBuilder::new(&[]);
+        builder.push(&plan).unwrap();
+        let (bytes, delta) = builder.finish(&SegmentFinish {
+            id: 0,
+            fingerprint_flags: 0,
+            shard_count: 1,
+            fingerprints: vec![fingerprint(&plan).0],
+            feature_dim: 1,
+            features: vec![0],
+            operations: plan.operation_count() as u64,
+            max_depth: plan.root.as_ref().map_or(0, |r| r.depth() as u32),
+            shards: vec![SegmentShardEdges { base: 0, count: 1, edges: Vec::new() }],
+        });
+        let view = parse_segment(&bytes).unwrap();
+        prop_assert_eq!(&view.delta, &delta);
+        verify_block(&bytes, view.blocks[0]).unwrap();
+        let decoded =
+            decode_plan_at(&bytes, view.plan_offsets[0], view.plan_lens[0], &delta).unwrap();
+        prop_assert_eq!(&decoded, &plan);
         let json = uplan::core::formats::unified::to_json(&plan);
         let from_json = uplan::core::formats::unified::from_json(&json).unwrap();
-        prop_assert_eq!(&from_binary, &from_json);
-        prop_assert_eq!(fingerprint(&from_binary), fingerprint(&plan));
+        prop_assert_eq!(&decoded, &from_json);
+        prop_assert_eq!(fingerprint(&decoded), fingerprint(&plan));
     }
 
-    /// A corpus round-trips through both persistence formats with plan
-    /// order, contents and fingerprints intact.
+    /// A corpus round-trips through its segment bytes and through plan
+    /// JSON lines (the `/diff` interchange format) with plan order,
+    /// contents and fingerprints intact.
     #[test]
     fn corpus_persistence_round_trips(plans in prop::collection::vec(arb_plan(), 0..24)) {
+        use uplan::core::formats::segment::{decode_plan_at, parse_segment};
         let mut corpus = uplan::corpus::PlanCorpus::new();
         for plan in &plans {
             corpus.observe(plan);
         }
         let segment = uplan::corpus::encode_segment(&corpus).unwrap();
-        let binary =
-            uplan::corpus::PlanCorpus::from_binary(&uplan::core::formats::legacy::plain(&segment))
-                .unwrap();
-        let jsonl =
-            uplan::corpus::PlanCorpus::from_jsonl(&uplan::core::formats::legacy::jsonl(&segment))
-                .unwrap();
-        prop_assert_eq!(binary.len(), corpus.len());
+        let view = parse_segment(&segment).unwrap();
+        prop_assert_eq!(view.plan_count as usize, corpus.len());
+        let text: String = corpus
+            .iter()
+            .map(|(_, plan)| uplan::core::formats::unified::to_json_value(plan).to_compact() + "\n")
+            .collect();
+        let jsonl = uplan::corpus::PlanCorpus::from_jsonl_with_options(
+            &text,
+            uplan::core::fingerprint::FingerprintOptions::default(),
+        )
+        .unwrap();
         prop_assert_eq!(jsonl.len(), corpus.len());
         for (id, plan) in corpus.iter() {
-            prop_assert_eq!(binary.plan(id), plan);
+            let decoded =
+                decode_plan_at(&segment, view.plan_offsets[id], view.plan_lens[id], &view.delta)
+                    .unwrap();
+            prop_assert_eq!(&decoded, plan);
             prop_assert_eq!(jsonl.plan(id), plan);
-            prop_assert_eq!(binary.fingerprint(id), corpus.fingerprint(id));
+            prop_assert_eq!(view.fingerprints[id], corpus.fingerprint(id).0);
             prop_assert_eq!(jsonl.fingerprint(id), corpus.fingerprint(id));
         }
     }
 
-    /// A v1-encoded document decodes identically under the current
-    /// decoder: v1 and v2 differ only in the version varint and the
-    /// trailing index flag (v3 adds checksums, so the v2 document is the
-    /// v3 encoding with its checksums stripped), so rewriting a no-index
-    /// v2 document as v1 byte-for-byte must change nothing about what it
-    /// decodes to.
-    #[test]
-    fn v1_documents_decode_identically_under_the_v2_decoder(
-        plans in prop::collection::vec(arb_plan(), 0..12),
-    ) {
-        let mut enc = uplan::core::formats::binary::BinaryEncoder::new();
-        for plan in &plans {
-            enc.push(plan).unwrap();
-        }
-        let v2 = uplan::core::formats::legacy::strip_checksums(&enc.finish());
-        let mut v1 = v2.clone();
-        prop_assert_eq!(v1[4], 2u8, "version varint");
-        prop_assert_eq!(v1.pop(), Some(0u8), "no-index flag");
-        v1[4] = 1;
-        let decode = |bytes: &[u8]| {
-            let mut dec = uplan::core::formats::binary::BinaryDecoder::new(bytes).unwrap();
-            let mut out = Vec::new();
-            while let Some(plan) = dec.next_plan().unwrap() {
-                out.push(plan);
-            }
-            out
-        };
-        prop_assert_eq!(decode(&v1), decode(&v2));
-        prop_assert_eq!(decode(&v1), plans);
-    }
-
-    /// An indexed corpus document round-trips with zero TED evaluations on
-    /// load, and the adopted index answers queries exactly like the index
-    /// it was persisted from — same matches, same counted evaluations.
+    /// A corpus persisted as a segment store reopens with zero TED
+    /// evaluations, and the adopted index answers queries exactly like the
+    /// index it was persisted from — same matches, same counted
+    /// evaluations.
     #[test]
     fn indexed_corpus_round_trips_with_zero_load_evals(
         plans in prop::collection::vec(arb_plan(), 0..24),
@@ -225,9 +225,12 @@ proptest! {
         for plan in &plans {
             corpus.observe(plan);
         }
-        let document =
-            uplan::core::formats::legacy::indexed(&uplan::corpus::encode_segment(&corpus).unwrap());
-        let loaded = uplan::corpus::PlanCorpus::from_binary(&document).unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("uplan_property_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        uplan::corpus::SegmentStore::create(&dir, corpus.clone()).unwrap();
+        let loaded = uplan::corpus::SegmentStore::open(&dir).unwrap().into_corpus();
+        std::fs::remove_dir_all(&dir).unwrap();
         prop_assert_eq!(loaded.index_evals(), 0);
         prop_assert_eq!(loaded.len(), corpus.len());
         prop_assert!(loaded.has_persisted_index());
