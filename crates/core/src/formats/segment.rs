@@ -62,10 +62,10 @@
 //!
 //! Plan bodies use the [`super::binary`] plan-body grammar, encoded
 //! against the shared symbol chain; the segment codec frames the bodies
-//! and their checksum blocks. Block CRCs are verified *lazily*: `parse_segment` checks
-//! the header and tail CRCs (cheap, covers all metadata) and records block
-//! extents; a block's data CRC is checked once, before the first plan in
-//! it decodes ([`verify_block`]).
+//! and their checksum blocks. Block CRCs are verified *lazily*:
+//! `parse_segment` checks the header and tail CRCs (cheap, covers all
+//! metadata) and records block extents; a block's data CRC is checked
+//! once, before the first plan in it decodes ([`verify_block`]).
 //!
 //! ## Manifest (`UPLM`, version 1)
 //!
