@@ -1,0 +1,325 @@
+//! The CI gate verbs — `raw-check`, `recall`, `open-gate`, and `mutate`
+//! (the fault generator behind the salvage gate) — and the harness the
+//! query gates share: one argument and probe-set parser and one floor
+//! check.
+
+use uplan_convert::RawIngestOptions;
+use uplan_core::UnifiedPlan;
+use uplan_corpus::{encode_segment, PlanCorpus, QueryOutcome, QueryRequest, SegmentStore};
+use uplan_testing::inject;
+
+use super::{
+    open_store, parse_seed, positionals, session_line, summary, take_flag, take_value, CliError,
+};
+
+/// The arguments the query gates (`recall`, `open-gate`) share, taken
+/// after each gate's own flags: `--k` (default 5), exactly one store path
+/// (else `usage`), and `--probes` seeded TPC-H-derived plans (default 24),
+/// the same plans on every run. An empty probe set is bad input (exit 2):
+/// a gate over no probes would pass vacuously.
+fn query_gate_args(
+    mut args: Vec<String>,
+    usage: &str,
+) -> Result<(String, usize, Vec<UnifiedPlan>), CliError> {
+    let k = take_value(&mut args, "--k")?.unwrap_or(5);
+    let count = take_value(&mut args, "--probes")?.unwrap_or(24);
+    let [store]: [String; 1] = positionals(args)?
+        .try_into()
+        .map_err(|_| CliError::from(usage))?;
+    if count == 0 {
+        return Err("--probes must be at least 1".into());
+    }
+    let probes = crate::corpus_fixture::derived_stream(count, 0x004e_ca11);
+    Ok((store, k, probes))
+}
+
+/// The floor check a measuring gate ends with: its report when the
+/// measurement held, else the report and `<gate> gate FAILED` as an
+/// operational failure (exit 1), so CI can gate on the exit code alone.
+fn hold_floor(report: String, missed: bool, gate: &str) -> Result<String, CliError> {
+    if missed {
+        return Err(CliError::Operational(format!(
+            "{report}\n{gate} gate FAILED"
+        )));
+    }
+    Ok(report)
+}
+
+/// `raw-check`: batched 4-thread raw ingest against sequential
+/// per-source conversion, and lenient ingest against its valid subset.
+pub(super) fn raw_check(args: &[String]) -> Result<String, CliError> {
+    let mut args = args.to_vec();
+    let lenient = take_flag(&mut args, "--lenient");
+    let args = positionals(args)?;
+    let dump_path = args
+        .first()
+        .ok_or("usage: repro corpus raw-check <dump.jsonl> [--lenient]")?;
+    let dump = std::fs::read_to_string(dump_path)
+        .map_err(|e| CliError::Operational(format!("cannot read {dump_path}: {e}")))?;
+    let options = if lenient {
+        RawIngestOptions::lenient()
+    } else {
+        RawIngestOptions::default()
+    };
+    let mut batched = PlanCorpus::new();
+    let batched_report = uplan_convert::ingest_raw_with(&dump, &mut batched, 4, &options)
+        .map_err(|e| CliError::Input(e.to_string()))?;
+    let mut sequential = PlanCorpus::new();
+    let sequential_report =
+        uplan_convert::ingest_raw_sequential_with(&dump, &mut sequential, &options)
+            .map_err(|e| CliError::Input(e.to_string()))?;
+    let diverged = |what: &str, batched: String, sequential: String| {
+        CliError::Input(format!(
+            "raw ingest {what} diverged:\n  batched:    {batched}\n  sequential: {sequential}"
+        ))
+    };
+    if batched_report != sequential_report {
+        let (batched, sequential) = (batched_report.census(), sequential_report.census());
+        return Err(diverged("census", batched, sequential));
+    }
+    if batched.stats() != sequential.stats() {
+        return Err(diverged("stats", summary(&batched), summary(&sequential)));
+    }
+    let batched_bytes = encode_segment(&batched).map_err(|e| e.to_string())?;
+    let sequential_bytes = encode_segment(&sequential).map_err(|e| e.to_string())?;
+    if batched_bytes != sequential_bytes {
+        return Err("raw ingest corpus bytes diverged from the sequential reference".into());
+    }
+
+    // The lenient contract: the corpus must equal strict ingest of only
+    // the valid lines (checkable when the dump is line-framed).
+    let mut lenient_lines = String::new();
+    if lenient {
+        lenient_lines = format!(
+            "\nlenient: skipped {} record(s) — {}",
+            batched_report.errors.len(),
+            batched_report.error_census()
+        );
+        if batched_report.framing == uplan_convert::RawFraming::JsonLines
+            && !batched_report.errors.is_empty()
+        {
+            let bad: std::collections::HashSet<usize> =
+                batched_report.errors.iter().map(|e| e.line).collect();
+            let mut valid = String::with_capacity(dump.len());
+            for (i, line) in dump.lines().enumerate() {
+                if !bad.contains(&(i + 1)) {
+                    valid.push_str(line);
+                    valid.push('\n');
+                }
+            }
+            let mut reference = PlanCorpus::new();
+            uplan_convert::ingest_raw(&valid, &mut reference, 4)
+                .map_err(|e| CliError::Input(format!("valid subset re-ingest: {e}")))?;
+            let reference_bytes = encode_segment(&reference).map_err(|e| e.to_string())?;
+            if reference_bytes != batched_bytes {
+                return Err(CliError::Input(
+                    "lenient ingest diverged from strict ingest of the valid subset".into(),
+                ));
+            }
+            lenient_lines.push_str("\nlenient ingest == strict ingest of the valid subset");
+        }
+    }
+    Ok(format!(
+        "{dump_path}: {} line(s) — {}\n{}\n{}\nraw ingest == sequential per-source conversion \
+         ({} segment bytes){lenient_lines}",
+        batched_report.lines,
+        batched_report.census(),
+        session_line(batched.observed(), batched.duplicates()),
+        summary(&batched),
+        batched_bytes.len()
+    ))
+}
+
+/// `mutate`: one seeded fault in a copy of a store, and the exact count a
+/// salvage of the copy must report.
+pub(super) fn mutate(args: &[String]) -> Result<String, CliError> {
+    let usage = "usage: repro corpus mutate <store-dir> <out-dir> \
+                 --op <truncate|bitflip|delete> [--seed HEX]";
+    let mut args = args.to_vec();
+    let op: String = take_value(&mut args, "--op")?.ok_or(usage)?;
+    let seed = parse_seed(&mut args, 0xFA_017)?;
+    let [input, out] = positionals(args)?
+        .try_into()
+        .map_err(|_| CliError::from(usage))?;
+    let planner = match op.as_str() {
+        "truncate" => |dir: &std::path::Path, seed| inject::store_truncate_plan(dir, seed),
+        "bitflip" => |dir: &std::path::Path, seed| inject::store_bitflip_plan(dir, seed),
+        "delete" => |dir: &std::path::Path, _| inject::store_delete_plan(dir),
+        other => return Err(format!("unknown --op {other:?}; {usage}").into()),
+    };
+    let census: Vec<(u32, u64)> = open_store(&input)?
+        .census()
+        .iter()
+        .map(|c| (c.id, c.plans))
+        .collect();
+    if std::path::Path::new(&out).exists() {
+        return Err(format!("{out} already exists").into());
+    }
+    let dir = std::path::Path::new(&input);
+    let faults = planner(dir, seed)
+        .map_err(|e| CliError::Operational(format!("cannot read {input}: {e}")))?;
+    let fault = &faults[(seed as usize) % faults.len()];
+    let expected = inject::expected_store_recovery(&census, fault);
+    let total: u64 = census.iter().map(|(_, plans)| plans).sum();
+    fault
+        .apply_to_copy(dir, std::path::Path::new(&out))
+        .map_err(|e| CliError::Operational(format!("cannot write {out}: {e}")))?;
+    Ok(format!(
+        "mutate: {} (seed {seed:#x})\nexpect-recoverable: {} of {total} plans\nwrote {out}",
+        fault.describe(),
+        expected.recovered
+    ))
+}
+
+/// `recall`: recall is the share of the exact neighbour distance multiset
+/// that approximate k-NN recovers.
+pub(super) fn recall(args: &[String]) -> Result<String, CliError> {
+    let mut args = args.to_vec();
+    let candidates: usize = take_value(&mut args, "--candidates")?.unwrap_or(0);
+    let min_recall: f64 = take_value(&mut args, "--min-recall")?.unwrap_or(0.95);
+    let min_ratio: f64 = take_value(&mut args, "--min-full-eval-ratio")?.unwrap_or(5.0);
+    let (path, k, probes) = query_gate_args(
+        args,
+        "usage: repro corpus recall <store-dir> [--k N] [--candidates N] [--probes N] \
+         [--min-recall F] [--min-full-eval-ratio F]",
+    )?;
+    let corpus = open_store(&path)?.into_corpus();
+    let mut hit = 0usize;
+    let mut wanted = 0usize;
+    let mut exact_started = 0u64;
+    let mut exact_full = 0u64;
+    let mut approx_full = 0u64;
+    let mut shortlists = 0u64;
+    for probe in &probes {
+        let exact = corpus.execute(&QueryRequest::knn(k).with_probe(probe.clone()))?;
+        let approx = corpus.execute(
+            &QueryRequest::knn(k)
+                .with_probe(probe.clone())
+                .approx(candidates),
+        )?;
+        let dists = |r: &uplan_corpus::QueryResponse| match &r.outcome {
+            QueryOutcome::Matches(m) => m.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
+            other => panic!("knn query answered {other:?}"),
+        };
+        let mut exact_d = dists(&exact);
+        wanted += exact_d.len();
+        for d in dists(&approx) {
+            if let Some(pos) = exact_d.iter().position(|&e| e == d) {
+                exact_d.remove(pos);
+                hit += 1;
+            }
+        }
+        exact_started += exact.cost.ted_evals;
+        exact_full += exact.cost.ted_evals - exact.cost.partial_evals;
+        approx_full += approx.cost.ted_evals - approx.cost.partial_evals;
+        shortlists += approx.cost.candidates_considered;
+    }
+    let recall = if wanted == 0 {
+        1.0
+    } else {
+        hit as f64 / wanted as f64
+    };
+    // The ratio gate compares approx full evaluations against the *started*
+    // exact count — what exact answering paid per full dynamic program
+    // before the early-exit kernel, and still the kernel-invariant measure
+    // of traversal work. (Started counts are identical kernel on/off, so
+    // this baseline cannot drift with kernel tuning.)
+    let ratio = if approx_full == 0 {
+        f64::INFINITY
+    } else {
+        exact_started as f64 / approx_full as f64
+    };
+    let report = format!(
+        "{path}: approx k-NN vs exact over {} probe(s) (k {k}, mean shortlist {:.0})\n\
+         recall: {recall:.4} ({hit}/{wanted} neighbor distances recovered; floor {min_recall})\n\
+         TED evals: exact started {exact_started} (ran {exact_full} in full) vs approx \
+         {approx_full} full ({ratio:.1}x fewer; floor {min_ratio}x)",
+        probes.len(),
+        shortlists as f64 / probes.len().max(1) as f64,
+    );
+    let missed = recall < min_recall || ratio < min_ratio;
+    hold_floor(report, missed, "approx quality")
+}
+
+/// `open-gate`: the lazy-load contract, timed and checked for identity.
+pub(super) fn open_gate(args: &[String]) -> Result<String, CliError> {
+    let mut args = args.to_vec();
+    let min_speedup: f64 = take_value(&mut args, "--min-speedup")?.unwrap_or(5.0);
+    let (store_path, k, probes) = query_gate_args(
+        args,
+        "usage: repro corpus open-gate <store-dir> [--k N] [--probes N] [--min-speedup F]",
+    )?;
+    let first = QueryRequest::knn(k).with_probe(probes[0].clone()).approx(0);
+    // The eager load: the same open, then every plan body decoded — what
+    // a reader without lazy decode pays before its first answer.
+    let eager_load = || -> Result<PlanCorpus, CliError> {
+        let corpus = open_store(&store_path)?.into_corpus();
+        for (_, plan) in corpus.iter() {
+            std::hint::black_box(plan);
+        }
+        Ok(corpus)
+    };
+
+    // Timed halves, best of three. Both sides read and parse every
+    // manifest and index section; only the eager side decodes every plan
+    // payload before it can answer anything.
+    let best_of_three = |open: &dyn Fn() -> Result<PlanCorpus, CliError>| {
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t = std::time::Instant::now();
+            open()?.execute(&first)?;
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+        Ok::<f64, CliError>(best)
+    };
+    let lazy_secs = best_of_three(&|| open_store(&store_path).map(SegmentStore::into_corpus))?;
+    let eager_secs = best_of_three(&eager_load)?;
+    let speedup = eager_secs / lazy_secs;
+
+    // Identity half: the lazy load must answer the recall-gate probes —
+    // exact and approximate — with byte-for-byte the same responses
+    // (matches, epoch-free cost counters, everything `QueryResponse`
+    // compares) as a reference built independently of the store: the
+    // same plans, in global id order, ingested in one shot into a fresh
+    // corpus with the same shards and fingerprint options. So the gate
+    // also checks that batched appends kept every answer and BK edge a
+    // single ingest would have produced.
+    let lazy = open_store(&store_path)?.into_corpus();
+    let reference = {
+        let eager = eager_load()?;
+        let plans: Vec<_> = eager.iter().map(|(_, plan)| plan.clone()).collect();
+        let mut fresh = PlanCorpus::with_options_and_shards(eager.options(), eager.shard_count());
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        fresh.ingest_parallel(&plans, threads);
+        fresh
+    };
+    let mut answered = 0usize;
+    for (i, probe) in probes.iter().enumerate() {
+        for request in [
+            QueryRequest::knn(k).with_probe(probe.clone()),
+            QueryRequest::knn(k).with_probe(probe.clone()).approx(0),
+        ] {
+            let lazy_response = lazy.execute(&request)?;
+            let reference_response = reference.execute(&request)?;
+            if lazy_response != reference_response {
+                return Err(CliError::Operational(format!(
+                    "probe {i}: lazy and one-shot-ingest answers diverge\n\
+                     lazy:      {lazy_response:?}\n\
+                     reference: {reference_response:?}"
+                )));
+            }
+            answered += 1;
+        }
+    }
+
+    let report = format!(
+        "{store_path}: open-and-first-query {:.1}ms vs eager decode {:.1}ms \
+         ({speedup:.1}x faster; floor {min_speedup}x)\n\
+         {answered} response(s) over {} probe(s) (exact + approx k-NN, k {k}): \
+         answers and QueryCost identical to a one-shot ingest of the same plans",
+        lazy_secs * 1e3,
+        eager_secs * 1e3,
+        probes.len(),
+    );
+    hold_floor(report, speedup < min_speedup, "lazy open")
+}

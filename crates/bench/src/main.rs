@@ -24,7 +24,7 @@
 //!                         # fault injection (mutate), serving, and the CI
 //!                         # gates (fixture-ingest, raw-fixture + raw-check,
 //!                         # mutate + salvage, recall, open-gate); see
-//!                         # crates/bench/src/corpus_cli.rs
+//!                         # crates/bench/src/corpus_cli/mod.rs
 //! ```
 //!
 //! Exit codes: 0 success; 1 operational failure (I/O, regression found);

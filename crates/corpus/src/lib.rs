@@ -46,6 +46,7 @@ pub mod segment;
 pub mod service;
 mod shard;
 
+use std::borrow::Cow;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::{Arc, OnceLock};
 
@@ -116,7 +117,7 @@ pub type Matches = Vec<(usize, u32)>;
 /// A metric query's outcome, carrying the evaluation count the index is
 /// judged by.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricQuery {
+pub(crate) struct MetricQuery {
     /// Matching plans as `(plan id, distance)`; radius queries sort by id,
     /// k-NN queries by ascending distance.
     pub matches: Matches,
@@ -167,15 +168,6 @@ fn banded<'a>(
             None
         }
     }
-}
-
-/// The reference walk metric: the full dynamic program at every node, so
-/// the kernel's early exits can be checked against it.
-fn full<'a>(
-    probe: &'a TedPlan,
-    scratch: &'a mut TedScratch,
-) -> impl FnMut(&CorpusShard, u32, u32) -> Option<u32> + 'a {
-    move |shard, local, _| Some(probe.distance(shard.store.ted(local as usize), scratch) as u32)
 }
 
 /// Aggregate corpus statistics (`repro corpus stats`).
@@ -453,53 +445,50 @@ impl ShardedCorpus {
         global as usize
     }
 
+    /// The one single-plan admission step: counts the observation,
+    /// fingerprints the plan, claims the fingerprint and, when it was new,
+    /// places the plan under the next dense id. A borrowed plan is cloned
+    /// only when it is stored.
+    fn admit(&mut self, plan: Cow<'_, UnifiedPlan>) -> Option<usize> {
+        self.observed += 1;
+        corpus_metrics().observed.inc();
+        let fp = self.fingerprint_of(&plan);
+        let s = self.claim(fp)?;
+        Some(self.place(s, plan.into_owned(), fp))
+    }
+
     /// Observes a plan: stores it (cloning) when its fingerprint is new.
     /// Returns `true` for fingerprint-novel plans.
     pub fn observe(&mut self, plan: &UnifiedPlan) -> bool {
-        self.observed += 1;
-        corpus_metrics().observed.inc();
-        let fp = self.fingerprint_of(plan);
-        match self.claim(fp) {
-            Some(s) => {
-                self.place(s, plan.clone(), fp);
-                true
-            }
-            None => false,
-        }
+        self.admit(Cow::Borrowed(plan)).is_some()
     }
 
     /// Observes a plan with a *novelty radius*: the plan is stored whenever
-    /// its fingerprint is new, but it only counts as novel when no stored
-    /// plan lies within `radius` tree edits of it. Radius 0 degenerates to
-    /// plain fingerprint novelty (a distance-0 twin is a different
-    /// fingerprint spelling of the same tree).
+    /// its fingerprint is new, but it only counts as novel when no other
+    /// stored plan lies within `radius` tree edits of it. Radius 0
+    /// degenerates to plain fingerprint novelty (a distance-0 twin is a
+    /// different fingerprint spelling of the same tree).
     ///
     /// This is the QPG campaign primitive: "a new plan" becomes "a plan
     /// unlike anything seen", which stops near-duplicate plan shapes from
     /// resetting the mutation stall window.
     pub fn observe_novel(&mut self, plan: &UnifiedPlan, radius: u32) -> bool {
-        self.observed += 1;
-        let fp = self.fingerprint_of(plan);
-        let Some(s) = self.claim(fp) else {
+        let Some(id) = self.admit(Cow::Borrowed(plan)) else {
             return false;
         };
-        let novel = radius == 0
+        radius == 0
             || self
                 .radius_query(plan, radius, u64::MAX)
                 .0
                 .matches
-                .is_empty();
-        self.place(s, plan.clone(), fp);
-        novel
+                .iter()
+                .all(|&(other, _)| other == id)
     }
 
     /// Inserts a plan by value; returns its id, or `None` if its
     /// fingerprint was already stored.
     pub fn insert(&mut self, plan: UnifiedPlan) -> Option<usize> {
-        self.observed += 1;
-        let fp = self.fingerprint_of(&plan);
-        let s = self.claim(fp)?;
-        Some(self.place(s, plan, fp))
+        self.admit(Cow::Owned(plan))
     }
 
     /// Ingests a whole observation stream across `threads` worker threads
@@ -860,61 +849,6 @@ impl ShardedCorpus {
         }
     }
 
-    /// Reference radius query with the early-exit kernel *disabled*: every
-    /// evaluation runs the full dynamic program. Matches and
-    /// [`MetricQuery::ted_evals`] are identical to
-    /// [`QueryRequest::radius`](query::QueryRequest) execution — the
-    /// kernel-on/off identity the tier-1 suite gates on — with
-    /// `partial_evals` necessarily zero.
-    pub fn radius_query_reference(&self, probe: &UnifiedPlan, radius: u32) -> MetricQuery {
-        let probe = TedPlan::new(probe);
-        let mut scratch = TedScratch::default();
-        let (matches, ted_evals, _) =
-            self.radius_walk(radius, u64::MAX, full(&probe, &mut scratch));
-        MetricQuery::exact(matches, ted_evals)
-    }
-
-    /// Reference k-NN with the early-exit kernel *disabled* (the
-    /// counterpart of [`ShardedCorpus::radius_query_reference`]).
-    pub fn knn_query_reference(&self, probe: &UnifiedPlan, k: usize) -> MetricQuery {
-        let probe = TedPlan::new(probe);
-        let mut scratch = TedScratch::default();
-        let (matches, ted_evals, _) = self.knn_walk(k, u64::MAX, full(&probe, &mut scratch));
-        MetricQuery::exact(matches, ted_evals)
-    }
-
-    /// Brute-force reference for radius queries: a full TED scan. One
-    /// evaluation per stored plan — the number the index's pruning is
-    /// measured against.
-    pub fn scan_within_radius(&self, probe: &UnifiedPlan, radius: u32) -> MetricQuery {
-        let probe = TedPlan::new(probe);
-        let mut scratch = TedScratch::default();
-        let mut matches = Vec::new();
-        for id in 0..self.directory.len() {
-            let d = probe.distance(self.ted_of(id), &mut scratch) as u32;
-            if d <= radius {
-                matches.push((id, d));
-            }
-        }
-        MetricQuery::exact(matches, self.directory.len() as u64)
-    }
-
-    /// Brute-force reference for k-NN queries: same distance multiset, but
-    /// where several plans tie at the k-th distance the two may keep
-    /// different tied ids (the scan keeps the lowest; the index keeps
-    /// whichever its pruning visited first).
-    pub fn scan_nearest(&self, probe: &UnifiedPlan, k: usize) -> MetricQuery {
-        let probe = TedPlan::new(probe);
-        let mut scratch = TedScratch::default();
-        let mut all: Vec<(u32, usize)> = (0..self.directory.len())
-            .map(|id| (probe.distance(self.ted_of(id), &mut scratch) as u32, id))
-            .collect();
-        all.sort_unstable();
-        all.truncate(k);
-        let matches = all.into_iter().map(|(d, id)| (id, d)).collect();
-        MetricQuery::exact(matches, self.directory.len() as u64)
-    }
-
     /// Aggregate statistics. O(1): the operation and depth aggregates are
     /// maintained at store time (and summed from segment metadata on a
     /// lazy open), so this never touches plan payloads.
@@ -1026,6 +960,39 @@ impl ShardedCorpus {
 mod tests {
     use super::*;
     use uplan_core::{PlanNode, Property};
+    use uplan_testing::scan::{scan_nearest, scan_within_radius};
+
+    /// The reference walk metric: the full dynamic program at every node,
+    /// so the kernel's early exits can be checked against it.
+    fn full<'a>(
+        probe: &'a TedPlan,
+        scratch: &'a mut TedScratch,
+    ) -> impl FnMut(&CorpusShard, u32, u32) -> Option<u32> + 'a {
+        move |shard, local, _| Some(probe.distance(shard.store.ted(local as usize), scratch) as u32)
+    }
+
+    /// Reference radius query with the early-exit kernel *disabled*: the
+    /// production walk under [`full`], so `partial_evals` is zero.
+    fn radius_query_reference(
+        corpus: &ShardedCorpus,
+        probe: &UnifiedPlan,
+        radius: u32,
+    ) -> MetricQuery {
+        let probe = TedPlan::new(probe);
+        let mut scratch = TedScratch::default();
+        let (matches, ted_evals, _) =
+            corpus.radius_walk(radius, u64::MAX, full(&probe, &mut scratch));
+        MetricQuery::exact(matches, ted_evals)
+    }
+
+    /// Reference k-NN with the early-exit kernel *disabled* (the
+    /// counterpart of [`radius_query_reference`]).
+    fn knn_query_reference(corpus: &ShardedCorpus, probe: &UnifiedPlan, k: usize) -> MetricQuery {
+        let probe = TedPlan::new(probe);
+        let mut scratch = TedScratch::default();
+        let (matches, ted_evals, _) = corpus.knn_walk(k, u64::MAX, full(&probe, &mut scratch));
+        MetricQuery::exact(matches, ted_evals)
+    }
 
     /// The corpus's segment bytes — the byte oracle.
     fn segment(corpus: &ShardedCorpus) -> Vec<u8> {
@@ -1108,15 +1075,15 @@ mod tests {
         for probe in population() {
             for radius in 0..5u32 {
                 let indexed = corpus.radius_query(&probe, radius, u64::MAX).0;
-                let scanned = corpus.scan_within_radius(&probe, radius);
-                assert_eq!(indexed.matches, scanned.matches, "radius {radius}");
-                assert!(indexed.ted_evals <= scanned.ted_evals);
+                let (scanned, scan_evals) = scan_within_radius(corpus.iter(), &probe, radius);
+                assert_eq!(indexed.matches, scanned, "radius {radius}");
+                assert!(indexed.ted_evals <= scan_evals);
             }
             for k in 1..=corpus.len() {
                 let indexed = corpus.knn_query(&probe, k, u64::MAX).0;
-                let scanned = corpus.scan_nearest(&probe, k);
-                let d = |q: &MetricQuery| q.matches.iter().map(|&(_, d)| d).collect::<Vec<_>>();
-                assert_eq!(d(&indexed), d(&scanned), "k {k}");
+                let (scanned, _) = scan_nearest(corpus.iter(), &probe, k);
+                let d = |m: &Matches| m.iter().map(|&(_, d)| d).collect::<Vec<_>>();
+                assert_eq!(d(&indexed.matches), d(&scanned), "k {k}");
             }
         }
     }
@@ -1136,15 +1103,15 @@ mod tests {
                 for radius in [0u32, 1, 3] {
                     assert_eq!(
                         corpus.radius_query(probe, radius, u64::MAX).0.matches,
-                        corpus.scan_within_radius(probe, radius).matches,
+                        scan_within_radius(corpus.iter(), probe, radius).0,
                         "shards {shards} radius {radius}"
                     );
                 }
-                let d = |q: &MetricQuery| q.matches.iter().map(|&(_, d)| d).collect::<Vec<_>>();
+                let d = |m: &Matches| m.iter().map(|&(_, d)| d).collect::<Vec<_>>();
                 for k in [1usize, 5, 20] {
                     assert_eq!(
-                        d(&corpus.knn_query(probe, k, u64::MAX).0),
-                        d(&corpus.scan_nearest(probe, k)),
+                        d(&corpus.knn_query(probe, k, u64::MAX).0.matches),
+                        d(&scan_nearest(corpus.iter(), probe, k).0),
                         "shards {shards} k {k}"
                     );
                 }
@@ -1218,7 +1185,7 @@ mod tests {
                 ted_evals += query.ted_evals;
                 partial_evals += query.partial_evals;
                 let mut members = vec![(leader, 0u32)];
-                for (id, d) in corpus.scan_within_radius(&probe, 2).matches {
+                for (id, d) in scan_within_radius(corpus.iter(), &probe, 2).0 {
                     if !std::mem::replace(&mut claimed[id], true) {
                         members.push((id, d));
                     }
@@ -1343,5 +1310,48 @@ mod tests {
         assert_eq!(ShardedCorpus::with_shards(3).shard_count(), 4);
         assert_eq!(ShardedCorpus::with_shards(16).shard_count(), 16);
         assert_eq!(ShardedCorpus::with_shards(100_000).shard_count(), 256);
+    }
+
+    #[test]
+    fn early_exit_kernel_is_invisible_to_exact_queries() {
+        // The kernel contract, enforced on the TPC-H-derived population:
+        // exact queries answer with the same matches and the same
+        // evaluation *starts* whether pruned-but-visited nodes run the
+        // full dynamic program (`*_reference`, kernel off) or the banded
+        // early-exit one (the production path). The only difference the
+        // kernel may make is how many of those starts it abandoned.
+        let mut plans = uplan_testing::fixtures::derived_plans(0xeef1);
+        let mut corpus = PlanCorpus::new();
+        while corpus.len() < 600 {
+            corpus.insert(plans.next().unwrap());
+        }
+        let matches = |r: &QueryResponse| match &r.outcome {
+            QueryOutcome::Matches(m) => m.clone(),
+            other => panic!("metric query answered {other:?}"),
+        };
+        let mut savings = 0u64;
+        for probe in uplan_testing::fixtures::derived_stream(12, 0xb0b) {
+            let knn = corpus
+                .execute(&QueryRequest::knn(5).with_probe(probe.clone()))
+                .unwrap();
+            let reference = knn_query_reference(&corpus, &probe, 5);
+            assert_eq!(matches(&knn), reference.matches);
+            assert_eq!(knn.cost.ted_evals, reference.ted_evals);
+            assert_eq!(reference.partial_evals, 0);
+            savings += knn.cost.partial_evals;
+
+            let radius = corpus
+                .execute(&QueryRequest::radius(2).with_probe(probe.clone()))
+                .unwrap();
+            let reference = radius_query_reference(&corpus, &probe, 2);
+            assert_eq!(matches(&radius), reference.matches);
+            assert_eq!(radius.cost.ted_evals, reference.ted_evals);
+            assert_eq!(reference.partial_evals, 0);
+            savings += radius.cost.partial_evals;
+        }
+        assert!(
+            savings > 0,
+            "the early-exit kernel never abandoned a single evaluation"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Shared TPC-H-lite dialect fixtures.
+//! Shared TPC-H-lite fixtures.
 //!
 //! One [`DialectFleet`] holds every engine substrate (four relational
 //! planner profiles, the document store, the property graph) loaded with
@@ -6,13 +6,23 @@
 //! studied dialects' native EXPLAIN formats. The raw-fixture CLI, the
 //! conversion-spine tests and the converter benches all draw from this one
 //! helper, so "a TPC-H plan in dialect X" means the same bytes everywhere.
+//!
+//! [`derived_plans`] is the corpus benches' and tests' plan population:
+//! shapes that cluster (so metric pruning has structure to exploit) and
+//! vary (so dedup is partial), made from the 44 TPC-H-lite plans by small
+//! seeded structural mutations — the deltas neighboring optimizer
+//! decisions produce — so every run and machine sees the same population.
 
 use minidb::profile::EngineProfile;
 use minidb::{Database, ExplainedPlan};
 use minidoc::{DocStore, Request};
 use minigraph::{GraphStore, PatternQuery};
 use uplan_convert::Source;
+use uplan_core::{PlanNode, Property, UnifiedPlan};
+use uplan_corpus::PlanCorpus;
 use uplan_workloads::tpch;
+
+use crate::pipeline::PlanPipeline;
 
 /// The planning time every fixture plan reports. minidb stamps measured
 /// wall time into each plan, which would make two runs serialize
@@ -142,6 +152,153 @@ pub fn raw_dump_line(source: Source, serialized: &str) -> String {
             .to_compact(),
         _ => JsonValue::from(serialized).to_compact(),
     }
+}
+
+/// splitmix64 — the derived population's only randomness source.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+const WRAPPERS: [&str; 5] = ["Gather", "Collect", "Exchange", "Broadcast", "Spool"];
+const RENAMES: [&str; 10] = [
+    "Full_Table_Scan",
+    "Index_Scan",
+    "Hash_Join",
+    "Merge_Join",
+    "Nested_Loop",
+    "Sort",
+    "Aggregate",
+    "Project",
+    "Window_Op",
+    "Top_N",
+];
+
+/// Applies `f` to the `n`-th node (pre-order) of the tree.
+fn with_nth(node: &mut PlanNode, n: &mut usize, f: &mut impl FnMut(&mut PlanNode)) -> bool {
+    if *n == 0 {
+        f(node);
+        return true;
+    }
+    *n -= 1;
+    for child in &mut node.children {
+        if with_nth(child, n, f) {
+            return true;
+        }
+    }
+    false
+}
+
+fn mutate(plan: &mut UnifiedPlan, rng: &mut u64) {
+    let Some(root) = plan.root.as_mut() else {
+        return;
+    };
+    let nodes = root.node_count();
+    match next(rng) % 5 {
+        // Wrap the root in a distribution-style executor.
+        0 => {
+            let wrapper = WRAPPERS[(next(rng) % WRAPPERS.len() as u64) as usize];
+            let old = plan.root.take().unwrap();
+            plan.root = Some(PlanNode::executor(wrapper).with_child(old));
+        }
+        // Rename one operator.
+        1 => {
+            let name = RENAMES[(next(rng) % RENAMES.len() as u64) as usize];
+            let mut n = (next(rng) as usize) % nodes;
+            with_nth(root, &mut n, &mut |node| {
+                node.operation.identifier = uplan_core::Symbol::intern(name);
+            });
+        }
+        // Duplicate a scan under one node.
+        2 => {
+            let mut n = (next(rng) as usize) % nodes;
+            with_nth(root, &mut n, &mut |node| {
+                node.children.push(PlanNode::producer("Full_Table_Scan"));
+            });
+        }
+        // Drop a trailing leaf child, if the chosen node has one.
+        3 => {
+            let mut n = (next(rng) as usize) % nodes;
+            with_nth(root, &mut n, &mut |node| {
+                if node.children.last().is_some_and(|c| c.children.is_empty()) {
+                    node.children.pop();
+                }
+            });
+        }
+        // Toggle a Configuration key (changes the fingerprint, not TED).
+        _ => {
+            let mut n = (next(rng) as usize) % nodes;
+            with_nth(root, &mut n, &mut |node| {
+                node.properties
+                    .push(Property::configuration("filter", "c0 < 5"));
+            });
+        }
+    }
+}
+
+/// Drops wall-clock properties (`*_time_ms`): they vary run to run and
+/// would break the population's byte-for-byte determinism.
+fn scrub_times(plan: &mut UnifiedPlan) {
+    fn scrub_node(node: &mut PlanNode) {
+        node.properties
+            .retain(|p| !p.identifier.as_str().ends_with("_time_ms"));
+        for child in &mut node.children {
+            scrub_node(child);
+        }
+    }
+    plan.properties
+        .retain(|p| !p.identifier.as_str().ends_with("_time_ms"));
+    if let Some(root) = plan.root.as_mut() {
+        scrub_node(root);
+    }
+}
+
+/// The 44 base plans: 22 TPC-H-lite queries through the PostgreSQL and
+/// TiDB profiles of the unified pipeline (timing properties scrubbed).
+fn tpch_base_plans() -> Vec<UnifiedPlan> {
+    let mut bases = Vec::with_capacity(44);
+    for profile in [EngineProfile::Postgres, EngineProfile::TiDb] {
+        let mut db = tpch::relational(profile, 1);
+        let mut pipeline = PlanPipeline::new();
+        for (_, sql) in &tpch::queries() {
+            let mut plan = pipeline.unified_plan(&mut db, sql).expect("tpch plan");
+            scrub_times(&mut plan);
+            bases.push(plan);
+        }
+    }
+    bases
+}
+
+/// The endless seeded stream of TPC-H-derived plans: the base plans in
+/// turn, each with zero to three seeded mutations. Fingerprint duplicates
+/// recur, like in a real campaign's observation stream.
+pub fn derived_plans(seed: u64) -> impl Iterator<Item = UnifiedPlan> {
+    let mut rng = seed;
+    tpch_base_plans().into_iter().cycle().map(move |mut plan| {
+        for _ in 0..next(&mut rng) % 4 {
+            mutate(&mut plan, &mut rng);
+        }
+        plan
+    })
+}
+
+/// The first `count` plans of [`derived_plans`].
+pub fn derived_stream(count: usize, seed: u64) -> Vec<UnifiedPlan> {
+    derived_plans(seed).take(count).collect()
+}
+
+/// A corpus of [`derived_plans`] inserted until it holds `min_distinct`
+/// distinct plans.
+pub fn derived_corpus(min_distinct: usize, seed: u64) -> PlanCorpus {
+    let mut plans = derived_plans(seed);
+    let mut corpus = PlanCorpus::new();
+    while corpus.len() < min_distinct {
+        corpus.insert(plans.next().expect("the derived stream is endless"));
+    }
+    corpus
 }
 
 #[cfg(test)]

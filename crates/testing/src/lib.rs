@@ -23,7 +23,10 @@
 //!   raw-dump garbage) backing the dirty-fleet hardening tests;
 //! * [`fixtures`] — the shared TPC-H-lite dialect fleet: one source of
 //!   "this query, serialized in dialect X" for the raw-fixture CLI, the
-//!   conversion-spine tests and the converter benches.
+//!   conversion-spine tests and the converter benches; and the seeded
+//!   TPC-H-derived plan population the corpus benches and tests share;
+//! * [`scan`] — brute-force reference answers for radius and k-NN plan
+//!   queries, the oracle the corpus index is checked and measured against.
 
 pub mod cert;
 pub mod fixtures;
@@ -33,5 +36,6 @@ pub mod inject;
 pub mod oracles;
 pub mod pipeline;
 pub mod qpg;
+pub mod scan;
 
 pub use harness::{run_campaign, CampaignConfig, CampaignReport, Finding};

@@ -45,8 +45,20 @@ fn global_counter(name: &str, labels: &[(&str, &str)]) -> u64 {
         .map_or(0, |c| c.get())
 }
 
+/// Serializes the tests of this binary: each one offers plans to a corpus,
+/// and the process-global counters' exact deltas hold only while no other
+/// test moves them.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the unit it guards carries no state.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn a_state_exposes_exactly_the_requests_it_served() {
+    let _serial = serial();
     let corpus = corpus_fixture::derived_corpus(60, 0x0b5e_0001);
     let state = ServeState::new(corpus, DEFAULT_PENDING_CAPACITY, 2);
     let service = Arc::clone(state.service());
@@ -127,6 +139,7 @@ fn a_state_exposes_exactly_the_requests_it_served() {
 
 #[test]
 fn ingest_advances_the_global_counters_by_exact_deltas() {
+    let _serial = serial();
     let mut fleet = DialectFleet::new();
     let records: Vec<(uplan::convert::Source, String)> = fleet.relational(3, 17);
     let lines = records.len() as u64;
@@ -200,6 +213,7 @@ fn ingest_advances_the_global_counters_by_exact_deltas() {
 
 #[test]
 fn lazy_decodes_are_counted_once_per_process() {
+    let _serial = serial();
     const DECODED: &str = "uplan_store_plans_decoded_total";
     const VERIFIED: &str = "uplan_store_blocks_verified_total";
     let dir = std::env::temp_dir().join(format!("{}_obs_store", std::process::id()));
@@ -247,4 +261,30 @@ fn lazy_decodes_are_counted_once_per_process() {
     assert_eq!(global_counter(VERIFIED, &[]) - verified_before, 1);
     assert_eq!(again.epoch, Some(first.epoch.unwrap() + 1));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_corpus_entry_counts_each_offered_plan_once() {
+    const OBSERVED: &str = "uplan_corpus_observed_total";
+    let _serial = serial();
+    let plans = corpus_fixture::derived_stream(5, 0x0b5e_0004);
+    let mut corpus = PlanCorpus::new();
+    let mut before = global_counter(OBSERVED, &[]);
+    let mut delta = || {
+        let now = global_counter(OBSERVED, &[]);
+        now - std::mem::replace(&mut before, now)
+    };
+    // Novel and duplicate offers count alike, through every entry.
+    assert!(corpus.observe(&plans[0]));
+    assert!(!corpus.observe(&plans[0]));
+    assert_eq!(delta(), 2, "observe");
+    assert!(corpus.insert(plans[1].clone()).is_some());
+    assert!(corpus.insert(plans[1].clone()).is_none());
+    assert_eq!(delta(), 2, "insert");
+    assert!(corpus.observe_novel(&plans[2], 1));
+    assert!(!corpus.observe_novel(&plans[2], 1));
+    assert_eq!(delta(), 2, "observe_novel");
+    corpus.ingest_parallel(&plans, 2);
+    assert_eq!(delta(), plans.len() as u64, "ingest_parallel");
+    assert_eq!(corpus.observed(), 6 + plans.len() as u64);
 }

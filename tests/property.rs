@@ -350,6 +350,7 @@ proptest! {
         radius in 0u32..6,
         k in 1usize..8,
     ) {
+        use uplan::testing::scan::{scan_nearest, scan_within_radius};
         let mut corpus = uplan::corpus::PlanCorpus::new();
         for plan in &plans {
             corpus.observe(plan);
@@ -361,16 +362,16 @@ proptest! {
         let indexed = corpus
             .execute(&uplan::corpus::QueryRequest::radius(radius).with_probe(probe.clone()))
             .unwrap();
-        let scanned = corpus.scan_within_radius(&probe, radius);
-        prop_assert_eq!(matches(&indexed), scanned.matches);
-        prop_assert!(indexed.cost.ted_evals <= scanned.ted_evals);
+        let (scanned, scan_evals) = scan_within_radius(corpus.iter(), &probe, radius);
+        prop_assert_eq!(matches(&indexed), scanned);
+        prop_assert!(indexed.cost.ted_evals <= scan_evals);
 
         let indexed = corpus
             .execute(&uplan::corpus::QueryRequest::knn(k).with_probe(probe.clone()))
             .unwrap();
-        let scanned = corpus.scan_nearest(&probe, k);
+        let (scanned, _) = scan_nearest(corpus.iter(), &probe, k);
         let dist = |m: &uplan::corpus::Matches| m.iter().map(|&(_, d)| d).collect::<Vec<_>>();
-        prop_assert_eq!(dist(&matches(&indexed)), dist(&scanned.matches));
+        prop_assert_eq!(dist(&matches(&indexed)), dist(&scanned));
         prop_assert_eq!(matches(&indexed).len(), k.min(corpus.len()));
     }
 }
