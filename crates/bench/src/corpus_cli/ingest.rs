@@ -1,12 +1,11 @@
 //! Verbs that write plans: `ingest` (native EXPLAIN files or raw dumps),
 //! the fixture writers `raw-fixture` and `fixture-ingest`, and `campaign`.
 
-use std::collections::HashSet;
 use std::io::BufReader;
 
 use minidb::profile::EngineProfile;
 use uplan_convert::{convert, RawIngestOptions, Source};
-use uplan_core::fingerprint::{fingerprint_with, FingerprintOptions};
+use uplan_core::fingerprint::FingerprintSet;
 use uplan_corpus::{AppendReport, PlanCorpus, SegmentStore};
 use uplan_testing::generator::Generator;
 use uplan_testing::inject;
@@ -64,8 +63,9 @@ pub(super) fn ingest(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// `ingest --raw`: every dump streams through [`uplan_convert::convert_raw`],
-/// and the first plan of each fingerprint across the run is kept.
+/// `ingest --raw`: every dump streams through [`uplan_convert::convert_raw`]
+/// with one fingerprint set across the run, so the first plan of each
+/// fingerprint across all dumps is kept.
 fn ingest_raw_dumps(
     args: &[String],
     threads: usize,
@@ -75,7 +75,7 @@ fn ingest_raw_dumps(
         [out, dumps @ ..] if !dumps.is_empty() => (out, dumps),
         _ => return Err(INGEST_USAGE.into()),
     };
-    let mut seen = HashSet::new();
+    let mut seen = FingerprintSet::new();
     let mut distinct = Vec::new();
     let mut lines = 0usize;
     let mut skipped = 0usize;
@@ -86,15 +86,11 @@ fn ingest_raw_dumps(
         let read_error =
             |e: std::io::Error| CliError::Operational(format!("cannot read {dump}: {e}"));
         let file = std::fs::File::open(dump).map_err(read_error)?;
-        let report = uplan_convert::convert_raw(BufReader::new(file), threads, options, |plans| {
-            let before = distinct.len();
-            let fingerprints = FingerprintOptions::default();
-            let novel = plans
-                .iter()
-                .filter(|p| seen.insert(fingerprint_with(p, fingerprints)));
-            // Clones are compact: converter output carries spare capacity.
-            distinct.extend(novel.cloned());
-            distinct.len() - before
+        let reader = BufReader::new(file);
+        let report = uplan_convert::convert_raw(reader, threads, options, &mut seen, |plans, _| {
+            let novel = plans.len();
+            distinct.extend(plans);
+            novel
         })
         .map_err(read_error)?
         .map_err(|e| CliError::Input(format!("{dump}: {e}")))?;

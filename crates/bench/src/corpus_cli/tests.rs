@@ -451,8 +451,8 @@ fn raw_ingest_of_several_dumps_matches_the_staging_oracle() {
     cli(&["raw-fixture", &d1, "1"]).unwrap();
     cli(&["raw-fixture", &d2, "2"]).unwrap();
     cli(&["raw-fixture", &d3, "3", "--dirty", "2", "--seed", "0x9"]).unwrap();
-    // Raw fixtures carry measured planning times, so segment sizes
-    // come from the oracle's append of the same dumps.
+    // Segment sizes are not pinned here: the expected append line takes
+    // them from the oracle's append of the same dumps.
     for (label, held, admitted) in [
         ("fresh", None, "29 of 29 plan(s) admitted, 0 duplicate(s)"),
         (

@@ -4,7 +4,7 @@ use uplan_core::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue
 use uplan_core::registry::Dbms;
 use uplan_core::{Error, PlanNode, Property, Result, UnifiedPlan};
 
-use crate::spine::{chain, declare_converter, pipe_cells, CellTrim, NodeBuilder};
+use crate::spine::{chain, declare_converter, pipe_cells, pipe_header, CellTrim, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
@@ -240,26 +240,23 @@ pub fn from_table(input: &str) -> Result<UnifiedPlan> {
 }
 
 fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for line in input.lines() {
-        if let Some(cells) = pipe_cells(line, CellTrim::Full) {
-            rows.push(cells);
-        }
-    }
-    if rows.len() < 2 {
-        return Err(Error::Semantic("no MySQL table rows found".into()));
-    }
-    let header = &rows[0];
+    let mut header = Vec::new();
+    let rows = pipe_header(input, CellTrim::Full, &mut header)
+        .ok_or_else(|| Error::Semantic("no MySQL table rows found".into()))?;
     let type_col = header
         .iter()
-        .position(|h| h == "type")
+        .position(|h| *h == "type")
         .ok_or_else(|| Error::Semantic("missing type column".into()))?;
 
     let mut nodes: Vec<PlanNode> = Vec::new();
-    for cells in &rows[1..] {
-        let access = cells.get(type_col).map(String::as_str).unwrap_or("ALL");
+    let mut cells = Vec::new();
+    for line in rows {
+        if !pipe_cells(line, CellTrim::Full, &mut cells) {
+            continue;
+        }
+        let access = cells.get(type_col).copied().unwrap_or("ALL");
         let mut node = b.op(access);
-        for (i, cell) in cells.iter().enumerate() {
+        for (i, &cell) in cells.iter().enumerate() {
             if i == type_col || cell.is_empty() || cell == "NULL" {
                 continue;
             }

@@ -25,7 +25,8 @@ pub fn from_table(input: &str) -> Result<UnifiedPlan> {
 
 fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     let mut plan = UnifiedPlan::new();
-    let mut header: Option<Vec<String>> = None;
+    let mut header: Option<Vec<&str>> = None;
+    let mut cells = Vec::new();
     let mut operators: Vec<PlanNode> = Vec::new();
 
     for line in input.lines() {
@@ -37,9 +38,9 @@ fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
         {
             continue;
         }
-        if let Some(cells) = pipe_cells(trimmed, CellTrim::Full) {
+        if pipe_cells(trimmed, CellTrim::Full, &mut cells) {
             match &header {
-                None => header = Some(cells),
+                None => header = Some(std::mem::take(&mut cells)),
                 Some(columns) => {
                     let name = cells
                         .first()
@@ -54,7 +55,7 @@ fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
                         // Table-column headers map to the catalogued
                         // property names through the shared table
                         // (`Estimated Rows` → `EstimatedRows`, …).
-                        let key = columns.get(i).map(String::as_str).unwrap_or("Details");
+                        let key = columns.get(i).copied().unwrap_or("Details");
                         node.properties.push(b.text_prop(key, cell));
                     }
                     operators.push(node);

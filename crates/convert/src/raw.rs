@@ -26,19 +26,31 @@
 //! from disk: records are framed one at a time into a reused buffer of at
 //! most [`RAW_BATCH`] records, and only that one batch of raw text is in
 //! memory at a time, whatever the dump's size (a `#<n>` header allocates
-//! for the bytes that actually follow it, not for `n`). Each batch is
-//! converted in record order — JSON-string unwrap, source sniff through the
-//! converter registry ([`crate::detect`]) and convert through a reused
-//! [`NodeBuilder`], split across `threads` with the calling thread
-//! converting one chunk (one thread spawns nothing) — and its owned
-//! [`UnifiedPlan`]s go to the caller in dump order. The corpus wrappers
-//! take in-memory dumps and sit on top of it: [`ingest_raw_with`] hands
-//! every batch to [`PlanCorpus::ingest_parallel`]. Because shard routing
-//! and id assignment are deterministic, the resulting corpus is
-//! **byte-identical** to converting every record sequentially with its own
-//! source converter and observing the plans one by one
-//! ([`ingest_raw_sequential_with`], the reference path the CI gate diffs
-//! against). Request-sized inputs that need plans, not a corpus, use
+//! for the bytes that actually follow it, not for `n`).
+//!
+//! Each batch is converted by `threads` workers, the calling thread among
+//! them (one thread spawns nothing). Workers claim fixed pieces of
+//! [`RAW_PIECE`] records through one atomic counter, so a piece of slow
+//! records does not leave the other workers idle. A worker runs each
+//! record's whole chain — JSON-string unwrap, source sniff through the
+//! converter registry ([`crate::detect`]), convert through its reused
+//! [`NodeBuilder`] — and then fingerprints the plan against the run's
+//! [`FingerprintSet`] as it stood after the previous batch. A plan whose
+//! fingerprint the set holds is dropped on the worker; any other plan is
+//! kept as a candidate (a compact clone, with its fingerprint). The calling
+//! thread then admits the candidates in dump order, inserting each
+//! fingerprint into the set, so the first plan of each fingerprint wins at
+//! any thread count. The batch callback receives those first-of-fingerprint
+//! plans and the number of duplicates dropped.
+//!
+//! The corpus wrappers take in-memory dumps and sit on top of it:
+//! [`ingest_raw_with`] hands every batch's plans to
+//! [`PlanCorpus::ingest_parallel`] and counts the dropped duplicates as
+//! observed. Because shard routing and id assignment are deterministic, the
+//! resulting corpus is **byte-identical** to converting every record
+//! sequentially with its own source converter and observing the plans one
+//! by one ([`ingest_raw_sequential_with`], the reference path the CI gate
+//! diffs against). Request-sized inputs that need plans, not a corpus, use
 //! [`convert_raw_distinct`]: the first plan of each fingerprint.
 //!
 //! ## Dirty dumps: lenient mode
@@ -55,13 +67,13 @@
 //! a run tolerates before giving up.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::io::{self, BufRead, Read};
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use uplan_core::fingerprint::{fingerprint_with, FingerprintOptions};
+use uplan_core::fingerprint::{Fingerprint, FingerprintOptions, FingerprintSet};
 use uplan_core::formats::json::{self, JsonValue};
 use uplan_core::registry::Dbms;
 use uplan_core::{Error, Result, UnifiedPlan};
@@ -154,6 +166,9 @@ impl RawErrorKind {
 /// Records per conversion/ingest batch — the only window of raw records
 /// and of converted plans alive at once.
 pub const RAW_BATCH: usize = 512;
+
+/// Records a conversion worker claims from a batch at a time.
+pub const RAW_PIECE: usize = 16;
 
 /// How a raw ingest treats records that fail to frame, classify or
 /// convert.
@@ -601,63 +616,120 @@ fn classify(number: usize, raw: &str) -> Result<(Source, Cow<'_, str>)> {
     Ok((source, text))
 }
 
-/// What one framed record became.
-enum Outcome {
-    Plan(Source, UnifiedPlan),
-    /// The stage that rejected the record, the source detected (if
-    /// classification got that far) and why.
-    Failed(RawErrorKind, Option<Source>, Error),
+/// Why one framed record did not convert: the stage that rejected it, the
+/// source detected (if classification got that far) and the error.
+struct Failure {
+    kind: RawErrorKind,
+    source: Option<Source>,
+    err: Error,
 }
 
 /// The whole per-record chain — frame check, JSON-string unwrap, `detect`
 /// and convert — through one reused builder.
-fn convert_record(text: &str, record: &Framed, builder: &mut NodeBuilder) -> Outcome {
+fn convert_record(
+    text: &str,
+    record: &Framed,
+    builder: &mut NodeBuilder,
+) -> std::result::Result<(Source, UnifiedPlan), Failure> {
+    let failure = |kind, source, err| Failure { kind, source, err };
     if let Some(message) = &record.frame_error {
-        return Outcome::Failed(RawErrorKind::Frame, None, Error::Semantic(message.clone()));
+        let err = Error::Semantic(message.clone());
+        return Err(failure(RawErrorKind::Frame, None, err));
     }
-    let (source, dump) = match classify(record.line, &text[record.span.clone()]) {
-        Ok(classified) => classified,
-        Err(err) => return Outcome::Failed(RawErrorKind::Classify, None, err),
-    };
+    let (source, dump) = classify(record.line, &text[record.span.clone()])
+        .map_err(|err| failure(RawErrorKind::Classify, None, err))?;
     builder.retarget(source.dbms());
     match source.converter().convert(&dump, builder) {
-        Ok(plan) => Outcome::Plan(source, plan),
+        Ok(plan) => Ok((source, plan)),
         Err(e) => {
             let err = Error::Semantic(format!("line {}: {} plan: {e}", record.line, source.name()));
-            Outcome::Failed(RawErrorKind::Convert, Some(source), err)
+            Err(failure(RawErrorKind::Convert, Some(source), err))
         }
     }
 }
 
-/// Converts one batch in record order: with `threads > 1` the batch splits
-/// into that many chunks, the calling thread converts the first and scoped
-/// workers the rest; with one thread nothing is spawned.
-fn convert_batch(batch: &Batch, threads: usize, builder: &mut NodeBuilder) -> Vec<Outcome> {
-    let records = &batch.records;
-    let convert_chunk = |chunk: &[Framed], builder: &mut NodeBuilder| -> Vec<Outcome> {
-        chunk
-            .iter()
-            .map(|record| convert_record(&batch.text, record, builder))
-            .collect()
-    };
-    let threads = threads.clamp(1, records.len().max(1));
-    if threads == 1 {
-        return convert_chunk(records, builder);
-    }
-    let mut chunks = records.chunks(records.len().div_ceil(threads));
-    let own = chunks.next().unwrap_or_default();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .map(|chunk| {
-                scope.spawn(move || convert_chunk(chunk, &mut NodeBuilder::new(Dbms::PostgreSql)))
-            })
-            .collect();
-        let mut outcomes = convert_chunk(own, builder);
-        for worker in workers {
-            outcomes.extend(worker.join().expect("converter workers do not panic"));
+/// What a conversion worker made of one framed record.
+enum Outcome {
+    /// A plan whose fingerprint the run had not seen before this batch:
+    /// a compact clone, with its fingerprint.
+    Candidate(Source, Fingerprint, UnifiedPlan),
+    /// A plan whose fingerprint the run had seen before this batch,
+    /// dropped on the worker.
+    Duplicate(Source),
+    /// A record that did not convert.
+    Failed(Failure),
+}
+
+/// Converts one record and sifts its plan against `seen`, the run's
+/// fingerprints as they stood after the previous batch.
+fn convert_and_sift(
+    text: &str,
+    record: &Framed,
+    builder: &mut NodeBuilder,
+    seen: &FingerprintSet,
+) -> Outcome {
+    match convert_record(text, record, builder) {
+        Ok((source, plan)) => {
+            let fp = seen.fingerprint_of(&plan);
+            if seen.contains_fingerprint(fp) {
+                Outcome::Duplicate(source)
+            } else {
+                // Clones are compact: converter output carries spare
+                // capacity.
+                Outcome::Candidate(source, fp, plan.clone())
+            }
         }
-        outcomes
-    })
+        Err(failure) => Outcome::Failed(failure),
+    }
+}
+
+/// Converts and sifts one batch, returning the outcomes in record order.
+/// Up to `threads` workers — the calling thread and scoped workers — claim
+/// pieces of [`RAW_PIECE`] records through one atomic counter; with one
+/// thread nothing is spawned.
+fn convert_batch(
+    batch: &Batch,
+    threads: usize,
+    builder: &mut NodeBuilder,
+    seen: &FingerprintSet,
+) -> Vec<Outcome> {
+    let records = &batch.records;
+    // The next unclaimed piece. Relaxed suffices: the counter publishes no
+    // data, and outcomes come back through `join`.
+    let next = AtomicUsize::new(0);
+    // Each worker returns `(piece number, outcomes)` for the pieces it
+    // claimed.
+    let work = |builder: &mut NodeBuilder| -> Vec<(usize, Vec<Outcome>)> {
+        let mut pieces = Vec::new();
+        loop {
+            let piece = next.fetch_add(1, Ordering::Relaxed);
+            let start = piece * RAW_PIECE;
+            if start >= records.len() {
+                return pieces;
+            }
+            let outcomes = records[start..records.len().min(start + RAW_PIECE)]
+                .iter()
+                .map(|record| convert_and_sift(&batch.text, record, builder, seen))
+                .collect();
+            pieces.push((piece, outcomes));
+        }
+    };
+    let threads = threads.clamp(1, records.len().div_ceil(RAW_PIECE).max(1));
+    let mut pieces = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| work(&mut NodeBuilder::new(Dbms::PostgreSql))))
+            .collect();
+        let mut pieces = work(builder);
+        for worker in workers {
+            pieces.extend(worker.join().expect("converter workers do not panic"));
+        }
+        pieces
+    });
+    pieces.sort_unstable_by_key(|&(piece, _)| piece);
+    pieces
+        .into_iter()
+        .flat_map(|(_, outcomes)| outcomes)
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -704,57 +776,39 @@ impl<'o> Tally<'o> {
         }
     }
 
-    /// Counts one record's outcome (`text` holds the record's framed
-    /// text), returning its plan if it converted.
-    fn add(
-        &mut self,
-        record: &Framed,
-        outcome: Outcome,
-        text: &str,
-    ) -> Result<Option<(Source, UnifiedPlan)>> {
-        match outcome {
-            Outcome::Plan(source, plan) => {
-                self.counts[source_index(source)] += 1;
-                self.report.lines += 1;
-                Ok(Some((source, plan)))
-            }
-            Outcome::Failed(kind, source, err) => {
-                let raw = &text[record.span.clone()];
-                self.skip(err, record.line, source, kind, raw)?;
-                Ok(None)
-            }
-        }
+    /// Counts one converted record.
+    fn converted(&mut self, source: Source) {
+        self.counts[source_index(source)] += 1;
+        self.report.lines += 1;
     }
 
-    /// Collects one failed record: strict runs re-raise `err`, lenient runs
-    /// add it to the error census (the entry's message taken from `err`)
-    /// and quarantine it, failing once `max_errors` is exceeded.
-    fn skip(
-        &mut self,
-        err: Error,
-        line: usize,
-        source: Option<Source>,
-        kind: RawErrorKind,
-        raw: &str,
-    ) -> Result<()> {
+    /// Collects one failed record (`text` holds the record's framed text):
+    /// strict runs re-raise its error, lenient runs add it to the error
+    /// census and quarantine it, failing once `max_errors` is exceeded.
+    fn skip(&mut self, record: &Framed, failure: Failure, text: &str) -> Result<()> {
+        let Failure { kind, source, err } = failure;
         if self.options.strict {
             return Err(err);
         }
         let metrics = ingest_metrics();
         metrics.skipped[kind.metric_index()].inc();
         if self.options.quarantine.is_some() {
-            self.quarantined.push(quarantine_line(raw));
+            self.quarantined
+                .push(quarantine_line(&text[record.span.clone()]));
             metrics.quarantined.inc();
         }
         trace::event(
             "convert.ingest",
             Level::Warn,
             "record_skipped",
-            &[("line", (line as u64).into()), ("kind", kind.name().into())],
+            &[
+                ("line", (record.line as u64).into()),
+                ("kind", kind.name().into()),
+            ],
         );
         let errors = &mut self.report.errors;
         errors.push(RawIngestError {
-            line,
+            line: record.line,
             source,
             kind,
             message: classify_error(&err),
@@ -800,11 +854,15 @@ impl<'o> Tally<'o> {
 // ---------------------------------------------------------------------------
 
 /// Frames, sniffs and converts a mixed-source dump read from `reader`
-/// under explicit [`RawIngestOptions`] (see the module docs), handing each
-/// batch of at most [`RAW_BATCH`] converted plans to `on_batch` in dump
-/// order. `on_batch` returns how many of the plans were novel to it, which
-/// the report sums into [`RawIngestReport::novel`]. `threads` fans out the
-/// per-batch conversion; any thread count yields the same batches.
+/// under explicit [`RawIngestOptions`] (see the module docs), keeping the
+/// first plan of each fingerprint under `seen`'s options: a plan whose
+/// fingerprint `seen` already holds is dropped, and every kept plan's
+/// fingerprint is added to it. Each batch of at most [`RAW_BATCH`] records
+/// hands `on_batch` its kept plans, in dump order, and the number of
+/// duplicates it dropped. `on_batch` returns how many of the plans were
+/// novel to it, which the report sums into [`RawIngestReport::novel`].
+/// `threads` fans out the per-batch conversion; any thread count yields the
+/// same batches.
 ///
 /// Only one batch of raw records is in memory at a time, whatever the
 /// dump's size. The outer error is a failed read (including a dump that is
@@ -814,7 +872,8 @@ pub fn convert_raw(
     reader: impl BufRead,
     threads: usize,
     options: &RawIngestOptions,
-    mut on_batch: impl FnMut(Vec<UnifiedPlan>) -> usize,
+    seen: &mut FingerprintSet,
+    mut on_batch: impl FnMut(Vec<UnifiedPlan>, usize) -> usize,
 ) -> io::Result<Result<RawIngestReport>> {
     let mut framer = Framer::new(reader)?;
     let mut ingest_span = trace::span("convert.ingest", Level::Info, "ingest");
@@ -830,26 +889,39 @@ pub fn convert_raw(
         let metrics = ingest_metrics();
         let mut span = trace::span("convert.ingest", Level::Debug, "batch");
         span.field("records", batch.records.len());
-        let outcomes = convert_batch(&batch, threads, &mut builder);
-        let mut plans = Vec::with_capacity(outcomes.len());
+        let outcomes = convert_batch(&batch, threads, &mut builder, seen);
+        let (mut plans, mut duplicates) = (Vec::new(), 0);
         for (record, outcome) in batch.records.iter().zip(outcomes) {
-            match tally.add(record, outcome, &batch.text) {
-                Ok(Some((source, plan))) => {
-                    metrics.by_source[source_index(source)].inc();
-                    plans.push(plan);
+            let source = match outcome {
+                Outcome::Candidate(source, fp, plan) => {
+                    if seen.insert(fp) {
+                        plans.push(plan);
+                    } else {
+                        duplicates += 1;
+                    }
+                    source
                 }
-                Ok(None) => {}
-                Err(err) => return Ok(Err(err)),
-            }
+                Outcome::Duplicate(source) => {
+                    duplicates += 1;
+                    source
+                }
+                Outcome::Failed(failure) => match tally.skip(record, failure, &batch.text) {
+                    Ok(()) => continue,
+                    Err(err) => return Ok(Err(err)),
+                },
+            };
+            tally.converted(source);
+            metrics.by_source[source_index(source)].inc();
         }
-        let converted = plans.len();
-        let novel = on_batch(plans);
+        let converted = plans.len() + duplicates;
+        let novel = on_batch(plans, duplicates);
         tally.report.novel += novel;
         metrics.records.add(converted as u64);
         metrics.batches.inc();
         metrics.batch_records.record(batch.records.len() as u64);
         span.field("converted", converted);
         span.field("skipped", batch.records.len() - converted);
+        span.field("duplicates", duplicates);
         span.field("novel", novel);
     }
     ingest_span.field("bytes", framer.bytes);
@@ -878,34 +950,42 @@ pub fn convert_raw_distinct(
     options: &RawIngestOptions,
     fingerprints: FingerprintOptions,
 ) -> Result<(Vec<UnifiedPlan>, RawIngestReport)> {
-    let (mut seen, mut distinct) = (HashSet::new(), Vec::new());
-    let report = convert_raw(dump.as_bytes(), 1, options, |plans| {
-        let before = distinct.len();
-        let novel = plans
-            .into_iter()
-            .filter(|p| seen.insert(fingerprint_with(p, fingerprints)));
-        distinct.extend(novel);
-        distinct.len() - before
+    let mut seen = FingerprintSet::with_options(fingerprints);
+    let mut distinct = Vec::new();
+    let report = convert_raw(dump.as_bytes(), 1, options, &mut seen, |plans, _| {
+        let novel = plans.len();
+        distinct.extend(plans);
+        novel
     })
     .map_err(read_error)??;
     Ok((distinct, report))
 }
 
 /// Streams an in-memory mixed-source dump into `corpus` under explicit
-/// [`RawIngestOptions`]: [`convert_raw`] with every batch handed to
-/// [`PlanCorpus::ingest_parallel`]. `threads` fans out both the per-batch
-/// conversion and the sharded ingest; any thread count produces a
-/// byte-identical corpus — and in lenient mode, a corpus byte-identical to
-/// sequentially ingesting only the valid records.
+/// [`RawIngestOptions`]: [`convert_raw`] under the corpus's fingerprint
+/// options, with every batch's first-of-fingerprint plans handed to
+/// [`PlanCorpus::ingest_parallel`] and its dropped duplicates counted as
+/// observed. `threads` fans out both the per-batch conversion and the
+/// sharded ingest; any thread count produces a byte-identical corpus — and
+/// in lenient mode, a corpus byte-identical to sequentially ingesting only
+/// the valid records.
 pub fn ingest_raw_with(
     dump: &str,
     corpus: &mut PlanCorpus,
     threads: usize,
     options: &RawIngestOptions,
 ) -> Result<RawIngestReport> {
-    convert_raw(dump.as_bytes(), threads, options, |plans| {
-        corpus.ingest_parallel(&plans, threads)
-    })
+    let mut seen = FingerprintSet::with_options(corpus.options());
+    convert_raw(
+        dump.as_bytes(),
+        threads,
+        options,
+        &mut seen,
+        |plans, duplicates| {
+            corpus.observe_duplicates(duplicates);
+            corpus.ingest_parallel(&plans, threads)
+        },
+    )
     .map_err(read_error)?
 }
 
@@ -929,9 +1009,12 @@ pub fn ingest_raw_sequential_with(
     let mut builder = NodeBuilder::new(Dbms::PostgreSql);
     let mut text = String::new();
     while let Some(record) = framer.next_record(&mut text).map_err(read_error)? {
-        let outcome = convert_record(&text, &record, &mut builder);
-        if let Some((_, plan)) = tally.add(&record, outcome, &text)? {
-            tally.report.novel += usize::from(corpus.observe(&plan));
+        match convert_record(&text, &record, &mut builder) {
+            Ok((source, plan)) => {
+                tally.converted(source);
+                tally.report.novel += usize::from(corpus.observe(&plan));
+            }
+            Err(failure) => tally.skip(&record, failure, &text)?,
         }
         text.clear();
     }
@@ -1005,6 +1088,15 @@ mod tests {
         assert_eq!(parallel.observed(), 4);
     }
 
+    /// A fingerprint set that tells `Seq Scan`s of different relations
+    /// apart, so a dump of them keeps every plan.
+    fn value_sensitive() -> FingerprintSet {
+        FingerprintSet::with_options(FingerprintOptions {
+            include_configuration_values: true,
+            ..FingerprintOptions::default()
+        })
+    }
+
     #[test]
     fn convert_raw_streams_bounded_batches_in_dump_order() {
         // One record past a full batch: two batches, the second of one plan.
@@ -1016,7 +1108,9 @@ mod tests {
         let dump = records.join("\n");
         let mut sizes = Vec::new();
         let mut streamed = Vec::new();
-        let report = convert_raw(dump.as_bytes(), 2, &RawIngestOptions::default(), |plans| {
+        let mut seen = value_sensitive();
+        let options = RawIngestOptions::default();
+        let report = convert_raw(dump.as_bytes(), 2, &options, &mut seen, |plans, _| {
             sizes.push(plans.len());
             streamed.extend(plans);
             0
@@ -1065,7 +1159,9 @@ mod tests {
             read: &read,
         });
         let mut delivered = 0;
-        let report = convert_raw(reader, 2, &RawIngestOptions::default(), |plans| {
+        let mut seen = value_sensitive();
+        let options = RawIngestOptions::default();
+        let report = convert_raw(reader, 2, &options, &mut seen, |plans, _| {
             delivered += plans.len();
             let bound = (delivered + READ_AHEAD_BATCHES * RAW_BATCH) * record_bytes;
             assert!(
@@ -1081,8 +1177,8 @@ mod tests {
         assert_eq!(read.get(), dump.len());
     }
 
-    /// Everything a lenient run over `reader` produces: all plans, the
-    /// report and the quarantine file's bytes.
+    /// Everything a lenient run over `reader` produces: the first plan of
+    /// each fingerprint, the report and the quarantine file's bytes.
     fn lenient_run(
         reader: impl BufRead,
         quarantine: &std::path::Path,
@@ -1092,9 +1188,11 @@ mod tests {
             ..RawIngestOptions::lenient()
         };
         let mut plans = Vec::new();
-        let report = convert_raw(reader, 2, &options, |batch| {
+        let mut seen = FingerprintSet::new();
+        let report = convert_raw(reader, 2, &options, &mut seen, |batch, _| {
+            let novel = batch.len();
             plans.extend(batch);
-            0
+            novel
         })
         .unwrap()
         .unwrap();
@@ -1141,7 +1239,7 @@ mod tests {
         for (dump, frame_error, lines) in dumps {
             let whole = lenient_run(dump.as_bytes(), &path("whole"));
             assert_eq!(whole.1.lines, lines, "{dump:?}");
-            assert_eq!(whole.0.len(), lines, "{dump:?}");
+            assert_eq!(whole.0.len(), whole.1.novel, "{dump:?}");
             if !frame_error.is_empty() {
                 assert!(
                     whole

@@ -274,23 +274,42 @@ pub enum CellTrim {
     TrailingOnly,
 }
 
-/// Splits a `| a | b |` row into cells; `None` for non-row lines (rules,
-/// prose, blanks).
-pub fn pipe_cells(line: &str, trim: CellTrim) -> Option<Vec<String>> {
-    let trimmed = line.trim();
-    if !trimmed.starts_with('|') {
-        return None;
+/// Splits a `| a | b |` row into `cells`, which it clears first and fills
+/// with slices of `line`, so one vector serves every row of a table.
+/// Returns `false`, leaving `cells` empty, for non-row lines (rules, prose,
+/// blanks).
+pub fn pipe_cells<'a>(line: &'a str, trim: CellTrim, cells: &mut Vec<&'a str>) -> bool {
+    cells.clear();
+    if !is_pipe_row(line) {
+        return false;
     }
-    Some(
-        trimmed
+    cells.extend(
+        line.trim()
             .trim_matches('|')
             .split('|')
             .map(|cell| match trim {
-                CellTrim::Full => cell.trim().to_owned(),
-                CellTrim::TrailingOnly => cell.trim_end().to_owned(),
-            })
-            .collect(),
-    )
+                CellTrim::Full => cell.trim(),
+                CellTrim::TrailingOnly => cell.trim_end(),
+            }),
+    );
+    true
+}
+
+fn is_pipe_row(line: &str) -> bool {
+    line.trim().starts_with('|')
+}
+
+/// Reads the first row of a pipe table into `header` (see [`pipe_cells`])
+/// and returns the lines after it; `None` unless another row follows the
+/// header (MySQL classic tables, TiDB tables).
+pub(crate) fn pipe_header<'a>(
+    input: &'a str,
+    trim: CellTrim,
+    header: &mut Vec<&'a str>,
+) -> Option<std::str::Lines<'a>> {
+    let mut lines = input.lines();
+    let found = lines.any(|line| pipe_cells(line, trim, header));
+    (found && lines.clone().any(is_pipe_row)).then_some(lines)
 }
 
 /// Chains sibling rows into the left-deep pipeline the table dialects
@@ -359,16 +378,30 @@ mod tests {
 
     #[test]
     fn pipe_cells_split_per_discipline() {
-        assert_eq!(
-            pipe_cells("| a  | b |", CellTrim::Full),
-            Some(vec!["a".to_owned(), "b".to_owned()])
-        );
-        assert_eq!(
-            pipe_cells("|  a  | b |", CellTrim::TrailingOnly),
-            Some(vec!["  a".to_owned(), " b".to_owned()])
-        );
-        assert_eq!(pipe_cells("+---+---+", CellTrim::Full), None);
-        assert_eq!(pipe_cells("prose line", CellTrim::Full), None);
+        let mut cells = Vec::new();
+        assert!(pipe_cells("| a  | b |", CellTrim::Full, &mut cells));
+        assert_eq!(cells, ["a", "b"]);
+        assert!(pipe_cells(
+            "|  a  | b |",
+            CellTrim::TrailingOnly,
+            &mut cells
+        ));
+        assert_eq!(cells, ["  a", " b"]);
+        assert!(!pipe_cells("+---+---+", CellTrim::Full, &mut cells));
+        assert!(cells.is_empty());
+        assert!(!pipe_cells("prose line", CellTrim::Full, &mut cells));
+    }
+
+    #[test]
+    fn pipe_header_needs_a_row_after_the_header() {
+        let mut header = Vec::new();
+        let table = "+---+\n| id | type |\n+---+\n| 1  | ALL  |\n";
+        let mut rows = pipe_header(table, CellTrim::Full, &mut header).unwrap();
+        assert_eq!(header, ["id", "type"]);
+        assert_eq!(rows.next(), Some("+---+"));
+        for header_only in ["| id | type |\n+---+\n", "prose\n", ""] {
+            assert!(pipe_header(header_only, CellTrim::Full, &mut header).is_none());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use uplan_core::registry::Dbms;
 use uplan_core::{Error, Result, UnifiedPlan};
 
-use crate::spine::{declare_converter, pipe_cells, CellTrim, NodeBuilder};
+use crate::spine::{declare_converter, pipe_cells, pipe_header, CellTrim, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
@@ -26,19 +26,15 @@ pub fn from_table(input: &str) -> Result<UnifiedPlan> {
 }
 
 fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
-    // Collect cell rows; trailing-only trim keeps the `id` column's
-    // leading spaces, which carry tree depth.
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for line in input.lines() {
-        if let Some(cells) = pipe_cells(line, CellTrim::TrailingOnly) {
-            rows.push(cells);
-        }
+    // Trailing-only trim keeps the `id` column's leading spaces, which
+    // carry tree depth; the header's own names are trimmed once here.
+    let mut header = Vec::new();
+    let rows = pipe_header(input, CellTrim::TrailingOnly, &mut header)
+        .ok_or_else(|| Error::Semantic("no TiDB table rows found".into()))?;
+    for name in &mut header {
+        *name = name.trim();
     }
-    if rows.len() < 2 {
-        return Err(Error::Semantic("no TiDB table rows found".into()));
-    }
-    let header: Vec<String> = rows[0].iter().map(|h| h.trim().to_owned()).collect();
-    let col = |name: &str| header.iter().position(|h| h == name);
+    let col = |name: &str| header.iter().position(|h| *h == name);
     let id_col = col("id").ok_or_else(|| Error::Semantic("missing id column".into()))?;
     // Header names double as property keys (`task` normalizes to
     // `taskType` through the shared table).
@@ -55,7 +51,11 @@ fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
 
     b.begin_tree();
     let mut parsed_any = false;
-    for cells in &rows[1..] {
+    let mut cells = Vec::new();
+    for line in rows {
+        if !pipe_cells(line, CellTrim::TrailingOnly, &mut cells) {
+            continue;
+        }
         let raw_id = cells
             .get(id_col)
             .ok_or_else(|| Error::Semantic("short row".into()))?;

@@ -47,7 +47,7 @@ pub mod service;
 mod shard;
 
 use std::borrow::Cow;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use uplan_core::fingerprint::{fingerprint_with, Fingerprint, FingerprintOptions};
@@ -483,6 +483,17 @@ impl ShardedCorpus {
                 .matches
                 .iter()
                 .all(|&(other, _)| other == id)
+    }
+
+    /// Counts `duplicates` offers of plans whose fingerprints this corpus
+    /// already stores, without seeing them: for callers that drop known
+    /// duplicates before offering the rest (raw ingest drops them on its
+    /// conversion workers). [`ShardedCorpus::observed`],
+    /// [`ShardedCorpus::duplicates`] and `uplan_corpus_observed_total`
+    /// count them like any duplicate offer.
+    pub fn observe_duplicates(&mut self, duplicates: usize) {
+        self.observed += duplicates as u64;
+        corpus_metrics().observed.add(duplicates as u64);
     }
 
     /// Inserts a plan by value; returns its id, or `None` if its
@@ -945,14 +956,6 @@ impl ShardedCorpus {
             corpus.insert(unified::from_json(line)?);
         }
         Ok(corpus)
-    }
-
-    /// Distinct fingerprints as a set (cross-corpus bookkeeping).
-    pub fn fingerprint_set(&self) -> HashSet<Fingerprint> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.fingerprints.iter().copied())
-            .collect()
     }
 }
 

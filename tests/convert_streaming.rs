@@ -277,3 +277,135 @@ proptest! {
         prop_assert_eq!(uplan::corpus::encode_segment(&seq).unwrap(), bytes);
     }
 }
+
+/// Worker-side dedup over several batches: conversion workers drop plans
+/// whose fingerprint an earlier batch admitted, and the calling thread
+/// admits each batch's candidates in dump order. The dump puts duplicates
+/// across a batch boundary, in different pieces of one batch, and among
+/// lenient failures. At every thread count `convert_raw` must deliver
+/// exactly what a sequential first-of-fingerprint pass keeps, and
+/// `ingest_raw_with` must build the sequential reference's corpus.
+#[test]
+fn worker_side_dedup_keeps_the_first_plan_of_each_fingerprint_at_any_thread_count() {
+    use uplan::convert::raw::{RAW_BATCH, RAW_PIECE};
+    use uplan::convert::RawIngestOptions;
+    use uplan::core::fingerprint::FingerprintSet;
+    use uplan::testing::inject::GARBAGE_LINES;
+    let pool = fixtures();
+    let plans: Vec<_> = pool.iter().map(|(s, i)| convert(*s, i).unwrap()).collect();
+    // Two entries are placed by hand; the filler never shares their
+    // fingerprints, so their first appearances are exactly where placed.
+    let (straddle, split) = (pool.len() - 1, pool.len() - 2);
+    let held = [fingerprint(&plans[straddle]), fingerprint(&plans[split])];
+    assert_ne!(held[0], held[1]);
+    let filler: Vec<usize> = (0..pool.len())
+        .filter(|&i| !held.contains(&fingerprint(&plans[i])))
+        .collect();
+    // `None` is a garbage record. The filler admits pool entries gradually,
+    // so novel plans keep appearing in later batches.
+    let records = 3 * RAW_BATCH + 77;
+    let mut picks: Vec<Option<usize>> = (0..records)
+        .map(|i| {
+            let admitted = 1 + i * filler.len() / records;
+            (i % 37 != 5).then(|| filler[(i * 7 + i / 13) % admitted])
+        })
+        .collect();
+    let placed = [
+        // Straddles the first batch boundary, with failures on both sides.
+        (RAW_BATCH - 2, None),
+        (RAW_BATCH - 1, Some(straddle)),
+        (RAW_BATCH, Some(straddle)),
+        (RAW_BATCH + 1, None),
+        (2 * RAW_BATCH, Some(straddle)),
+        // Two candidates of one fingerprint in different pieces of the
+        // third batch, a failure between them.
+        (2 * RAW_BATCH + 3, Some(split)),
+        (2 * RAW_BATCH + 4, None),
+        (2 * RAW_BATCH + 5 * RAW_PIECE + 1, Some(split)),
+    ];
+    for (at, pick) in placed {
+        picks[at] = pick;
+    }
+    let dump: String = picks
+        .iter()
+        .enumerate()
+        .map(|(i, pick)| match pick {
+            Some(p) => dump_line(pool[*p].0, &pool[*p].1) + "\n",
+            None => format!("{}\n", GARBAGE_LINES[i % GARBAGE_LINES.len()]),
+        })
+        .collect();
+
+    // The sequential first-of-fingerprint pass.
+    let mut seen = FingerprintSet::new();
+    let firsts: Vec<usize> = (0..records)
+        .filter(|&i| picks[i].is_some_and(|p| seen.observe(&plans[p])))
+        .collect();
+    for (first, dup) in [
+        (RAW_BATCH - 1, RAW_BATCH),
+        (2 * RAW_BATCH + 3, 2 * RAW_BATCH + 5 * RAW_PIECE + 1),
+    ] {
+        assert!(firsts.contains(&first) && !firsts.contains(&dup));
+    }
+    assert!(firsts.iter().any(|&i| i >= 2 * RAW_BATCH + RAW_PIECE));
+    let expected: Vec<_> = firsts
+        .iter()
+        .map(|&i| plans[picks[i].unwrap()].clone())
+        .collect();
+
+    let options = RawIngestOptions::lenient();
+    let mut reference = PlanCorpus::new();
+    let seq_report = convert::ingest_raw_sequential_with(&dump, &mut reference, &options).unwrap();
+    assert_eq!(seq_report.novel, expected.len());
+    assert!(!seq_report.errors.is_empty());
+    let reference_bytes = uplan::corpus::encode_segment(&reference).unwrap();
+    for threads in [1, 2, 4] {
+        let mut seen = FingerprintSet::new();
+        let (mut delivered, mut dropped) = (Vec::new(), 0);
+        let report = convert::convert_raw(
+            dump.as_bytes(),
+            threads,
+            &options,
+            &mut seen,
+            |plans, duplicates| {
+                dropped += duplicates;
+                let novel = plans.len();
+                delivered.extend(plans);
+                novel
+            },
+        )
+        .unwrap()
+        .unwrap();
+        assert!(delivered == expected, "{threads} threads: delivered plans");
+        assert_eq!(report, seq_report, "{threads} threads");
+        assert_eq!(dropped, report.lines - expected.len(), "{threads} threads");
+
+        let mut batched = PlanCorpus::new();
+        let report = convert::ingest_raw_with(&dump, &mut batched, threads, &options).unwrap();
+        assert_eq!(report, seq_report, "{threads} threads");
+        assert_eq!(
+            uplan::corpus::encode_segment(&batched).unwrap(),
+            reference_bytes,
+            "{threads} threads"
+        );
+        assert_eq!(
+            (batched.observed(), batched.duplicates()),
+            (reference.observed(), reference.duplicates())
+        );
+
+        // Into a corpus that already holds one of the dump's plans: the
+        // novel count is the corpus's, and the corpus matches again.
+        let (mut batched, mut sequential) = (PlanCorpus::new(), PlanCorpus::new());
+        batched.observe(&plans[split]);
+        sequential.observe(&plans[split]);
+        let report = convert::ingest_raw_with(&dump, &mut batched, threads, &options).unwrap();
+        let held_report =
+            convert::ingest_raw_sequential_with(&dump, &mut sequential, &options).unwrap();
+        assert_eq!(report, held_report, "{threads} threads");
+        assert_eq!(report.novel, expected.len() - 1);
+        assert_eq!(
+            uplan::corpus::encode_segment(&batched).unwrap(),
+            uplan::corpus::encode_segment(&sequential).unwrap()
+        );
+        assert_eq!(batched.observed(), sequential.observed());
+    }
+}
