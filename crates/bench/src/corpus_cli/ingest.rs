@@ -7,6 +7,7 @@ use minidb::profile::EngineProfile;
 use uplan_convert::{convert, RawIngestOptions, Source};
 use uplan_core::fingerprint::FingerprintSet;
 use uplan_corpus::{AppendReport, PlanCorpus, SegmentStore};
+use uplan_testing::fixtures::scrub_times;
 use uplan_testing::generator::Generator;
 use uplan_testing::inject;
 use uplan_testing::qpg::{self, QpgConfig};
@@ -327,6 +328,16 @@ pub(super) fn campaign(args: &[String]) -> Result<String, CliError> {
         session_line(outcome.corpus.observed(), outcome.corpus.duplicates()),
         summary(&outcome.corpus)
     );
-    new_store(out, outcome.corpus)?;
+    // minidb stamps measured planning times into its plans: without them,
+    // two campaigns write identical stores. They are Status properties,
+    // which fingerprints ignore, so every plan keeps its id.
+    let mut corpus =
+        PlanCorpus::with_options_and_shards(outcome.corpus.options(), outcome.corpus.shard_count());
+    for (_, plan) in outcome.corpus.iter() {
+        let mut plan = plan.clone();
+        scrub_times(&mut plan);
+        corpus.insert(plan);
+    }
+    new_store(out, corpus)?;
     Ok(report)
 }

@@ -18,11 +18,13 @@ pub(super) fn serve(args: &[String]) -> Result<String, CliError> {
     let slow_query_us: u64 = take_value(&mut args, "--slow-query-us")?.unwrap_or(0);
     let slow_query_evals: u64 = take_value(&mut args, "--slow-query-evals")?.unwrap_or(0);
     let args = positionals(args)?;
-    let path = args.first().ok_or(
-        "usage: repro corpus serve <store-dir> [--addr HOST:PORT] [--threads N] [--queue N] \
-         [--merge-threads N] [--merge-interval-ms N] \
-         [--slow-query-us N] [--slow-query-evals N]",
-    )?;
+    let usage = "usage: repro corpus serve <store-dir> [--addr HOST:PORT] [--threads N] \
+                 [--queue N] [--merge-threads N] [--merge-interval-ms N] \
+                 [--slow-query-us N] [--slow-query-evals N] (--threads at least 1)";
+    let path = args.first().ok_or(usage)?;
+    if threads == 0 {
+        return Err(usage.into());
+    }
     let config = ServerConfig {
         addr,
         threads,

@@ -85,6 +85,11 @@ fn usage_errors_do_not_panic() {
         let err = cli(&args).unwrap_err();
         assert_eq!(err.code(), 1, "{verb}: {err}");
     }
+    // A daemon without connection workers is a usage error (exit 2),
+    // refused before the store is opened.
+    let err = cli(&["serve", "/definitely/not/here", "--threads", "0"]).unwrap_err();
+    assert_eq!(err.code(), 2, "{err}");
+    assert!(err.to_string().contains("--threads at least 1"), "{err}");
     assert!(cli(&["campaign", "/no/dir/x", "db2"]).is_err());
     // Retired flags are rejected as unknown, not read as file names.
     for retired in ["--index", "--append", "--shards"] {
@@ -558,14 +563,27 @@ fn source_parse_errors_name_the_accepted_sources() {
     assert!(err.contains("postgres-json"), "{err}");
 }
 
+/// A campaign's store reopens, and two runs write identical stores
+/// although minidb measures a fresh planning time for every plan.
 #[test]
 fn campaign_writes_a_loadable_corpus() {
-    let out = temp("uplan_cli_campaign");
-    let report = cli(&["campaign", &out, "postgres", "60", "0"]).unwrap();
-    assert!(report.contains("campaign on PostgreSQL"), "{report}");
-    let corpus = SegmentStore::open(&out).unwrap().into_corpus();
-    assert!(!corpus.is_empty());
-    remove(&[&out]);
+    let (first, second) = (temp("uplan_cli_campaign"), temp("uplan_cli_campaign_2"));
+    for out in [&first, &second] {
+        let report = cli(&["campaign", out, "postgres", "80", "1"]).unwrap();
+        assert_eq!(
+            report,
+            format!(
+                "campaign on PostgreSQL: 80 queries, 6 mutations, 0 oracle failures\n\
+                 observed 80 plans this run (75 fingerprint duplicates)\n\
+                 5 distinct plans, 17 operations, max depth 3\n\
+                 wrote {out}"
+            )
+        );
+    }
+    assert_eq!(dir_bytes(&first), dir_bytes(&second));
+    let corpus = SegmentStore::open(&first).unwrap().into_corpus();
+    assert_eq!(corpus.len(), 5);
+    remove(&[&first, &second]);
 }
 
 /// The segmented lifecycle end to end: fixture-ingest a batched store

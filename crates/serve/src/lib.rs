@@ -3,9 +3,10 @@
 //! The paper's testing flywheel is a long-lived loop: engines stream
 //! plans in while differential checks query what has been seen. This
 //! crate serves that loop over HTTP/1.1 + JSON on a plain
-//! `std::net::TcpListener` and a hand-rolled worker pool (the workspace
-//! is offline — zero dependencies beyond the workspace itself), on top of
-//! the snapshot/delta [`CorpusService`]:
+//! `std::net::TcpListener`, whose connection workers each accept and
+//! answer their own connections (the workspace is offline — zero
+//! dependencies beyond the workspace itself), on top of the
+//! snapshot/delta [`CorpusService`]:
 //!
 //! | Method | Path        | Body                       | Answers |
 //! |--------|-------------|----------------------------|---------|
@@ -34,7 +35,6 @@
 
 pub mod http;
 pub mod metrics;
-pub mod pool;
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,15 +51,15 @@ use uplan_corpus::{PlanCorpus, QueryError, QueryRequest};
 use uplan_obs::{trace, Level};
 
 use http::{HttpError, HttpRequest, HttpResponse};
-use metrics::ServeMetrics;
-use pool::WorkerPool;
+use metrics::{ServeMetrics, ENDPOINT_NAMES};
 
 /// How the daemon runs: where to listen, how wide, how bounded.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7171` (port 0 picks one).
     pub addr: String,
-    /// Connection worker threads.
+    /// Connection worker threads (at least one; [`Server::bind`] refuses
+    /// zero).
     pub threads: usize,
     /// Bound on plans accepted but not yet merged (the backpressure
     /// limit).
@@ -210,17 +210,6 @@ fn query_error_response(err: &QueryError) -> HttpResponse {
 /// reader, recording latency/eval metrics. Pure with respect to I/O —
 /// benches call it in process; the socket loop wraps it.
 pub fn handle(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest) -> HttpResponse {
-    const ENDPOINTS: &[&str] = &[
-        "/ingest",
-        "/knn",
-        "/radius",
-        "/cluster",
-        "/stats",
-        "/diff",
-        "/merge",
-        "/metrics",
-        "/shutdown",
-    ];
     let start = Instant::now();
     // The span ID doubles as the request ID echoed in `X-Request-Id` —
     // minted even when tracing is off, so responses are always
@@ -231,6 +220,10 @@ pub fn handle(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest
         response.request_id = Some(request_id);
         response
     };
+    let known = req
+        .path
+        .strip_prefix('/')
+        .is_some_and(|name| ENDPOINT_NAMES.contains(&name));
     let (endpoint, (response, ted_evals)) = match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/ingest") => ("ingest", ingest(state, req)),
         ("POST", "/knn") => ("knn", query(reader, "knn", req)),
@@ -241,7 +234,7 @@ pub fn handle(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest
         ("POST", "/merge") => ("merge", merge(state)),
         ("GET" | "POST", "/metrics") => ("metrics", metrics_exposition(state, req)),
         ("POST", "/shutdown") => ("shutdown", shutdown(state)),
-        (_, path) if ENDPOINTS.contains(&path) => {
+        (_, path) if known => {
             return with_id(HttpResponse::json(
                 405,
                 error_body("method-not-allowed", &format!("use POST for {path}")),
@@ -590,8 +583,9 @@ fn merge(state: &ServeState) -> (HttpResponse, u64) {
     (HttpResponse::json(200, body.to_compact()), 0)
 }
 
-/// POST /shutdown: latches the shutdown flag; the server loop drains
-/// in-flight work, merges the delta one last time and exits.
+/// POST /shutdown: latches the shutdown flag; the connection workers
+/// answer every connection already queued, the delta merges one last time
+/// and the server exits.
 fn shutdown(state: &ServeState) -> (HttpResponse, u64) {
     state.shutdown.store(true, Ordering::Release);
     let body = object([
@@ -605,8 +599,9 @@ fn shutdown(state: &ServeState) -> (HttpResponse, u64) {
     (response, 0)
 }
 
-/// The daemon: a listener, a connection worker pool (each worker holding
-/// its own [`SnapshotReader`]) and a background epoch merger.
+/// The daemon: a listener, [`ServerConfig::threads`] connection workers
+/// that accept on it (each holding its own [`SnapshotReader`]) and a
+/// background epoch merger — nothing else runs.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
@@ -620,6 +615,12 @@ impl Server {
     /// The state's current snapshot is epoch 0; nothing is served until
     /// [`Server::run`]. Slow-query thresholds are applied from the config.
     pub fn bind(config: ServerConfig, state: ServeState) -> std::io::Result<Server> {
+        if config.threads == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "the server needs at least one connection worker",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(
@@ -643,89 +644,86 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Serves until `/shutdown`, then drains gracefully: queued
-    /// connections finish, the background merger stops, and one final
-    /// merge folds any remaining delta in. Returns the final snapshot.
+    /// Serves until `/shutdown`, then drains gracefully: every connection
+    /// made before the shutdown wake-ups is answered, the background merger
+    /// stops, and one final merge folds any remaining delta in. Returns the
+    /// final snapshot.
     pub fn run(self) -> std::io::Result<Arc<CorpusSnapshot>> {
-        let state = Arc::clone(&self.state);
-        let merger = {
-            let state = Arc::clone(&self.state);
-            let interval = self.config.merge_interval;
-            std::thread::spawn(move || {
+        let state = &*self.state;
+        std::thread::scope(|scope| {
+            let ticker = scope.spawn(|| {
                 while !state.shutdown_requested() {
-                    std::thread::park_timeout(interval);
+                    std::thread::park_timeout(self.config.merge_interval);
                     if state.service.pending() > 0 {
                         state.service.merge(state.merge_threads);
                     }
                 }
-            })
-        };
-        {
-            let state = Arc::clone(&self.state);
-            let addr = self.local_addr;
-            let pool: WorkerPool<TcpStream> = WorkerPool::spawn(
-                self.config.threads,
-                {
-                    let state = Arc::clone(&state);
-                    move |_| state.service.reader()
-                },
-                move |reader, stream| serve_connection(&state, reader, stream, addr),
-            );
-            for stream in self.listener.incoming() {
-                if self.state.shutdown_requested() {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    // A full queue never drops a connection: dispatch only
-                    // fails after shutdown, when refusing is correct.
-                    let _ = pool.dispatch(stream);
-                }
+            });
+            let workers: Vec<_> = (0..self.config.threads)
+                .map(|_| scope.spawn(|| self.accept_loop()))
+                .collect();
+            let joined: Vec<_> = workers.into_iter().map(|worker| worker.join()).collect();
+            // The ticker sees the latch now, not a merge interval later; a
+            // worker's panic is re-raised only after this wake-up, or the
+            // scope would wait that interval out.
+            ticker.thread().unpark();
+            if let Some(panic) = joined.into_iter().find_map(Result::err) {
+                std::panic::resume_unwind(panic);
             }
-            // Pool drop joins the workers: every accepted connection gets
-            // its response before we move on.
-        }
-        merger.thread().unpark();
-        merger.join().expect("merge ticker panicked");
+        });
         // Final drain: plans accepted after the last tick still land.
         state.service.merge(state.merge_threads);
         Ok(state.service.snapshot())
     }
+
+    /// One connection worker: accepts and serves connections on the shared
+    /// listener with its own [`SnapshotReader`]. Once shutdown is latched,
+    /// the first connection that carries no request ends the loop; the
+    /// `/shutdown` responder opens one such wake-up per worker, behind
+    /// every connection already in the (FIFO) backlog.
+    fn accept_loop(&self) {
+        let mut reader = self.state.service.reader();
+        for stream in self.listener.incoming() {
+            // A failed accept concerns that connection only.
+            let Ok(stream) = stream else { continue };
+            match serve_connection(&self.state, &mut reader, stream) {
+                Some(true) => {
+                    for _ in 0..self.config.threads {
+                        let _ = TcpStream::connect(self.local_addr);
+                    }
+                }
+                None if self.state.shutdown_requested() => return,
+                Some(false) | None => {}
+            }
+        }
+    }
 }
 
-/// One connection: read a request, handle it, flush the response. A
-/// response flagged `shutdown` wakes the accept loop with a throwaway
-/// connection so it observes the latch immediately.
+/// One connection: read a request, handle it, flush the response. Returns
+/// whether the answer latched shutdown, or `None` for a connection that
+/// carried no request (a probe, a dropped peer or a shutdown wake-up).
 fn serve_connection(
-    state: &Arc<ServeState>,
+    state: &ServeState,
     reader: &mut SnapshotReader,
-    mut stream: TcpStream,
-    addr: SocketAddr,
-) {
+    stream: TcpStream,
+) -> Option<bool> {
     // Bounded patience: a stalled peer must not wedge a worker (and with
     // it, graceful shutdown).
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let Ok(clone) = stream.try_clone() else {
-        return;
-    };
-    let mut buf = BufReader::new(clone);
-    let response = match HttpRequest::read_from(&mut buf) {
-        Ok(None) => return, // probe/wake-up connection: nothing to answer
+    let response = match HttpRequest::read_from(&mut BufReader::new(&stream)) {
+        Ok(None) | Err(HttpError::Io(_)) => return None,
         Ok(Some(req)) => handle(state, reader, &req),
         Err(HttpError::TooLarge(n)) => HttpResponse::json(
             413,
             error_body("too-large", &format!("{n}-byte body exceeds the limit")),
         ),
         Err(HttpError::Bad(m)) => HttpResponse::json(400, error_body("malformed", &m)),
-        Err(HttpError::Io(_)) => return,
     };
-    let shutdown = response.shutdown;
-    let _ = response.write_to(&mut stream);
-    let _ = stream.flush();
-    if shutdown {
-        // Wake the accept loop (it is parked in accept()).
-        let _ = TcpStream::connect(addr);
-    }
+    let mut writer = &stream;
+    let _ = response.write_to(&mut writer);
+    let _ = writer.flush();
+    Some(response.shutdown)
 }
 
 #[cfg(test)]
@@ -775,13 +773,22 @@ mod tests {
     }
 
     fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        reply(send(addr, &http(method, path, body)))
+    }
+
+    fn http(method: &str, path: &str, body: &str) -> String {
+        let length = body.len();
+        format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n{body}")
+    }
+
+    fn send(addr: SocketAddr, text: &str) -> TcpStream {
         let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
+        stream.write_all(text.as_bytes()).unwrap();
+        stream
+    }
+
+    /// Reads a whole response: its status and body.
+    fn reply(mut stream: TcpStream) -> (u16, String) {
         let mut raw = String::new();
         stream.read_to_string(&mut raw).unwrap();
         let status: u16 = raw
@@ -919,9 +926,18 @@ mod tests {
         assert!(doc.get("uplan_http_requests_total").is_some());
         assert!(doc.get("uplan_uptime_seconds").is_some());
 
-        // Unknown path and wrong method.
-        assert_eq!(post(addr, "/nope", "").0, 404);
+        // Unknown path and wrong method: every endpoint refuses PUT.
+        let error = |code: &str, message: &str| {
+            format!(r#"{{"status":"error","error":"{code}","message":"{message}"}}"#)
+        };
+        let not_found = error("not-found", "no endpoint /nope");
+        assert_eq!(post(addr, "/nope", ""), (404, not_found));
         assert_eq!(request(addr, "GET", "/knn", "").0, 405);
+        for name in ENDPOINT_NAMES {
+            let path = format!("/{name}");
+            let expected = error("method-not-allowed", &format!("use POST for {path}"));
+            assert_eq!(request(addr, "PUT", &path, ""), (405, expected));
+        }
 
         // Graceful shutdown completes the run thread.
         let (status, body) = post(addr, "/shutdown", "");
@@ -929,6 +945,58 @@ mod tests {
         let snapshot = runner.join().unwrap();
         assert_eq!(snapshot.epoch(), 1);
         assert_eq!(snapshot.corpus().len(), 6);
+    }
+
+    /// Both workers of a 2-worker server block on half-sent requests while
+    /// eight `/knn` requests queue behind them; one half-sent request then
+    /// completes as `/shutdown`. Every queued request is answered, and `run`
+    /// returns the final snapshot with the pending delta merged.
+    #[test]
+    fn shutdown_drains_queued_connections() {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 2,
+            merge_interval: Duration::from_secs(60),
+            ..ServerConfig::default()
+        };
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let server = Server::bind(config, state).unwrap();
+        let addr = server.local_addr();
+        let runner = std::thread::spawn(move || server.run().unwrap());
+        assert_eq!(post(addr, "/ingest", &pg_record(0)).0, 202);
+
+        let probe = uplan_core::formats::unified::to_json(&chain(&["Gather", "Scan_A"]));
+        let knn = http("POST", "/knn", &format!("{{\"k\": 2, \"probe\": {probe}}}"));
+        let stop = http("POST", "/shutdown", "");
+        let mut shutdown = send(addr, &stop[..10]);
+        let mut held = send(addr, &knn[..10]);
+        let mut queued: Vec<TcpStream> = (0..8).map(|_| send(addr, &knn)).collect();
+        // The latch is set while the eight wait in the backlog.
+        shutdown.write_all(&stop.as_bytes()[10..]).unwrap();
+        assert_eq!(reply(shutdown).0, 200);
+        held.write_all(&knn.as_bytes()[10..]).unwrap();
+        queued.push(held);
+        for stream in queued {
+            let (status, body) = reply(stream);
+            assert_eq!(status, 200, "{body}");
+            assert!(body.contains("\"matches\""), "{body}");
+        }
+        let snapshot = runner.join().unwrap();
+        assert_eq!(snapshot.epoch(), 1);
+        assert_eq!(snapshot.corpus().len(), 5);
+    }
+
+    /// A server without connection workers would accept nothing: `bind`
+    /// refuses it.
+    #[test]
+    fn bind_refuses_zero_workers() {
+        let config = ServerConfig {
+            threads: 0,
+            ..ServerConfig::default()
+        };
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let err = Server::bind(config, state).err().expect("zero workers");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     /// The in-process handler path the benches use: no sockets at all.

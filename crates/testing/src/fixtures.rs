@@ -240,8 +240,8 @@ fn mutate(plan: &mut UnifiedPlan, rng: &mut u64) {
 }
 
 /// Drops wall-clock properties (`*_time_ms`): they vary run to run and
-/// would break the population's byte-for-byte determinism.
-fn scrub_times(plan: &mut UnifiedPlan) {
+/// would break the byte-for-byte determinism of whatever holds the plan.
+pub fn scrub_times(plan: &mut UnifiedPlan) {
     fn scrub_node(node: &mut PlanNode) {
         node.properties
             .retain(|p| !p.identifier.as_str().ends_with("_time_ms"));
