@@ -3,7 +3,6 @@
 //! Produces the tree-less case of the unified grammar
 //! (`plan ::= (tree)? properties`) the paper designed for InfluxDB.
 
-use uplan_core::registry::Dbms;
 use uplan_core::{Error, Result, UnifiedPlan};
 
 use crate::spine::{declare_converter, NodeBuilder};
@@ -16,11 +15,6 @@ declare_converter!(
     text_body,
     |input| input.contains("EXPRESSION:")
 );
-
-/// Converts `EXPLAIN` output.
-pub fn from_text(input: &str) -> Result<UnifiedPlan> {
-    text_body(input, &mut NodeBuilder::new(Dbms::InfluxDb))
-}
 
 fn text_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     let mut plan = UnifiedPlan::new();
@@ -43,13 +37,14 @@ fn text_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use uplan_core::PropertyCategory;
 
     #[test]
     fn property_only_plan() {
         let stats = dialects::influxdb::InfluxStats::synthetic(2, 10);
         let text = dialects::influxdb::to_text(&stats);
-        let plan = from_text(&text).unwrap();
+        let plan = convert(Source::InfluxText, &text).unwrap();
         assert!(plan.root.is_none(), "InfluxDB plans have no tree");
         assert!(plan.properties.len() >= 6);
         let series = plan.plan_property("NUMBER_OF_SERIES").unwrap();
@@ -62,7 +57,7 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_text("").is_err());
-        assert!(from_text("not a property line").is_err());
+        assert!(convert(Source::InfluxText, "").is_err());
+        assert!(convert(Source::InfluxText, "not a property line").is_err());
     }
 }

@@ -14,6 +14,12 @@
 //! * [`influxdb`] — the property-only plan (no tree);
 //! * [`sqlserver`] — XML showplan.
 //!
+//! [`convert`]`(source, text)` is the entry point. Each module declares
+//! its dialect's [`SourceConverter`] unit struct over a private body, and
+//! [`Source::converter`] hands those out to callers that reuse one
+//! [`NodeBuilder`] across many inputs (batch ingest). No dialect has an
+//! entry point of its own.
+//!
 //! Conversion resolves native operation/property names through the study
 //! [`Registry`], realizing the unified naming convention (`Seq Scan` /
 //! `Table Scan` / `TableFullScan` → `Full_Table_Scan`); names the study did

@@ -1,44 +1,21 @@
 //! MongoDB converter: `explain()` JSON → unified plans.
 
-use uplan_core::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue, TreeReader};
-use uplan_core::registry::Dbms;
+use uplan_core::formats::json::{JsonEvent, JsonPull, JsonReader};
 use uplan_core::{Error, PlanNode, Result, UnifiedPlan};
 
 use crate::spine::{declare_converter, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
-    /// `explain()` JSON.
+    /// `explain()` JSON (the `queryPlanner.winningPlan` vine).
+    ///
+    /// The document streams through the zero-copy [`JsonReader`]: the
+    /// stage vine is schema-directed, so no JSON tree is materialized.
     JsonConverter,
     Source::MongoJson,
     |input, b: &mut NodeBuilder| json_body(&mut JsonReader::new(input), b),
     |input| input.trim_start().starts_with('{') && input.contains("\"queryPlanner\"")
 );
-
-/// Converts `explain()` output (the `queryPlanner.winningPlan` vine).
-///
-/// The document streams through the zero-copy [`JsonReader`]: the stage
-/// vine is schema-directed, so no JSON tree is materialized.
-pub fn from_json(input: &str) -> Result<UnifiedPlan> {
-    json_body(
-        &mut JsonReader::new(input),
-        &mut NodeBuilder::new(Dbms::MongoDb),
-    )
-}
-
-/// The borrowed-tree driver of the same conversion (equivalence-testing
-/// reference; see [`crate::postgres::from_json_value`]).
-pub fn from_json_value(doc: &JsonValue<'_>) -> Result<UnifiedPlan> {
-    json_body(
-        &mut TreeReader::new(doc),
-        &mut NodeBuilder::new(Dbms::MongoDb),
-    )
-}
-
-/// Parses the input as a JSON tree and converts through the tree driver.
-pub fn from_json_via_tree(input: &str) -> Result<UnifiedPlan> {
-    from_json_value(&json::parse(input)?)
-}
 
 fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ObjectStart {
@@ -134,7 +111,9 @@ fn stage_value<'a>(r: &mut impl JsonPull<'a>, b: &NodeBuilder) -> Result<PlanNod
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use minidoc::{Condition, DocStore, FilterOp, Request};
+    use uplan_core::formats::json::{self, JsonValue};
     use uplan_core::OperationCategory;
 
     fn store() -> DocStore {
@@ -166,7 +145,7 @@ mod tests {
             }),
         };
         let (_, doc_plan) = store.find(&request);
-        let unified = from_json(&dialects::mongodb::to_json(&doc_plan)).unwrap();
+        let unified = convert(Source::MongoJson, &dialects::mongodb::to_json(&doc_plan)).unwrap();
         assert_eq!(unified.operation_count(), 2);
         let counts = uplan_core::stats::CategoryCounts::of(&unified);
         assert_eq!(counts.get(&OperationCategory::Producer), 1);
@@ -189,7 +168,7 @@ mod tests {
             ..Request::default()
         };
         let (_, doc_plan) = store.find(&request);
-        let unified = from_json(&dialects::mongodb::to_json(&doc_plan)).unwrap();
+        let unified = convert(Source::MongoJson, &dialects::mongodb::to_json(&doc_plan)).unwrap();
         let root = unified.root.as_ref().unwrap();
         assert_eq!(root.operation.identifier, "Document_Fetch");
         assert_eq!(root.children[0].operation.identifier, "Index_Scan");
@@ -212,7 +191,7 @@ mod tests {
             ..Request::default()
         };
         let (_, doc_plan) = store.find(&request);
-        let unified = from_json(&dialects::mongodb::to_json(&doc_plan)).unwrap();
+        let unified = convert(Source::MongoJson, &dialects::mongodb::to_json(&doc_plan)).unwrap();
         assert_eq!(unified.operation_count(), 1, "YCSB point-read shape");
         assert_eq!(
             unified.root.as_ref().unwrap().operation.identifier,
@@ -222,8 +201,12 @@ mod tests {
 
     #[test]
     fn rejects_non_explain_json() {
-        assert!(from_json("{}").is_err());
-        assert!(from_json("{\"queryPlanner\": {}}").is_err());
-        assert!(from_json("{\"queryPlanner\": {\"winningPlan\": {}}}").is_err());
+        assert!(convert(Source::MongoJson, "{}").is_err());
+        assert!(convert(Source::MongoJson, "{\"queryPlanner\": {}}").is_err());
+        assert!(convert(
+            Source::MongoJson,
+            "{\"queryPlanner\": {\"winningPlan\": {}}}"
+        )
+        .is_err());
     }
 }

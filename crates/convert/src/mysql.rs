@@ -1,7 +1,6 @@
 //! MySQL converter: `FORMAT=JSON` and the classic table → unified plans.
 
-use uplan_core::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue, TreeReader};
-use uplan_core::registry::Dbms;
+use uplan_core::formats::json::{JsonEvent, JsonPull, JsonReader};
 use uplan_core::{Error, PlanNode, Property, Result, UnifiedPlan};
 
 use crate::spine::{chain, declare_converter, pipe_cells, pipe_header, CellTrim, NodeBuilder};
@@ -9,6 +8,12 @@ use crate::Source;
 
 declare_converter!(
     /// `EXPLAIN FORMAT=JSON`.
+    ///
+    /// The document streams through the zero-copy [`JsonReader`]: the
+    /// recursive `query_block` dispatch is schema-directed, so no JSON tree
+    /// is built — object keys and escape-free strings are spans of the
+    /// input, and only property values are materialized (as borrowed
+    /// scalars).
     JsonConverter,
     Source::MySqlJson,
     |input, b: &mut NodeBuilder| json_body(&mut JsonReader::new(input), b),
@@ -16,39 +21,12 @@ declare_converter!(
 );
 
 declare_converter!(
-    /// The classic `EXPLAIN` table.
+    /// The classic `EXPLAIN` table (rows become a left-deep chain).
     TableConverter,
     Source::MySqlTable,
     table_body,
     |input| input.contains("select_type")
 );
-
-/// Converts `EXPLAIN FORMAT=JSON` output.
-///
-/// The document streams through the zero-copy [`JsonReader`]: the recursive
-/// `query_block` dispatch is schema-directed, so no JSON tree is built —
-/// object keys and escape-free strings are spans of `input`, and only
-/// property values are materialized (as borrowed scalars).
-pub fn from_json(input: &str) -> Result<UnifiedPlan> {
-    json_body(
-        &mut JsonReader::new(input),
-        &mut NodeBuilder::new(Dbms::MySql),
-    )
-}
-
-/// The borrowed-tree driver of the same conversion (equivalence-testing
-/// reference; see [`crate::postgres::from_json_value`]).
-pub fn from_json_value(doc: &JsonValue<'_>) -> Result<UnifiedPlan> {
-    json_body(
-        &mut TreeReader::new(doc),
-        &mut NodeBuilder::new(Dbms::MySql),
-    )
-}
-
-/// Parses the input as a JSON tree and converts through the tree driver.
-pub fn from_json_via_tree(input: &str) -> Result<UnifiedPlan> {
-    from_json_value(&json::parse(input)?)
-}
 
 fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ObjectStart {
@@ -234,11 +212,6 @@ fn table_value<'a>(r: &mut impl JsonPull<'a>, b: &NodeBuilder) -> Result<PlanNod
     Ok(node)
 }
 
-/// Converts the classic table format (rows become a left-deep chain).
-pub fn from_table(input: &str) -> Result<UnifiedPlan> {
-    table_body(input, &mut NodeBuilder::new(Dbms::MySql))
-}
-
 fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     let mut header = Vec::new();
     let rows = pipe_header(input, CellTrim::Full, &mut header)
@@ -275,6 +248,7 @@ fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use minidb::profile::EngineProfile;
     use minidb::Database;
     use uplan_core::OperationCategory;
@@ -303,7 +277,7 @@ mod tests {
             )
             .unwrap();
         let text = dialects::mysql::to_json(&plan);
-        let unified = from_json(&text).unwrap();
+        let unified = convert(Source::MySqlJson, &text).unwrap();
         let root = unified.root.as_ref().unwrap();
         assert_eq!(root.operation.identifier, "Sort");
         assert_eq!(root.operation.category, OperationCategory::Combinator);
@@ -326,7 +300,7 @@ mod tests {
             .explain("SELECT t0.c0 FROM t0 JOIN t1 ON t0.c0 = t1.c0 WHERE t0.c1 < 2")
             .unwrap();
         let text = dialects::mysql::to_table(&plan);
-        let unified = from_table(&text).unwrap();
+        let unified = convert(Source::MySqlTable, &text).unwrap();
         assert_eq!(unified.operation_count(), 2);
         let root = unified.root.as_ref().unwrap();
         assert!(root.property("name_object").is_some(), "{root:?}");
@@ -342,7 +316,7 @@ mod tests {
 |  1 | SIMPLE      | t0    | ALL  | NULL | 5    | Using where |
 +----+-------------+-------+------+------+------+-------------+
 ";
-        let unified = from_table(text).unwrap();
+        let unified = convert(Source::MySqlTable, text).unwrap();
         assert_eq!(unified.operation_count(), 1);
         let root = unified.root.unwrap();
         assert_eq!(root.operation.identifier, "Full_Table_Scan");
@@ -356,7 +330,7 @@ mod tests {
             .explain("SELECT c0 FROM t0 WHERE c0 > (SELECT COUNT(*) FROM t1)")
             .unwrap();
         let text = dialects::mysql::to_json(&plan);
-        let unified = from_json(&text).unwrap();
+        let unified = convert(Source::MySqlJson, &text).unwrap();
         // Main scan + subquery scan.
         let counts = uplan_core::stats::CategoryCounts::of(&unified);
         assert!(
@@ -367,8 +341,8 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_json("{}").is_err());
-        assert!(from_json("[1]").is_err());
-        assert!(from_table("").is_err());
+        assert!(convert(Source::MySqlJson, "{}").is_err());
+        assert!(convert(Source::MySqlJson, "[1]").is_err());
+        assert!(convert(Source::MySqlTable, "").is_err());
     }
 }

@@ -4,24 +4,18 @@
 //! properties, and the content outside the table is plan-associated
 //! properties" — exactly how this converter splits its input.
 
-use uplan_core::registry::Dbms;
 use uplan_core::{Error, PlanNode, Result, UnifiedPlan};
 
 use crate::spine::{chain, declare_converter, pipe_cells, CellTrim, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
-    /// The operator table.
+    /// The rendered operator table.
     TableConverter,
     Source::Neo4jTable,
     table_body,
     |input| input.contains("| Operator")
 );
-
-/// Converts the rendered operator table.
-pub fn from_table(input: &str) -> Result<UnifiedPlan> {
-    table_body(input, &mut NodeBuilder::new(Dbms::Neo4j))
-}
 
 fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     let mut plan = UnifiedPlan::new();
@@ -96,6 +90,7 @@ fn push_plan_prop(plan: &mut UnifiedPlan, key: &str, value: &str, b: &NodeBuilde
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use uplan_core::OperationCategory;
 
     /// Paper Fig. 1 (structure-faithful rendering).
@@ -116,7 +111,7 @@ Total database accesses: 5, total allocated memory: 184
 
     #[test]
     fn fig1_conversion() {
-        let plan = from_table(FIG1).unwrap();
+        let plan = convert(Source::Neo4jTable, FIG1).unwrap();
         let root = plan.root.as_ref().unwrap();
         assert_eq!(root.operation.identifier, "Produce_Results");
         assert_eq!(root.operation.category, OperationCategory::Executor);
@@ -133,7 +128,7 @@ Total database accesses: 5, total allocated memory: 184
 
     #[test]
     fn header_footer_become_plan_properties() {
-        let plan = from_table(FIG1).unwrap();
+        let plan = convert(Source::Neo4jTable, FIG1).unwrap();
         assert!(plan.plan_property("Planner").is_some());
         let accesses = plan.plan_property("Total_database_accesses").unwrap();
         assert_eq!(accesses.value, uplan_core::Value::Int(5));
@@ -162,7 +157,7 @@ Total database accesses: 5, total allocated memory: 184
             ..PatternQuery::default()
         });
         let text = dialects::neo4j::to_table(&graph_plan);
-        let unified = from_table(&text).unwrap();
+        let unified = convert(Source::Neo4jTable, &text).unwrap();
         let counts = uplan_core::stats::CategoryCounts::of(&unified);
         assert!(counts.get(&OperationCategory::Join) >= 1, "{text}");
         assert!(counts.get(&OperationCategory::Executor) >= 1, "{text}");
@@ -170,7 +165,7 @@ Total database accesses: 5, total allocated memory: 184
 
     #[test]
     fn rejects_tableless_input() {
-        assert!(from_table("").is_err());
-        assert!(from_table("Planner COST\n").is_err());
+        assert!(convert(Source::Neo4jTable, "").is_err());
+        assert!(convert(Source::Neo4jTable, "Planner COST\n").is_err());
     }
 }

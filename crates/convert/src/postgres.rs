@@ -1,7 +1,6 @@
 //! PostgreSQL converter: `EXPLAIN` text and `FORMAT JSON` → unified plans.
 
-use uplan_core::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue, TreeReader};
-use uplan_core::registry::Dbms;
+use uplan_core::formats::json::{JsonEvent, JsonPull, JsonReader};
 use uplan_core::{Error, PlanNode, Property, Result, UnifiedPlan};
 
 use crate::spine::{configuration, declare_converter, NodeBuilder};
@@ -18,16 +17,16 @@ declare_converter!(
 
 declare_converter!(
     /// `EXPLAIN (FORMAT JSON)`.
+    ///
+    /// The document is walked through the zero-copy streaming
+    /// [`JsonReader`] — no JSON tree is materialized for the plan skeleton;
+    /// only property *values* are read as (borrowed) values before
+    /// conversion.
     JsonConverter,
     Source::PostgresJson,
     |input, b: &mut NodeBuilder| json_body(&mut JsonReader::new(input), b),
     |input| input.trim_start().starts_with('[')
 );
-
-/// Converts `EXPLAIN`/`EXPLAIN ANALYZE` text output.
-pub fn from_text(input: &str) -> Result<UnifiedPlan> {
-    text_body(input, &mut NodeBuilder::new(Dbms::PostgreSql))
-}
 
 fn text_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     let mut plan = UnifiedPlan::new();
@@ -141,28 +140,6 @@ fn parse_head(head: &str, b: &NodeBuilder) -> PlanNode {
     node
 }
 
-/// Converts `EXPLAIN (FORMAT JSON)` output.
-///
-/// The document is walked through the zero-copy streaming [`JsonReader`] —
-/// no JSON tree is materialized for the plan skeleton; only property
-/// *values* are read as (borrowed) values before conversion.
-pub fn from_json(input: &str) -> Result<UnifiedPlan> {
-    json_body(
-        &mut JsonReader::new(input),
-        &mut NodeBuilder::new(Dbms::PostgreSql),
-    )
-}
-
-/// The borrowed-tree driver of the same conversion — identical converter
-/// body replayed over a parsed [`JsonValue`] (the reference the streaming
-/// path is property-tested against).
-pub fn from_json_value(doc: &JsonValue<'_>) -> Result<UnifiedPlan> {
-    json_body(
-        &mut TreeReader::new(doc),
-        &mut NodeBuilder::new(Dbms::PostgreSql),
-    )
-}
-
 fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ArrayStart || !r.array_next()? {
         return Err(Error::Semantic("expected a one-element JSON array".into()));
@@ -233,15 +210,9 @@ fn node_from_events<'a>(r: &mut impl JsonPull<'a>, b: &NodeBuilder) -> Result<Pl
     Ok(node)
 }
 
-/// Parses the input as a JSON tree and converts through the tree driver —
-/// the "legacy" discipline, kept callable for equivalence testing.
-pub fn from_json_via_tree(input: &str) -> Result<UnifiedPlan> {
-    from_json_value(&json::parse(input)?)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{convert, Source};
     use uplan_core::OperationCategory;
 
     /// Paper Listing 1 (PostgreSQL side), abbreviated but structurally
@@ -274,7 +245,7 @@ Planning Time: 0.124 ms
 
     #[test]
     fn listing1_structure() {
-        let plan = from_text(LISTING1).unwrap();
+        let plan = convert(Source::PostgresText, LISTING1).unwrap();
         let root = plan.root.as_ref().unwrap();
         assert_eq!(root.operation.identifier, "Hash_Aggregate");
         assert_eq!(root.operation.category, OperationCategory::Folder);
@@ -292,7 +263,7 @@ Planning Time: 0.124 ms
     #[test]
     fn listing1_category_census() {
         use uplan_core::stats::CategoryCounts;
-        let plan = from_text(LISTING1).unwrap();
+        let plan = convert(Source::PostgresText, LISTING1).unwrap();
         let counts = CategoryCounts::of(&plan);
         // Producers: Seq Scan ×2, Bitmap Heap Scan, Bitmap Index Scan.
         assert_eq!(counts.get(&OperationCategory::Producer), 4);
@@ -307,7 +278,7 @@ Planning Time: 0.124 ms
 
     #[test]
     fn properties_are_classified() {
-        let plan = from_text(LISTING1).unwrap();
+        let plan = convert(Source::PostgresText, LISTING1).unwrap();
         let root = plan.root.as_ref().unwrap();
         let group_key = root.property("group_key").unwrap();
         assert_eq!(
@@ -343,11 +314,11 @@ Planning Time: 0.124 ms
             .explain("SELECT y, COUNT(*) FROM t WHERE x < 20 GROUP BY y ORDER BY y")
             .unwrap();
         let text = dialects::postgres::to_text(&plan);
-        let unified = from_text(&text).unwrap();
+        let unified = convert(Source::PostgresText, &text).unwrap();
         assert!(unified.operation_count() >= 3, "{text}");
 
         let json_text = dialects::postgres::to_json(&plan);
-        let unified_json = from_json(&json_text).unwrap();
+        let unified_json = convert(Source::PostgresJson, &json_text).unwrap();
         // Text hides some structure (it's optimized for humans, paper
         // Section III-E): both parse, JSON carries at least as many ops.
         assert!(unified_json.operation_count() >= unified.operation_count());
@@ -355,21 +326,21 @@ Planning Time: 0.124 ms
 
     #[test]
     fn json_rejects_wrong_shape() {
-        assert!(from_json("{}").is_err());
-        assert!(from_json("[{}]").is_err());
-        assert!(from_json("[{\"Plan\": {\"no_node_type\": 1}}]").is_err());
+        assert!(convert(Source::PostgresJson, "{}").is_err());
+        assert!(convert(Source::PostgresJson, "[{}]").is_err());
+        assert!(convert(Source::PostgresJson, "[{\"Plan\": {\"no_node_type\": 1}}]").is_err());
     }
 
     #[test]
     fn text_rejects_garbage() {
-        assert!(from_text("").is_err());
-        assert!(from_text("complete nonsense\n").is_err());
+        assert!(convert(Source::PostgresText, "").is_err());
+        assert!(convert(Source::PostgresText, "complete nonsense\n").is_err());
     }
 
     #[test]
     fn unknown_operations_fall_back_to_executor() {
         let text = "Quantum Scan on t0  (cost=0.00..1.00 rows=1 width=4)\n";
-        let plan = from_text(text).unwrap();
+        let plan = convert(Source::PostgresText, text).unwrap();
         let root = plan.root.unwrap();
         assert_eq!(root.operation.category, OperationCategory::Executor);
         assert_eq!(root.operation.identifier, "Quantum_Scan");

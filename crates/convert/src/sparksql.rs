@@ -1,23 +1,17 @@
 //! SparkSQL converter: `== Physical Plan ==` text → unified plans.
 
-use uplan_core::registry::Dbms;
 use uplan_core::{Error, Result, UnifiedPlan};
 
 use crate::spine::{configuration, declare_converter, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
-    /// `== Physical Plan ==` text.
+    /// `df.explain()` physical-plan text (`== Physical Plan ==`).
     TextConverter,
     Source::SparkText,
     text_body,
     |input| input.contains("== Physical Plan ==")
 );
-
-/// Converts `df.explain()` physical-plan text.
-pub fn from_text(input: &str) -> Result<UnifiedPlan> {
-    text_body(input, &mut NodeBuilder::new(Dbms::SparkSql))
-}
 
 fn text_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     b.begin_tree();
@@ -80,6 +74,7 @@ fn text_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use uplan_core::OperationCategory;
 
     const SAMPLE: &str = "\
@@ -96,7 +91,7 @@ AdaptiveSparkPlan isFinalPlan=true
 
     #[test]
     fn spark_pipeline_conversion() {
-        let plan = from_text(SAMPLE).unwrap();
+        let plan = convert(Source::SparkText, SAMPLE).unwrap();
         assert_eq!(plan.operation_count(), 8);
         let counts = uplan_core::stats::CategoryCounts::of(&plan);
         // Paper Table II: Project/Filter/Exchange/AdaptiveSparkPlan/
@@ -108,7 +103,7 @@ AdaptiveSparkPlan isFinalPlan=true
 
     #[test]
     fn arguments_become_details() {
-        let plan = from_text(SAMPLE).unwrap();
+        let plan = convert(Source::SparkText, SAMPLE).unwrap();
         let mut found = false;
         plan.walk(&mut |n| {
             if n.operation.identifier == "Shuffle" {
@@ -131,13 +126,13 @@ AdaptiveSparkPlan isFinalPlan=true
         }
         let plan = db.explain("SELECT k, SUM(v) FROM t GROUP BY k").unwrap();
         let text = dialects::sparksql::to_text(&plan);
-        let unified = from_text(&text).unwrap();
+        let unified = convert(Source::SparkText, &text).unwrap();
         assert!(unified.operation_count() >= 5, "{text}");
     }
 
     #[test]
     fn rejects_empty() {
-        assert!(from_text("").is_err());
-        assert!(from_text("== Physical Plan ==\n").is_err());
+        assert!(convert(Source::SparkText, "").is_err());
+        assert!(convert(Source::SparkText, "== Physical Plan ==\n").is_err());
     }
 }

@@ -5,7 +5,6 @@
 //! converter pattern-matches line heads: `SCAN t`, `SEARCH t USING ...`,
 //! `USE TEMP B-TREE FOR ...`, compound-query connectors.
 
-use uplan_core::registry::Dbms;
 use uplan_core::{Error, PlanNode, Property, Result, UnifiedPlan};
 
 use crate::spine::{configuration, declare_converter, NodeBuilder};
@@ -24,11 +23,6 @@ declare_converter!(
                 .any(|l| l.starts_with("SCAN ") || l.starts_with("SEARCH "))
     }
 );
-
-/// Converts `EXPLAIN QUERY PLAN` output.
-pub fn from_eqp(input: &str) -> Result<UnifiedPlan> {
-    eqp_body(input, &mut NodeBuilder::new(Dbms::Sqlite))
-}
 
 fn eqp_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     b.begin_tree();
@@ -124,6 +118,7 @@ fn parse_line(body: &str, b: &NodeBuilder) -> PlanNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use uplan_core::OperationCategory;
 
     /// Paper Listing 1, lines 37–43.
@@ -139,7 +134,7 @@ mod tests {
 
     #[test]
     fn listing1_structure() {
-        let plan = from_eqp(LISTING1).unwrap();
+        let plan = convert(Source::SqliteEqp, LISTING1).unwrap();
         let root = plan.root.as_ref().unwrap();
         assert_eq!(root.operation.identifier, "Append");
         assert_eq!(root.operation.category, OperationCategory::Combinator);
@@ -162,7 +157,7 @@ mod tests {
 
     #[test]
     fn table_names_become_properties() {
-        let plan = from_eqp(LISTING1).unwrap();
+        let plan = convert(Source::SqliteEqp, LISTING1).unwrap();
         let mut tables = Vec::new();
         plan.walk(&mut |n| {
             if let Some(p) = n.property("name_object") {
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn flattened_join_lines() {
         let text = "|--SCAN t0\n`--SEARCH t1 USING INDEX i1 (c0=?)\n";
-        let plan = from_eqp(text).unwrap();
+        let plan = convert(Source::SqliteEqp, text).unwrap();
         assert_eq!(plan.operation_count(), 2);
         let root = plan.root.unwrap();
         assert_eq!(root.operation.identifier, "Full_Table_Scan");
@@ -195,7 +190,7 @@ mod tests {
             .explain("SELECT a.x FROM a JOIN b ON a.x = b.x ORDER BY a.x")
             .unwrap();
         let text = dialects::sqlite::to_text(&plan);
-        let unified = from_eqp(&text).unwrap();
+        let unified = convert(Source::SqliteEqp, &text).unwrap();
         let counts = uplan_core::stats::CategoryCounts::of(&unified);
         assert!(counts.get(&OperationCategory::Producer) >= 2, "{text}");
         assert!(
@@ -207,7 +202,7 @@ mod tests {
     #[test]
     fn scalar_subquery_ordinals_strip() {
         let text = "|--SCAN t0\n`--SCALAR SUBQUERY 1\n   `--SCAN t1\n";
-        let plan = from_eqp(text).unwrap();
+        let plan = convert(Source::SqliteEqp, text).unwrap();
         let mut names = Vec::new();
         plan.walk(&mut |n| names.push(n.operation.identifier));
         assert!(names.iter().any(|n| *n == "Subquery_Scan"), "{names:?}");
@@ -215,7 +210,7 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        assert!(from_eqp("").is_err());
-        assert!(from_eqp("QUERY PLAN\n").is_err());
+        assert!(convert(Source::SqliteEqp, "").is_err());
+        assert!(convert(Source::SqliteEqp, "QUERY PLAN\n").is_err());
     }
 }

@@ -1,28 +1,22 @@
 //! SQL Server converter: XML showplan → unified plans.
 
 use uplan_core::formats::xml::{self, XmlElement};
-use uplan_core::registry::Dbms;
 use uplan_core::{Error, PlanNode, Result, UnifiedPlan};
 
 use crate::spine::{declare_converter, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
-    /// XML showplan.
+    /// A `<ShowPlanXML>` document.
+    ///
+    /// XML showplans are genuinely tree-shaped, so this converter walks the
+    /// parsed [`XmlElement`] tree — the shared borrowed-tree discipline,
+    /// rather than a streaming one.
     XmlConverter,
     Source::SqlServerXml,
     xml_body,
     |input| input.trim_start().starts_with('<') && input.contains("ShowPlanXML")
 );
-
-/// Converts a `<ShowPlanXML>` document.
-///
-/// XML showplans are genuinely tree-shaped, so this converter walks the
-/// parsed [`XmlElement`] tree — the shared borrowed-tree discipline, rather
-/// than a streaming one.
-pub fn from_xml(input: &str) -> Result<UnifiedPlan> {
-    xml_body(input, &mut NodeBuilder::new(Dbms::SqlServer))
-}
 
 fn xml_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     let doc = xml::parse(input)?;
@@ -107,6 +101,7 @@ fn rel_op_node(el: &XmlElement, b: &NodeBuilder) -> Result<PlanNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use minidb::profile::EngineProfile;
     use minidb::Database;
     use uplan_core::OperationCategory;
@@ -126,7 +121,7 @@ mod tests {
     #[test]
     fn showplan_conversion() {
         let text = plan_xml("SELECT y, COUNT(*) FROM t WHERE x < 20 GROUP BY y");
-        let plan = from_xml(&text).unwrap();
+        let plan = convert(Source::SqlServerXml, &text).unwrap();
         assert!(plan.operation_count() >= 2, "{text}");
         let counts = uplan_core::stats::CategoryCounts::of(&plan);
         assert!(counts.get(&OperationCategory::Producer) >= 1);
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn estimate_rows_classified_cardinality() {
         let text = plan_xml("SELECT x FROM t WHERE x = 3");
-        let plan = from_xml(&text).unwrap();
+        let plan = convert(Source::SqlServerXml, &text).unwrap();
         let root = plan.root.as_ref().unwrap();
         let find = |node: &uplan_core::PlanNode, key: &str| node.property(key).map(|p| p.category);
         let mut checked = false;
@@ -166,8 +161,8 @@ mod tests {
 
     #[test]
     fn rejects_foreign_xml() {
-        assert!(from_xml("<Other/>").is_err());
-        assert!(from_xml("not xml").is_err());
-        assert!(from_xml("<ShowPlanXML></ShowPlanXML>").is_err());
+        assert!(convert(Source::SqlServerXml, "<Other/>").is_err());
+        assert!(convert(Source::SqlServerXml, "not xml").is_err());
+        assert!(convert(Source::SqlServerXml, "<ShowPlanXML></ShowPlanXML>").is_err());
     }
 }

@@ -5,25 +5,19 @@
 //! mishandling this was the bug in the original QPG implementation) and the
 //! `Filter` key being a property rather than an operation.
 
-use uplan_core::registry::Dbms;
 use uplan_core::{Error, Result, UnifiedPlan};
 
 use crate::spine::{declare_converter, pipe_cells, pipe_header, CellTrim, NodeBuilder};
 use crate::Source;
 
 declare_converter!(
-    /// The `EXPLAIN` table.
+    /// The `EXPLAIN` table: `id | estRows | [actRows |] task |
+    /// access object | operator info`.
     TableConverter,
     Source::TidbTable,
     table_body,
     |input| input.contains("estRows")
 );
-
-/// Converts the `id | estRows | [actRows |] task | access object |
-/// operator info` table.
-pub fn from_table(input: &str) -> Result<UnifiedPlan> {
-    table_body(input, &mut NodeBuilder::new(Dbms::TiDb))
-}
 
 fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     // Trailing-only trim keeps the `id` column's leading spaces, which
@@ -91,6 +85,7 @@ fn table_body(input: &str, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert;
     use uplan_core::fingerprint::fingerprint;
     use uplan_core::OperationCategory;
 
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn fig2_conversion() {
-        let plan = from_table(FIG2).unwrap();
+        let plan = convert(Source::TidbTable, FIG2).unwrap();
         let root = plan.root.as_ref().unwrap();
         // Fig. 2: "TiDB's plan is converted into two operations [...]
         // Executor->Collect [receiving] data from other nodes" plus the
@@ -136,8 +131,8 @@ mod tests {
             .replace("TableReader_7", "TableReader_9")
             .replace("Selection_6 ", "Selection_12")
             .replace("TableFullScan_5 ", "TableFullScan_31");
-        let a = from_table(FIG2).unwrap();
-        let b = from_table(&renumbered).unwrap();
+        let a = convert(Source::TidbTable, FIG2).unwrap();
+        let b = convert(Source::TidbTable, &renumbered).unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
@@ -156,7 +151,7 @@ mod tests {
             .explain("SELECT x FROM t WHERE y = 2 AND x < 30")
             .unwrap();
         let text = dialects::tidb::to_table(&plan, 3);
-        let unified = from_table(&text).unwrap();
+        let unified = convert(Source::TidbTable, &text).unwrap();
         // IndexLookUp expands to index + rowid scans: two producers.
         let counts = uplan_core::stats::CategoryCounts::of(&unified);
         assert!(
@@ -167,8 +162,8 @@ mod tests {
 
     #[test]
     fn rejects_non_tables() {
-        assert!(from_table("").is_err());
-        assert!(from_table("nothing tabular").is_err());
-        assert!(from_table("| id |\n").is_err());
+        assert!(convert(Source::TidbTable, "").is_err());
+        assert!(convert(Source::TidbTable, "nothing tabular").is_err());
+        assert!(convert(Source::TidbTable, "| id |\n").is_err());
     }
 }

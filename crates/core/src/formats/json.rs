@@ -9,11 +9,15 @@
 //!
 //! Three layers, from cheapest to most convenient:
 //!
-//! * [`JsonReader`] — a pull-based SAX-style reader producing borrowed
-//!   [`JsonEvent`]s. Escape-free strings and object keys are
-//!   [`Cow::Borrowed`] spans of the input; numbers are parsed in place.
-//!   Converters with a known schema walk explain output through this
-//!   without materializing a tree at all.
+//! * [`JsonPull`] — the one pull API: borrowed [`JsonEvent`]s plus the
+//!   structured helpers (`next_key`, `array_next`, `read_value`,
+//!   `skip_value`, …), written once. Its streaming source, [`JsonReader`],
+//!   lexes text: escape-free strings and object keys are [`Cow::Borrowed`]
+//!   spans of the input and numbers are parsed in place. Converters with a
+//!   known schema walk explain output through it without materializing a
+//!   tree at all. [`TreeReader`] replays a parsed tree as the same events,
+//!   borrowing every string from the tree, so one schema-directed body
+//!   decodes both text and trees.
 //! * [`parse`] — builds a borrowed [`JsonValue`] tree over the input
 //!   `&str`. The only allocations are the container `Vec`s and the decoded
 //!   forms of strings that contain escapes.
@@ -728,11 +732,11 @@ struct Frame {
     /// Items (members or elements) consumed so far in this container.
     count: u32,
     /// A key was emitted (objects) or an element separator was consumed
-    /// ([`JsonReader::array_next`]): the next event must be a value.
+    /// ([`JsonPull::array_next`]): the next event must be a value.
     pending_value: bool,
 }
 
-/// A pull-based JSON reader: repeatedly call [`JsonReader::next_event`] (or
+/// A pull-based JSON reader: repeatedly call [`JsonPull::next_event`] (or
 /// the structured helpers) to walk a document without building a tree.
 ///
 /// The reader validates structure as it goes — commas, colons, nesting
@@ -756,89 +760,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// Byte offset of the next unread input (for error reporting).
-    pub fn offset(&self) -> usize {
-        self.lx.pos
-    }
-
-    /// The next event of the document.
-    pub fn next_event(&mut self) -> Result<JsonEvent<'a>> {
-        if let Some(ev) = self.peeked.take() {
-            return Ok(ev);
-        }
-        self.lx.skip_ws();
-        let Some(&frame) = self.stack.last() else {
-            // Top level: exactly one value, then Eof.
-            if self.started {
-                return if self.lx.pos == self.lx.bytes.len() {
-                    Ok(JsonEvent::Eof)
-                } else {
-                    Err(Error::parse(
-                        self.lx.pos,
-                        "trailing characters after JSON document",
-                    ))
-                };
-            }
-            self.started = true;
-            return self.value_start();
-        };
-        if frame.is_object {
-            if frame.pending_value {
-                let top = self.stack.last_mut().expect("checked");
-                top.pending_value = false;
-                top.count += 1;
-                return self.value_start();
-            }
-            match self.lx.peek() {
-                Some(b'}') => {
-                    self.stack.pop();
-                    self.lx.pos += 1;
-                    Ok(JsonEvent::ObjectEnd)
-                }
-                Some(b',') if frame.count > 0 => {
-                    self.lx.pos += 1;
-                    self.lx.skip_ws();
-                    self.key_event()
-                }
-                _ if frame.count == 0 => self.key_event(),
-                _ => Err(Error::parse(self.lx.pos, "expected ',' or '}' in object")),
-            }
-        } else {
-            if frame.pending_value {
-                self.stack.last_mut().expect("checked").pending_value = false;
-                return self.value_start();
-            }
-            match self.lx.peek() {
-                Some(b']') => {
-                    self.stack.pop();
-                    self.lx.pos += 1;
-                    Ok(JsonEvent::ArrayEnd)
-                }
-                Some(b',') if frame.count > 0 => {
-                    self.lx.pos += 1;
-                    self.lx.skip_ws();
-                    self.stack.last_mut().expect("checked").count += 1;
-                    self.value_start()
-                }
-                _ if frame.count == 0 => {
-                    self.stack.last_mut().expect("checked").count = 1;
-                    self.value_start()
-                }
-                _ => Err(Error::parse(self.lx.pos, "expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    /// Peeks at the next event without consuming it.
-    pub fn peek_event(&mut self) -> Result<&JsonEvent<'a>> {
-        if self.peeked.is_none() {
-            let ev = self.next_event()?;
-            self.peeked = Some(ev);
-        }
-        Ok(self.peeked.as_ref().expect("just filled"))
-    }
-
-    fn key_event(&mut self) -> Result<JsonEvent<'a>> {
+    /// Lexes an object key and its `:`, leaving the member's value pending.
+    fn lex_key(&mut self) -> Result<Cow<'a, str>> {
         let key = self.lx.lex_string()?;
         self.lx.skip_ws();
         if self.lx.peek() != Some(b':') {
@@ -846,7 +769,7 @@ impl<'a> JsonReader<'a> {
         }
         self.lx.pos += 1;
         self.stack.last_mut().expect("in object").pending_value = true;
-        Ok(JsonEvent::Key(key))
+        Ok(key)
     }
 
     fn value_start(&mut self) -> Result<JsonEvent<'a>> {
@@ -891,193 +814,29 @@ impl<'a> JsonReader<'a> {
         });
         Ok(())
     }
-
-    // -- structured helpers ------------------------------------------------
-
-    /// Consumes an `ObjectStart`; errors if the next value is not an object.
-    pub fn expect_object_start(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::ObjectStart => Ok(()),
-            _ => Err(Error::parse(offset, "expected an object")),
-        }
-    }
-
-    /// Consumes an `ArrayStart`; errors if the next value is not an array.
-    pub fn expect_array_start(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::ArrayStart => Ok(()),
-            _ => Err(Error::parse(offset, "expected an array")),
-        }
-    }
-
-    /// Inside an object (after `ObjectStart`): the next member key, or
-    /// `None` when the closing `}` is reached (which is consumed).
-    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
-        // Fast path: read the key straight off the lexer without building a
-        // `JsonEvent` (the hottest call of schema-directed converters).
-        if self.peeked.is_none() {
-            if let Some(frame) = self.stack.last() {
-                if frame.is_object && !frame.pending_value {
-                    self.lx.skip_ws();
-                    match self.lx.peek() {
-                        Some(b'}') => {
-                            self.stack.pop();
-                            self.lx.pos += 1;
-                            return Ok(None);
-                        }
-                        Some(b',') if frame.count > 0 => {
-                            self.lx.pos += 1;
-                            self.lx.skip_ws();
-                        }
-                        _ if frame.count == 0 => {}
-                        _ => {
-                            return Err(Error::parse(self.lx.pos, "expected ',' or '}' in object"))
-                        }
-                    }
-                    let key = self.lx.lex_string()?;
-                    self.lx.skip_ws();
-                    if self.lx.peek() != Some(b':') {
-                        return Err(Error::parse(self.lx.pos, "expected ':' in object"));
-                    }
-                    self.lx.pos += 1;
-                    self.stack.last_mut().expect("in object").pending_value = true;
-                    return Ok(Some(key));
-                }
-            }
-        }
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Key(k) => Ok(Some(k)),
-            JsonEvent::ObjectEnd => Ok(None),
-            _ => Err(Error::parse(offset, "expected an object member")),
-        }
-    }
-
-    /// Inside an array (after `ArrayStart`): `true` if another element
-    /// follows (left unconsumed), `false` when the closing `]` is reached
-    /// (which is consumed).
-    pub fn array_next(&mut self) -> Result<bool> {
-        // Fast path: settle the separator question straight off the lexer.
-        if self.peeked.is_none() {
-            if let Some(frame) = self.stack.last() {
-                if !frame.is_object && !frame.pending_value {
-                    self.lx.skip_ws();
-                    match self.lx.peek() {
-                        Some(b']') => {
-                            self.stack.pop();
-                            self.lx.pos += 1;
-                            return Ok(false);
-                        }
-                        Some(b',') if frame.count > 0 => {
-                            self.lx.pos += 1;
-                        }
-                        _ if frame.count == 0 => {}
-                        _ => return Err(Error::parse(self.lx.pos, "expected ',' or ']' in array")),
-                    }
-                    let top = self.stack.last_mut().expect("in array");
-                    top.count += 1;
-                    top.pending_value = true;
-                    return Ok(true);
-                }
-            }
-        }
-        if matches!(self.peek_event()?, JsonEvent::ArrayEnd) {
-            self.next_event()?;
-            Ok(false)
-        } else {
-            Ok(true)
-        }
-    }
-
-    /// Materializes the next value (scalar or whole subtree) as a borrowed
-    /// [`JsonValue`].
-    pub fn read_value(&mut self) -> Result<JsonValue<'a>> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Null => Ok(JsonValue::Null),
-            JsonEvent::Bool(b) => Ok(JsonValue::Bool(b)),
-            JsonEvent::Int(i) => Ok(JsonValue::Int(i)),
-            JsonEvent::Float(f) => Ok(JsonValue::Float(f)),
-            JsonEvent::Str(s) => Ok(JsonValue::Str(s)),
-            JsonEvent::ObjectStart => {
-                let mut members = Vec::with_capacity(OBJECT_CAPACITY);
-                while let Some(key) = self.next_key()? {
-                    members.push((key, self.read_value()?));
-                }
-                Ok(JsonValue::Object(members))
-            }
-            JsonEvent::ArrayStart => {
-                let mut items = Vec::with_capacity(ARRAY_CAPACITY);
-                while self.array_next()? {
-                    items.push(self.read_value()?);
-                }
-                Ok(JsonValue::Array(items))
-            }
-            _ => Err(Error::parse(offset, "expected a JSON value")),
-        }
-    }
-
-    /// Skips the next value (scalar or whole subtree) without building it.
-    pub fn skip_value(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Null
-            | JsonEvent::Bool(_)
-            | JsonEvent::Int(_)
-            | JsonEvent::Float(_)
-            | JsonEvent::Str(_) => Ok(()),
-            JsonEvent::ObjectStart | JsonEvent::ArrayStart => {
-                let target = self.stack.len() - 1;
-                loop {
-                    match self.next_event()? {
-                        JsonEvent::ObjectEnd | JsonEvent::ArrayEnd
-                            if self.stack.len() == target =>
-                        {
-                            return Ok(())
-                        }
-                        JsonEvent::Eof => {
-                            return Err(Error::UnexpectedEof("JSON value".to_owned()))
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            _ => Err(Error::parse(offset, "expected a JSON value")),
-        }
-    }
-
-    /// Asserts the document is fully consumed (no trailing characters).
-    pub fn finish(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Eof => Ok(()),
-            _ => Err(Error::parse(
-                offset,
-                "trailing characters after JSON document",
-            )),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Pull abstraction: one converter body, two drivers
+// Pull abstraction: one set of helpers, two event sources
 // ---------------------------------------------------------------------------
 
-/// A pull source of [`JsonEvent`]s.
+/// A pull source of [`JsonEvent`]s, and the one home of the structured
+/// helpers every schema-directed consumer walks documents with.
 ///
-/// Implemented by the zero-copy streaming [`JsonReader`] (the production
-/// driver of every JSON converter) and by [`TreeReader`], which replays an
-/// already-parsed [`JsonValue`] as the same event sequence. Schema-directed
-/// consumers written against this trait therefore run unchanged on either
-/// driver — which is how the converter property tests check that streaming
-/// conversion and tree-based conversion agree.
+/// Two sources implement it: the zero-copy streaming [`JsonReader`] over
+/// text (the driver of every JSON converter and of
+/// [`unified::from_json`](crate::formats::unified::from_json)), and
+/// [`TreeReader`], which replays an already-parsed [`JsonValue`] as the
+/// event sequence [`JsonReader`] produces for its serialization (the
+/// driver of [`unified::from_json_value`](crate::formats::unified::from_json_value),
+/// which decodes probe plans embedded in parsed request bodies). A body
+/// written against this trait therefore decodes text and trees alike.
 ///
 /// Only [`JsonPull::next_event`], [`JsonPull::peek_event`] and
-/// [`JsonPull::offset`] are required; the structured helpers have default
-/// implementations in terms of them (and [`JsonReader`] overrides the
-/// helpers with its lexer fast paths).
+/// [`JsonPull::offset`] are required. The helpers are written once, here;
+/// [`JsonReader`] overrides [`JsonPull::next_key`] and
+/// [`JsonPull::array_next`] with lexer fast paths that skip building the
+/// intermediate event.
 pub trait JsonPull<'a> {
     /// The next event of the document.
     fn next_event(&mut self) -> Result<JsonEvent<'a>>;
@@ -1137,24 +896,14 @@ pub trait JsonPull<'a> {
     /// Inside an object (after `ObjectStart`): the next member key, or
     /// `None` when the closing `}` is reached (which is consumed).
     fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Key(k) => Ok(Some(k)),
-            JsonEvent::ObjectEnd => Ok(None),
-            _ => Err(Error::parse(offset, "expected an object member")),
-        }
+        next_key_by_event(self)
     }
 
     /// Inside an array (after `ArrayStart`): `true` if another element
     /// follows (left unconsumed), `false` when the closing `]` is reached
     /// (which is consumed).
     fn array_next(&mut self) -> Result<bool> {
-        if matches!(self.peek_event()?, JsonEvent::ArrayEnd) {
-            self.next_event()?;
-            Ok(false)
-        } else {
-            Ok(true)
-        }
+        array_next_by_event(self)
     }
 
     /// Materializes the next value (scalar or whole subtree) as a
@@ -1212,7 +961,7 @@ pub trait JsonPull<'a> {
         }
     }
 
-    /// Asserts the document is fully consumed.
+    /// Asserts the document is fully consumed (no trailing characters).
     fn finish(&mut self) -> Result<()> {
         let offset = self.offset();
         match self.next_event()? {
@@ -1225,68 +974,177 @@ pub trait JsonPull<'a> {
     }
 }
 
+/// [`JsonPull::next_key`] in terms of events: the default, and the slow
+/// path of [`JsonReader`]'s override.
+fn next_key_by_event<'a, R: JsonPull<'a> + ?Sized>(r: &mut R) -> Result<Option<Cow<'a, str>>> {
+    let offset = r.offset();
+    match r.next_event()? {
+        JsonEvent::Key(k) => Ok(Some(k)),
+        JsonEvent::ObjectEnd => Ok(None),
+        _ => Err(Error::parse(offset, "expected an object member")),
+    }
+}
+
+/// [`JsonPull::array_next`] in terms of events: the default, and the slow
+/// path of [`JsonReader`]'s override.
+fn array_next_by_event<'a, R: JsonPull<'a> + ?Sized>(r: &mut R) -> Result<bool> {
+    if matches!(r.peek_event()?, JsonEvent::ArrayEnd) {
+        r.next_event()?;
+        Ok(false)
+    } else {
+        Ok(true)
+    }
+}
+
 impl<'a> JsonPull<'a> for JsonReader<'a> {
     fn next_event(&mut self) -> Result<JsonEvent<'a>> {
-        JsonReader::next_event(self)
+        if let Some(ev) = self.peeked.take() {
+            return Ok(ev);
+        }
+        self.lx.skip_ws();
+        let Some(&frame) = self.stack.last() else {
+            // Top level: exactly one value, then Eof.
+            if self.started {
+                return if self.lx.pos == self.lx.bytes.len() {
+                    Ok(JsonEvent::Eof)
+                } else {
+                    Err(Error::parse(
+                        self.lx.pos,
+                        "trailing characters after JSON document",
+                    ))
+                };
+            }
+            self.started = true;
+            return self.value_start();
+        };
+        if frame.is_object {
+            if frame.pending_value {
+                let top = self.stack.last_mut().expect("checked");
+                top.pending_value = false;
+                top.count += 1;
+                return self.value_start();
+            }
+            match self.lx.peek() {
+                Some(b'}') => {
+                    self.stack.pop();
+                    self.lx.pos += 1;
+                    Ok(JsonEvent::ObjectEnd)
+                }
+                Some(b',') if frame.count > 0 => {
+                    self.lx.pos += 1;
+                    self.lx.skip_ws();
+                    self.lex_key().map(JsonEvent::Key)
+                }
+                _ if frame.count == 0 => self.lex_key().map(JsonEvent::Key),
+                _ => Err(Error::parse(self.lx.pos, "expected ',' or '}' in object")),
+            }
+        } else {
+            if frame.pending_value {
+                self.stack.last_mut().expect("checked").pending_value = false;
+                return self.value_start();
+            }
+            match self.lx.peek() {
+                Some(b']') => {
+                    self.stack.pop();
+                    self.lx.pos += 1;
+                    Ok(JsonEvent::ArrayEnd)
+                }
+                Some(b',') if frame.count > 0 => {
+                    self.lx.pos += 1;
+                    self.lx.skip_ws();
+                    self.stack.last_mut().expect("checked").count += 1;
+                    self.value_start()
+                }
+                _ if frame.count == 0 => {
+                    self.stack.last_mut().expect("checked").count = 1;
+                    self.value_start()
+                }
+                _ => Err(Error::parse(self.lx.pos, "expected ',' or ']' in array")),
+            }
+        }
     }
 
     fn peek_event(&mut self) -> Result<&JsonEvent<'a>> {
-        JsonReader::peek_event(self)
+        if self.peeked.is_none() {
+            let ev = self.next_event()?;
+            self.peeked = Some(ev);
+        }
+        Ok(self.peeked.as_ref().expect("just filled"))
     }
 
     fn offset(&self) -> usize {
-        JsonReader::offset(self)
-    }
-
-    fn expect_object_start(&mut self) -> Result<()> {
-        JsonReader::expect_object_start(self)
-    }
-
-    fn expect_array_start(&mut self) -> Result<()> {
-        JsonReader::expect_array_start(self)
+        self.lx.pos
     }
 
     fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
-        JsonReader::next_key(self)
+        // Fast path: read the key straight off the lexer without building a
+        // `JsonEvent` (the hottest call of schema-directed converters).
+        match self.stack.last() {
+            Some(&frame) if self.peeked.is_none() && frame.is_object && !frame.pending_value => {
+                self.lx.skip_ws();
+                match self.lx.peek() {
+                    Some(b'}') => {
+                        self.stack.pop();
+                        self.lx.pos += 1;
+                        return Ok(None);
+                    }
+                    Some(b',') if frame.count > 0 => {
+                        self.lx.pos += 1;
+                        self.lx.skip_ws();
+                    }
+                    _ if frame.count == 0 => {}
+                    _ => return Err(Error::parse(self.lx.pos, "expected ',' or '}' in object")),
+                }
+                self.lex_key().map(Some)
+            }
+            _ => next_key_by_event(self),
+        }
     }
 
     fn array_next(&mut self) -> Result<bool> {
-        JsonReader::array_next(self)
-    }
-
-    fn read_value(&mut self) -> Result<JsonValue<'a>> {
-        JsonReader::read_value(self)
-    }
-
-    fn skip_value(&mut self) -> Result<()> {
-        JsonReader::skip_value(self)
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        JsonReader::finish(self)
+        // Fast path: settle the separator question straight off the lexer.
+        match self.stack.last() {
+            Some(&frame) if self.peeked.is_none() && !frame.is_object && !frame.pending_value => {
+                self.lx.skip_ws();
+                match self.lx.peek() {
+                    Some(b']') => {
+                        self.stack.pop();
+                        self.lx.pos += 1;
+                        return Ok(false);
+                    }
+                    Some(b',') if frame.count > 0 => self.lx.pos += 1,
+                    _ if frame.count == 0 => {}
+                    _ => return Err(Error::parse(self.lx.pos, "expected ',' or ']' in array")),
+                }
+                let top = self.stack.last_mut().expect("in array");
+                top.count += 1;
+                top.pending_value = true;
+                Ok(true)
+            }
+            _ => array_next_by_event(self),
+        }
     }
 }
 
 /// One open container of a [`TreeReader`] replay.
-enum TreeFrame<'v, 'a> {
-    Object(std::slice::Iter<'v, (Cow<'a, str>, JsonValue<'a>)>),
-    Array(std::slice::Iter<'v, JsonValue<'a>>),
+enum TreeFrame<'v> {
+    Object(std::slice::Iter<'v, (Cow<'v, str>, JsonValue<'v>)>),
+    Array(std::slice::Iter<'v, JsonValue<'v>>),
 }
 
 /// Replays a parsed [`JsonValue`] as the event stream [`JsonReader`] would
-/// have produced for its serialization — the tree-based driver of the
-/// [`JsonPull`] converters, used by callers that already hold a tree and by
-/// the streaming-vs-tree equivalence property tests.
-pub struct TreeReader<'v, 'a> {
+/// have produced for its serialization. Every key and string event borrows
+/// from the replayed tree, so replaying an owned tree copies no string.
+pub struct TreeReader<'v> {
     /// A value whose start event has not been emitted yet.
-    pending: Option<&'v JsonValue<'a>>,
-    stack: Vec<TreeFrame<'v, 'a>>,
-    peeked: Option<JsonEvent<'a>>,
+    pending: Option<&'v JsonValue<'v>>,
+    stack: Vec<TreeFrame<'v>>,
+    peeked: Option<JsonEvent<'v>>,
 }
 
-impl<'v, 'a> TreeReader<'v, 'a> {
+impl<'v> TreeReader<'v> {
     /// A reader replaying the given value as a complete document.
-    pub fn new(value: &'v JsonValue<'a>) -> TreeReader<'v, 'a> {
+    pub fn new(value: &'v JsonValue<'_>) -> TreeReader<'v> {
         TreeReader {
             pending: Some(value),
             stack: Vec::new(),
@@ -1294,14 +1152,14 @@ impl<'v, 'a> TreeReader<'v, 'a> {
         }
     }
 
-    fn produce(&mut self) -> JsonEvent<'a> {
+    fn produce(&mut self) -> JsonEvent<'v> {
         if let Some(value) = self.pending.take() {
             return match value {
                 JsonValue::Null => JsonEvent::Null,
                 JsonValue::Bool(b) => JsonEvent::Bool(*b),
                 JsonValue::Int(i) => JsonEvent::Int(*i),
                 JsonValue::Float(f) => JsonEvent::Float(*f),
-                JsonValue::Str(s) => JsonEvent::Str(s.clone()),
+                JsonValue::Str(s) => JsonEvent::Str(Cow::Borrowed(s)),
                 JsonValue::Array(items) => {
                     self.stack.push(TreeFrame::Array(items.iter()));
                     JsonEvent::ArrayStart
@@ -1317,7 +1175,7 @@ impl<'v, 'a> TreeReader<'v, 'a> {
             Some(TreeFrame::Object(members)) => match members.next() {
                 Some((key, value)) => {
                     self.pending = Some(value);
-                    JsonEvent::Key(key.clone())
+                    JsonEvent::Key(Cow::Borrowed(key))
                 }
                 None => {
                     self.stack.pop();
@@ -1339,15 +1197,15 @@ impl<'v, 'a> TreeReader<'v, 'a> {
     }
 }
 
-impl<'v, 'a> JsonPull<'a> for TreeReader<'v, 'a> {
-    fn next_event(&mut self) -> Result<JsonEvent<'a>> {
+impl<'v> JsonPull<'v> for TreeReader<'v> {
+    fn next_event(&mut self) -> Result<JsonEvent<'v>> {
         if let Some(ev) = self.peeked.take() {
             return Ok(ev);
         }
         Ok(self.produce())
     }
 
-    fn peek_event(&mut self) -> Result<&JsonEvent<'a>> {
+    fn peek_event(&mut self) -> Result<&JsonEvent<'v>> {
         if self.peeked.is_none() {
             let ev = self.produce();
             self.peeked = Some(ev);

@@ -23,7 +23,7 @@
 use std::borrow::Cow;
 
 use crate::error::{Error, Result};
-use crate::formats::json::{self, JsonEvent, JsonReader, JsonValue};
+use crate::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue, TreeReader};
 use crate::formats::xml::XmlElement;
 use crate::formats::yaml;
 use crate::model::{
@@ -108,56 +108,63 @@ fn value_to_json(value: &Value) -> JsonValue<'static> {
 /// tree is materialized, and escape-free identifiers/strings are handed to
 /// the interner and value constructors as borrowed spans of `input`.
 pub fn from_json(input: &str) -> Result<UnifiedPlan> {
-    let mut reader = JsonReader::new(input);
-    if reader.next_event()? != JsonEvent::ObjectStart {
+    read_plan(&mut JsonReader::new(input))
+}
+
+/// Converts an already-parsed unified JSON document back into a plan: the
+/// decoder of [`from_json`], replaying the tree through a [`TreeReader`].
+/// Both accept exactly the same documents and report the same errors.
+pub fn from_json_value(doc: &JsonValue<'_>) -> Result<UnifiedPlan> {
+    read_plan(&mut TreeReader::new(doc))
+}
+
+fn read_plan<'a>(r: &mut impl JsonPull<'a>) -> Result<UnifiedPlan> {
+    if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic(
             "unified JSON document must be an object".into(),
         ));
     }
     let mut root = None;
     let mut properties = None;
-    while let Some(key) = reader.next_key()? {
+    while let Some(key) = r.next_key()? {
         match key.as_ref() {
-            // Duplicate members resolve first-wins, like the tree path's
-            // `get`.
-            "tree" if root.is_none() => root = Some(read_node(&mut reader)?),
-            "properties" if properties.is_none() => {
-                properties = Some(read_properties(&mut reader)?)
-            }
+            // Duplicate members resolve first-wins, like `JsonValue::get`.
+            "tree" if root.is_none() => root = Some(read_node(r)?),
+            "properties" if properties.is_none() => properties = Some(read_properties(r)?),
             // Unknown top-level members are ignored (forward compatibility).
-            _ => reader.skip_value()?,
+            _ => r.skip_value()?,
         }
     }
-    reader.finish()?;
+    r.finish()?;
     Ok(UnifiedPlan {
         root,
         properties: properties.unwrap_or_default(),
     })
 }
 
-fn read_node(reader: &mut JsonReader<'_>) -> Result<PlanNode> {
-    if reader.next_event()? != JsonEvent::ObjectStart {
+fn read_node<'a>(r: &mut impl JsonPull<'a>) -> Result<PlanNode> {
+    if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("plan node must be an object".into()));
     }
     let mut operation = None;
     let mut properties = None;
     let mut children = None;
-    while let Some(key) = reader.next_key()? {
+    while let Some(key) = r.next_key()? {
         match key.as_ref() {
-            // First-wins on duplicates, like the tree path's `get`.
-            "operation" if operation.is_none() => operation = Some(read_operation(reader)?),
-            "properties" if properties.is_none() => properties = Some(read_properties(reader)?),
+            // First-wins on duplicates, like `JsonValue::get`.
+            "operation" if operation.is_none() => operation = Some(read_operation(r)?),
+            "properties" if properties.is_none() => properties = Some(read_properties(r)?),
             "children" if children.is_none() => {
-                if reader.next_event()? != JsonEvent::ArrayStart {
+                if r.next_event()? != JsonEvent::ArrayStart {
                     return Err(Error::Semantic("\"children\" must be an array".into()));
                 }
                 let mut out = Vec::new();
-                while reader.array_next()? {
-                    out.push(read_node(reader)?);
+                while r.array_next()? {
+                    out.push(read_node(r)?);
                 }
                 children = Some(out);
             }
-            _ => reader.skip_value()?,
+            _ => r.skip_value()?,
         }
     }
     let operation =
@@ -168,19 +175,19 @@ fn read_node(reader: &mut JsonReader<'_>) -> Result<PlanNode> {
     Ok(node)
 }
 
-fn read_operation(reader: &mut JsonReader<'_>) -> Result<Operation> {
-    if reader.next_event()? != JsonEvent::ObjectStart {
+fn read_operation<'a>(r: &mut impl JsonPull<'a>) -> Result<Operation> {
+    if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("\"operation\" must be an object".into()));
     }
     let mut category = None;
     let mut identifier = None;
-    while let Some(key) = reader.next_key()? {
+    while let Some(key) = r.next_key()? {
         match key.as_ref() {
-            "category" if category.is_none() => category = Some(read_string(reader, "category")?),
+            "category" if category.is_none() => category = Some(read_string(r, "category")?),
             "identifier" if identifier.is_none() => {
-                identifier = Some(read_string(reader, "identifier")?)
+                identifier = Some(read_string(r, "identifier")?)
             }
-            _ => reader.skip_value()?,
+            _ => r.skip_value()?,
         }
     }
     let category =
@@ -190,35 +197,33 @@ fn read_operation(reader: &mut JsonReader<'_>) -> Result<Operation> {
     Operation::from_keyword(OperationCategory::parse(&category)?, &identifier)
 }
 
-fn read_string<'a>(reader: &mut JsonReader<'a>, what: &str) -> Result<Cow<'a, str>> {
-    match reader.next_event()? {
+fn read_string<'a>(r: &mut impl JsonPull<'a>, what: &str) -> Result<Cow<'a, str>> {
+    match r.next_event()? {
         JsonEvent::Str(s) => Ok(s),
         _ => Err(Error::Semantic(format!("\"{what}\" must be a string"))),
     }
 }
 
-fn read_properties(reader: &mut JsonReader<'_>) -> Result<Vec<Property>> {
-    if reader.next_event()? != JsonEvent::ArrayStart {
+fn read_properties<'a>(r: &mut impl JsonPull<'a>) -> Result<Vec<Property>> {
+    if r.next_event()? != JsonEvent::ArrayStart {
         return Err(Error::Semantic("\"properties\" must be an array".into()));
     }
     let mut out = Vec::new();
-    while reader.array_next()? {
-        if reader.next_event()? != JsonEvent::ObjectStart {
+    while r.array_next()? {
+        if r.next_event()? != JsonEvent::ObjectStart {
             return Err(Error::Semantic("properties must be objects".into()));
         }
         let mut category = None;
         let mut identifier = None;
         let mut value = None;
-        while let Some(key) = reader.next_key()? {
+        while let Some(key) = r.next_key()? {
             match key.as_ref() {
-                "category" if category.is_none() => {
-                    category = Some(read_string(reader, "category")?)
-                }
+                "category" if category.is_none() => category = Some(read_string(r, "category")?),
                 "identifier" if identifier.is_none() => {
-                    identifier = Some(read_string(reader, "identifier")?)
+                    identifier = Some(read_string(r, "identifier")?)
                 }
-                "value" if value.is_none() => value = Some(json_to_value(&reader.read_value()?)?),
-                _ => reader.skip_value()?,
+                "value" if value.is_none() => value = Some(json_to_value(r.read_value()?)?),
+                _ => r.skip_value()?,
             }
         }
         let category =
@@ -235,82 +240,13 @@ fn read_properties(reader: &mut JsonReader<'_>) -> Result<Vec<Property>> {
     Ok(out)
 }
 
-/// Converts an already-parsed unified JSON document back into a plan (the
-/// tree-level sibling of the streaming [`from_json`]).
-pub fn from_json_value(doc: &JsonValue<'_>) -> Result<UnifiedPlan> {
-    let JsonValue::Object(_) = doc else {
-        return Err(Error::Semantic(
-            "unified JSON document must be an object".into(),
-        ));
-    };
-    let root = doc.get("tree").map(node_from_json).transpose()?;
-    let properties = match doc.get("properties") {
-        Some(props) => properties_from_json(props)?,
-        None => Vec::new(),
-    };
-    Ok(UnifiedPlan { root, properties })
-}
-
-fn node_from_json(node: &JsonValue<'_>) -> Result<PlanNode> {
-    let operation = node
-        .get("operation")
-        .ok_or_else(|| Error::Semantic("plan node missing \"operation\"".into()))?;
-    let category = operation
-        .get("category")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| Error::Semantic("operation missing \"category\"".into()))?;
-    let identifier = operation
-        .get("identifier")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| Error::Semantic("operation missing \"identifier\"".into()))?;
-    let op = Operation::from_keyword(OperationCategory::parse(category)?, identifier)?;
-    let mut out = PlanNode::new(op);
-    if let Some(props) = node.get("properties") {
-        out.properties = properties_from_json(props)?;
-    }
-    if let Some(children) = node.get("children") {
-        let items = children
-            .as_array()
-            .ok_or_else(|| Error::Semantic("\"children\" must be an array".into()))?;
-        out.children = items.iter().map(node_from_json).collect::<Result<_>>()?;
-    }
-    Ok(out)
-}
-
-fn properties_from_json(props: &JsonValue<'_>) -> Result<Vec<Property>> {
-    let items = props
-        .as_array()
-        .ok_or_else(|| Error::Semantic("\"properties\" must be an array".into()))?;
-    items
-        .iter()
-        .map(|item| {
-            let category = item
-                .get("category")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| Error::Semantic("property missing \"category\"".into()))?;
-            let identifier = item
-                .get("identifier")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| Error::Semantic("property missing \"identifier\"".into()))?;
-            let value = item
-                .get("value")
-                .ok_or_else(|| Error::Semantic("property missing \"value\"".into()))?;
-            Ok(Property {
-                category: PropertyCategory::parse(category)?,
-                identifier: crate::Symbol::intern(crate::keyword::validate(identifier)?),
-                value: json_to_value(value)?,
-            })
-        })
-        .collect()
-}
-
-fn json_to_value(v: &JsonValue<'_>) -> Result<Value> {
+fn json_to_value(v: JsonValue<'_>) -> Result<Value> {
     Ok(match v {
         JsonValue::Null => Value::Null,
-        JsonValue::Bool(b) => Value::Bool(*b),
-        JsonValue::Int(i) => Value::Int(*i),
-        JsonValue::Float(f) => Value::Float(*f),
-        JsonValue::Str(s) => Value::Str(s.clone().into_owned()),
+        JsonValue::Bool(b) => Value::Bool(b),
+        JsonValue::Int(i) => Value::Int(i),
+        JsonValue::Float(f) => Value::Float(f),
+        JsonValue::Str(s) => Value::Str(s.into_owned()),
         JsonValue::Array(_) | JsonValue::Object(_) => {
             return Err(Error::Semantic("property values must be scalars".into()))
         }
@@ -527,6 +463,44 @@ mod tests {
             "A",
             "first duplicate wins"
         );
+    }
+
+    /// Malformed documents and the exact error each one gets, identical
+    /// from text and from a parsed tree.
+    const MALFORMED: [(&str, &str); 5] = [
+        (
+            r#"{"tree": 5}"#,
+            "semantic error: plan node must be an object",
+        ),
+        (
+            r#"{"tree": {"operation": {"category": 1, "identifier": "X"}}}"#,
+            "semantic error: \"category\" must be a string",
+        ),
+        (
+            r#"{"tree": {"operation": {"category": "Producer", "identifier": "X"},
+                         "children": {}}}"#,
+            "semantic error: \"children\" must be an array",
+        ),
+        (
+            r#"{"properties": [{"category": "Cost", "identifier": "c"}]}"#,
+            "semantic error: property missing \"value\"",
+        ),
+        (
+            r#"{"properties": [{"category": "Cost", "identifier": "c", "value": {"a": 1}}]}"#,
+            "semantic error: property values must be scalars",
+        ),
+    ];
+
+    #[test]
+    fn malformed_documents_get_the_same_error_from_text_and_tree() {
+        for (doc, expected) in MALFORMED {
+            let streamed = from_json(doc).unwrap_err().to_string();
+            let via_tree = from_json_value(&json::parse(doc).unwrap())
+                .unwrap_err()
+                .to_string();
+            assert_eq!(streamed, expected, "{doc}");
+            assert_eq!(via_tree, expected, "{doc}");
+        }
     }
 
     #[test]

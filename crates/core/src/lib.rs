@@ -69,8 +69,8 @@
 //!   input and parses numbers in place, so the JSON layer's only
 //!   allocations are container vectors and the decoded forms of strings
 //!   that actually contain escapes. Schema-directed consumers (the unified
-//!   reader, the PostgreSQL JSON converter) walk explain output through
-//!   the pull [`formats::json::JsonReader`] without materializing a JSON
+//!   reader, the three JSON converters) walk explain output through the
+//!   pull [`formats::json::JsonReader`] without materializing a JSON
 //!   tree at all; steady-state JSON conversion copies bytes only into
 //!   property *values*.
 //! * **The binary codec amortizes across a corpus** ([`formats::binary`]):

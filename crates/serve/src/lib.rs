@@ -1292,6 +1292,30 @@ mod tests {
         }
     }
 
+    /// A unified-JSON `probe` that does not decode answers 400 `malformed`
+    /// with the decoder's own error text.
+    #[test]
+    fn malformed_probe_answers_400_with_the_decode_error() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let probe = r#"{"tree": {"operation": {"category": 1, "identifier": "X"}}}"#;
+        let decoded = uplan_core::formats::unified::from_json(probe).unwrap_err();
+        assert_eq!(
+            decoded.to_string(),
+            "semantic error: \"category\" must be a string"
+        );
+        let body = format!("{{\"k\": 1, \"probe\": {probe}}}");
+        let response = handle(&state, &mut reader, &post_req("/knn", &[], &body));
+        assert_eq!(
+            (response.status, response.body.as_str()),
+            (
+                400,
+                r#"{"status":"error","error":"malformed","message":"malformed request: bad probe plan: semantic error: \"category\" must be a string"}"#
+            )
+        );
+    }
+
     /// A body with both `probe` and `probe_raw` (or two `probe_raw`s) is
     /// ambiguous, whichever member comes first: 400 `bad-probe`, before the
     /// raw record is converted — an unconvertible record gets the same

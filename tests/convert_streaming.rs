@@ -3,10 +3,10 @@
 //! Three contracts, checked on real dialect fixtures (TPC-H-lite plans
 //! from every engine substrate):
 //!
-//! 1. **Streaming ≡ tree** — every JSON converter is one body driven by
-//!    either the streaming `JsonReader` or a parsed-tree replay; the two
-//!    drivers must produce identical unified plans (and identical
-//!    fingerprints — the goldens in `tests/golden.rs` pin the values).
+//! 1. **Spelling invariance** — a JSON converter reads the document, not
+//!    its spelling: converting a fixture and converting its re-serialized
+//!    (pretty-printed) parse give identical unified plans and identical
+//!    fingerprints (the goldens in `tests/golden.rs` pin the values).
 //! 2. **Truncation safety and error-offset fidelity** — converting any
 //!    prefix of a fixture never panics, and where the streaming JSON path
 //!    fails with a *parse* error, the offset is exactly the one the tree
@@ -46,28 +46,25 @@ fn fixtures() -> &'static Vec<(Source, String)> {
     })
 }
 
-/// Runs the tree-replay driver of a JSON source (the "legacy" discipline).
-fn via_tree(source: Source, input: &str) -> uplan::core::Result<uplan::core::UnifiedPlan> {
-    match source {
-        Source::PostgresJson => convert::postgres::from_json_via_tree(input),
-        Source::MySqlJson => convert::mysql::from_json_via_tree(input),
-        Source::MongoJson => convert::mongodb::from_json_via_tree(input),
-        _ => unreachable!("not a JSON source"),
-    }
-}
-
 const JSON_SOURCES: [Source; 3] = [Source::PostgresJson, Source::MySqlJson, Source::MongoJson];
 
 #[test]
-fn streaming_conversion_equals_tree_conversion_on_dialect_fixtures() {
+fn json_conversion_is_invariant_under_respelling_on_dialect_fixtures() {
     for (source, input) in fixtures() {
         if !JSON_SOURCES.contains(source) {
             continue;
         }
-        let streamed = convert(*source, input).unwrap_or_else(|e| panic!("{source:?}: {e}"));
-        let via_tree = via_tree(*source, input).unwrap_or_else(|e| panic!("{source:?}: {e}"));
-        assert_eq!(streamed, via_tree, "{source:?}: drivers diverged");
-        assert_eq!(fingerprint(&streamed), fingerprint(&via_tree));
+        let doc = json::parse(input).expect("fixture JSON parses");
+        let (pretty, compact) = (doc.to_pretty(), doc.to_compact());
+        // The emitters pretty-print, so the compact spelling is the one
+        // that differs from the fixture in every byte of layout.
+        assert_ne!(&compact, input, "{source:?}");
+        let direct = convert(*source, input).unwrap_or_else(|e| panic!("{source:?}: {e}"));
+        for spelling in [&pretty, &compact] {
+            let again = convert(*source, spelling).unwrap_or_else(|e| panic!("{source:?}: {e}"));
+            assert_eq!(direct, again, "{source:?}: spellings diverged");
+            assert_eq!(fingerprint(&direct), fingerprint(&again));
+        }
     }
 }
 
@@ -138,11 +135,11 @@ fn streaming_parse_errors_on_truncated_json_match_tree_parser_offsets() {
                         compared += 1;
                     }
                     // Semantic errors and (rare) well-formed prefixes: the
-                    // two drivers must still agree.
+                    // re-spelled prefix converts the same way.
                     other => {
                         if let Ok(doc) = json::parse(prefix) {
-                            let _ = doc;
-                            assert_eq!(other, via_tree(*source, prefix), "{source:?} at cut {cut}");
+                            let pretty = doc.to_pretty();
+                            assert_eq!(other, convert(*source, &pretty), "{source:?} at cut {cut}");
                         }
                     }
                 }

@@ -1,12 +1,15 @@
 //! Property-based tests for the zero-copy JSON layer.
 //!
-//! The borrowed tree parser, the owned escape hatch and the pull reader
-//! must agree with each other and with the writer on every representable
-//! document; the units below additionally pin escape/surrogate decoding,
-//! integer extremes, nesting bounds and malformed-input error offsets.
+//! The borrowed tree parser, the owned escape hatch and the two pull
+//! sources (the streaming reader and the tree replay) must agree with each
+//! other and with the writer on every representable document; the units
+//! below additionally pin escape/surrogate decoding, integer extremes,
+//! nesting bounds and malformed-input error offsets.
 
 use proptest::prelude::*;
-use uplan::core::formats::json::{self, JsonEvent, JsonReader, JsonValue, OwnedJsonValue};
+use uplan::core::formats::json::{
+    self, JsonEvent, JsonPull, JsonReader, JsonValue, OwnedJsonValue, TreeReader,
+};
 use uplan::core::Error;
 
 /// Strings with a healthy dose of escape-worthy content: quotes,
@@ -60,8 +63,82 @@ fn arb_json() -> impl Strategy<Value = OwnedJsonValue> {
     })
 }
 
+/// Every event of a document, up to and including `Eof`.
+fn events<'a>(r: &mut impl JsonPull<'a>) -> Vec<JsonEvent<'a>> {
+    let mut out = Vec::new();
+    loop {
+        let ev = r.next_event().unwrap();
+        let done = ev == JsonEvent::Eof;
+        out.push(ev);
+        if done {
+            return out;
+        }
+    }
+}
+
+/// Walks one value through the structured helpers and logs what each
+/// returned: keys, element counts, scalars read with `read_value`, and the
+/// members of every second object passed over with `skip_value`.
+fn walk<'a>(r: &mut impl JsonPull<'a>, log: &mut Vec<String>) {
+    match r.peek_event().unwrap() {
+        JsonEvent::ObjectStart => {
+            r.expect_object_start().unwrap();
+            let mut i = 0;
+            while let Some(key) = r.next_key().unwrap() {
+                log.push(format!("key {key:?}"));
+                if i % 2 == 1 {
+                    r.skip_value().unwrap();
+                    log.push("skipped".into());
+                } else {
+                    walk(r, log);
+                }
+                i += 1;
+            }
+            log.push(format!("end object after {i}"));
+        }
+        JsonEvent::ArrayStart => {
+            r.expect_array_start().unwrap();
+            let mut n = 0;
+            while r.array_next().unwrap() {
+                walk(r, log);
+                n += 1;
+            }
+            log.push(format!("end array after {n}"));
+        }
+        _ => log.push(format!("{:?}", r.read_value().unwrap())),
+    }
+}
+
+/// The helper log of a whole document, checked to end at `Eof`.
+fn helper_log<'a>(r: &mut impl JsonPull<'a>) -> Vec<String> {
+    let mut log = Vec::new();
+    walk(r, &mut log);
+    r.finish().unwrap();
+    log
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Replaying a parsed tree, borrowed or owned, yields exactly the
+    /// streaming reader's events, and every structured helper answers the
+    /// same on both sources.
+    #[test]
+    fn tree_replay_equals_the_streaming_reader(doc in arb_json()) {
+        let text = doc.to_compact();
+        let borrowed = json::parse(&text).unwrap();
+        let owned = json::parse(&text).unwrap().into_owned();
+        let streamed = events(&mut JsonReader::new(&text));
+        prop_assert_eq!(&events(&mut TreeReader::new(&borrowed)), &streamed);
+        prop_assert_eq!(&events(&mut TreeReader::new(&owned)), &streamed);
+
+        let log = helper_log(&mut JsonReader::new(&text));
+        prop_assert_eq!(&helper_log(&mut TreeReader::new(&borrowed)), &log);
+        prop_assert_eq!(&helper_log(&mut TreeReader::new(&owned)), &log);
+        let mut replay = TreeReader::new(&owned);
+        prop_assert_eq!(replay.read_value().unwrap(), borrowed);
+        replay.finish().unwrap();
+    }
 
     /// Borrowed parse inverts both writers.
     #[test]
