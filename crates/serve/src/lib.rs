@@ -1340,6 +1340,135 @@ mod tests {
         }
     }
 
+    /// Bodies with several faults: which one answers. A syntax error
+    /// anywhere wins, unprefixed; then the `probe_raw` checks (`bad-probe`);
+    /// then unknown member, `query`, `k`, `mode`/`candidates`, the probe,
+    /// and `max_ted_evals` last, whatever the member order. Duplicate
+    /// members are first-wins, so a later duplicate `probe` is never
+    /// decoded.
+    #[test]
+    fn multi_fault_bodies_answer_in_the_pinned_precedence() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let bad = r#"{"tree":{"operation":{"category":1,"identifier":"X"}}}"#;
+        let p = uplan_core::formats::unified::to_json_value(&chain(&["Scan_A"])).to_compact();
+        let record = quote_json(&pg_record(0));
+        let malformed = |m: &str| {
+            let body = error_body("malformed", &format!("malformed request: {m}"));
+            (400, body)
+        };
+        let syntax = |m: &str| (400, error_body("malformed", &format!("parse error at {m}")));
+        let bad_probe = |m: &str| (400, error_body("bad-probe", m));
+        let one_probe = "send one probe: \"probe\" and \"probe_raw\" are mutually exclusive";
+        let category = "bad probe plan: semantic error: \"category\" must be a string";
+        let answer = handle(
+            &state,
+            &mut reader,
+            &post_req("/knn", &[], &format!(r#"{{"k":1,"probe":{p}}}"#)),
+        );
+        assert_eq!(answer.status, 200, "{}", answer.body);
+        let ok = (200, answer.body);
+        let cases = [
+            (
+                format!(r#"{{"k":1,"probe":{bad},"zzz":1}}"#),
+                malformed("unknown request member \"zzz\""),
+            ),
+            (
+                format!(r#"{{"k":1,"probe":{bad}}} x"#),
+                syntax("byte 71: trailing characters after JSON document"),
+            ),
+            (
+                format!(r#"{{"k":"a","probe":{bad}}}"#),
+                malformed("\"k\" is not a non-negative integer"),
+            ),
+            (
+                format!(r#"{{"k":1,"probe":{bad},"max_ted_evals":-1}}"#),
+                malformed(category),
+            ),
+            (format!(r#"{{"probe":{bad},"probe_raw":5}}"#), bad_probe(one_probe)),
+            (
+                r#"{"probe_raw":5,"zzz":1}"#.to_string(),
+                bad_probe("\"probe_raw\" is not a string"),
+            ),
+            (format!(r#"{{"k":1,"k":"x","probe":{p}}}"#), ok.clone()),
+            (format!(r#"{{"k":1,"probe":{p},"probe":{bad}}}"#), ok.clone()),
+            (
+                "[]".to_string(),
+                malformed("request body is not a JSON object"),
+            ),
+            (
+                format!(r#"{{"query":"radius","radius":1,"probe":{p}}}"#),
+                malformed("request says \"query\": \"radius\" but was sent to the knn endpoint"),
+            ),
+            // A syntax error after the probe has failed to decode.
+            (
+                r#"{"k":1,"probe":{"tree":5,"x":tru}}"#.to_string(),
+                syntax("byte 29: expected 'true'"),
+            ),
+            (
+                format!(r#"{{"k":1,"probe":{bad},"#),
+                syntax("byte 70: expected '\"'"),
+            ),
+            (
+                r#"{"k": 1, "probe": 5"#.to_string(),
+                syntax("byte 19: expected ',' or '}' in object"),
+            ),
+            (format!(r#"{{"k":1,"probe":{bad},"probe":{p}}}"#), malformed(category)),
+            // Probes that are not objects, or fail deep inside, are
+            // skipped whole: the members after them still count.
+            (
+                r#"{"k":1,"probe":[1,{"a":[2]}],"mode":"fuzzy"}"#.to_string(),
+                malformed("\"mode\" must be the string \"exact\" or \"approx\""),
+            ),
+            (
+                r#"{"k":1,"probe":[1,{"a":[2]}],"zzz":1}"#.to_string(),
+                malformed("unknown request member \"zzz\""),
+            ),
+            (
+                r#"{"k":1,"probe":5}"#.to_string(),
+                malformed("bad probe plan: semantic error: unified JSON document must be an object"),
+            ),
+            (
+                r#"{"probe":{"tree":{"operation":{"category":"Producer","identifier":"X"},"children":[{"operation":{"category":1}},{"properties":[]}]}},"k":1,"max_ted_evals":"q"}"#.to_string(),
+                malformed(category),
+            ),
+            (
+                r#"{"probe":{"tree":{"properties":[]}},"k":"a"}"#.to_string(),
+                malformed("\"k\" is not a non-negative integer"),
+            ),
+            (
+                r#"{"k":1,"probe":{"tree":{"operation":{"category":"Producer","identifier":"X"}},"properties":[{"category":"Cost","identifier":"c","value":{"a":1}}]},"zzz":2}"#.to_string(),
+                malformed("unknown request member \"zzz\""),
+            ),
+            (
+                format!(r#"{{"query":5,"probe":{bad}}}"#),
+                malformed("\"query\" is not a string"),
+            ),
+            (
+                format!(r#"{{"k":1,"candidates":8,"probe":{bad}}}"#),
+                malformed("\"candidates\" requires \"mode\": \"approx\""),
+            ),
+            (
+                r#"{"k":1,"probe_raw":"complete nonsense","zzz":1}"#.to_string(),
+                bad_probe("probe_raw does not convert: semantic error: line 1: cannot identify the plan dialect; accepted sources: postgres-text, postgres-json, mysql-json, mysql-table, tidb-table, sqlite-eqp, mongodb-json, neo4j-table, sparksql-text, influxdb-text, sqlserver-xml"),
+            ),
+            (
+                format!(r#"{{"k":1,"probe_raw":{record},"zzz":1}}"#),
+                malformed("unknown request member \"zzz\""),
+            ),
+            (
+                r#"{"k":1,"probe_raw":5,"probe_raw":6}"#.to_string(),
+                bad_probe(one_probe),
+            ),
+            (String::new(), malformed("knn request has no \"k\"")),
+        ];
+        for (body, expected) in cases {
+            let response = handle(&state, &mut reader, &post_req("/knn", &[], &body));
+            assert_eq!((response.status, response.body), expected, "{body}");
+        }
+    }
+
     /// A `probe_raw` request answers byte-identically to the same request
     /// carrying the converted plan as `probe` — including a `probe_raw`
     /// that repeats one record, which is one distinct plan.
