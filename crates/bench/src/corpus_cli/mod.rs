@@ -97,10 +97,10 @@
 //!     entry point `uplan-serve` answers over HTTP, on the calling
 //!     thread. `--probe` reads a
 //!     unified-JSON plan, `--probe-raw` a single raw dump record
-//!     (source-sniffed). `--budget` bounds counted TED evaluations; a
-//!     tripped budget is an *operational* failure (exit 1), distinct from
-//!     bad arguments (exit 2). `--json` emits the exact `QueryResponse`
-//!     wire document the server sends.
+//!     (source-sniffed); give one of them. `--budget` bounds counted TED
+//!     evaluations; a tripped budget is an *operational* failure (exit
+//!     1), distinct from bad arguments (exit 2). `--json` emits the exact
+//!     `QueryResponse` wire document the server sends.
 //! repro corpus recall <store-dir> [--k N] [--candidates N] [--probes N]
 //!                     [--min-recall F] [--min-full-eval-ratio F]
 //!     The approximate-query quality gate: recall of approx k-NN against

@@ -138,6 +138,9 @@ pub(super) fn query(args: &[String]) -> Result<String, CliError> {
             )
         }
     };
+    if probe_path.is_some() && probe_raw_path.is_some() {
+        return Err("send one probe: --probe and --probe-raw are mutually exclusive".into());
+    }
     let corpus = open_store(path)?.into_corpus();
     let mut request = match kind {
         "knn" => QueryRequest::knn(k.ok_or("knn queries need --k")?),

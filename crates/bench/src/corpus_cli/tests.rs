@@ -762,6 +762,20 @@ fn query_probe_raw_answers_like_its_converted_probe() {
         err.to_string(),
         format!("{two}: raw probe must hold exactly one plan record, got 2")
     );
+    // Both probes is a usage error (exit 2), like the daemon's 400, refused
+    // before either file is read: the missing raw file is never opened.
+    let both = [
+        "--probe",
+        &plan,
+        "--probe-raw",
+        "/definitely/not/here.jsonl",
+    ];
+    let err = cli(&[&["query", &dir, "knn", "--k", "3"], &both[..]].concat()).unwrap_err();
+    assert_eq!(err.code(), 2, "{err}");
+    assert_eq!(
+        err.to_string(),
+        "send one probe: --probe and --probe-raw are mutually exclusive"
+    );
     remove(&[&dir, &raw, &twice, &two, &plan]);
 }
 

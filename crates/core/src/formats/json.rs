@@ -14,10 +14,8 @@
 //!   `skip_value`, …), written once. Its streaming source, [`JsonReader`],
 //!   lexes text: escape-free strings and object keys are [`Cow::Borrowed`]
 //!   spans of the input and numbers are parsed in place. Converters with a
-//!   known schema walk explain output through it without materializing a
-//!   tree at all. [`TreeReader`] replays a parsed tree as the same events,
-//!   borrowing every string from the tree, so one schema-directed body
-//!   decodes both text and trees.
+//!   known schema walk explain output, plans and request bodies through it
+//!   without materializing a tree at all.
 //! * [`parse`] — builds a borrowed [`JsonValue`] tree over the input
 //!   `&str`. The only allocations are the container `Vec`s and the decoded
 //!   forms of strings that contain escapes.
@@ -773,14 +771,19 @@ impl<'a> JsonReader<'a> {
     }
 
     fn value_start(&mut self) -> Result<JsonEvent<'a>> {
+        // The parser's bound, checked where the parser checks it: at the
+        // start of every value.
+        if self.stack.len() > MAX_DEPTH {
+            return Err(Error::parse(self.lx.pos, "JSON nested too deeply"));
+        }
         match self.lx.peek() {
             None => Err(Error::UnexpectedEof("JSON value".to_owned())),
             Some(b'{') => {
-                self.push_frame(true)?;
+                self.push_frame(true);
                 Ok(JsonEvent::ObjectStart)
             }
             Some(b'[') => {
-                self.push_frame(false)?;
+                self.push_frame(false);
                 Ok(JsonEvent::ArrayStart)
             }
             Some(b'"') => Ok(JsonEvent::Str(self.lx.lex_string()?)),
@@ -802,35 +805,52 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    fn push_frame(&mut self, is_object: bool) -> Result<()> {
-        if self.stack.len() >= MAX_DEPTH {
-            return Err(Error::parse(self.lx.pos, "JSON nested too deeply"));
+    /// Reads the next value with `read`, which starts by consuming the
+    /// value's first event. If `read` rejects a well-formed value, the rest
+    /// of it is skipped and the fault is the inner error. A syntax error
+    /// ([`Error::Parse`] or [`Error::UnexpectedEof`], which `read` must not
+    /// raise for schema faults) is the outer error.
+    pub fn read_or_skip<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<Result<T>> {
+        let depth = self.stack.len();
+        match read(self) {
+            Err(e @ (Error::Parse { .. } | Error::UnexpectedEof(_))) => Err(e),
+            Err(fault) => {
+                // A peeked event is consumed by dropping it.
+                self.peeked = None;
+                while self.stack.len() > depth {
+                    self.next_event()?;
+                }
+                Ok(Err(fault))
+            }
+            Ok(value) => Ok(Ok(value)),
         }
+    }
+
+    fn push_frame(&mut self, is_object: bool) {
         self.lx.pos += 1;
         self.stack.push(Frame {
             is_object,
             count: 0,
             pending_value: false,
         });
-        Ok(())
     }
 }
 
 // ---------------------------------------------------------------------------
-// Pull abstraction: one set of helpers, two event sources
+// Pull abstraction: one set of helpers
 // ---------------------------------------------------------------------------
 
 /// A pull source of [`JsonEvent`]s, and the one home of the structured
 /// helpers every schema-directed consumer walks documents with.
 ///
-/// Two sources implement it: the zero-copy streaming [`JsonReader`] over
-/// text (the driver of every JSON converter and of
-/// [`unified::from_json`](crate::formats::unified::from_json)), and
-/// [`TreeReader`], which replays an already-parsed [`JsonValue`] as the
-/// event sequence [`JsonReader`] produces for its serialization (the
-/// driver of [`unified::from_json_value`](crate::formats::unified::from_json_value),
-/// which decodes probe plans embedded in parsed request bodies). A body
-/// written against this trait therefore decodes text and trees alike.
+/// The zero-copy streaming [`JsonReader`] is its one implementor here: every
+/// JSON converter, [`unified::from_json`](crate::formats::unified::from_json)
+/// and the corpus request decoder read through it. Bodies are written
+/// against the trait so that a test can replay a parsed tree through the
+/// same code.
 ///
 /// Only [`JsonPull::next_event`], [`JsonPull::peek_event`] and
 /// [`JsonPull::offset`] are required. The helpers are written once, here;
@@ -1126,98 +1146,6 @@ impl<'a> JsonPull<'a> for JsonReader<'a> {
     }
 }
 
-/// One open container of a [`TreeReader`] replay.
-enum TreeFrame<'v> {
-    Object(std::slice::Iter<'v, (Cow<'v, str>, JsonValue<'v>)>),
-    Array(std::slice::Iter<'v, JsonValue<'v>>),
-}
-
-/// Replays a parsed [`JsonValue`] as the event stream [`JsonReader`] would
-/// have produced for its serialization. Every key and string event borrows
-/// from the replayed tree, so replaying an owned tree copies no string.
-pub struct TreeReader<'v> {
-    /// A value whose start event has not been emitted yet.
-    pending: Option<&'v JsonValue<'v>>,
-    stack: Vec<TreeFrame<'v>>,
-    peeked: Option<JsonEvent<'v>>,
-}
-
-impl<'v> TreeReader<'v> {
-    /// A reader replaying the given value as a complete document.
-    pub fn new(value: &'v JsonValue<'_>) -> TreeReader<'v> {
-        TreeReader {
-            pending: Some(value),
-            stack: Vec::new(),
-            peeked: None,
-        }
-    }
-
-    fn produce(&mut self) -> JsonEvent<'v> {
-        if let Some(value) = self.pending.take() {
-            return match value {
-                JsonValue::Null => JsonEvent::Null,
-                JsonValue::Bool(b) => JsonEvent::Bool(*b),
-                JsonValue::Int(i) => JsonEvent::Int(*i),
-                JsonValue::Float(f) => JsonEvent::Float(*f),
-                JsonValue::Str(s) => JsonEvent::Str(Cow::Borrowed(s)),
-                JsonValue::Array(items) => {
-                    self.stack.push(TreeFrame::Array(items.iter()));
-                    JsonEvent::ArrayStart
-                }
-                JsonValue::Object(members) => {
-                    self.stack.push(TreeFrame::Object(members.iter()));
-                    JsonEvent::ObjectStart
-                }
-            };
-        }
-        match self.stack.last_mut() {
-            None => JsonEvent::Eof,
-            Some(TreeFrame::Object(members)) => match members.next() {
-                Some((key, value)) => {
-                    self.pending = Some(value);
-                    JsonEvent::Key(Cow::Borrowed(key))
-                }
-                None => {
-                    self.stack.pop();
-                    JsonEvent::ObjectEnd
-                }
-            },
-            Some(TreeFrame::Array(items)) => match items.next() {
-                Some(value) => {
-                    self.pending = Some(value);
-                    // Emit the element's start directly (depth-1 recursion).
-                    self.produce()
-                }
-                None => {
-                    self.stack.pop();
-                    JsonEvent::ArrayEnd
-                }
-            },
-        }
-    }
-}
-
-impl<'v> JsonPull<'v> for TreeReader<'v> {
-    fn next_event(&mut self) -> Result<JsonEvent<'v>> {
-        if let Some(ev) = self.peeked.take() {
-            return Ok(ev);
-        }
-        Ok(self.produce())
-    }
-
-    fn peek_event(&mut self) -> Result<&JsonEvent<'v>> {
-        if self.peeked.is_none() {
-            let ev = self.produce();
-            self.peeked = Some(ev);
-        }
-        Ok(self.peeked.as_ref().expect("just filled"))
-    }
-
-    fn offset(&self) -> usize {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1335,6 +1263,16 @@ mod tests {
             .take(601)
             .find(|e| e.is_err());
         assert!(deep.is_some(), "reader must bound nesting too");
+        // At the bound, the reader accepts and rejects exactly what the
+        // parser does, with the same offsets.
+        for n in MAX_DEPTH - 1..=MAX_DEPTH + 2 {
+            for inner in ["", "1"] {
+                let doc = format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
+                let mut r = JsonReader::new(&doc);
+                let streamed = r.read_value().and_then(|v| r.finish().map(|()| v));
+                assert_eq!(streamed, parse(&doc), "depth {n}, inner {inner:?}");
+            }
+        }
     }
 
     #[test]
@@ -1506,45 +1444,35 @@ mod tests {
     }
 
     #[test]
-    fn tree_reader_replays_the_same_events_as_the_streaming_reader() {
-        let doc = r#"{"a": [1, "x", {"deep": null}], "b": 2.5, "c": true}"#;
-        let tree = parse(doc).unwrap();
-        let mut stream = JsonReader::new(doc);
-        let mut replay = TreeReader::new(&tree);
-        loop {
-            let a = JsonPull::next_event(&mut stream).unwrap();
-            let b = JsonPull::next_event(&mut replay).unwrap();
-            assert_eq!(a, b);
-            if a == JsonEvent::Eof {
-                break;
-            }
-        }
-        // Eof is sticky on the replay driver.
-        assert_eq!(JsonPull::next_event(&mut replay).unwrap(), JsonEvent::Eof);
-    }
-
-    #[test]
-    fn tree_reader_structured_helpers_work_via_defaults() {
-        let doc = r#"{"skip": {"deep": [1, {"x": 2}]}, "keep": [7, 8]}"#;
-        let tree = parse(doc).unwrap();
-        let mut r = TreeReader::new(&tree);
+    fn read_or_skip_resumes_after_a_rejected_value() {
+        let mut r = JsonReader::new(r#"{"a": {"b": [1, {"c": 2}], "d": 3}, "e": 4}"#);
         r.expect_object_start().unwrap();
-        assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("skip"));
-        JsonPull::skip_value(&mut r).unwrap();
-        assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("keep"));
-        let v = JsonPull::read_value(&mut r).unwrap();
-        assert_eq!(v, parse("[7, 8]").unwrap());
-        assert_eq!(JsonPull::next_key(&mut r).unwrap(), None);
-        JsonPull::finish(&mut r).unwrap();
-    }
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        let fault = r
+            .read_or_skip(|r| {
+                r.expect_object_start()?;
+                r.next_key()?;
+                r.expect_array_start()?;
+                r.array_next()?;
+                r.skip_value()?;
+                Err::<(), _>(Error::Semantic("rejected".into()))
+            })
+            .unwrap();
+        assert_eq!(fault, Err(Error::Semantic("rejected".into())));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("e"));
+        assert_eq!(
+            r.read_or_skip(|r| r.read_value()).unwrap(),
+            Ok(JsonValue::Int(4))
+        );
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
 
-    #[test]
-    fn tree_reader_read_value_reproduces_the_tree() {
-        let doc = r#"{"plan": {"ops": [1, 2.5, true, null], "name": "scan"}}"#;
-        let tree = parse(doc).unwrap();
-        let mut r = TreeReader::new(&tree);
-        assert_eq!(JsonPull::read_value(&mut r).unwrap(), tree);
-        JsonPull::finish(&mut r).unwrap();
+        // A syntax error inside the value is the outer error.
+        let mut r = JsonReader::new(r#"{"a": [1 2]}"#);
+        r.expect_object_start().unwrap();
+        r.next_key().unwrap();
+        let err = r.read_or_skip(|r| r.read_value()).unwrap_err();
+        assert_eq!(err, parse(r#"{"a": [1 2]}"#).unwrap_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::borrow::Cow;
 
 use crate::error::{Error, Result};
-use crate::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue, TreeReader};
+use crate::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue};
 use crate::formats::xml::XmlElement;
 use crate::formats::yaml;
 use crate::model::{
@@ -108,17 +108,15 @@ fn value_to_json(value: &Value) -> JsonValue<'static> {
 /// tree is materialized, and escape-free identifiers/strings are handed to
 /// the interner and value constructors as borrowed spans of `input`.
 pub fn from_json(input: &str) -> Result<UnifiedPlan> {
-    read_plan(&mut JsonReader::new(input))
+    let mut r = JsonReader::new(input);
+    read_plan(&mut r).and_then(|plan| r.finish().map(|()| plan))
 }
 
-/// Converts an already-parsed unified JSON document back into a plan: the
-/// decoder of [`from_json`], replaying the tree through a [`TreeReader`].
-/// Both accept exactly the same documents and report the same errors.
-pub fn from_json_value(doc: &JsonValue<'_>) -> Result<UnifiedPlan> {
-    read_plan(&mut TreeReader::new(doc))
-}
-
-fn read_plan<'a>(r: &mut impl JsonPull<'a>) -> Result<UnifiedPlan> {
+/// Reads one unified JSON document, the next value of `r`, up to its
+/// closing brace, leaving the rest of the input to the caller: a request
+/// reads on after its `"probe"`. Schema faults are never [`Error::Parse`]
+/// or [`Error::UnexpectedEof`]; only the reader raises those.
+pub fn read_plan<'a>(r: &mut impl JsonPull<'a>) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic(
             "unified JSON document must be an object".into(),
@@ -135,7 +133,6 @@ fn read_plan<'a>(r: &mut impl JsonPull<'a>) -> Result<UnifiedPlan> {
             _ => r.skip_value()?,
         }
     }
-    r.finish()?;
     Ok(UnifiedPlan {
         root,
         properties: properties.unwrap_or_default(),
@@ -446,8 +443,10 @@ mod tests {
 
     #[test]
     fn duplicate_members_resolve_first_wins_on_both_paths() {
-        // The streaming reader must agree with the tree path's `get`
-        // (first match) when a document carries duplicate keys.
+        // A whole document and the same document embedded in a request
+        // body (read by `read_plan`, which stops at the plan's closing
+        // brace) must agree with `JsonValue::get` (first match) when the
+        // document carries duplicate keys.
         let doc = r#"{"uplan_version": 1,
             "tree": {"operation": {"category": "Producer", "identifier": "A",
                                    "identifier": "B"},
@@ -456,51 +455,18 @@ mod tests {
                      "properties": []},
             "properties": []}"#;
         let streamed = from_json(doc).unwrap();
-        let via_tree = from_json_value(&json::parse(doc).unwrap()).unwrap();
-        assert_eq!(streamed, via_tree);
+        let body = format!(r#"{{"probe": {doc}, "k": 1}}"#);
+        let mut r = JsonReader::new(&body);
+        r.expect_object_start().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("probe"));
+        let embedded = read_plan(&mut r).unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("k"));
+        assert_eq!(streamed, embedded);
         assert_eq!(
             streamed.root.unwrap().operation.identifier.as_str(),
             "A",
             "first duplicate wins"
         );
-    }
-
-    /// Malformed documents and the exact error each one gets, identical
-    /// from text and from a parsed tree.
-    const MALFORMED: [(&str, &str); 5] = [
-        (
-            r#"{"tree": 5}"#,
-            "semantic error: plan node must be an object",
-        ),
-        (
-            r#"{"tree": {"operation": {"category": 1, "identifier": "X"}}}"#,
-            "semantic error: \"category\" must be a string",
-        ),
-        (
-            r#"{"tree": {"operation": {"category": "Producer", "identifier": "X"},
-                         "children": {}}}"#,
-            "semantic error: \"children\" must be an array",
-        ),
-        (
-            r#"{"properties": [{"category": "Cost", "identifier": "c"}]}"#,
-            "semantic error: property missing \"value\"",
-        ),
-        (
-            r#"{"properties": [{"category": "Cost", "identifier": "c", "value": {"a": 1}}]}"#,
-            "semantic error: property values must be scalars",
-        ),
-    ];
-
-    #[test]
-    fn malformed_documents_get_the_same_error_from_text_and_tree() {
-        for (doc, expected) in MALFORMED {
-            let streamed = from_json(doc).unwrap_err().to_string();
-            let via_tree = from_json_value(&json::parse(doc).unwrap())
-                .unwrap_err()
-                .to_string();
-            assert_eq!(streamed, expected, "{doc}");
-            assert_eq!(via_tree, expected, "{doc}");
-        }
     }
 
     #[test]

@@ -35,7 +35,9 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use uplan_core::formats::json::{self, object, JsonValue, OwnedJsonValue};
+use uplan_core::formats::json::{
+    object, JsonEvent, JsonMembers, JsonPull, JsonReader, JsonValue, OwnedJsonValue,
+};
 use uplan_core::formats::unified;
 use uplan_core::UnifiedPlan;
 use uplan_obs::{trace, Counter, Histogram, Level};
@@ -284,45 +286,90 @@ impl QueryRequest {
         object(members)
     }
 
-    /// Parses a request from its JSON wire object. `kind` overrides an
-    /// absent `"query"` member (HTTP handlers know the kind from the path;
-    /// a present member must agree with it).
+    /// Parses a request from JSON text: [`QueryRequest::from_body`]
+    /// without a raw-probe converter, so `"probe_raw"` is an unknown member.
+    pub fn from_json(text: &str, kind: Option<&str>) -> Result<QueryRequest, QueryError> {
+        QueryRequest::from_body(text, kind, None)
+    }
+
+    /// [`QueryRequest::from_json`] of a parsed tree's serialization. Its one
+    /// caller is perfbench's `corpus.request_decode_us` row, which times
+    /// pre-parsed trees; it goes when that row times body text.
     pub fn from_json_value(
         doc: &JsonValue<'_>,
         kind: Option<&str>,
     ) -> Result<QueryRequest, QueryError> {
+        QueryRequest::from_json(&doc.to_compact(), kind)
+    }
+
+    /// The request decoder: one [`JsonReader`] pass that decodes `"probe"`
+    /// inline. `"probe_raw"`, one raw dump record, is a member only with a
+    /// `convert_raw`, which turns it into the probe plan or the message of
+    /// a [`QueryError::BadProbe`]. `kind` overrides an absent `"query"`
+    /// member (HTTP handlers know the kind from the path; a present member
+    /// must agree). Duplicate members are first-wins. Faults are ranked
+    /// after the scan, whatever the member order: a syntax error anywhere
+    /// ([`QueryError::Syntax`]), then the raw probe's
+    /// ([`QueryError::BadProbe`]), then a non-object body, an unknown
+    /// member, `"query"`, `"k"`/`"radius"`, `"mode"`/`"candidates"`, the
+    /// probe, and `"max_ted_evals"` last.
+    pub fn from_body(
+        text: &str,
+        kind: Option<&str>,
+        convert_raw: Option<RawProbeConverter>,
+    ) -> Result<QueryRequest, QueryError> {
+        let scanned = scan_request(text).map_err(|e| QueryError::Syntax(e.to_string()))?;
         let malformed = |m: &str| QueryError::Malformed(m.to_string());
-        let members = doc
-            .as_object()
-            .ok_or_else(|| malformed("request body is not a JSON object"))?;
-        for (key, _) in members {
-            if !matches!(
+        let Some((members, probe)) = scanned else {
+            return Err(malformed("request body is not a JSON object"));
+        };
+        let probes = members
+            .iter()
+            .filter(|(k, _)| k == "probe" || k == "probe_raw")
+            .count();
+        // First-wins, like `JsonValue::get`.
+        let get = |name: &str| members.iter().find(|(key, _)| key == name).map(|(_, v)| v);
+        let bad_probe = |m: &str| Err(QueryError::BadProbe(m.to_string()));
+        let raw_probe = match (get("probe_raw"), convert_raw) {
+            (Some(_), Some(_)) if probes > 1 => {
+                return bad_probe(
+                    "send one probe: \"probe\" and \"probe_raw\" are mutually exclusive",
+                )
+            }
+            (Some(JsonValue::Str(record)), Some(convert)) => {
+                Some(convert(record).map_err(QueryError::BadProbe)?)
+            }
+            (Some(_), Some(_)) => return bad_probe("\"probe_raw\" is not a string"),
+            _ => None,
+        };
+        for (key, _) in &members {
+            let known = matches!(
                 key.as_ref(),
                 "query" | "k" | "radius" | "max_ted_evals" | "mode" | "candidates" | "probe"
-            ) {
+            ) || (key == "probe_raw" && convert_raw.is_some());
+            if !known {
                 return Err(QueryError::Malformed(format!(
                     "unknown request member {key:?}"
                 )));
             }
         }
-        let named = doc.get("query").map(|v| {
+        let named = get("query").map(|v| {
             v.as_str()
-                .map(str::to_owned)
                 .ok_or_else(|| malformed("\"query\" is not a string"))
         });
         let named = named.transpose()?;
-        let query = match (named.as_deref(), kind) {
+        let query = match (named, kind) {
             (Some(a), Some(b)) if a != b => {
                 return Err(QueryError::Malformed(format!(
                     "request says \"query\": {a:?} but was sent to the {b} endpoint"
                 )))
             }
-            (Some(a), _) => a.to_string(),
-            (None, Some(b)) => b.to_string(),
+            (Some(a), _) => a,
+            (None, Some(b)) => b,
             (None, None) => return Err(malformed("request has no \"query\" member")),
         };
         let uint = |key: &str| -> Result<Option<u64>, QueryError> {
-            match doc.get(key) {
+            match get(key) {
                 None => Ok(None),
                 Some(v) => v
                     .as_int()
@@ -333,7 +380,7 @@ impl QueryRequest {
                     }),
             }
         };
-        let kind = match query.as_str() {
+        let kind = match query {
             "knn" => QueryKind::Knn {
                 k: uint("k")?.ok_or_else(|| malformed("knn request has no \"k\""))? as usize,
             },
@@ -350,50 +397,65 @@ impl QueryRequest {
                 )))
             }
         };
-        let mode = match doc.get("mode") {
-            None => {
-                if doc.get("candidates").is_some() {
+        let mode = match get("mode").map(JsonValue::as_str) {
+            None | Some(Some("exact")) => {
+                if get("candidates").is_some() {
                     return Err(malformed("\"candidates\" requires \"mode\": \"approx\""));
                 }
                 QueryMode::Exact
             }
-            Some(v) => match v.as_str() {
-                Some("exact") => {
-                    if doc.get("candidates").is_some() {
-                        return Err(malformed("\"candidates\" requires \"mode\": \"approx\""));
-                    }
-                    QueryMode::Exact
-                }
-                Some("approx") => QueryMode::Approx {
-                    candidates: uint("candidates")?.unwrap_or(0) as usize,
-                },
-                _ => {
-                    return Err(malformed(
-                        "\"mode\" must be the string \"exact\" or \"approx\"",
-                    ))
-                }
+            Some(Some("approx")) => QueryMode::Approx {
+                candidates: uint("candidates")?.unwrap_or(0) as usize,
             },
+            Some(_) => {
+                return Err(malformed(
+                    "\"mode\" must be the string \"exact\" or \"approx\"",
+                ))
+            }
         };
-        let probe = match doc.get("probe") {
-            None => None,
-            Some(v) => Some(
-                unified::from_json_value(v)
-                    .map_err(|e| QueryError::Malformed(format!("bad probe plan: {e}")))?,
-            ),
-        };
+        let probe = probe
+            .transpose()
+            .map_err(|e| QueryError::Malformed(format!("bad probe plan: {e}")))?;
         Ok(QueryRequest {
             kind,
             max_ted_evals: uint("max_ted_evals")?,
             mode,
-            probe,
+            probe: raw_probe.or(probe),
         })
     }
+}
 
-    /// Parses a request from JSON text.
-    pub fn from_json(text: &str, kind: Option<&str>) -> Result<QueryRequest, QueryError> {
-        let doc = json::parse(text).map_err(|e| QueryError::Malformed(e.to_string()))?;
-        QueryRequest::from_json_value(&doc, kind)
+/// Turns a `"probe_raw"` record into the probe plan ([`QueryRequest::from_body`]).
+pub type RawProbeConverter = fn(&str) -> Result<UnifiedPlan, String>;
+
+/// The members of a request body in order, from one pass, or `None` if it
+/// is not an object. The first `"probe"` is decoded inline (one that fails
+/// is skipped to its end, so only a syntax error stops the scan); every
+/// `"probe"` member stands as `null`.
+fn scan_request(
+    text: &str,
+) -> uplan_core::Result<Option<(JsonMembers<'_>, Option<uplan_core::Result<UnifiedPlan>>)>> {
+    let mut r = JsonReader::new(text);
+    if *r.peek_event()? != JsonEvent::ObjectStart {
+        r.skip_value()?;
+        r.finish()?;
+        return Ok(None);
     }
+    r.next_event()?;
+    let (mut members, mut probe) = (JsonMembers::new(), None);
+    while let Some(key) = r.next_key()? {
+        let value = match key.as_ref() {
+            "probe" if probe.is_none() => {
+                probe = Some(r.read_or_skip(unified::read_plan)?);
+                JsonValue::Null
+            }
+            "probe" => r.skip_value().map(|()| JsonValue::Null)?,
+            _ => r.read_value()?,
+        };
+        members.push((key, value));
+    }
+    r.finish()?;
+    Ok(Some((members, probe)))
 }
 
 fn radius_u32(value: Option<u64>, what: &str) -> Result<u32, QueryError> {
@@ -592,17 +654,24 @@ pub enum QueryError {
     Unsupported(String),
     /// The request could not be decoded.
     Malformed(String),
+    /// The request body is not well-formed JSON; the message is the
+    /// parser's own (wire code `"malformed"`).
+    Syntax(String),
+    /// The request's `"probe_raw"` was sent with `"probe"` or twice, is
+    /// not a string, or does not convert into exactly one plan.
+    BadProbe(String),
 }
 
 impl QueryError {
     /// Stable machine-readable code (`"missing-probe"`,
-    /// `"budget-exceeded"`, `"unsupported"`, `"malformed"`).
+    /// `"budget-exceeded"`, `"unsupported"`, `"malformed"`, `"bad-probe"`).
     pub fn code(&self) -> &'static str {
         match self {
             QueryError::MissingProbe => "missing-probe",
             QueryError::BudgetExceeded { .. } => "budget-exceeded",
             QueryError::Unsupported(_) => "unsupported",
-            QueryError::Malformed(_) => "malformed",
+            QueryError::Malformed(_) | QueryError::Syntax(_) => "malformed",
+            QueryError::BadProbe(_) => "bad-probe",
         }
     }
 
@@ -633,6 +702,7 @@ impl fmt::Display for QueryError {
             ),
             QueryError::Unsupported(m) => write!(f, "unsupported request: {m}"),
             QueryError::Malformed(m) => write!(f, "malformed request: {m}"),
+            QueryError::Syntax(m) | QueryError::BadProbe(m) => f.write_str(m),
         }
     }
 }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use uplan_convert::raw::{convert_raw_distinct, RawIngestOptions};
 use uplan_core::fingerprint::FingerprintOptions;
-use uplan_core::formats::json::{self, object, JsonValue, OwnedJsonValue};
+use uplan_core::formats::json::{object, JsonValue, OwnedJsonValue};
 use uplan_core::UnifiedPlan;
 use uplan_corpus::service::{CorpusService, CorpusSnapshot, ServiceError, SnapshotReader};
 use uplan_corpus::{PlanCorpus, QueryError, QueryRequest};
@@ -198,6 +198,11 @@ fn error_body(code: &str, message: &str) -> String {
     .to_compact()
 }
 
+/// A handler's 400 answer (no TED work).
+fn bad_request(code: &str, message: &str) -> (HttpResponse, u64) {
+    (HttpResponse::json(400, error_body(code, message)), 0)
+}
+
 fn query_error_response(err: &QueryError) -> HttpResponse {
     let status = match err {
         QueryError::BudgetExceeded { .. } => 422,
@@ -274,14 +279,8 @@ pub fn handle(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest
 /// pipeline, then submitted to the bounded delta queue. `?lenient=1` skips
 /// bad records instead of rejecting the dump.
 fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
-    let dump = match req.body_text() {
-        Ok(d) => d,
-        Err(_) => {
-            return (
-                HttpResponse::json(400, error_body("bad-dump", "ingest body is not UTF-8")),
-                0,
-            )
-        }
+    let Ok(dump) = req.body_text() else {
+        return bad_request("bad-dump", "ingest body is not UTF-8");
     };
     let options = RawIngestOptions {
         strict: !req.flag("lenient"),
@@ -291,12 +290,7 @@ fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
     // served corpus later.
     let (plans, report) = match convert_raw_distinct(dump, &options, state.options) {
         Ok(converted) => converted,
-        Err(e) => {
-            return (
-                HttpResponse::json(400, error_body("bad-dump", &e.to_string())),
-                0,
-            )
-        }
+        Err(e) => return bad_request("bad-dump", &e.to_string()),
     };
     let accepted = plans.len();
     match state.service.submit(plans) {
@@ -333,45 +327,13 @@ fn ingest(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
 /// (one raw dump record) is converted through the same pipeline as
 /// `/ingest` into the probe plan before the query runs.
 fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpResponse, u64) {
-    let body = if req.body.is_empty() {
-        "{}"
-    } else {
-        match req.body_text() {
-            Ok(b) => b,
-            Err(_) => {
-                return (
-                    HttpResponse::json(400, error_body("malformed", "body is not UTF-8")),
-                    0,
-                )
-            }
-        }
+    let Ok(body) = req.body_text() else {
+        return bad_request("malformed", "body is not UTF-8");
     };
-    let mut doc = match json::parse(body) {
-        Ok(doc) => doc,
-        Err(e) => {
-            return (
-                HttpResponse::json(400, error_body("malformed", &e.to_string())),
-                0,
-            )
-        }
-    };
-    let raw_probe = match take_raw_probe(&mut doc) {
-        Ok(plan) => plan,
-        Err(message) => {
-            return (
-                HttpResponse::json(400, error_body("bad-probe", &message)),
-                0,
-            )
-        }
-    };
-    let request = match QueryRequest::from_json_value(&doc, Some(kind)) {
-        Ok(request) => QueryRequest {
-            probe: raw_probe.or(request.probe),
-            ..request
-        },
-        Err(e) => return (query_error_response(&e), 0),
-    };
-    match reader.current().execute(&request) {
+    let body = if body.is_empty() { "{}" } else { body };
+    let answer = QueryRequest::from_body(body, Some(kind), Some(convert_raw_probe))
+        .and_then(|request| reader.current().execute(&request));
+    match answer {
         Ok(response) => {
             let evals = response.cost.ted_evals;
             (HttpResponse::json(200, response.to_json()), evals)
@@ -386,25 +348,9 @@ fn query(reader: &mut SnapshotReader, kind: &str, req: &HttpRequest) -> (HttpRes
     }
 }
 
-/// Removes a `"probe_raw"` member (one raw dump record as a JSON string)
-/// from the request object and converts it into the probe plan, under the
-/// default fingerprint options. A request that also carries `"probe"` (or
-/// a second `"probe_raw"`) is ambiguous and rejected before converting.
-fn take_raw_probe(doc: &mut JsonValue<'_>) -> Result<Option<UnifiedPlan>, String> {
-    let JsonValue::Object(members) = doc else {
-        return Ok(None);
-    };
-    let Some(at) = members.iter().position(|(key, _)| key == "probe_raw") else {
-        return Ok(None);
-    };
-    let probes = members
-        .iter()
-        .filter(|(key, _)| key == "probe" || key == "probe_raw");
-    if probes.count() > 1 {
-        return Err("send one probe: \"probe\" and \"probe_raw\" are mutually exclusive".into());
-    }
-    let (_, value) = members.remove(at);
-    let record = value.as_str().ok_or("\"probe_raw\" is not a string")?;
+/// Converts a `"probe_raw"` record into the probe plan through the
+/// `/ingest` pipeline, under the default fingerprint options.
+fn convert_raw_probe(record: &str) -> Result<UnifiedPlan, String> {
     let strict = RawIngestOptions::default();
     let (plans, _) = convert_raw_distinct(record, &strict, FingerprintOptions::default())
         .map_err(|e| format!("probe_raw does not convert: {e}"))?;
@@ -412,7 +358,7 @@ fn take_raw_probe(doc: &mut JsonValue<'_>) -> Result<Option<UnifiedPlan>, String
     let [plan]: [_; 1] = plans
         .try_into()
         .map_err(|_| format!("probe_raw must hold exactly one plan record, got {count}"))?;
-    Ok(Some(plan))
+    Ok(plan)
 }
 
 /// GET /stats: the stats [`QueryResponse`] plus service fields (pending,
@@ -516,35 +462,16 @@ fn diff(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest) -> (
     let radius = match req.param("radius").map(str::parse::<u32>) {
         None => 2,
         Some(Ok(r)) => r,
-        Some(Err(_)) => {
-            return (
-                HttpResponse::json(400, error_body("malformed", "?radius= is not a u32")),
-                0,
-            )
-        }
+        Some(Err(_)) => return bad_request("malformed", "?radius= is not a u32"),
     };
-    let body = match req.body_text() {
-        Ok(b) => b,
-        Err(_) => {
-            return (
-                HttpResponse::json(400, error_body("malformed", "diff body is not UTF-8")),
-                0,
-            )
-        }
+    let Ok(body) = req.body_text() else {
+        return bad_request("malformed", "diff body is not UTF-8");
     };
     let other = match PlanCorpus::from_jsonl_with_options(body, state.options) {
         Ok(c) => c,
         Err(e) => {
-            return (
-                HttpResponse::json(
-                    400,
-                    error_body(
-                        "bad-corpus",
-                        &format!("diff body is not a JSONL corpus: {e}"),
-                    ),
-                ),
-                0,
-            )
+            let message = format!("diff body is not a JSONL corpus: {e}");
+            return bad_request("bad-corpus", &message);
         }
     };
     let snapshot = reader.current();
@@ -730,6 +657,7 @@ fn serve_connection(
 mod tests {
     use super::*;
     use std::io::Read;
+    use uplan_core::formats::json;
     use uplan_core::PlanNode;
 
     fn chain(names: &[&str]) -> UnifiedPlan {

@@ -1,16 +1,19 @@
 //! Property-based tests for the zero-copy JSON layer.
 //!
 //! The borrowed tree parser, the owned escape hatch and the two pull
-//! sources (the streaming reader and the tree replay) must agree with each
-//! other and with the writer on every representable document; the units
-//! below additionally pin escape/surrogate decoding, integer extremes,
-//! nesting bounds and malformed-input error offsets.
+//! sources (the streaming reader and the test-only tree replay) must agree
+//! with each other and with the writer on every representable document;
+//! the units below additionally pin escape/surrogate decoding, integer
+//! extremes, nesting bounds, malformed-input error offsets, and the unified
+//! plan decoder's errors on both sources.
 
 use proptest::prelude::*;
 use uplan::core::formats::json::{
-    self, JsonEvent, JsonPull, JsonReader, JsonValue, OwnedJsonValue, TreeReader,
+    self, JsonEvent, JsonPull, JsonReader, JsonValue, OwnedJsonValue,
 };
+use uplan::core::formats::unified;
 use uplan::core::Error;
+use uplan::testing::json::TreeReader;
 
 /// Strings with a healthy dose of escape-worthy content: quotes,
 /// backslashes, control characters, multi-byte UTF-8 and astral-plane
@@ -356,4 +359,85 @@ fn borrowed_spans_only_allocate_for_escapes() {
         &nested[1],
         JsonValue::Str(std::borrow::Cow::Owned(_))
     ));
+}
+
+#[test]
+fn tree_reader_replays_the_same_events_as_the_streaming_reader() {
+    let doc = r#"{"a": [1, "x", {"deep": null}], "b": 2.5, "c": true}"#;
+    let tree = json::parse(doc).unwrap();
+    let mut stream = JsonReader::new(doc);
+    let mut replay = TreeReader::new(&tree);
+    loop {
+        let a = JsonPull::next_event(&mut stream).unwrap();
+        let b = JsonPull::next_event(&mut replay).unwrap();
+        assert_eq!(a, b);
+        if a == JsonEvent::Eof {
+            break;
+        }
+    }
+    // Eof is sticky on the replay.
+    assert_eq!(JsonPull::next_event(&mut replay).unwrap(), JsonEvent::Eof);
+}
+
+#[test]
+fn tree_reader_structured_helpers_work_via_defaults() {
+    let doc = r#"{"skip": {"deep": [1, {"x": 2}]}, "keep": [7, 8]}"#;
+    let tree = json::parse(doc).unwrap();
+    let mut r = TreeReader::new(&tree);
+    r.expect_object_start().unwrap();
+    assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("skip"));
+    JsonPull::skip_value(&mut r).unwrap();
+    assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("keep"));
+    let v = JsonPull::read_value(&mut r).unwrap();
+    assert_eq!(v, json::parse("[7, 8]").unwrap());
+    assert_eq!(JsonPull::next_key(&mut r).unwrap(), None);
+    JsonPull::finish(&mut r).unwrap();
+}
+
+#[test]
+fn tree_reader_read_value_reproduces_the_tree() {
+    let doc = r#"{"plan": {"ops": [1, 2.5, true, null], "name": "scan"}}"#;
+    let tree = json::parse(doc).unwrap();
+    let mut r = TreeReader::new(&tree);
+    assert_eq!(JsonPull::read_value(&mut r).unwrap(), tree);
+    JsonPull::finish(&mut r).unwrap();
+}
+
+/// Malformed unified documents and the exact error each one gets,
+/// identical from text and from a parsed tree.
+const MALFORMED: [(&str, &str); 5] = [
+    (
+        r#"{"tree": 5}"#,
+        "semantic error: plan node must be an object",
+    ),
+    (
+        r#"{"tree": {"operation": {"category": 1, "identifier": "X"}}}"#,
+        "semantic error: \"category\" must be a string",
+    ),
+    (
+        r#"{"tree": {"operation": {"category": "Producer", "identifier": "X"},
+                     "children": {}}}"#,
+        "semantic error: \"children\" must be an array",
+    ),
+    (
+        r#"{"properties": [{"category": "Cost", "identifier": "c"}]}"#,
+        "semantic error: property missing \"value\"",
+    ),
+    (
+        r#"{"properties": [{"category": "Cost", "identifier": "c", "value": {"a": 1}}]}"#,
+        "semantic error: property values must be scalars",
+    ),
+];
+
+#[test]
+fn malformed_documents_get_the_same_error_from_text_and_tree() {
+    for (doc, expected) in MALFORMED {
+        let streamed = unified::from_json(doc).unwrap_err().to_string();
+        let tree = json::parse(doc).unwrap();
+        let via_tree = unified::read_plan(&mut TreeReader::new(&tree))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(streamed, expected, "{doc}");
+        assert_eq!(via_tree, expected, "{doc}");
+    }
 }

@@ -121,7 +121,8 @@ proptest! {
         let json = uplan::core::formats::unified::to_json(&plan);
         let streamed = uplan::core::formats::unified::from_json(&json).unwrap();
         let doc = uplan::core::formats::json::parse(&json).unwrap();
-        let via_tree = uplan::core::formats::unified::from_json_value(&doc).unwrap();
+        let mut replay = uplan::testing::json::TreeReader::new(&doc);
+        let via_tree = uplan::core::formats::unified::read_plan(&mut replay).unwrap();
         prop_assert_eq!(streamed, via_tree);
     }
 
