@@ -868,24 +868,6 @@ pub trait JsonPull<'a> {
     /// that replay in-memory values report 0).
     fn offset(&self) -> usize;
 
-    /// Consumes an `ObjectStart`; errors if the next value is not an object.
-    fn expect_object_start(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::ObjectStart => Ok(()),
-            _ => Err(Error::parse(offset, "expected an object")),
-        }
-    }
-
-    /// Consumes an `ArrayStart`; errors if the next value is not an array.
-    fn expect_array_start(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::ArrayStart => Ok(()),
-            _ => Err(Error::parse(offset, "expected an array")),
-        }
-    }
-
     /// If the next value is an object, consumes its `ObjectStart` and
     /// returns `true`; otherwise skips the whole value and returns
     /// `false`. The schema-directed "descend if it has structure, ignore
@@ -1367,7 +1349,7 @@ mod tests {
     #[test]
     fn reader_skip_value_skips_subtrees() {
         let mut r = JsonReader::new(r#"{"skip": {"deep": [1, {"x": 2}]}, "keep": 7}"#);
-        r.expect_object_start().unwrap();
+        assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
         assert_eq!(r.next_key().unwrap().as_deref(), Some("skip"));
         r.skip_value().unwrap();
         assert_eq!(r.next_key().unwrap().as_deref(), Some("keep"));
@@ -1379,7 +1361,7 @@ mod tests {
     #[test]
     fn reader_array_iteration() {
         let mut r = JsonReader::new(r#"[10, 20, 30]"#);
-        r.expect_array_start().unwrap();
+        assert_eq!(r.next_event().unwrap(), JsonEvent::ArrayStart);
         let mut total = 0;
         while r.array_next().unwrap() {
             match r.next_event().unwrap() {
@@ -1446,13 +1428,13 @@ mod tests {
     #[test]
     fn read_or_skip_resumes_after_a_rejected_value() {
         let mut r = JsonReader::new(r#"{"a": {"b": [1, {"c": 2}], "d": 3}, "e": 4}"#);
-        r.expect_object_start().unwrap();
+        assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
         assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
         let fault = r
             .read_or_skip(|r| {
-                r.expect_object_start()?;
+                assert_eq!(r.next_event()?, JsonEvent::ObjectStart);
                 r.next_key()?;
-                r.expect_array_start()?;
+                assert_eq!(r.next_event()?, JsonEvent::ArrayStart);
                 r.array_next()?;
                 r.skip_value()?;
                 Err::<(), _>(Error::Semantic("rejected".into()))
@@ -1469,7 +1451,7 @@ mod tests {
 
         // A syntax error inside the value is the outer error.
         let mut r = JsonReader::new(r#"{"a": [1 2]}"#);
-        r.expect_object_start().unwrap();
+        assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
         r.next_key().unwrap();
         let err = r.read_or_skip(|r| r.read_value()).unwrap_err();
         assert_eq!(err, parse(r#"{"a": [1 2]}"#).unwrap_err());
@@ -1477,10 +1459,8 @@ mod tests {
 
     #[test]
     fn reader_expectation_helpers_flag_wrong_shapes() {
-        assert!(JsonReader::new("[1]").expect_object_start().is_err());
-        assert!(JsonReader::new("{}").expect_array_start().is_err());
         let mut r = JsonReader::new("[1, 2]");
-        r.expect_array_start().unwrap();
+        assert_eq!(r.next_event().unwrap(), JsonEvent::ArrayStart);
         assert!(r.array_next().unwrap());
         assert!(r.next_key().is_err(), "not inside an object");
     }

@@ -457,7 +457,7 @@ mod tests {
         let streamed = from_json(doc).unwrap();
         let body = format!(r#"{{"probe": {doc}, "k": 1}}"#);
         let mut r = JsonReader::new(&body);
-        r.expect_object_start().unwrap();
+        assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
         assert_eq!(r.next_key().unwrap().as_deref(), Some("probe"));
         let embedded = read_plan(&mut r).unwrap();
         assert_eq!(r.next_key().unwrap().as_deref(), Some("k"));

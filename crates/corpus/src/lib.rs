@@ -368,25 +368,27 @@ impl ShardedCorpus {
     }
 
     /// The stored plan with the given id (ids are dense, `0..len()`).
-    /// Decodes the payload on first touch when the corpus was opened
-    /// lazily from a segment store.
+    /// Decodes the full plan on first call when the corpus was opened
+    /// lazily from a segment store; queries never call it, because they
+    /// read TED views only.
     pub fn plan(&self, id: usize) -> &UnifiedPlan {
         let (shard, local) = self.directory[id];
         self.shards[shard as usize].store.plan(local as usize)
     }
 
     /// The pre-flattened TED view of the stored plan with the given id
-    /// (lazy-decoding, like [`ShardedCorpus::plan`]).
+    /// (lazy-decoding; a lazy slot keeps the view, not the plan).
     fn ted_of(&self, id: usize) -> &TedPlan {
         let (shard, local) = self.directory[id];
         self.shards[shard as usize].store.ted(local as usize)
     }
 
-    /// Plans whose payload is actually decoded in memory. Equals
-    /// [`ShardedCorpus::len`] for an ingested corpus; starts at zero for a
-    /// lazily opened one and grows as queries touch plans. Clones share
-    /// one decode cache, so a plan decoded through any clone of a lazily
-    /// opened corpus counts as decoded in all of them.
+    /// Plans whose payload is actually decoded in memory, as a TED view
+    /// or a full plan. Equals [`ShardedCorpus::len`] for an ingested
+    /// corpus; starts at zero for a lazily opened one and grows as queries
+    /// touch plans or callers read them. Clones share one decode cache,
+    /// so a plan decoded through any clone of a lazily opened corpus
+    /// counts as decoded in all of them.
     pub fn decoded_plans(&self) -> usize {
         self.shards.iter().map(|s| s.store.decoded()).sum()
     }
@@ -913,15 +915,20 @@ impl ShardedCorpus {
         let shared = (0..self.len())
             .filter(|&id| other.contains_fingerprint(self.fingerprint(id)))
             .count();
+        // Probes are the stored TED views, so diffing lazily opened
+        // corpora decodes no full plan.
         let unique = |a: &ShardedCorpus, b: &ShardedCorpus| -> (Vec<usize>, Vec<usize>) {
             let mut only = Vec::new();
             let mut beyond = Vec::new();
-            for (id, plan) in a.iter() {
+            let mut scratch = TedScratch::default();
+            let mut partials = 0u64;
+            for id in 0..a.len() {
                 if b.contains_fingerprint(a.fingerprint(id)) {
                     continue;
                 }
                 only.push(id);
-                if b.radius_query(plan, radius, u64::MAX).0.matches.is_empty() {
+                let dist = banded(a.ted_of(id), &mut scratch, &mut partials);
+                if b.radius_walk(radius, u64::MAX, dist).0.is_empty() {
                     beyond.push(id);
                 }
             }

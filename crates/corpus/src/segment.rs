@@ -22,7 +22,9 @@
 //! * **Open is lazy.** [`SegmentStore::open`] decodes manifests, tails
 //!   and topology eagerly but leaves plan payloads as offset-addressed
 //!   bytes: the corpus is queryable in milliseconds and each plan body
-//!   decodes at most once, on first touch (block CRC verified then).
+//!   decodes at most once per form, on first touch (block CRC verified
+//!   before the first decode of either). Queries keep only a plan's TED
+//!   view; the full plan decodes on demand, for callers that read it.
 //!   Query answers and counted TED evaluations are identical to the
 //!   in-RAM corpus — laziness changes *when* bytes decode, never what a
 //!   traversal does.
@@ -49,11 +51,11 @@ use uplan_core::formats::segment::{
     decode_manifest, decode_plan_at, encode_manifest, parse_segment, verify_block, Manifest,
     SegmentBuilder, SegmentFinish, SegmentMeta, SegmentShardEdges, SegmentView,
 };
+use uplan_core::ted::TedPlan;
 use uplan_core::{Error, Result, Symbol, UnifiedPlan};
 use uplan_obs::Counter;
 
 use crate::features::{FeatureVector, FEATURE_DIM};
-use crate::shard::LoadedPlan;
 use crate::{options_flags, shard_index, ShardedCorpus};
 
 /// File name of the manifest inside a store directory.
@@ -67,8 +69,8 @@ pub fn segment_file(id: u32) -> String {
 /// The decoded-bytes backing of a lazily opened corpus, and its decode
 /// cache: every shard's [`crate::shard::PlanStore`] — in the store's own
 /// corpus and in every clone of it — shares one source through an
-/// [`Arc`], so a plan body decodes at most once per process, however many
-/// corpus snapshots address it.
+/// [`Arc`], so a plan body decodes at most once per form per process,
+/// however many corpus snapshots address it.
 #[derive(Debug)]
 pub(crate) struct SegmentSource {
     /// The full symbol chain (from the manifest) every segment's plan
@@ -90,17 +92,23 @@ struct SegmentData {
     /// One flag per block: its CRC has been verified. Lazily set before
     /// the first plan of the block decodes.
     verified: Vec<OnceLock<()>>,
-    /// One write-once cell per plan: its decoded form, filled on first
-    /// touch from any corpus sharing this source. Boxed so an undecoded
-    /// plan costs one pointer, not a full inline [`LoadedPlan`].
-    plans: Vec<OnceLock<Box<LoadedPlan>>>,
+    /// One write-once cell per plan: its TED view, the only form a query
+    /// reads, filled on first touch from any corpus sharing this source.
+    /// Boxed so an undecoded plan costs one pointer.
+    views: Vec<OnceLock<Box<TedPlan>>>,
+    /// One write-once cell per plan: the full plan, filled only when a
+    /// caller asks for the plan itself (the CLI, compaction, tests).
+    plans: Vec<OnceLock<Box<UnifiedPlan>>>,
 }
 
 /// Process-global lazy-decode counters. Each is bumped once per first
-/// touch (a plan decode, a block verification), never on a warm read.
+/// touch (a view fill, a full-plan fill, a block verification), never on
+/// a warm read.
 struct StoreMetrics {
-    /// `uplan_store_plans_decoded_total`.
+    /// `uplan_store_plans_decoded_total`: TED view fills.
     plans_decoded: Arc<Counter>,
+    /// `uplan_store_full_plans_decoded_total`: full-plan fills.
+    full_plans_decoded: Arc<Counter>,
     /// `uplan_store_blocks_verified_total`.
     blocks_verified: Arc<Counter>,
 }
@@ -112,7 +120,11 @@ fn store_metrics() -> &'static StoreMetrics {
         StoreMetrics {
             plans_decoded: registry.counter(
                 "uplan_store_plans_decoded_total",
-                "segment-store plan bodies decoded on first touch",
+                "segment-store plan bodies decoded into TED views on first touch",
+            ),
+            full_plans_decoded: registry.counter(
+                "uplan_store_full_plans_decoded_total",
+                "segment-store plan bodies decoded into full plans on first touch",
             ),
             blocks_verified: registry.counter(
                 "uplan_store_blocks_verified_total",
@@ -123,27 +135,40 @@ fn store_metrics() -> &'static StoreMetrics {
 }
 
 impl SegmentSource {
-    /// Plan `idx` of segment `seg`, decoding it on first touch.
-    pub(crate) fn loaded(&self, seg: u32, idx: u32) -> &LoadedPlan {
-        self.segments[seg as usize].plans[idx as usize]
-            .get_or_init(|| Box::new(self.load(seg, idx)))
+    /// The TED view of plan `idx` of segment `seg`, decoding the body on
+    /// first touch and keeping only the view.
+    pub(crate) fn ted(&self, seg: u32, idx: u32) -> &TedPlan {
+        self.segments[seg as usize].views[idx as usize].get_or_init(|| {
+            let view = TedPlan::new(&self.load(seg, idx));
+            store_metrics().plans_decoded.inc();
+            Box::new(view)
+        })
     }
 
-    /// Whether plan `idx` of segment `seg` has been decoded.
+    /// Plan `idx` of segment `seg`, decoding it on first touch.
+    pub(crate) fn plan(&self, seg: u32, idx: u32) -> &UnifiedPlan {
+        self.segments[seg as usize].plans[idx as usize].get_or_init(|| {
+            let plan = self.load(seg, idx);
+            store_metrics().full_plans_decoded.inc();
+            Box::new(plan)
+        })
+    }
+
+    /// Whether plan `idx` of segment `seg` has been decoded, in either
+    /// form.
     pub(crate) fn is_decoded(&self, seg: u32, idx: u32) -> bool {
-        self.segments[seg as usize].plans[idx as usize]
-            .get()
-            .is_some()
+        let data = &self.segments[seg as usize];
+        data.views[idx as usize].get().is_some() || data.plans[idx as usize].get().is_some()
     }
 
     /// Decodes plan `idx` of segment `seg`, verifying its checksum block
-    /// first (once per block).
+    /// first (once per block, whichever form decodes first).
     ///
     /// Panics on a CRC or decode failure: the store was opened strictly,
     /// so bytes that die *between* open and first touch mean concurrent
     /// external damage — there is no good value to return mid-query.
     /// `repro corpus salvage` is the lenient path for damaged stores.
-    fn load(&self, seg: u32, idx: u32) -> LoadedPlan {
+    fn load(&self, seg: u32, idx: u32) -> UnifiedPlan {
         let data = &self.segments[seg as usize];
         let block = idx as usize / CHECKSUM_BLOCK_PLANS as usize;
         data.verified[block].get_or_init(|| {
@@ -155,7 +180,7 @@ impl SegmentSource {
             });
             store_metrics().blocks_verified.inc();
         });
-        let plan = decode_plan_at(
+        decode_plan_at(
             &data.bytes,
             data.offsets[idx as usize],
             data.lens[idx as usize],
@@ -166,9 +191,7 @@ impl SegmentSource {
                 "segment {seg} plan {idx} failed to decode after block verification ({e}); \
                  run `repro corpus salvage`"
             )
-        });
-        store_metrics().plans_decoded.inc();
-        LoadedPlan::new(plan)
+        })
     }
 }
 
@@ -398,6 +421,7 @@ impl SegmentStore {
             check_meta(&manifest, meta, &view)?;
             segments.push(SegmentData {
                 verified: view.blocks.iter().map(|_| OnceLock::new()).collect(),
+                views: (0..view.plan_count).map(|_| OnceLock::new()).collect(),
                 plans: (0..view.plan_count).map(|_| OnceLock::new()).collect(),
                 bytes,
                 offsets: std::mem::take(&mut view.plan_offsets),
@@ -1214,6 +1238,36 @@ mod tests {
         assert_eq!(corpus.len(), 0);
         assert!(report.error.is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A strictly opened one-segment store whose plan 3 lies in a damaged
+    /// checksum block. Open reads no plan block, so the damage surfaces
+    /// on the first touch of a plan in that block.
+    fn open_with_a_damaged_block(tag: &str) -> ShardedCorpus {
+        let dir = tmp_dir(tag);
+        let mut corpus = ShardedCorpus::new();
+        corpus.ingest_parallel(&stream(0, 40), 1);
+        SegmentStore::create(&dir, corpus).unwrap();
+        let path = dir.join(segment_file(0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let view = parse_segment(&bytes).unwrap();
+        bytes[view.plan_offsets[3] as usize] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let corpus = SegmentStore::open(&dir).unwrap().into_corpus();
+        let _ = std::fs::remove_dir_all(&dir);
+        corpus
+    }
+
+    #[test]
+    #[should_panic(expected = "failed verification on lazy decode")]
+    fn a_damaged_block_panics_on_its_first_view() {
+        open_with_a_damaged_block("damaged-view").ted_of(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "failed verification on lazy decode")]
+    fn a_damaged_block_panics_on_its_first_full_plan() {
+        open_with_a_damaged_block("damaged-plan").plan(3);
     }
 
     #[test]

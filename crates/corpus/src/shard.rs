@@ -29,17 +29,18 @@ use crate::bktree::BkTree;
 use crate::features::{features_of, FeatureVector};
 use crate::segment::SegmentSource;
 
-/// A stored plan's in-memory form: the plan itself plus its pre-flattened
-/// TED view (every metric evaluation — BK routing, traversals, shortlist
-/// re-ranks — reads the view instead of re-flattening).
+/// An ingested plan's in-memory form: the plan itself plus its
+/// pre-flattened TED view (every metric evaluation — BK routing,
+/// traversals, shortlist re-ranks — reads the view instead of
+/// re-flattening).
 #[derive(Debug)]
-pub(crate) struct LoadedPlan {
-    pub(crate) plan: UnifiedPlan,
-    pub(crate) ted: TedPlan,
+struct LoadedPlan {
+    plan: UnifiedPlan,
+    ted: TedPlan,
 }
 
 impl LoadedPlan {
-    pub(crate) fn new(plan: UnifiedPlan) -> LoadedPlan {
+    fn new(plan: UnifiedPlan) -> LoadedPlan {
         LoadedPlan {
             ted: TedPlan::new(&plan),
             plan,
@@ -52,10 +53,12 @@ impl LoadedPlan {
 /// a plan.
 #[derive(Debug, Clone)]
 enum PlanSlot {
-    /// An ingested plan, decoded at store time.
+    /// An ingested plan, decoded at store time. It keeps the full plan
+    /// because [`crate::SegmentStore::append`] encodes it from there.
     Eager(Arc<LoadedPlan>),
     /// Plan `idx` of segment `seg` in the store's [`SegmentSource`],
-    /// decoded on first touch into the source's own cell.
+    /// decoded on first touch into the source's own cells: the TED view
+    /// for queries, the full plan on demand.
     Lazy { seg: u32, idx: u32 },
 }
 
@@ -104,25 +107,27 @@ impl PlanStore {
             .expect("lazy slot without a segment source")
     }
 
-    fn loaded(&self, local: usize) -> &LoadedPlan {
+    /// The stored plan, decoding it on first touch. No query calls this:
+    /// queries read [`PlanStore::ted`], so a lazy slot's full plan decodes
+    /// only for callers that read properties.
+    pub(crate) fn plan(&self, local: usize) -> &UnifiedPlan {
         match self.slots[local] {
-            PlanSlot::Eager(ref loaded) => loaded,
-            PlanSlot::Lazy { seg, idx } => self.source().loaded(seg, idx),
+            PlanSlot::Eager(ref loaded) => &loaded.plan,
+            PlanSlot::Lazy { seg, idx } => self.source().plan(seg, idx),
         }
     }
 
-    /// The stored plan, decoding it on first touch.
-    pub(crate) fn plan(&self, local: usize) -> &UnifiedPlan {
-        &self.loaded(local).plan
-    }
-
-    /// The stored plan's pre-flattened TED view, decoding on first touch.
+    /// The stored plan's pre-flattened TED view, decoding on first touch
+    /// (a lazy slot keeps the view only, not the plan it came from).
     pub(crate) fn ted(&self, local: usize) -> &TedPlan {
-        &self.loaded(local).ted
+        match self.slots[local] {
+            PlanSlot::Eager(ref loaded) => &loaded.ted,
+            PlanSlot::Lazy { seg, idx } => self.source().ted(seg, idx),
+        }
     }
 
-    /// Plans whose payload has actually been decoded (lazy-open
-    /// observability; everything, for an ingested store).
+    /// Plans whose payload has actually been decoded, in either form
+    /// (lazy-open observability; everything, for an ingested store).
     pub(crate) fn decoded(&self) -> usize {
         self.slots
             .iter()

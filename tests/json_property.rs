@@ -85,7 +85,7 @@ fn events<'a>(r: &mut impl JsonPull<'a>) -> Vec<JsonEvent<'a>> {
 fn walk<'a>(r: &mut impl JsonPull<'a>, log: &mut Vec<String>) {
     match r.peek_event().unwrap() {
         JsonEvent::ObjectStart => {
-            r.expect_object_start().unwrap();
+            assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
             let mut i = 0;
             while let Some(key) = r.next_key().unwrap() {
                 log.push(format!("key {key:?}"));
@@ -100,7 +100,7 @@ fn walk<'a>(r: &mut impl JsonPull<'a>, log: &mut Vec<String>) {
             log.push(format!("end object after {i}"));
         }
         JsonEvent::ArrayStart => {
-            r.expect_array_start().unwrap();
+            assert_eq!(r.next_event().unwrap(), JsonEvent::ArrayStart);
             let mut n = 0;
             while r.array_next().unwrap() {
                 walk(r, log);
@@ -384,7 +384,10 @@ fn tree_reader_structured_helpers_work_via_defaults() {
     let doc = r#"{"skip": {"deep": [1, {"x": 2}]}, "keep": [7, 8]}"#;
     let tree = json::parse(doc).unwrap();
     let mut r = TreeReader::new(&tree);
-    r.expect_object_start().unwrap();
+    assert_eq!(
+        JsonPull::next_event(&mut r).unwrap(),
+        JsonEvent::ObjectStart
+    );
     assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("skip"));
     JsonPull::skip_value(&mut r).unwrap();
     assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("keep"));

@@ -13,8 +13,9 @@
 //!    process-global counters by exactly the records it converted, with
 //!    lenient-mode skips attributed per pipeline stage.
 //! 3. **Global decode deltas** — a lazily opened segment store counts
-//!    each plan decode and each block verification once per process:
-//!    epoch merges never make a repeated query decode again.
+//!    each view decode, full-plan decode and block verification once per
+//!    process: epoch merges never make a repeated query decode again, and
+//!    the query path decodes no full plan.
 //!
 //! [`ServeMetrics`]: uplan::serve::ServeMetrics
 
@@ -223,7 +224,7 @@ fn lazy_decodes_are_counted_once_per_process() {
     assert!(seed.len() < 256);
     SegmentStore::create(&dir, seed).unwrap();
 
-    // This test is the only segment-store user in this binary, so the
+    // Every segment-store user in this binary holds `serial()`, so the
     // deltas are exact.
     let decoded_before = global_counter(DECODED, &[]);
     let verified_before = global_counter(VERIFIED, &[]);
@@ -261,6 +262,74 @@ fn lazy_decodes_are_counted_once_per_process() {
     assert_eq!(global_counter(VERIFIED, &[]) - verified_before, 1);
     assert_eq!(again.epoch, Some(first.epoch.unwrap() + 1));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_query_path_decodes_views_and_no_full_plan() {
+    let _serial = serial();
+    const VIEWS: &str = "uplan_store_plans_decoded_total";
+    const FULL: &str = "uplan_store_full_plans_decoded_total";
+    let root = std::env::temp_dir().join(format!("{}_obs_views", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (dir, other_dir) = (root.join("served"), root.join("other"));
+    // More than one checksum block.
+    let mut in_ram = corpus_fixture::derived_corpus(600, 0x0b5e_0005);
+    SegmentStore::create(&dir, in_ram.clone()).unwrap();
+    let other_in_ram = corpus_fixture::derived_corpus(80, 0x0b5e_0006);
+    SegmentStore::create(&other_dir, other_in_ram.clone()).unwrap();
+    let (views_before, full_before) = (global_counter(VIEWS, &[]), global_counter(FULL, &[]));
+    let service =
+        CorpusService::with_store(SegmentStore::open(&dir).unwrap(), DEFAULT_PENDING_CAPACITY);
+
+    let stream = corpus_fixture::derived_stream(60, 0x5eed);
+    let knn = QueryRequest::knn(5).with_probe(stream[0].clone());
+    for request in [
+        knn.clone(),
+        QueryRequest::radius(2).with_probe(stream[1].clone()),
+        QueryRequest::cluster(1),
+    ] {
+        let lazy = service.snapshot().corpus().execute(&request).unwrap();
+        assert_eq!(lazy, in_ram.execute(&request).unwrap(), "{request:?}");
+    }
+    let touched = service.snapshot().corpus().decoded_plans() as u64;
+    assert!(touched > 0);
+    assert_eq!(global_counter(VIEWS, &[]) - views_before, touched);
+
+    // The merge's BK inserts read views; the plans it stores are eager.
+    service.submit(stream[2..].to_vec()).unwrap();
+    let report = service.merge(2);
+    assert!(report.novel > 0);
+    in_ram.ingest_parallel(&stream[2..], 2);
+    let again = service.snapshot().corpus().execute(&knn).unwrap();
+    assert_eq!(again, in_ram.execute(&knn).unwrap());
+    // A diff of two lazily opened stores probes with their views too.
+    let other = SegmentStore::open(&other_dir).unwrap().into_corpus();
+    let snapshot = service.snapshot();
+    for radius in [0, 2] {
+        let diff = snapshot.corpus().diff(&other, radius);
+        assert!(!diff.fingerprint_only_left.is_empty() && !diff.fingerprint_only_right.is_empty());
+        assert_eq!(diff, in_ram.diff(&other_in_ram, radius));
+    }
+    let lazy_decoded = snapshot.corpus().decoded_plans() - report.novel + other.decoded_plans();
+    assert_eq!(
+        global_counter(VIEWS, &[]) - views_before,
+        lazy_decoded as u64
+    );
+    assert_eq!(
+        global_counter(FULL, &[]),
+        full_before,
+        "a query decoded a full plan"
+    );
+
+    // Full plans still decode on demand, and equal the ingested plans.
+    for (id, plan) in in_ram.iter() {
+        assert_eq!(snapshot.corpus().plan(id), plan);
+    }
+    assert_eq!(
+        global_counter(FULL, &[]) - full_before,
+        (in_ram.len() - report.novel) as u64
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
