@@ -249,6 +249,21 @@ pub fn corpus(c: &mut Criterion) {
         })
     });
 
+    // Radius 2 over the same corpus and probes: the BK radius walk, whose
+    // cost is almost all bounded TED evaluations.
+    let radius_requests: Vec<QueryRequest> = probes
+        .iter()
+        .map(|p| QueryRequest::radius(2).with_probe((*p).clone()))
+        .collect();
+    let mut probe_cursor = 0usize;
+    group.bench_function("radius_query", |b| {
+        b.iter(|| {
+            let request = &radius_requests[probe_cursor % radius_requests.len()];
+            probe_cursor += 1;
+            indexed.execute(request).expect("radius").cost.ted_evals
+        })
+    });
+
     // Approximate mode: feature-vector shortlist + exact-TED re-rank at
     // the default candidate count. Recall vs exact is gated separately
     // (`repro corpus recall`, corpus-scale CI); this row tracks the

@@ -13,6 +13,32 @@
 //! zero per-node strings (stable forms are memoized by the interner), and
 //! the dynamic program runs over two reused single-`Vec` tables instead of
 //! per-keyroot-pair nested allocations.
+//!
+//! Bounded evaluations (the metric of every BK walk and re-rank) skip the
+//! dynamic program whenever its verdict is already known:
+//!
+//! * **Label-multiset bound.** For any edit mapping `M` between trees `A`
+//!   and `B`, the cost is `|A| + |B| − |M| − |M_equal|`, where `M_equal`
+//!   are the mapped pairs with equal labels. Since `|M| ≤ min(|A|, |B|)`
+//!   and `|M_equal| ≤ I = |labels(A) ∩ labels(B)|` (as multisets), the
+//!   distance is at least `max(|A|, |B|) − I`. When that exceeds the bound
+//!   the verdict is `Exceeded` without the program. It is never weaker
+//!   than the size difference `||A| − |B||`, because `I ≤ min(|A|, |B|)`.
+//! * **Banded program.** Forest cells off the diagonal band provably
+//!   exceed the bound ([`tree_edit_distance_bounded`]).
+//! * **Per-query shape memo** ([`TedProbe`]). Labels and leftmost-leaf
+//!   indices in post order determine the labelled ordered tree, so two
+//!   stored plans with equal sequences ("the same shape") are at the same
+//!   distance from a probe. A probe remembers each shape's verdict: an
+//!   exact distance `d` answers any later bound `b` (`Exact(d)` when
+//!   `d ≤ b`, else `Exceeded`), and `Exceeded` at bound `b₀` answers any
+//!   later bound `b ≤ b₀`; a larger bound runs the program again. A stored
+//!   shape equal to the probe's answers `Exact(0)`. Shapes are bucketed by
+//!   a 64-bit hash but matched on the full sequences, so a hash collision
+//!   costs a comparison, never a wrong answer.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::model::{PlanNode, UnifiedPlan};
 use crate::symbol::SymbolTable;
@@ -28,6 +54,34 @@ struct Flat {
     /// Post-order indices of keyroots (nodes with a left sibling, plus root),
     /// ascending.
     keyroots: Vec<u32>,
+    /// Hash of `labels` and `lld`, which determine the labelled ordered
+    /// tree: the bucket key of the shape memo ([`TedProbe`]). Symbol
+    /// indices are process-local, so the key is never persisted.
+    shape: u64,
+}
+
+impl Flat {
+    /// `true` when both trees are the same labelled ordered tree. The hash
+    /// only filters; the sequences decide.
+    fn same_shape(&self, other: &Flat) -> bool {
+        self.shape == other.shape && self.labels == other.labels && self.lld == other.lld
+    }
+}
+
+/// The shape key of a post-order flattening: a 64-bit mix of every
+/// `(label, lld)` pair.
+fn shape_key(labels: &[u64], lld: &[u32]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = labels.len() as u64;
+    for (&label, &leftmost) in labels.iter().zip(lld) {
+        h = (h.rotate_left(23) ^ label).wrapping_mul(K);
+        h = (h.rotate_left(23) ^ u64::from(leftmost)).wrapping_mul(K);
+    }
+    // splitmix64 finalizer: spreads the last pairs into the high bits the
+    // memo's hash table buckets on.
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
 }
 
 fn flatten(root: &PlanNode, table: &SymbolTable) -> Flat {
@@ -68,10 +122,12 @@ fn flatten(root: &PlanNode, table: &SymbolTable) -> Flat {
     }
     // The DP fills small subtrees first, so keyroots must ascend.
     keyroots.reverse();
+    let shape = shape_key(&labels, &lld);
     Flat {
         labels,
         lld,
         keyroots,
+        shape,
     }
 }
 
@@ -120,11 +176,17 @@ pub struct TedPlan {
 
 /// Reusable dynamic-program tables for [`TedPlan`] evaluations: the n×m
 /// tree-distance table plus the forest-distance scratch, grown on demand
-/// and recycled across evaluations so the hot path allocates nothing.
+/// and recycled across evaluations so the hot path allocates nothing —
+/// plus the sorted label buffers of the label-multiset bound.
 #[derive(Debug, Default)]
 pub struct TedScratch {
     td: Vec<u32>,
     fd: Vec<u32>,
+    /// The probe side's sorted labels, for one-shot bounded evaluations
+    /// ([`TedProbe`] keeps its own for a whole query).
+    probe_labels: Vec<u64>,
+    /// The stored side's sorted labels.
+    labels: Vec<u64>,
 }
 
 impl TedPlan {
@@ -154,35 +216,230 @@ impl TedPlan {
     }
 
     /// Bounded distance to `other` — equal to
-    /// [`tree_edit_distance_bounded`] on the source plans.
+    /// [`tree_edit_distance_bounded`] on the source plans, and to
+    /// [`TedProbe::distance_bounded`] without its memo. Rejects by the
+    /// label-multiset bound before running the banded program (see the
+    /// module docs).
     pub fn distance_bounded(
         &self,
         other: &TedPlan,
         bound: usize,
         scratch: &mut TedScratch,
     ) -> BoundedTed {
-        let verdict = |d: usize| {
-            if d <= bound {
-                BoundedTed::Exact(d)
-            } else {
-                BoundedTed::Exceeded
-            }
-        };
         match (&self.flat, &other.flat) {
-            (None, None) => verdict(0),
-            (Some(flat), None) | (None, Some(flat)) => verdict(flat.labels.len()),
             (Some(a), Some(b)) => {
-                // Size difference is a lower bound on the distance: cheapest
-                // possible rejection, no dynamic program needed.
-                if a.labels.len().abs_diff(b.labels.len()) > bound {
-                    return BoundedTed::Exceeded;
-                }
-                let band = u32::try_from(bound)
-                    .unwrap_or(EXCEEDED - 1)
-                    .min(EXCEEDED - 1) as usize;
-                verdict(zhang_shasha_banded(a, b, band, scratch) as usize)
+                let mut sorted = std::mem::take(&mut scratch.probe_labels);
+                sort_into(&mut sorted, &a.labels);
+                let verdict = bounded(a, &sorted, b, bound, scratch);
+                scratch.probe_labels = sorted;
+                verdict
+            }
+            (a, b) => verdict(
+                a.as_ref().or(b.as_ref()).map_or(0, |f| f.labels.len()),
+                bound,
+            ),
+        }
+    }
+}
+
+/// The verdict for a known exact distance `d` under `bound`.
+fn verdict(d: usize, bound: usize) -> BoundedTed {
+    if d <= bound {
+        BoundedTed::Exact(d)
+    } else {
+        BoundedTed::Exceeded
+    }
+}
+
+/// Replaces `buf` with `labels` in ascending order.
+fn sort_into(buf: &mut Vec<u64>, labels: &[u64]) {
+    buf.clear();
+    buf.extend_from_slice(labels);
+    buf.sort_unstable();
+}
+
+/// `max(|A|, |B|) − |A ∩ B|` over two sorted label multisets: a lower
+/// bound on the tree edit distance (module docs).
+fn label_lower_bound(a: &[u64], b: &[u64]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
             }
         }
+    }
+    a.len().max(b.len()) - shared
+}
+
+/// The un-memoized bounded evaluation of two non-empty trees, given `a`'s
+/// labels sorted: the label-multiset bound, then the banded program.
+fn bounded(
+    a: &Flat,
+    sorted_a: &[u64],
+    b: &Flat,
+    bound: usize,
+    scratch: &mut TedScratch,
+) -> BoundedTed {
+    let (n, m) = (a.labels.len(), b.labels.len());
+    // The label bound never exceeds max(n, m), and never falls below the
+    // size difference: both ends decide without sorting.
+    if n.abs_diff(m) > bound {
+        return BoundedTed::Exceeded;
+    }
+    if n.max(m) > bound {
+        sort_into(&mut scratch.labels, &b.labels);
+        if label_lower_bound(sorted_a, &scratch.labels) > bound {
+            return BoundedTed::Exceeded;
+        }
+    }
+    let band = u32::try_from(bound)
+        .unwrap_or(EXCEEDED - 1)
+        .min(EXCEEDED - 1) as usize;
+    verdict(zhang_shasha_banded(a, b, band, scratch) as usize, bound)
+}
+
+/// A probe prepared for one query's bounded evaluations against many
+/// stored plans: its labels sorted once for the label-multiset bound, and
+/// the per-query shape memo (module docs). Every verdict equals
+/// [`TedPlan::distance_bounded`]'s on the same pair and bound; only the
+/// work behind it differs.
+///
+/// Memo entries borrow the stored views they were computed on, so a probe
+/// lives no longer than the corpus it walks. Build one per probe: the
+/// memo is keyed by the stored side only.
+#[derive(Debug)]
+pub struct TedProbe<'a> {
+    plan: &'a TedPlan,
+    /// The probe's labels in ascending order.
+    sorted: Vec<u64>,
+    /// Shape key → index of the newest entry in that bucket.
+    heads: HashMap<u64, u32, BuildHasherDefault<ShapeKeyHasher>>,
+    /// Memo entries, chained per bucket through `next`.
+    entries: Vec<MemoEntry<'a>>,
+}
+
+/// One remembered verdict: the stored tree it was computed on (compared in
+/// full on every hit) and what is known of its distance to the probe.
+#[derive(Debug)]
+struct MemoEntry<'a> {
+    shape: &'a Flat,
+    known: Known,
+    /// The previous entry in the same bucket, or [`NO_ENTRY`].
+    next: u32,
+}
+
+const NO_ENTRY: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+enum Known {
+    /// The exact distance.
+    Exact(usize),
+    /// The distance exceeds this bound.
+    ExceededAt(usize),
+}
+
+/// Hasher for keys that already are well-mixed 64-bit hashes: passes them
+/// through.
+#[derive(Debug, Default)]
+struct ShapeKeyHasher(u64);
+
+impl Hasher for ShapeKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(byte)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+impl<'a> TedProbe<'a> {
+    /// Prepares `plan` as the probe of one query.
+    pub fn new(plan: &'a TedPlan) -> TedProbe<'a> {
+        let mut sorted = Vec::new();
+        if let Some(flat) = &plan.flat {
+            sort_into(&mut sorted, &flat.labels);
+        }
+        TedProbe {
+            plan,
+            sorted,
+            heads: HashMap::default(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Bounded distance from the probe to `other`: the same verdict as
+    /// [`TedPlan::distance_bounded`], answered from the shape memo or the
+    /// probe's own shape when possible, else computed and remembered.
+    pub fn distance_bounded(
+        &mut self,
+        other: &'a TedPlan,
+        bound: usize,
+        scratch: &mut TedScratch,
+    ) -> BoundedTed {
+        let (Some(a), Some(b)) = (&self.plan.flat, &other.flat) else {
+            return self.plan.distance_bounded(other, bound, scratch);
+        };
+        // Cheapest first: the size difference, the probe's own shape, the
+        // memo; only then the label bound and the program.
+        if a.labels.len().abs_diff(b.labels.len()) > bound {
+            return BoundedTed::Exceeded;
+        }
+        if a.same_shape(b) {
+            return BoundedTed::Exact(0);
+        }
+        let hit = self.find(b);
+        if let Some(entry) = hit {
+            match self.entries[entry as usize].known {
+                Known::Exact(d) => return verdict(d, bound),
+                Known::ExceededAt(at) if bound <= at => return BoundedTed::Exceeded,
+                Known::ExceededAt(_) => {}
+            }
+        }
+        let result = bounded(a, &self.sorted, b, bound, scratch);
+        let known = match result {
+            BoundedTed::Exact(d) => Known::Exact(d),
+            BoundedTed::Exceeded => Known::ExceededAt(bound),
+        };
+        match hit {
+            Some(entry) => self.entries[entry as usize].known = known,
+            None => self.remember(b, known),
+        }
+        result
+    }
+
+    /// The memo entry for `b`'s shape, if any.
+    fn find(&self, b: &Flat) -> Option<u32> {
+        let mut entry = *self.heads.get(&b.shape)?;
+        while entry != NO_ENTRY {
+            let e = &self.entries[entry as usize];
+            if e.shape.same_shape(b) {
+                return Some(entry);
+            }
+            entry = e.next;
+        }
+        None
+    }
+
+    fn remember(&mut self, b: &'a Flat, known: Known) {
+        let index = u32::try_from(self.entries.len()).expect("shape memo overflow");
+        let next = self.heads.insert(b.shape, index).unwrap_or(NO_ENTRY);
+        self.entries.push(MemoEntry {
+            shape: b,
+            known,
+            next,
+        });
     }
 }
 
@@ -260,10 +517,17 @@ fn tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [u32], fd: &mut [u
 /// `bound`, [`BoundedTed::Exceeded`] otherwise — without paying for the
 /// full dynamic program in the latter case.
 ///
-/// Soundness sketch: a forest-distance cell `(r, c)` compares forests of
-/// `r` and `c` nodes, so its true value is at least `|r − c|`. Cells with
-/// `|r − c| > bound` therefore provably exceed the bound and can be banded
-/// out (replaced by an over-approximation). All recurrences are mins over
+/// Two lower bounds decide before any program runs. The label-multiset
+/// bound `max(|A|, |B|) − |labels(A) ∩ labels(B)|` holds because a mapping
+/// `M` costs `|A| + |B| − |M| − |M_equal|`, with `|M| ≤ min(|A|, |B|)` and
+/// `|M_equal|` at most the shared labels; its special case `||A| − |B||`
+/// (shared labels at most the smaller size) needs no sorting. Either one
+/// above `bound` answers `Exceeded`.
+///
+/// Soundness sketch of the band: a forest-distance cell `(r, c)` compares
+/// forests of `r` and `c` nodes, so its true value is at least `|r − c|`.
+/// Cells with `|r − c| > bound` therefore provably exceed the bound and can
+/// be banded out (replaced by an over-approximation). All recurrences are mins over
 /// monotone additions, so every computed value stays an over-approximation
 /// of the true value; and any cell whose true value is `<= bound` has an
 /// optimal derivation that passes only through cells with values `<=
@@ -568,5 +832,137 @@ mod tests {
         assert_eq!(tree_edit_distance(&pg, &tidb), 2);
         let sim = similarity(&pg, &tidb);
         assert!(sim > 0.6 && sim < 1.0, "similarity {sim}");
+    }
+
+    /// A stored view with every shape key forced to one value, so every
+    /// memo lookup lands in the same bucket and only the full-sequence
+    /// comparison tells shapes apart.
+    fn colliding(plan: &UnifiedPlan) -> TedPlan {
+        let mut view = TedPlan::new(plan);
+        if let Some(flat) = &mut view.flat {
+            flat.shape = 0;
+        }
+        view
+    }
+
+    #[test]
+    fn memo_survives_colliding_shape_keys() {
+        let plans = test_plans();
+        let stored: Vec<TedPlan> = plans.iter().chain(&plans).map(colliding).collect();
+        let mut scratch = TedScratch::default();
+        for probe_plan in &plans {
+            let probe_view = colliding(probe_plan);
+            let mut probe = TedProbe::new(&probe_view);
+            // Rising, falling and repeated bounds over every stored view
+            // twice: exact hits, exceeded-at hits and recomputations.
+            for bound in [0, 3, 1, 5, 2, 2, 8, 0] {
+                for view in &stored {
+                    assert_eq!(
+                        probe.distance_bounded(view, bound, &mut scratch),
+                        probe_view.distance_bounded(view, bound, &mut scratch),
+                        "bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_shape_answers_zero_and_memo_keeps_verdicts() {
+        let plan = UnifiedPlan::with_root(join(vec![leaf("A"), leaf("B")]));
+        let other = UnifiedPlan::with_root(join(vec![leaf("A"), leaf("C")]));
+        let (probe_view, same, near) = (
+            TedPlan::new(&plan),
+            TedPlan::new(&plan.clone()),
+            TedPlan::new(&other),
+        );
+        let mut scratch = TedScratch::default();
+        let mut probe = TedProbe::new(&probe_view);
+        assert_eq!(
+            probe.distance_bounded(&same, 0, &mut scratch),
+            BoundedTed::Exact(0)
+        );
+        assert_eq!(
+            probe.distance_bounded(&near, 0, &mut scratch),
+            BoundedTed::Exceeded
+        );
+        assert_eq!(
+            probe.distance_bounded(&near, 1, &mut scratch),
+            BoundedTed::Exact(1)
+        );
+        assert_eq!(
+            probe.distance_bounded(&near, 0, &mut scratch),
+            BoundedTed::Exceeded
+        );
+        // One entry, upgraded in place from exceeded-at-0 to exact.
+        assert_eq!(probe.entries.len(), 1);
+    }
+
+    mod properties {
+        use super::super::*;
+        use crate::model::PlanNode;
+        use proptest::prelude::*;
+
+        /// Plans over a four-label alphabet: small enough that label
+        /// multisets overlap and whole shapes repeat.
+        fn arb_small_plan() -> impl Strategy<Value = UnifiedPlan> {
+            const NAMES: [&str; 2] = ["Scan", "Sort"];
+            let leaf = (0usize..2).prop_map(|i| PlanNode::producer(NAMES[i]));
+            leaf.prop_recursive(3, 12, 3, |inner| {
+                (0usize..2, prop::collection::vec(inner, 1..4))
+                    .prop_map(|(i, children)| PlanNode::executor(NAMES[i]).with_children(children))
+            })
+            .prop_map(UnifiedPlan::with_root)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The label-multiset bound never exceeds the distance, and the
+            /// bounded kernel agrees with the full one at every bound.
+            #[test]
+            fn label_bound_and_bounded_kernel_agree_with_full_ted(
+                a in arb_small_plan(),
+                b in arb_small_plan(),
+            ) {
+                let exact = tree_edit_distance(&a, &b);
+                let (va, vb) = (TedPlan::new(&a), TedPlan::new(&b));
+                let sorted = |v: &TedPlan| {
+                    let mut labels = Vec::new();
+                    sort_into(&mut labels, &v.flat.as_ref().unwrap().labels);
+                    labels
+                };
+                prop_assert!(label_lower_bound(&sorted(&va), &sorted(&vb)) <= exact);
+                let mut scratch = TedScratch::default();
+                for bound in 0..=exact + 2 {
+                    prop_assert_eq!(
+                        va.distance_bounded(&vb, bound, &mut scratch),
+                        verdict(exact, bound)
+                    );
+                }
+            }
+
+            /// The memoized metric answers every (stored plan, bound)
+            /// sequence exactly like the un-memoized one.
+            #[test]
+            fn memoized_metric_equals_unmemoized(
+                probe in arb_small_plan(),
+                stored in prop::collection::vec(arb_small_plan(), 6..7),
+                walk in prop::collection::vec((0usize..12, 0usize..9), 0..48),
+            ) {
+                // Each stored plan twice, as separate views: equal shapes
+                // from different views share memo entries.
+                let views: Vec<TedPlan> = stored.iter().chain(&stored).map(TedPlan::new).collect();
+                let probe_view = TedPlan::new(&probe);
+                let mut memoized = TedProbe::new(&probe_view);
+                let mut scratch = TedScratch::default();
+                for (i, bound) in walk {
+                    prop_assert_eq!(
+                        memoized.distance_bounded(&views[i], bound, &mut scratch),
+                        probe_view.distance_bounded(&views[i], bound, &mut scratch)
+                    );
+                }
+            }
+        }
     }
 }

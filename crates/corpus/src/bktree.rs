@@ -173,7 +173,8 @@ impl BkTree {
             return (0, false);
         }
         let mut evals = 0u64;
-        let truncated = self.nearest_rec(0, k, limit, &tag, &mut dist, best, &mut evals);
+        let mut gaps = Vec::new();
+        let truncated = self.nearest_rec(0, k, limit, &tag, &mut dist, best, &mut evals, &mut gaps);
         (evals, truncated)
     }
 
@@ -188,6 +189,7 @@ impl BkTree {
         dist: &mut impl FnMut(u32, u32) -> Option<u32>,
         best: &mut BinaryHeap<(u32, u32)>,
         evals: &mut u64,
+        gaps: &mut Vec<(u32, u32)>,
     ) -> bool {
         if *evals >= limit {
             return true;
@@ -218,22 +220,27 @@ impl BkTree {
         }
         // Best-first over children: the subtree behind edge `e` bounds at
         // |d − e|, so visiting small gaps first tightens the heap early and
-        // prunes more of the rest.
-        let mut gaps: Vec<(u32, u32)> = node
-            .children
-            .iter()
-            .map(|&(edge, child)| (edge.abs_diff(d), child))
-            .collect();
-        gaps.sort_unstable();
-        for (gap, child) in gaps {
+        // prunes more of the rest. One buffer serves the whole descent:
+        // this node's gaps sit above its ancestors' pending ones, and each
+        // child truncates back to where it started before the next is read.
+        let start = gaps.len();
+        gaps.extend(
+            node.children
+                .iter()
+                .map(|&(edge, child)| (edge.abs_diff(d), child)),
+        );
+        gaps[start..].sort_unstable();
+        for i in start..gaps.len() {
+            let (gap, child) = gaps[i];
             // With a full heap, a subtree bounded at `gap >= worst` cannot
             // strictly improve any kept distance; equal-distance ties swap
             // items but never the distance multiset, so skipping is sound.
             let prune = best.len() >= k && best.peek().is_some_and(|&(worst, _)| gap >= worst);
-            if !prune && self.nearest_rec(child, k, limit, tag, dist, best, evals) {
+            if !prune && self.nearest_rec(child, k, limit, tag, dist, best, evals, gaps) {
                 return true;
             }
         }
+        gaps.truncate(start);
         false
     }
 

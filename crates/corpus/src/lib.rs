@@ -53,7 +53,7 @@ use std::sync::{Arc, OnceLock};
 use uplan_core::fingerprint::{fingerprint_with, Fingerprint, FingerprintOptions};
 use uplan_core::formats::binary::MAX_INDEX_SHARDS;
 use uplan_core::formats::unified;
-use uplan_core::ted::{BoundedTed, TedPlan, TedScratch};
+use uplan_core::ted::{BoundedTed, TedPlan, TedProbe, TedScratch};
 use uplan_core::{Result, UnifiedPlan};
 
 use features::{features_of, l1_distance};
@@ -149,14 +149,17 @@ impl MetricQuery {
     }
 }
 
-/// The production walk metric over `(shard, local id, bound)`: the banded
-/// early-exit TED kernel, counting the evaluations it abandons past the
-/// bound into `partials`.
+/// The production walk metric over `(shard, local id, bound)`: the
+/// memoized, label-bounded, banded early-exit TED kernel of one probe
+/// ([`TedProbe`]), counting the `Exceeded` verdicts into `partials`. The
+/// memo and bounds change no verdict, so evaluation starts and partial
+/// counts equal the plain banded kernel's.
 fn banded<'a>(
     probe: &'a TedPlan,
     scratch: &'a mut TedScratch,
     partials: &'a mut u64,
-) -> impl FnMut(&CorpusShard, u32, u32) -> Option<u32> + 'a {
+) -> impl FnMut(&'a CorpusShard, u32, u32) -> Option<u32> + 'a {
+    let mut probe = TedProbe::new(probe);
     move |shard, local, bound| match probe.distance_bounded(
         shard.store.ted(local as usize),
         bound as usize,
@@ -641,11 +644,11 @@ impl ShardedCorpus {
     /// [`bktree::BkTree::within_radius`]). Returns the matches as
     /// `(global id, distance)` sorted by id, the TED evaluations started
     /// and whether the budget cut the walk short.
-    fn radius_walk(
-        &self,
+    fn radius_walk<'a>(
+        &'a self,
         radius: u32,
         limit: u64,
-        mut dist: impl FnMut(&CorpusShard, u32, u32) -> Option<u32>,
+        mut dist: impl FnMut(&'a CorpusShard, u32, u32) -> Option<u32>,
     ) -> (Matches, u64, bool) {
         let mut matches = Vec::new();
         let mut evals = 0u64;
@@ -677,11 +680,11 @@ impl ShardedCorpus {
     /// close to a single-tree one, not `shards ×` as much. The budget and
     /// the metric work as in [`ShardedCorpus::radius_walk`]. Matches sort
     /// by ascending distance (then id).
-    fn knn_walk(
-        &self,
+    fn knn_walk<'a>(
+        &'a self,
         k: usize,
         limit: u64,
-        mut dist: impl FnMut(&CorpusShard, u32, u32) -> Option<u32>,
+        mut dist: impl FnMut(&'a CorpusShard, u32, u32) -> Option<u32>,
     ) -> (Matches, u64, bool) {
         // Sized by the corpus, not the request: `k` arrives off the wire.
         let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
@@ -822,6 +825,7 @@ impl ShardedCorpus {
         // best bound; beyond-bound candidates pay only a partial
         // evaluation.
         let probe = TedPlan::new(probe);
+        let mut probe = TedProbe::new(&probe);
         let mut scratch = TedScratch::default();
         let mut best: BinaryHeap<(u32, u32)> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
         let mut ted_evals = 0u64;
@@ -973,16 +977,24 @@ mod tests {
     use uplan_testing::scan::{scan_nearest, scan_within_radius};
 
     /// The reference walk metric: the full dynamic program at every node,
-    /// so the kernel's early exits can be checked against it.
+    /// so the kernel's early exits can be checked against it. Counts into
+    /// `exceeded` the evaluations whose exact distance is past the bound
+    /// the walk passed — the verdicts the kernel must answer `Exceeded`.
     fn full<'a>(
         probe: &'a TedPlan,
         scratch: &'a mut TedScratch,
-    ) -> impl FnMut(&CorpusShard, u32, u32) -> Option<u32> + 'a {
-        move |shard, local, _| Some(probe.distance(shard.store.ted(local as usize), scratch) as u32)
+        exceeded: &'a mut u64,
+    ) -> impl FnMut(&'a CorpusShard, u32, u32) -> Option<u32> + 'a {
+        move |shard, local, bound| {
+            let d = probe.distance(shard.store.ted(local as usize), scratch) as u32;
+            *exceeded += u64::from(d > bound);
+            Some(d)
+        }
     }
 
     /// Reference radius query with the early-exit kernel *disabled*: the
-    /// production walk under [`full`], so `partial_evals` is zero.
+    /// production walk under [`full`], with `partial_evals` counting the
+    /// evaluations past their bound.
     fn radius_query_reference(
         corpus: &ShardedCorpus,
         probe: &UnifiedPlan,
@@ -990,9 +1002,16 @@ mod tests {
     ) -> MetricQuery {
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let (matches, ted_evals, _) =
-            corpus.radius_walk(radius, u64::MAX, full(&probe, &mut scratch));
-        MetricQuery::exact(matches, ted_evals)
+        let mut partial_evals = 0u64;
+        let (matches, ted_evals, _) = corpus.radius_walk(
+            radius,
+            u64::MAX,
+            full(&probe, &mut scratch, &mut partial_evals),
+        );
+        MetricQuery {
+            partial_evals,
+            ..MetricQuery::exact(matches, ted_evals)
+        }
     }
 
     /// Reference k-NN with the early-exit kernel *disabled* (the
@@ -1000,8 +1019,13 @@ mod tests {
     fn knn_query_reference(corpus: &ShardedCorpus, probe: &UnifiedPlan, k: usize) -> MetricQuery {
         let probe = TedPlan::new(probe);
         let mut scratch = TedScratch::default();
-        let (matches, ted_evals, _) = corpus.knn_walk(k, u64::MAX, full(&probe, &mut scratch));
-        MetricQuery::exact(matches, ted_evals)
+        let mut partial_evals = 0u64;
+        let (matches, ted_evals, _) =
+            corpus.knn_walk(k, u64::MAX, full(&probe, &mut scratch, &mut partial_evals));
+        MetricQuery {
+            partial_evals,
+            ..MetricQuery::exact(matches, ted_evals)
+        }
     }
 
     /// The corpus's segment bytes — the byte oracle.
@@ -1322,46 +1346,65 @@ mod tests {
         assert_eq!(ShardedCorpus::with_shards(100_000).shard_count(), 256);
     }
 
-    #[test]
-    fn early_exit_kernel_is_invisible_to_exact_queries() {
-        // The kernel contract, enforced on the TPC-H-derived population:
-        // exact queries answer with the same matches and the same
-        // evaluation *starts* whether pruned-but-visited nodes run the
-        // full dynamic program (`*_reference`, kernel off) or the banded
-        // early-exit one (the production path). The only difference the
-        // kernel may make is how many of those starts it abandoned.
-        let mut plans = uplan_testing::fixtures::derived_plans(0xeef1);
-        let mut corpus = PlanCorpus::new();
-        while corpus.len() < 600 {
-            corpus.insert(plans.next().unwrap());
-        }
+    /// The kernel contract on one corpus: exact queries answer with the
+    /// same matches and the same evaluation *starts* whether visited nodes
+    /// run the full dynamic program (`*_reference`, kernel off) or the
+    /// production metric (label bound, shape memo, banded early exit), and
+    /// the kernel answers `Exceeded` exactly where the full distance is
+    /// past the bound the walk passed. Returns the `Exceeded` count.
+    fn assert_kernel_invisible(corpus: &ShardedCorpus, probes: &[UnifiedPlan]) -> u64 {
         let matches = |r: &QueryResponse| match &r.outcome {
             QueryOutcome::Matches(m) => m.clone(),
             other => panic!("metric query answered {other:?}"),
         };
         let mut savings = 0u64;
-        for probe in uplan_testing::fixtures::derived_stream(12, 0xb0b) {
+        for probe in probes {
             let knn = corpus
                 .execute(&QueryRequest::knn(5).with_probe(probe.clone()))
                 .unwrap();
-            let reference = knn_query_reference(&corpus, &probe, 5);
+            let reference = knn_query_reference(corpus, probe, 5);
             assert_eq!(matches(&knn), reference.matches);
             assert_eq!(knn.cost.ted_evals, reference.ted_evals);
-            assert_eq!(reference.partial_evals, 0);
+            assert_eq!(knn.cost.partial_evals, reference.partial_evals);
             savings += knn.cost.partial_evals;
 
             let radius = corpus
                 .execute(&QueryRequest::radius(2).with_probe(probe.clone()))
                 .unwrap();
-            let reference = radius_query_reference(&corpus, &probe, 2);
+            let reference = radius_query_reference(corpus, probe, 2);
             assert_eq!(matches(&radius), reference.matches);
             assert_eq!(radius.cost.ted_evals, reference.ted_evals);
-            assert_eq!(reference.partial_evals, 0);
+            assert_eq!(radius.cost.partial_evals, reference.partial_evals);
             savings += radius.cost.partial_evals;
         }
+        savings
+    }
+
+    #[test]
+    fn early_exit_kernel_is_invisible_to_exact_queries() {
+        // The TPC-H-derived 600-plan population.
+        let mut plans = uplan_testing::fixtures::derived_plans(0xeef1);
+        let mut corpus = PlanCorpus::new();
+        while corpus.len() < 600 {
+            corpus.insert(plans.next().unwrap());
+        }
+        let probes = uplan_testing::fixtures::derived_stream(12, 0xb0b);
+        let savings = assert_kernel_invisible(&corpus, &probes);
         assert!(
             savings > 0,
             "the early-exit kernel never abandoned a single evaluation"
         );
+    }
+
+    #[test]
+    fn early_exit_kernel_is_invisible_on_the_10k_fixture_stream() {
+        // The 10k-observation fixture stream the benches index, where BK
+        // neighbourhoods repeat label shapes often enough to exercise the
+        // shape memo.
+        let stream = uplan_testing::fixtures::derived_stream(10_000, 0x5eed_cafe);
+        let mut corpus = PlanCorpus::new();
+        corpus.ingest_parallel(&stream, 2);
+        let probes: Vec<_> = stream.iter().step_by(997).cloned().collect();
+        assert!(assert_kernel_invisible(&corpus, &probes) > 0);
     }
 }
