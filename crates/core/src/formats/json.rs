@@ -1457,6 +1457,74 @@ mod tests {
         assert_eq!(err, parse(r#"{"a": [1 2]}"#).unwrap_err());
     }
 
+    /// Drains a reader's events up to `Eof` or the first error.
+    fn drain(doc: &str) -> Result<()> {
+        let mut r = JsonReader::new(doc);
+        while r.next_event()? != JsonEvent::Eof {}
+        Ok(())
+    }
+
+    /// Every malformed input of the JSON unit and property tests, and the
+    /// nesting bound's edge, with the exact outcome (error text and byte
+    /// offset) of [`parse`] and of an event drain.
+    #[test]
+    fn parse_and_event_drain_give_the_pinned_errors() {
+        let at = |offset, message: &str| Err(Error::parse(offset, message));
+        let eof = |what: &str| Err(Error::UnexpectedEof(what.to_owned()));
+        let deep = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
+        let trailing = "trailing characters after JSON document";
+        let mut table: Vec<(String, Result<()>)> = vec![
+            ("".into(), eof("JSON value")),
+            ("{".into(), at(1, "expected '\"'")),
+            ("}".into(), at(0, "unexpected character '}' in JSON")),
+            ("[1,".into(), eof("JSON value")),
+            ("{\"a\"}".into(), at(4, "expected ':' in object")),
+            ("{\"a\":}".into(), at(5, "unexpected character '}' in JSON")),
+            ("tru".into(), at(0, "expected 'true'")),
+            ("01x".into(), at(2, trailing)),
+            ("\"unterminated".into(), at(0, "unterminated JSON string")),
+            ("{\"a\":1} extra".into(), at(8, trailing)),
+            ("[1 2]".into(), at(3, "expected ',' or ']' in array")),
+            ("\"\\q\"".into(), at(2, "unknown escape '\\q'")),
+            ("{a:1}".into(), at(1, "expected '\"'")),
+            ("{\"a\" 1}".into(), at(5, "expected ':' in object")),
+            ("nul".into(), at(0, "expected 'null'")),
+            ("{\"a\":1,}".into(), at(7, "expected '\"'")),
+            ("[1,]".into(), at(3, "unexpected character ']' in JSON")),
+            (
+                "{\"a\" :  x}".into(),
+                at(8, "unexpected character 'x' in JSON"),
+            ),
+            (
+                "\"ab\u{1}c\"".into(),
+                at(3, "raw control character in string"),
+            ),
+            (
+                "{\"a\":1 \"b\":2}".into(),
+                at(7, "expected ',' or '}' in object"),
+            ),
+            ("{} {}".into(), at(3, trailing)),
+            ("\"\\u00".into(), eof("\\u escape")),
+        ];
+        // The nesting bound: a value may start inside at most MAX_DEPTH
+        // open containers, so an empty array at depth 513 is accepted.
+        let too_deep = || at(513, "JSON nested too deeply");
+        for (n, empty, scalar) in [
+            (511, Ok(()), Ok(())),
+            (512, Ok(()), Ok(())),
+            (513, Ok(()), too_deep()),
+            (514, too_deep(), too_deep()),
+        ] {
+            table.push((deep(n, ""), empty));
+            table.push((deep(n, "1"), scalar));
+        }
+        for (doc, expected) in &table {
+            let shown: String = doc.chars().take(24).collect();
+            assert_eq!(&parse(doc).map(drop), expected, "parse {shown:?}");
+            assert_eq!(&drain(doc), expected, "event drain {shown:?}");
+        }
+    }
+
     #[test]
     fn reader_expectation_helpers_flag_wrong_shapes() {
         let mut r = JsonReader::new("[1, 2]");
