@@ -12,11 +12,16 @@
 //! Committed snapshots carry absolute nanoseconds from the machine that
 //! wrote them, so a uniformly slower runner (a shared CI box vs the dev
 //! workstation) would flag everything. The diff therefore self-calibrates:
-//! with enough matched benches it divides out the *median* fresh/baseline
-//! ratio (clamped to `1.0..=MAX_CALIBRATION`) before applying the
-//! tolerance. Machine skew moves every ratio together and is absorbed; a
-//! genuine regression moves a few benches away from the median and still
-//! trips the gate.
+//! with enough matched benches a file's calibration is the *median*
+//! fresh/baseline ratio (clamped to `1.0..=MAX_CALIBRATION`). Machine skew
+//! moves every ratio together and is absorbed; a genuine regression moves a
+//! few benches away from the median and still trips the gate.
+//!
+//! The machine is one, so a run divides every file by one machine factor:
+//! the largest per-file calibration. A historical baseline whose rows were
+//! mostly optimized away since (fresh/baseline ratios well below 1)
+//! calibrates to the 1.0 floor on any host, and would otherwise flag the
+//! untouched rows on a slow one.
 
 use criterion::BenchResult;
 use uplan_core::formats::json;
@@ -49,9 +54,10 @@ pub enum Verdict {
 pub struct Comparison {
     /// Baseline path.
     pub baseline: String,
-    /// Machine-speed factor divided out before the tolerance check (1.0
-    /// when the fresh machine is not uniformly slower, or when too few
-    /// benches matched to estimate it).
+    /// Machine-speed factor divided out before the tolerance check: the
+    /// largest calibration over the run's baseline files (1.0 when the
+    /// fresh machine is not uniformly slower, or when too few benches
+    /// matched to estimate it).
     pub calibration: f64,
     /// `(bench, baseline_ns, fresh_ns, verdict)`; missing benches carry a
     /// fresh time of 0, new benches a baseline time of 0.
@@ -115,14 +121,32 @@ fn calibration(baseline: &[(String, f64)], fresh: &[BenchResult]) -> f64 {
     ratios[ratios.len() / 2].clamp(1.0, MAX_CALIBRATION)
 }
 
-/// Diffs fresh results against one parsed baseline.
+/// Diffs fresh results against every parsed baseline `(path, medians)` of
+/// one run, dividing each by the run's machine factor: the largest
+/// per-file calibration.
 pub fn diff(
+    baselines: &[(String, Vec<(String, f64)>)],
+    fresh: &[BenchResult],
+    tolerance: f64,
+) -> Vec<Comparison> {
+    let machine = baselines
+        .iter()
+        .map(|(_, baseline)| calibration(baseline, fresh))
+        .fold(1.0, f64::max);
+    baselines
+        .iter()
+        .map(|(name, baseline)| diff_one(name, baseline, fresh, tolerance, machine))
+        .collect()
+}
+
+/// Diffs fresh results against one parsed baseline at a given calibration.
+fn diff_one(
     baseline_name: &str,
     baseline: &[(String, f64)],
     fresh: &[BenchResult],
     tolerance: f64,
+    calibration: f64,
 ) -> Comparison {
-    let calibration = calibration(baseline, fresh);
     let mut rows = Vec::new();
     for (name, base_ns) in baseline {
         match fresh.iter().find(|r| &r.name == name) {
@@ -188,6 +212,7 @@ pub fn run(paths: &[String]) -> (String, bool) {
     let filtered = std::env::var("UPLAN_BENCH_FILTER").is_ok_and(|f| !f.is_empty());
     let mut report = String::new();
     let mut failed = false;
+    let mut baselines = Vec::new();
     for path in paths {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
@@ -197,15 +222,15 @@ pub fn run(paths: &[String]) -> (String, bool) {
                 continue;
             }
         };
-        let baseline = match parse_baseline(&text) {
-            Ok(b) => b,
+        match parse_baseline(&text) {
+            Ok(baseline) => baselines.push((path.clone(), baseline)),
             Err(e) => {
                 report.push_str(&format!("{path}: {e}\n"));
                 failed = true;
-                continue;
             }
-        };
-        let mut cmp = diff(path, &baseline, &fresh, tolerance);
+        }
+    }
+    for mut cmp in diff(&baselines, &fresh, tolerance) {
         if filtered {
             // A name filter deliberately runs a subset; absent benches are
             // not a signal then.
@@ -226,6 +251,17 @@ pub fn run(paths: &[String]) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One baseline file diffed alone.
+    fn diff(
+        name: &str,
+        baseline: &[(String, f64)],
+        fresh: &[BenchResult],
+        tolerance: f64,
+    ) -> Comparison {
+        let mut cmps = super::diff(&[(name.to_owned(), baseline.to_vec())], fresh, tolerance);
+        cmps.pop().unwrap()
+    }
 
     fn result(name: &str, median_ns: f64) -> BenchResult {
         BenchResult {
@@ -311,6 +347,53 @@ mod tests {
         // clamps at 1.0.
         let fast: Vec<BenchResult> = (0..8).map(|i| result(&format!("b{i}"), 400.0)).collect();
         assert!((diff("base.json", &baseline, &fast, 1.5).calibration - 1.0).abs() < 1e-9);
+    }
+
+    /// A run against a historical baseline, most of whose rows were
+    /// optimized 2.5x since, and a current snapshot: both files share the
+    /// machine factor the snapshot measures.
+    #[test]
+    fn one_machine_factor_calibrates_every_file() {
+        let names: Vec<String> = (0..10).map(|i| format!("b{i}")).collect();
+        let snapshot: Vec<(String, f64)> = names.iter().map(|n| (n.clone(), 1000.0)).collect();
+        // Rows 0..6 were optimized since the historical baseline; 6..10 not.
+        let historical: Vec<(String, f64)> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), if i < 6 { 2500.0 } else { 1000.0 }))
+            .collect();
+        let baselines = vec![
+            ("BENCH_baseline.json".to_owned(), historical.clone()),
+            ("BENCH_snapshot.json".to_owned(), snapshot.clone()),
+        ];
+        let tolerance = 1.25;
+
+        // Uniformly 1.5x slower: alone, the historical file calibrates to
+        // the 1.0 floor and flags the untouched rows; in the run, both
+        // files pass at the snapshot's 1.5x.
+        let slow: Vec<BenchResult> = names.iter().map(|n| result(n, 1500.0)).collect();
+        assert!(diff("BENCH_baseline.json", &historical, &slow, tolerance).failed());
+        let cmps = super::diff(&baselines, &slow, tolerance);
+        assert_eq!(cmps.len(), 2);
+        for cmp in &cmps {
+            assert!((cmp.calibration - 1.5).abs() < 1e-9, "{}", cmp.baseline);
+            assert!(!cmp.failed(), "{}: {:?}", cmp.baseline, cmp.rows);
+        }
+
+        // Three untouched rows 2.5x slower than the rest fail both files.
+        let mut regressed = slow;
+        for r in &mut regressed[6..9] {
+            r.median_ns = 1500.0 * 2.5;
+        }
+        for cmp in super::diff(&baselines, &regressed, tolerance) {
+            let flagged: Vec<&str> = cmp
+                .rows
+                .iter()
+                .filter(|(_, _, _, v)| *v == Verdict::Regressed)
+                .map(|(n, _, _, _)| n.as_str())
+                .collect();
+            assert_eq!(flagged, ["b6", "b7", "b8"], "{}", cmp.baseline);
+        }
     }
 
     #[test]

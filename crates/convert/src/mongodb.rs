@@ -1,6 +1,6 @@
 //! MongoDB converter: `explain()` JSON → unified plans.
 
-use uplan_core::formats::json::{JsonEvent, JsonPull, JsonReader};
+use uplan_core::formats::json::{JsonEvent, JsonReader};
 use uplan_core::{Error, PlanNode, Result, UnifiedPlan};
 
 use crate::spine::{declare_converter, NodeBuilder};
@@ -17,7 +17,7 @@ declare_converter!(
     |input| input.trim_start().starts_with('{') && input.contains("\"queryPlanner\"")
 );
 
-fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
+fn json_body<'a>(r: &mut JsonReader<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("missing \"queryPlanner\"".into()));
     }
@@ -65,7 +65,7 @@ fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<Unifi
 
 /// A stage node from the value of a `winningPlan`/`inputStage` member (the
 /// value's start event not yet consumed).
-fn stage_value<'a>(r: &mut impl JsonPull<'a>, b: &NodeBuilder) -> Result<PlanNode> {
+fn stage_value<'a>(r: &mut JsonReader<'a>, b: &NodeBuilder) -> Result<PlanNode> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("stage without \"stage\" member".into()));
     }

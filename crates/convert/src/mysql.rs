@@ -1,6 +1,6 @@
 //! MySQL converter: `FORMAT=JSON` and the classic table → unified plans.
 
-use uplan_core::formats::json::{JsonEvent, JsonPull, JsonReader};
+use uplan_core::formats::json::{JsonEvent, JsonReader};
 use uplan_core::{Error, PlanNode, Property, Result, UnifiedPlan};
 
 use crate::spine::{chain, declare_converter, pipe_cells, pipe_header, CellTrim, NodeBuilder};
@@ -28,7 +28,7 @@ declare_converter!(
     |input| input.contains("select_type")
 );
 
-fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
+fn json_body<'a>(r: &mut JsonReader<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("missing \"query_block\"".into()));
     }
@@ -67,7 +67,7 @@ fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<Unifi
 /// members become properties in `props` (when collecting — the top-level
 /// query block drops its scalars), other containers are skipped.
 fn block_members<'a>(
-    r: &mut impl JsonPull<'a>,
+    r: &mut JsonReader<'a>,
     b: &NodeBuilder,
     mut props: Option<&mut Vec<Property>>,
     children: &mut Vec<PlanNode>,
@@ -173,7 +173,7 @@ fn block_members<'a>(
 
 /// A table-access node from the value of a `"table"` member (the value's
 /// start event not yet consumed).
-fn table_value<'a>(r: &mut impl JsonPull<'a>, b: &NodeBuilder) -> Result<PlanNode> {
+fn table_value<'a>(r: &mut JsonReader<'a>, b: &NodeBuilder) -> Result<PlanNode> {
     if !r.enter_object()? {
         return Ok(b.op("ALL"));
     }

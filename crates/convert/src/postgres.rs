@@ -1,6 +1,6 @@
 //! PostgreSQL converter: `EXPLAIN` text and `FORMAT JSON` → unified plans.
 
-use uplan_core::formats::json::{JsonEvent, JsonPull, JsonReader};
+use uplan_core::formats::json::{JsonEvent, JsonReader};
 use uplan_core::{Error, PlanNode, Property, Result, UnifiedPlan};
 
 use crate::spine::{configuration, declare_converter, NodeBuilder};
@@ -140,7 +140,7 @@ fn parse_head(head: &str, b: &NodeBuilder) -> PlanNode {
     node
 }
 
-fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
+fn json_body<'a>(r: &mut JsonReader<'a>, b: &mut NodeBuilder) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ArrayStart || !r.array_next()? {
         return Err(Error::Semantic("expected a one-element JSON array".into()));
     }
@@ -174,7 +174,7 @@ fn json_body<'a>(r: &mut impl JsonPull<'a>, b: &mut NodeBuilder) -> Result<Unifi
     Ok(plan)
 }
 
-fn node_from_events<'a>(r: &mut impl JsonPull<'a>, b: &NodeBuilder) -> Result<PlanNode> {
+fn node_from_events<'a>(r: &mut JsonReader<'a>, b: &NodeBuilder) -> Result<PlanNode> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("plan node missing \"Node Type\"".into()));
     }

@@ -1,5 +1,5 @@
-//! A small, dependency-free, **zero-copy** JSON document model, parser,
-//! pull reader and writer.
+//! A small, dependency-free, **zero-copy** JSON document model, reader and
+//! writer.
 //!
 //! JSON is "the most widely supported structural format" among the studied
 //! DBMSs (paper Table III), and the converters must *parse* native JSON
@@ -7,21 +7,20 @@
 //! sits on the ingest hot path of every fingerprinting/TED campaign, so it
 //! must not allocate where the input already holds the bytes.
 //!
-//! Three layers, from cheapest to most convenient:
+//! One reader, and the trees it builds:
 //!
-//! * [`JsonPull`] — the one pull API: borrowed [`JsonEvent`]s plus the
+//! * [`JsonReader`] — the one grammar: borrowed [`JsonEvent`]s plus the
 //!   structured helpers (`next_key`, `array_next`, `read_value`,
-//!   `skip_value`, …), written once. Its streaming source, [`JsonReader`],
-//!   lexes text: escape-free strings and object keys are [`Cow::Borrowed`]
-//!   spans of the input and numbers are parsed in place. Converters with a
-//!   known schema walk explain output, plans and request bodies through it
-//!   without materializing a tree at all.
-//! * [`parse`] — builds a borrowed [`JsonValue`] tree over the input
+//!   `skip_value`, …). Escape-free strings and object keys are
+//!   [`Cow::Borrowed`] spans of the input and numbers are parsed in place.
+//!   Converters with a known schema walk explain output, plans and request
+//!   bodies through it without materializing a tree at all.
+//! * [`parse`] — the reader's [`JsonReader::read_value`] plus
+//!   [`JsonReader::finish`]: a borrowed [`JsonValue`] tree over the input
 //!   `&str`. The only allocations are the container `Vec`s and the decoded
-//!   forms of strings that contain escapes.
-//! * [`JsonValue::into_owned`] / [`parse_owned`] — the owned escape hatch
-//!   (`JsonValue<'static>`) for documents that must outlive their input,
-//!   e.g. `minidoc` collections.
+//!   forms of strings that contain escapes. [`JsonValue::into_owned`]
+//!   detaches a tree (`JsonValue<'static>`) for documents that must outlive
+//!   their input, e.g. `minidoc` collections.
 //!
 //! Object member order is preserved (`Vec<(Cow<str>, JsonValue)>`), which
 //! keeps serialized plans stable and diffable.
@@ -294,7 +293,7 @@ impl From<bool> for JsonValue<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Lexer (shared by the tree parser and the pull reader)
+// Lexer
 // ---------------------------------------------------------------------------
 
 /// Nesting bound: real explain plans nest a few dozen levels at most; the
@@ -341,8 +340,8 @@ fn scan_string_span(bytes: &[u8], mut i: usize) -> usize {
     i
 }
 
-/// The borrowed low-level scanner. Both [`parse`] and [`JsonReader`] drive
-/// it; it never copies bytes unless a string contains escapes.
+/// The borrowed low-level scanner under [`JsonReader`]; it never copies
+/// bytes unless a string contains escapes.
 struct Lexer<'a> {
     text: &'a str,
     bytes: &'a [u8],
@@ -530,7 +529,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Parses a number in place (no intermediate `String`).
-    fn lex_number(&mut self) -> Result<JsonValue<'static>> {
+    fn lex_number(&mut self) -> Result<JsonEvent<'a>> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -559,135 +558,16 @@ impl<'a> Lexer<'a> {
         let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
-                .map(JsonValue::Float)
+                .map(JsonEvent::Float)
                 .map_err(|e| Error::parse(start, format!("bad number: {e}")))
         } else {
             match text.parse::<i64>() {
-                Ok(i) => Ok(JsonValue::Int(i)),
+                Ok(i) => Ok(JsonEvent::Int(i)),
                 // Overflowing integers fall back to floats, as in most parsers.
                 Err(_) => text
                     .parse::<f64>()
-                    .map(JsonValue::Float)
+                    .map(JsonEvent::Float)
                     .map_err(|e| Error::parse(start, format!("bad number: {e}"))),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tree parser
-// ---------------------------------------------------------------------------
-
-/// Parses a JSON document into a borrowed tree. Escape-free strings and
-/// keys are zero-copy spans of `input`.
-pub fn parse(input: &str) -> Result<JsonValue<'_>> {
-    let mut p = JsonParser {
-        lx: Lexer::new(input),
-        depth: 0,
-    };
-    p.lx.skip_ws();
-    let value = p.parse_value()?;
-    p.lx.skip_ws();
-    if p.lx.pos != p.lx.bytes.len() {
-        return Err(Error::parse(
-            p.lx.pos,
-            "trailing characters after JSON document",
-        ));
-    }
-    Ok(value)
-}
-
-/// Parses a JSON document into a fully owned tree ([`parse`] +
-/// [`JsonValue::into_owned`]).
-pub fn parse_owned(input: &str) -> Result<OwnedJsonValue> {
-    parse(input).map(JsonValue::into_owned)
-}
-
-struct JsonParser<'a> {
-    lx: Lexer<'a>,
-    depth: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse_value(&mut self) -> Result<JsonValue<'a>> {
-        if self.depth > MAX_DEPTH {
-            return Err(Error::parse(self.lx.pos, "JSON nested too deeply"));
-        }
-        match self.lx.peek() {
-            None => Err(Error::UnexpectedEof("JSON value".to_owned())),
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::Str(self.lx.lex_string()?)),
-            Some(b't') => self.lx.lex_literal("true").map(|()| JsonValue::Bool(true)),
-            Some(b'f') => self
-                .lx
-                .lex_literal("false")
-                .map(|()| JsonValue::Bool(false)),
-            Some(b'n') => self.lx.lex_literal("null").map(|()| JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.lx.lex_number(),
-            Some(other) => Err(Error::parse(
-                self.lx.pos,
-                format!("unexpected character {:?} in JSON", other as char),
-            )),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue<'a>> {
-        self.lx.pos += 1; // '{'
-        self.depth += 1;
-        let mut members = Vec::with_capacity(OBJECT_CAPACITY);
-        self.lx.skip_ws();
-        if self.lx.peek() == Some(b'}') {
-            self.lx.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.lx.skip_ws();
-            let key = self.lx.lex_string()?;
-            self.lx.skip_ws();
-            if self.lx.peek() != Some(b':') {
-                return Err(Error::parse(self.lx.pos, "expected ':' in object"));
-            }
-            self.lx.pos += 1;
-            self.lx.skip_ws();
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.lx.skip_ws();
-            match self.lx.peek() {
-                Some(b',') => self.lx.pos += 1,
-                Some(b'}') => {
-                    self.lx.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(Error::parse(self.lx.pos, "expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue<'a>> {
-        self.lx.pos += 1; // '['
-        self.depth += 1;
-        let mut items = Vec::with_capacity(ARRAY_CAPACITY);
-        self.lx.skip_ws();
-        if self.lx.peek() == Some(b']') {
-            self.lx.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.lx.skip_ws();
-            items.push(self.parse_value()?);
-            self.lx.skip_ws();
-            match self.lx.peek() {
-                Some(b',') => self.lx.pos += 1,
-                Some(b']') => {
-                    self.lx.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(Error::parse(self.lx.pos, "expected ',' or ']' in array")),
             }
         }
     }
@@ -730,16 +610,17 @@ struct Frame {
     /// Items (members or elements) consumed so far in this container.
     count: u32,
     /// A key was emitted (objects) or an element separator was consumed
-    /// ([`JsonPull::array_next`]): the next event must be a value.
+    /// ([`JsonReader::array_next`]): the next event must be a value.
     pending_value: bool,
 }
 
-/// A pull-based JSON reader: repeatedly call [`JsonPull::next_event`] (or
-/// the structured helpers) to walk a document without building a tree.
+/// The one JSON reader: repeatedly call [`JsonReader::next_event`] (or the
+/// structured helpers) to walk a document without building a tree, or
+/// [`JsonReader::read_value`] to build one.
 ///
 /// The reader validates structure as it goes — commas, colons, nesting
-/// depth, trailing garbage — and reports the same byte-offset parse errors
-/// as [`parse`]. Strings and keys without escapes are borrowed spans.
+/// depth, trailing garbage — and reports byte-offset parse errors. Strings
+/// and keys without escapes are borrowed spans.
 pub struct JsonReader<'a> {
     lx: Lexer<'a>,
     stack: Vec<Frame>,
@@ -758,248 +639,8 @@ impl<'a> JsonReader<'a> {
         }
     }
 
-    /// Lexes an object key and its `:`, leaving the member's value pending.
-    fn lex_key(&mut self) -> Result<Cow<'a, str>> {
-        let key = self.lx.lex_string()?;
-        self.lx.skip_ws();
-        if self.lx.peek() != Some(b':') {
-            return Err(Error::parse(self.lx.pos, "expected ':' in object"));
-        }
-        self.lx.pos += 1;
-        self.stack.last_mut().expect("in object").pending_value = true;
-        Ok(key)
-    }
-
-    fn value_start(&mut self) -> Result<JsonEvent<'a>> {
-        // The parser's bound, checked where the parser checks it: at the
-        // start of every value.
-        if self.stack.len() > MAX_DEPTH {
-            return Err(Error::parse(self.lx.pos, "JSON nested too deeply"));
-        }
-        match self.lx.peek() {
-            None => Err(Error::UnexpectedEof("JSON value".to_owned())),
-            Some(b'{') => {
-                self.push_frame(true);
-                Ok(JsonEvent::ObjectStart)
-            }
-            Some(b'[') => {
-                self.push_frame(false);
-                Ok(JsonEvent::ArrayStart)
-            }
-            Some(b'"') => Ok(JsonEvent::Str(self.lx.lex_string()?)),
-            Some(b't') => self.lx.lex_literal("true").map(|()| JsonEvent::Bool(true)),
-            Some(b'f') => self
-                .lx
-                .lex_literal("false")
-                .map(|()| JsonEvent::Bool(false)),
-            Some(b'n') => self.lx.lex_literal("null").map(|()| JsonEvent::Null),
-            Some(b'-' | b'0'..=b'9') => Ok(match self.lx.lex_number()? {
-                JsonValue::Int(i) => JsonEvent::Int(i),
-                JsonValue::Float(f) => JsonEvent::Float(f),
-                _ => unreachable!("lex_number yields numbers"),
-            }),
-            Some(other) => Err(Error::parse(
-                self.lx.pos,
-                format!("unexpected character {:?} in JSON", other as char),
-            )),
-        }
-    }
-
-    /// Reads the next value with `read`, which starts by consuming the
-    /// value's first event. If `read` rejects a well-formed value, the rest
-    /// of it is skipped and the fault is the inner error. A syntax error
-    /// ([`Error::Parse`] or [`Error::UnexpectedEof`], which `read` must not
-    /// raise for schema faults) is the outer error.
-    pub fn read_or_skip<T>(
-        &mut self,
-        read: impl FnOnce(&mut Self) -> Result<T>,
-    ) -> Result<Result<T>> {
-        let depth = self.stack.len();
-        match read(self) {
-            Err(e @ (Error::Parse { .. } | Error::UnexpectedEof(_))) => Err(e),
-            Err(fault) => {
-                // A peeked event is consumed by dropping it.
-                self.peeked = None;
-                while self.stack.len() > depth {
-                    self.next_event()?;
-                }
-                Ok(Err(fault))
-            }
-            Ok(value) => Ok(Ok(value)),
-        }
-    }
-
-    fn push_frame(&mut self, is_object: bool) {
-        self.lx.pos += 1;
-        self.stack.push(Frame {
-            is_object,
-            count: 0,
-            pending_value: false,
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pull abstraction: one set of helpers
-// ---------------------------------------------------------------------------
-
-/// A pull source of [`JsonEvent`]s, and the one home of the structured
-/// helpers every schema-directed consumer walks documents with.
-///
-/// The zero-copy streaming [`JsonReader`] is its one implementor here: every
-/// JSON converter, [`unified::from_json`](crate::formats::unified::from_json)
-/// and the corpus request decoder read through it. Bodies are written
-/// against the trait so that a test can replay a parsed tree through the
-/// same code.
-///
-/// Only [`JsonPull::next_event`], [`JsonPull::peek_event`] and
-/// [`JsonPull::offset`] are required. The helpers are written once, here;
-/// [`JsonReader`] overrides [`JsonPull::next_key`] and
-/// [`JsonPull::array_next`] with lexer fast paths that skip building the
-/// intermediate event.
-pub trait JsonPull<'a> {
     /// The next event of the document.
-    fn next_event(&mut self) -> Result<JsonEvent<'a>>;
-
-    /// Peeks at the next event without consuming it.
-    fn peek_event(&mut self) -> Result<&JsonEvent<'a>>;
-
-    /// Byte offset of the next unread input (for error reporting; drivers
-    /// that replay in-memory values report 0).
-    fn offset(&self) -> usize;
-
-    /// If the next value is an object, consumes its `ObjectStart` and
-    /// returns `true`; otherwise skips the whole value and returns
-    /// `false`. The schema-directed "descend if it has structure, ignore
-    /// it otherwise" step of every converter.
-    fn enter_object(&mut self) -> Result<bool> {
-        if matches!(self.peek_event()?, JsonEvent::ObjectStart) {
-            self.next_event()?;
-            Ok(true)
-        } else {
-            self.skip_value()?;
-            Ok(false)
-        }
-    }
-
-    /// If the next value is an array, consumes its `ArrayStart` and
-    /// returns `true`; otherwise skips the whole value and returns
-    /// `false`.
-    fn enter_array(&mut self) -> Result<bool> {
-        if matches!(self.peek_event()?, JsonEvent::ArrayStart) {
-            self.next_event()?;
-            Ok(true)
-        } else {
-            self.skip_value()?;
-            Ok(false)
-        }
-    }
-
-    /// Inside an object (after `ObjectStart`): the next member key, or
-    /// `None` when the closing `}` is reached (which is consumed).
-    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
-        next_key_by_event(self)
-    }
-
-    /// Inside an array (after `ArrayStart`): `true` if another element
-    /// follows (left unconsumed), `false` when the closing `]` is reached
-    /// (which is consumed).
-    fn array_next(&mut self) -> Result<bool> {
-        array_next_by_event(self)
-    }
-
-    /// Materializes the next value (scalar or whole subtree) as a
-    /// [`JsonValue`].
-    fn read_value(&mut self) -> Result<JsonValue<'a>> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Null => Ok(JsonValue::Null),
-            JsonEvent::Bool(b) => Ok(JsonValue::Bool(b)),
-            JsonEvent::Int(i) => Ok(JsonValue::Int(i)),
-            JsonEvent::Float(f) => Ok(JsonValue::Float(f)),
-            JsonEvent::Str(s) => Ok(JsonValue::Str(s)),
-            JsonEvent::ObjectStart => {
-                let mut members = Vec::with_capacity(OBJECT_CAPACITY);
-                while let Some(key) = self.next_key()? {
-                    members.push((key, self.read_value()?));
-                }
-                Ok(JsonValue::Object(members))
-            }
-            JsonEvent::ArrayStart => {
-                let mut items = Vec::with_capacity(ARRAY_CAPACITY);
-                while self.array_next()? {
-                    items.push(self.read_value()?);
-                }
-                Ok(JsonValue::Array(items))
-            }
-            _ => Err(Error::parse(offset, "expected a JSON value")),
-        }
-    }
-
-    /// Skips the next value (scalar or whole subtree) without building it.
-    fn skip_value(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Null
-            | JsonEvent::Bool(_)
-            | JsonEvent::Int(_)
-            | JsonEvent::Float(_)
-            | JsonEvent::Str(_) => Ok(()),
-            JsonEvent::ObjectStart | JsonEvent::ArrayStart => {
-                let mut depth = 1usize;
-                while depth > 0 {
-                    match self.next_event()? {
-                        JsonEvent::ObjectStart | JsonEvent::ArrayStart => depth += 1,
-                        JsonEvent::ObjectEnd | JsonEvent::ArrayEnd => depth -= 1,
-                        JsonEvent::Eof => {
-                            return Err(Error::UnexpectedEof("JSON value".to_owned()))
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(())
-            }
-            _ => Err(Error::parse(offset, "expected a JSON value")),
-        }
-    }
-
-    /// Asserts the document is fully consumed (no trailing characters).
-    fn finish(&mut self) -> Result<()> {
-        let offset = self.offset();
-        match self.next_event()? {
-            JsonEvent::Eof => Ok(()),
-            _ => Err(Error::parse(
-                offset,
-                "trailing characters after JSON document",
-            )),
-        }
-    }
-}
-
-/// [`JsonPull::next_key`] in terms of events: the default, and the slow
-/// path of [`JsonReader`]'s override.
-fn next_key_by_event<'a, R: JsonPull<'a> + ?Sized>(r: &mut R) -> Result<Option<Cow<'a, str>>> {
-    let offset = r.offset();
-    match r.next_event()? {
-        JsonEvent::Key(k) => Ok(Some(k)),
-        JsonEvent::ObjectEnd => Ok(None),
-        _ => Err(Error::parse(offset, "expected an object member")),
-    }
-}
-
-/// [`JsonPull::array_next`] in terms of events: the default, and the slow
-/// path of [`JsonReader`]'s override.
-fn array_next_by_event<'a, R: JsonPull<'a> + ?Sized>(r: &mut R) -> Result<bool> {
-    if matches!(r.peek_event()?, JsonEvent::ArrayEnd) {
-        r.next_event()?;
-        Ok(false)
-    } else {
-        Ok(true)
-    }
-}
-
-impl<'a> JsonPull<'a> for JsonReader<'a> {
-    fn next_event(&mut self) -> Result<JsonEvent<'a>> {
+    pub fn next_event(&mut self) -> Result<JsonEvent<'a>> {
         if let Some(ev) = self.peeked.take() {
             return Ok(ev);
         }
@@ -1066,7 +707,8 @@ impl<'a> JsonPull<'a> for JsonReader<'a> {
         }
     }
 
-    fn peek_event(&mut self) -> Result<&JsonEvent<'a>> {
+    /// Peeks at the next event without consuming it.
+    pub fn peek_event(&mut self) -> Result<&JsonEvent<'a>> {
         if self.peeked.is_none() {
             let ev = self.next_event()?;
             self.peeked = Some(ev);
@@ -1074,11 +716,36 @@ impl<'a> JsonPull<'a> for JsonReader<'a> {
         Ok(self.peeked.as_ref().expect("just filled"))
     }
 
-    fn offset(&self) -> usize {
-        self.lx.pos
+    /// If the next value is an object, consumes its `ObjectStart` and
+    /// returns `true`; otherwise skips the whole value and returns
+    /// `false`. The schema-directed "descend if it has structure, ignore
+    /// it otherwise" step of every converter.
+    pub fn enter_object(&mut self) -> Result<bool> {
+        if matches!(self.peek_event()?, JsonEvent::ObjectStart) {
+            self.next_event()?;
+            Ok(true)
+        } else {
+            self.skip_value()?;
+            Ok(false)
+        }
     }
 
-    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
+    /// If the next value is an array, consumes its `ArrayStart` and
+    /// returns `true`; otherwise skips the whole value and returns
+    /// `false`.
+    pub fn enter_array(&mut self) -> Result<bool> {
+        if matches!(self.peek_event()?, JsonEvent::ArrayStart) {
+            self.next_event()?;
+            Ok(true)
+        } else {
+            self.skip_value()?;
+            Ok(false)
+        }
+    }
+
+    /// Inside an object (after `ObjectStart`): the next member key, or
+    /// `None` when the closing `}` is reached (which is consumed).
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
         // Fast path: read the key straight off the lexer without building a
         // `JsonEvent` (the hottest call of schema-directed converters).
         match self.stack.last() {
@@ -1099,11 +766,25 @@ impl<'a> JsonPull<'a> for JsonReader<'a> {
                 }
                 self.lex_key().map(Some)
             }
-            _ => next_key_by_event(self),
+            _ => self.next_key_by_event(),
         }
     }
 
-    fn array_next(&mut self) -> Result<bool> {
+    /// [`JsonReader::next_key`] in terms of events: a peeked event or a
+    /// position that is not between object members.
+    fn next_key_by_event(&mut self) -> Result<Option<Cow<'a, str>>> {
+        let offset = self.lx.pos;
+        match self.next_event()? {
+            JsonEvent::Key(k) => Ok(Some(k)),
+            JsonEvent::ObjectEnd => Ok(None),
+            _ => Err(Error::parse(offset, "expected an object member")),
+        }
+    }
+
+    /// Inside an array (after `ArrayStart`): `true` if another element
+    /// follows (left unconsumed), `false` when the closing `]` is reached
+    /// (which is consumed).
+    pub fn array_next(&mut self) -> Result<bool> {
         // Fast path: settle the separator question straight off the lexer.
         match self.stack.last() {
             Some(&frame) if self.peeked.is_none() && !frame.is_object && !frame.pending_value => {
@@ -1123,9 +804,172 @@ impl<'a> JsonPull<'a> for JsonReader<'a> {
                 top.pending_value = true;
                 Ok(true)
             }
-            _ => array_next_by_event(self),
+            _ => self.array_next_by_event(),
         }
     }
+
+    /// [`JsonReader::array_next`] in terms of events: a peeked event or a
+    /// position that is not between array elements.
+    fn array_next_by_event(&mut self) -> Result<bool> {
+        if matches!(self.peek_event()?, JsonEvent::ArrayEnd) {
+            self.next_event()?;
+            Ok(false)
+        } else {
+            Ok(true)
+        }
+    }
+
+    /// Materializes the next value (scalar or whole subtree) as a
+    /// [`JsonValue`].
+    pub fn read_value(&mut self) -> Result<JsonValue<'a>> {
+        let offset = self.lx.pos;
+        match self.next_event()? {
+            JsonEvent::Null => Ok(JsonValue::Null),
+            JsonEvent::Bool(b) => Ok(JsonValue::Bool(b)),
+            JsonEvent::Int(i) => Ok(JsonValue::Int(i)),
+            JsonEvent::Float(f) => Ok(JsonValue::Float(f)),
+            JsonEvent::Str(s) => Ok(JsonValue::Str(s)),
+            JsonEvent::ObjectStart => {
+                let mut members = Vec::with_capacity(OBJECT_CAPACITY);
+                while let Some(key) = self.next_key()? {
+                    members.push((key, self.read_value()?));
+                }
+                Ok(JsonValue::Object(members))
+            }
+            JsonEvent::ArrayStart => {
+                let mut items = Vec::with_capacity(ARRAY_CAPACITY);
+                while self.array_next()? {
+                    items.push(self.read_value()?);
+                }
+                Ok(JsonValue::Array(items))
+            }
+            _ => Err(Error::parse(offset, "expected a JSON value")),
+        }
+    }
+
+    /// Skips the next value (scalar or whole subtree) without building it.
+    pub fn skip_value(&mut self) -> Result<()> {
+        let offset = self.lx.pos;
+        match self.next_event()? {
+            JsonEvent::Null
+            | JsonEvent::Bool(_)
+            | JsonEvent::Int(_)
+            | JsonEvent::Float(_)
+            | JsonEvent::Str(_) => Ok(()),
+            JsonEvent::ObjectStart | JsonEvent::ArrayStart => {
+                let mut depth = 1usize;
+                while depth > 0 {
+                    match self.next_event()? {
+                        JsonEvent::ObjectStart | JsonEvent::ArrayStart => depth += 1,
+                        JsonEvent::ObjectEnd | JsonEvent::ArrayEnd => depth -= 1,
+                        JsonEvent::Eof => {
+                            return Err(Error::UnexpectedEof("JSON value".to_owned()))
+                        }
+                        _ => {}
+                    }
+                }
+                Ok(())
+            }
+            _ => Err(Error::parse(offset, "expected a JSON value")),
+        }
+    }
+
+    /// Asserts the document is fully consumed (no trailing characters).
+    pub fn finish(&mut self) -> Result<()> {
+        let offset = self.lx.pos;
+        match self.next_event()? {
+            JsonEvent::Eof => Ok(()),
+            _ => Err(Error::parse(
+                offset,
+                "trailing characters after JSON document",
+            )),
+        }
+    }
+
+    /// Reads the next value with `read`, which starts by consuming the
+    /// value's first event. If `read` rejects a well-formed value, the rest
+    /// of it is skipped and the fault is the inner error. A syntax error
+    /// ([`Error::Parse`] or [`Error::UnexpectedEof`], which `read` must not
+    /// raise for schema faults) is the outer error.
+    pub fn read_or_skip<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<Result<T>> {
+        let depth = self.stack.len();
+        match read(self) {
+            Err(e @ (Error::Parse { .. } | Error::UnexpectedEof(_))) => Err(e),
+            Err(fault) => {
+                // A peeked event is consumed by dropping it.
+                self.peeked = None;
+                while self.stack.len() > depth {
+                    self.next_event()?;
+                }
+                Ok(Err(fault))
+            }
+            Ok(value) => Ok(Ok(value)),
+        }
+    }
+
+    /// Lexes an object key and its `:`, leaving the member's value pending.
+    fn lex_key(&mut self) -> Result<Cow<'a, str>> {
+        let key = self.lx.lex_string()?;
+        self.lx.skip_ws();
+        if self.lx.peek() != Some(b':') {
+            return Err(Error::parse(self.lx.pos, "expected ':' in object"));
+        }
+        self.lx.pos += 1;
+        self.stack.last_mut().expect("in object").pending_value = true;
+        Ok(key)
+    }
+
+    fn value_start(&mut self) -> Result<JsonEvent<'a>> {
+        // A value may start inside at most `MAX_DEPTH` open containers.
+        if self.stack.len() > MAX_DEPTH {
+            return Err(Error::parse(self.lx.pos, "JSON nested too deeply"));
+        }
+        match self.lx.peek() {
+            None => Err(Error::UnexpectedEof("JSON value".to_owned())),
+            Some(b'{') => {
+                self.push_frame(true);
+                Ok(JsonEvent::ObjectStart)
+            }
+            Some(b'[') => {
+                self.push_frame(false);
+                Ok(JsonEvent::ArrayStart)
+            }
+            Some(b'"') => Ok(JsonEvent::Str(self.lx.lex_string()?)),
+            Some(b't') => self.lx.lex_literal("true").map(|()| JsonEvent::Bool(true)),
+            Some(b'f') => self
+                .lx
+                .lex_literal("false")
+                .map(|()| JsonEvent::Bool(false)),
+            Some(b'n') => self.lx.lex_literal("null").map(|()| JsonEvent::Null),
+            Some(b'-' | b'0'..=b'9') => self.lx.lex_number(),
+            Some(other) => Err(Error::parse(
+                self.lx.pos,
+                format!("unexpected character {:?} in JSON", other as char),
+            )),
+        }
+    }
+
+    fn push_frame(&mut self, is_object: bool) {
+        self.lx.pos += 1;
+        self.stack.push(Frame {
+            is_object,
+            count: 0,
+            pending_value: false,
+        });
+    }
+}
+
+/// Parses a JSON document into a borrowed tree: [`JsonReader::read_value`]
+/// then [`JsonReader::finish`]. Escape-free strings and keys are zero-copy
+/// spans of `input`.
+pub fn parse(input: &str) -> Result<JsonValue<'_>> {
+    let mut reader = JsonReader::new(input);
+    let value = reader.read_value()?;
+    reader.finish()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -1173,7 +1017,6 @@ mod tests {
         let owned: OwnedJsonValue = parse(&text).unwrap().into_owned();
         drop(text);
         assert_eq!(owned.get("a").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(parse_owned(r#""x""#).unwrap(), JsonValue::Str("x".into()));
     }
 
     #[test]
@@ -1245,16 +1088,6 @@ mod tests {
             .take(601)
             .find(|e| e.is_err());
         assert!(deep.is_some(), "reader must bound nesting too");
-        // At the bound, the reader accepts and rejects exactly what the
-        // parser does, with the same offsets.
-        for n in MAX_DEPTH - 1..=MAX_DEPTH + 2 {
-            for inner in ["", "1"] {
-                let doc = format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
-                let mut r = JsonReader::new(&doc);
-                let streamed = r.read_value().and_then(|v| r.finish().map(|()| v));
-                assert_eq!(streamed, parse(&doc), "depth {n}, inner {inner:?}");
-            }
-        }
     }
 
     #[test]
@@ -1338,15 +1171,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_read_value_matches_parse() {
-        let doc = r#"{"plan": {"ops": [1, 2.5, true, null], "name": "scan"}}"#;
-        let mut r = JsonReader::new(doc);
-        let v = r.read_value().unwrap();
-        r.finish().unwrap();
-        assert_eq!(v, parse(doc).unwrap());
-    }
-
-    #[test]
     fn reader_skip_value_skips_subtrees() {
         let mut r = JsonReader::new(r#"{"skip": {"deep": [1, {"x": 2}]}, "keep": 7}"#);
         assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
@@ -1406,26 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_error_offsets_match_parser() {
-        for bad in ["{\"a\":}", "[1 2]", "{\"a\" 1}", "nul", "{\"a\":1,}"] {
-            let parser_err = parse(bad).unwrap_err();
-            let mut r = JsonReader::new(bad);
-            let mut reader_err = None;
-            for _ in 0..64 {
-                match r.next_event() {
-                    Err(e) => {
-                        reader_err = Some(e);
-                        break;
-                    }
-                    Ok(JsonEvent::Eof) => break,
-                    Ok(_) => {}
-                }
-            }
-            assert_eq!(Some(parser_err), reader_err, "offsets diverge on {bad:?}");
-        }
-    }
-
-    #[test]
     fn read_or_skip_resumes_after_a_rejected_value() {
         let mut r = JsonReader::new(r#"{"a": {"b": [1, {"c": 2}], "d": 3}, "e": 4}"#);
         assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
@@ -1454,7 +1258,7 @@ mod tests {
         assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
         r.next_key().unwrap();
         let err = r.read_or_skip(|r| r.read_value()).unwrap_err();
-        assert_eq!(err, parse(r#"{"a": [1 2]}"#).unwrap_err());
+        assert_eq!(err, Error::parse(9, "expected ',' or ']' in array"));
     }
 
     /// Drains a reader's events up to `Eof` or the first error.

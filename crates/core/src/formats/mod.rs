@@ -6,9 +6,9 @@
 //! structured ones, all implemented from scratch so the workspace carries no
 //! serialization dependencies:
 //!
-//! * [`json`] — a zero-copy JSON document model, tree parser, pull reader
-//!   and writer (used both to serialize unified plans and to parse native
-//!   DBMS explain output);
+//! * [`json`] — a zero-copy JSON document model, the one pull reader
+//!   (which also builds the trees) and a writer (used both to serialize
+//!   unified plans and to parse native DBMS explain output);
 //! * [`binary`] — the compact, symbol-ref, varint-encoded plan-body codec
 //!   every persisted plan is written in;
 //! * [`segment`] — the segment-store file formats corpora persist through

@@ -23,7 +23,7 @@
 use std::borrow::Cow;
 
 use crate::error::{Error, Result};
-use crate::formats::json::{self, JsonEvent, JsonPull, JsonReader, JsonValue};
+use crate::formats::json::{self, JsonEvent, JsonReader, JsonValue};
 use crate::formats::xml::XmlElement;
 use crate::formats::yaml;
 use crate::model::{
@@ -116,7 +116,7 @@ pub fn from_json(input: &str) -> Result<UnifiedPlan> {
 /// closing brace, leaving the rest of the input to the caller: a request
 /// reads on after its `"probe"`. Schema faults are never [`Error::Parse`]
 /// or [`Error::UnexpectedEof`]; only the reader raises those.
-pub fn read_plan<'a>(r: &mut impl JsonPull<'a>) -> Result<UnifiedPlan> {
+pub fn read_plan<'a>(r: &mut JsonReader<'a>) -> Result<UnifiedPlan> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic(
             "unified JSON document must be an object".into(),
@@ -139,7 +139,7 @@ pub fn read_plan<'a>(r: &mut impl JsonPull<'a>) -> Result<UnifiedPlan> {
     })
 }
 
-fn read_node<'a>(r: &mut impl JsonPull<'a>) -> Result<PlanNode> {
+fn read_node<'a>(r: &mut JsonReader<'a>) -> Result<PlanNode> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("plan node must be an object".into()));
     }
@@ -172,7 +172,7 @@ fn read_node<'a>(r: &mut impl JsonPull<'a>) -> Result<PlanNode> {
     Ok(node)
 }
 
-fn read_operation<'a>(r: &mut impl JsonPull<'a>) -> Result<Operation> {
+fn read_operation<'a>(r: &mut JsonReader<'a>) -> Result<Operation> {
     if r.next_event()? != JsonEvent::ObjectStart {
         return Err(Error::Semantic("\"operation\" must be an object".into()));
     }
@@ -194,14 +194,14 @@ fn read_operation<'a>(r: &mut impl JsonPull<'a>) -> Result<Operation> {
     Operation::from_keyword(OperationCategory::parse(&category)?, &identifier)
 }
 
-fn read_string<'a>(r: &mut impl JsonPull<'a>, what: &str) -> Result<Cow<'a, str>> {
+fn read_string<'a>(r: &mut JsonReader<'a>, what: &str) -> Result<Cow<'a, str>> {
     match r.next_event()? {
         JsonEvent::Str(s) => Ok(s),
         _ => Err(Error::Semantic(format!("\"{what}\" must be a string"))),
     }
 }
 
-fn read_properties<'a>(r: &mut impl JsonPull<'a>) -> Result<Vec<Property>> {
+fn read_properties<'a>(r: &mut JsonReader<'a>) -> Result<Vec<Property>> {
     if r.next_event()? != JsonEvent::ArrayStart {
         return Err(Error::Semantic("\"properties\" must be an array".into()));
     }

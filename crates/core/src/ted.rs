@@ -165,8 +165,8 @@ const EXCEEDED: u32 = u32::MAX / 2;
 /// typical plan sizes, so callers that evaluate one probe against many
 /// stored plans — BK traversals, shortlist re-ranks, index builds —
 /// flatten each side once and evaluate over the views with a reused
-/// [`TedScratch`]. [`tree_edit_distance`] and
-/// [`tree_edit_distance_bounded`] are one-shot wrappers over this type.
+/// [`TedScratch`]. [`tree_edit_distance`] is a one-shot wrapper over this
+/// type, and [`tree_edit_distance_bounded`] over a one-shot [`TedProbe`].
 #[derive(Debug, Clone, Default)]
 pub struct TedPlan {
     /// `None` for an empty plan (no root): the distance to a peer is then
@@ -177,14 +177,12 @@ pub struct TedPlan {
 /// Reusable dynamic-program tables for [`TedPlan`] evaluations: the n×m
 /// tree-distance table plus the forest-distance scratch, grown on demand
 /// and recycled across evaluations so the hot path allocates nothing —
-/// plus the sorted label buffers of the label-multiset bound.
+/// plus the stored side's sorted labels for the label-multiset bound (the
+/// probe's are sorted once per query by [`TedProbe`]).
 #[derive(Debug, Default)]
 pub struct TedScratch {
     td: Vec<u32>,
     fd: Vec<u32>,
-    /// The probe side's sorted labels, for one-shot bounded evaluations
-    /// ([`TedProbe`] keeps its own for a whole query).
-    probe_labels: Vec<u64>,
     /// The stored side's sorted labels.
     labels: Vec<u64>,
 }
@@ -212,32 +210,6 @@ impl TedPlan {
             (None, None) => 0,
             (Some(flat), None) | (None, Some(flat)) => flat.labels.len(),
             (Some(a), Some(b)) => zhang_shasha(a, b, scratch),
-        }
-    }
-
-    /// Bounded distance to `other` — equal to
-    /// [`tree_edit_distance_bounded`] on the source plans, and to
-    /// [`TedProbe::distance_bounded`] without its memo. Rejects by the
-    /// label-multiset bound before running the banded program (see the
-    /// module docs).
-    pub fn distance_bounded(
-        &self,
-        other: &TedPlan,
-        bound: usize,
-        scratch: &mut TedScratch,
-    ) -> BoundedTed {
-        match (&self.flat, &other.flat) {
-            (Some(a), Some(b)) => {
-                let mut sorted = std::mem::take(&mut scratch.probe_labels);
-                sort_into(&mut sorted, &a.labels);
-                let verdict = bounded(a, &sorted, b, bound, scratch);
-                scratch.probe_labels = sorted;
-                verdict
-            }
-            (a, b) => verdict(
-                a.as_ref().or(b.as_ref()).map_or(0, |f| f.labels.len()),
-                bound,
-            ),
         }
     }
 }
@@ -305,9 +277,9 @@ fn bounded(
 
 /// A probe prepared for one query's bounded evaluations against many
 /// stored plans: its labels sorted once for the label-multiset bound, and
-/// the per-query shape memo (module docs). Every verdict equals
-/// [`TedPlan::distance_bounded`]'s on the same pair and bound; only the
-/// work behind it differs.
+/// the per-query shape memo (module docs). Every verdict is `Exact(d)` when
+/// the exact distance `d` is within the bound and `Exceeded` otherwise;
+/// only the work behind it differs.
 ///
 /// Memo entries borrow the stored views they were computed on, so a probe
 /// lives no longer than the corpus it walks. Build one per probe: the
@@ -379,9 +351,9 @@ impl<'a> TedProbe<'a> {
         }
     }
 
-    /// Bounded distance from the probe to `other`: the same verdict as
-    /// [`TedPlan::distance_bounded`], answered from the shape memo or the
-    /// probe's own shape when possible, else computed and remembered.
+    /// Bounded distance from the probe to `other`, answered from the shape
+    /// memo or the probe's own shape when possible, else computed by the
+    /// label-multiset bound and the banded program, and remembered.
     pub fn distance_bounded(
         &mut self,
         other: &'a TedPlan,
@@ -389,7 +361,8 @@ impl<'a> TedProbe<'a> {
         scratch: &mut TedScratch,
     ) -> BoundedTed {
         let (Some(a), Some(b)) = (&self.plan.flat, &other.flat) else {
-            return self.plan.distance_bounded(other, bound, scratch);
+            // An empty side: the distance is the other side's node count.
+            return verdict(self.plan.node_count().max(other.node_count()), bound);
         };
         // Cheapest first: the size difference, the probe's own shape, the
         // memo; only then the label bound and the program.
@@ -535,7 +508,8 @@ fn tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [u32], fd: &mut [u
 /// final value is thus exact whenever it lands within the bound, and
 /// strictly above the bound exactly when the true distance is.
 pub fn tree_edit_distance_bounded(a: &UnifiedPlan, b: &UnifiedPlan, bound: usize) -> BoundedTed {
-    TedPlan::new(a).distance_bounded(&TedPlan::new(b), bound, &mut TedScratch::default())
+    let (a, b) = (TedPlan::new(a), TedPlan::new(b));
+    TedProbe::new(&a).distance_bounded(&b, bound, &mut TedScratch::default())
 }
 
 fn zhang_shasha_banded(a: &Flat, b: &Flat, band: usize, scratch: &mut TedScratch) -> u32 {
@@ -811,6 +785,20 @@ mod tests {
     }
 
     #[test]
+    fn bounded_ted_answers_empty_plans_by_node_count() {
+        let empty = UnifiedPlan::default();
+        let a = UnifiedPlan::with_root(join(vec![leaf("A"), leaf("B")]));
+        for (x, y) in [(&empty, &a), (&a, &empty)] {
+            assert_eq!(tree_edit_distance_bounded(x, y, 3), BoundedTed::Exact(3));
+            assert_eq!(tree_edit_distance_bounded(x, y, 2), BoundedTed::Exceeded);
+        }
+        assert_eq!(
+            tree_edit_distance_bounded(&empty, &empty, 0),
+            BoundedTed::Exact(0)
+        );
+    }
+
+    #[test]
     fn known_distance_on_paper_like_plans() {
         // PG-style:   Sort -> Agg -> Join(scan, Hash(scan))
         // TiDB-style: Project -> Sort -> Agg -> Join(scan, scan)
@@ -851,15 +839,20 @@ mod tests {
         let stored: Vec<TedPlan> = plans.iter().chain(&plans).map(colliding).collect();
         let mut scratch = TedScratch::default();
         for probe_plan in &plans {
+            let exact: Vec<usize> = plans
+                .iter()
+                .chain(&plans)
+                .map(|plan| tree_edit_distance(probe_plan, plan))
+                .collect();
             let probe_view = colliding(probe_plan);
             let mut probe = TedProbe::new(&probe_view);
             // Rising, falling and repeated bounds over every stored view
             // twice: exact hits, exceeded-at hits and recomputations.
             for bound in [0, 3, 1, 5, 2, 2, 8, 0] {
-                for view in &stored {
+                for (view, &d) in stored.iter().zip(&exact) {
                     assert_eq!(
                         probe.distance_bounded(view, bound, &mut scratch),
-                        probe_view.distance_bounded(view, bound, &mut scratch),
+                        verdict(d, bound),
                         "bound {bound}"
                     );
                 }
@@ -934,16 +927,17 @@ mod tests {
                 };
                 prop_assert!(label_lower_bound(&sorted(&va), &sorted(&vb)) <= exact);
                 let mut scratch = TedScratch::default();
+                let (fa, fb) = (va.flat.as_ref().unwrap(), vb.flat.as_ref().unwrap());
                 for bound in 0..=exact + 2 {
                     prop_assert_eq!(
-                        va.distance_bounded(&vb, bound, &mut scratch),
+                        bounded(fa, &sorted(&va), fb, bound, &mut scratch),
                         verdict(exact, bound)
                     );
                 }
             }
 
             /// The memoized metric answers every (stored plan, bound)
-            /// sequence exactly like the un-memoized one.
+            /// sequence with the verdict of the unbanded full program.
             #[test]
             fn memoized_metric_equals_unmemoized(
                 probe in arb_small_plan(),
@@ -953,13 +947,18 @@ mod tests {
                 // Each stored plan twice, as separate views: equal shapes
                 // from different views share memo entries.
                 let views: Vec<TedPlan> = stored.iter().chain(&stored).map(TedPlan::new).collect();
+                let exact: Vec<usize> = stored
+                    .iter()
+                    .chain(&stored)
+                    .map(|plan| tree_edit_distance(&probe, plan))
+                    .collect();
                 let probe_view = TedPlan::new(&probe);
                 let mut memoized = TedProbe::new(&probe_view);
                 let mut scratch = TedScratch::default();
                 for (i, bound) in walk {
                     prop_assert_eq!(
                         memoized.distance_bounded(&views[i], bound, &mut scratch),
-                        probe_view.distance_bounded(&views[i], bound, &mut scratch)
+                        verdict(exact[i], bound)
                     );
                 }
             }

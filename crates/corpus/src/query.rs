@@ -36,7 +36,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use uplan_core::formats::json::{
-    object, JsonEvent, JsonMembers, JsonPull, JsonReader, JsonValue, OwnedJsonValue,
+    object, JsonEvent, JsonMembers, JsonReader, JsonValue, OwnedJsonValue,
 };
 use uplan_core::formats::unified;
 use uplan_core::UnifiedPlan;

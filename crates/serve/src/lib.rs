@@ -38,8 +38,8 @@ pub mod metrics;
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uplan_convert::raw::{convert_raw_distinct, RawIngestOptions};
@@ -103,13 +103,6 @@ pub struct ServeState {
     slow_query_us: u64,
     slow_query_evals: u64,
     shutdown: AtomicBool,
-    /// The corpus-stats document of `/stats`, keyed by the epoch it was
-    /// computed at. The walk is recomputed only when a merge bumps the
-    /// epoch; between merges every `/stats` request reuses the document.
-    stats_cache: Mutex<Option<(u64, OwnedJsonValue)>>,
-    /// `/stats` requests answered from `stats_cache` (observability for
-    /// the cache contract; asserted in the serve tests).
-    stats_cache_hits: AtomicU64,
 }
 
 impl ServeState {
@@ -135,14 +128,7 @@ impl ServeState {
             slow_query_us: 0,
             slow_query_evals: 0,
             shutdown: AtomicBool::new(false),
-            stats_cache: Mutex::new(None),
-            stats_cache_hits: AtomicU64::new(0),
         }
-    }
-
-    /// `/stats` requests answered from the per-epoch cache so far.
-    pub fn stats_cache_hits(&self) -> u64 {
-        self.stats_cache_hits.load(Ordering::Relaxed)
     }
 
     /// Sets the slow-query thresholds (0 disables a criterion): requests
@@ -364,32 +350,14 @@ fn convert_raw_probe(record: &str) -> Result<UnifiedPlan, String> {
 /// GET /stats: the stats [`QueryResponse`] plus service fields (pending,
 /// capacity, pending-merge lag, uptime, build info, total requests), the
 /// segment census when the service persists to a segment store, and the
-/// per-endpoint histograms.
-///
-/// The corpus-stats walk is cached per epoch: only the first `/stats`
-/// after a merge recomputes it, every later request within the epoch
-/// reuses the cached document (service fields are stamped fresh each
-/// time).
+/// per-endpoint histograms. The corpus aggregates are kept at store time,
+/// so the stats query is O(1) and runs on every request.
 fn stats(state: &ServeState, reader: &mut SnapshotReader) -> (HttpResponse, u64) {
-    let epoch = reader.current().epoch();
-    let mut doc = {
-        let mut cache = state.stats_cache.lock().expect("stats cache lock");
-        match cache.as_ref() {
-            Some((cached_epoch, doc)) if *cached_epoch == epoch => {
-                state.stats_cache_hits.fetch_add(1, Ordering::Relaxed);
-                doc.clone()
-            }
-            _ => {
-                let response = reader
-                    .pinned()
-                    .execute(&QueryRequest::stats())
-                    .expect("stats queries cannot fail");
-                let doc = response.to_json_value();
-                *cache = Some((epoch, doc.clone()));
-                doc
-            }
-        }
-    };
+    let mut doc = reader
+        .current()
+        .execute(&QueryRequest::stats())
+        .expect("stats queries cannot fail")
+        .to_json_value();
     if let JsonValue::Object(members) = &mut doc {
         let (version, git) = uplan_obs::build_info();
         members.push(("pending".into(), JsonValue::from(state.service.pending())));
@@ -1009,11 +977,10 @@ mod tests {
         JsonValue::from(s).to_compact()
     }
 
-    /// Satellite: the `/stats` corpus walk is computed once per epoch —
-    /// repeat requests within an epoch hit the cache, a merge invalidates
-    /// it, and the cached document still reports the fresh service fields.
+    /// Every `/stats` answer reports fresh service fields and the current
+    /// epoch, and a merge shows in the corpus stats at once.
     #[test]
-    fn stats_walk_is_cached_per_epoch() {
+    fn stats_report_fresh_fields_and_follow_merges() {
         let state = ServeState::new(seed_corpus(), 100, 1);
         let service = Arc::clone(state.service());
         let mut reader = service.reader();
@@ -1024,33 +991,23 @@ mod tests {
             body: Vec::new(),
         };
         assert_eq!(handle(&state, &mut reader, &req).status, 200);
-        assert_eq!(state.stats_cache_hits(), 0, "first request fills the cache");
         let response = handle(&state, &mut reader, &req);
         assert_eq!(response.status, 200);
-        assert_eq!(state.stats_cache_hits(), 1, "same epoch: cache hit");
-        // Service fields are stamped fresh even on a hit.
         let doc = json::parse(&response.body).unwrap();
         assert_eq!(doc.get("epoch").unwrap().as_int(), Some(0));
         assert!(doc.get("requests").unwrap().as_int().unwrap() >= 1);
 
-        // A merge bumps the epoch: the next request recomputes, the one
-        // after hits again.
+        // A merge bumps the epoch and the distinct count.
         service.submit(vec![chain(&["Scan_C"])]).unwrap();
         service.merge(1);
-        let (status, body) = {
-            let r = handle(&state, &mut reader, &req);
-            (r.status, r.body)
-        };
-        assert_eq!(status, 200);
-        assert_eq!(state.stats_cache_hits(), 1, "new epoch: recompute");
-        let doc = json::parse(&body).unwrap();
+        let response = handle(&state, &mut reader, &req);
+        assert_eq!(response.status, 200);
+        let doc = json::parse(&response.body).unwrap();
         assert_eq!(doc.get("epoch").unwrap().as_int(), Some(1));
         assert_eq!(
             doc.get("stats").unwrap().get("distinct").unwrap().as_int(),
             Some(5)
         );
-        assert_eq!(handle(&state, &mut reader, &req).status, 200);
-        assert_eq!(state.stats_cache_hits(), 2);
     }
 
     /// A segment-store-backed state: merges append segments, `/merge`

@@ -26,16 +26,13 @@
 //!   conversion-spine tests and the converter benches; and the seeded
 //!   TPC-H-derived plan population the corpus benches and tests share;
 //! * [`scan`] — brute-force reference answers for radius and k-NN plan
-//!   queries, the oracle the corpus index is checked and measured against;
-//! * [`json`] — `TreeReader`, the tree replay the JSON pull readers are
-//!   checked against.
+//!   queries, the oracle the corpus index is checked and measured against.
 
 pub mod cert;
 pub mod fixtures;
 pub mod generator;
 pub mod harness;
 pub mod inject;
-pub mod json;
 pub mod oracles;
 pub mod pipeline;
 pub mod qpg;

@@ -127,7 +127,7 @@ fn streaming_parse_errors_on_truncated_json_match_tree_parser_offsets() {
                 let prefix = &input[..cut];
                 match convert(*source, prefix) {
                     // A lexical/structural failure on the streaming path
-                    // must be byte-for-byte the tree parser's error.
+                    // must be byte-for-byte `json::parse`'s error.
                     Err(e @ (Error::Parse { .. } | Error::UnexpectedEof(_))) => {
                         let tree_err = json::parse(prefix)
                             .expect_err("streaming parse error implies tree parse error");

@@ -1,19 +1,15 @@
 //! Property-based tests for the zero-copy JSON layer.
 //!
-//! The borrowed tree parser, the owned escape hatch and the two pull
-//! sources (the streaming reader and the test-only tree replay) must agree
-//! with each other and with the writer on every representable document;
-//! the units below additionally pin escape/surrogate decoding, integer
-//! extremes, nesting bounds, malformed-input error offsets, and the unified
-//! plan decoder's errors on both sources.
+//! The reader, the trees it builds and the owned escape hatch must agree
+//! with the writer on every representable document; the units below
+//! additionally pin escape/surrogate decoding, integer extremes, nesting
+//! bounds, malformed-input error offsets, and the unified plan decoder's
+//! errors.
 
 use proptest::prelude::*;
-use uplan::core::formats::json::{
-    self, JsonEvent, JsonPull, JsonReader, JsonValue, OwnedJsonValue,
-};
+use uplan::core::formats::json::{self, JsonEvent, JsonReader, JsonValue, OwnedJsonValue};
 use uplan::core::formats::unified;
 use uplan::core::Error;
-use uplan::testing::json::TreeReader;
 
 /// Strings with a healthy dose of escape-worthy content: quotes,
 /// backslashes, control characters, multi-byte UTF-8 and astral-plane
@@ -66,82 +62,8 @@ fn arb_json() -> impl Strategy<Value = OwnedJsonValue> {
     })
 }
 
-/// Every event of a document, up to and including `Eof`.
-fn events<'a>(r: &mut impl JsonPull<'a>) -> Vec<JsonEvent<'a>> {
-    let mut out = Vec::new();
-    loop {
-        let ev = r.next_event().unwrap();
-        let done = ev == JsonEvent::Eof;
-        out.push(ev);
-        if done {
-            return out;
-        }
-    }
-}
-
-/// Walks one value through the structured helpers and logs what each
-/// returned: keys, element counts, scalars read with `read_value`, and the
-/// members of every second object passed over with `skip_value`.
-fn walk<'a>(r: &mut impl JsonPull<'a>, log: &mut Vec<String>) {
-    match r.peek_event().unwrap() {
-        JsonEvent::ObjectStart => {
-            assert_eq!(r.next_event().unwrap(), JsonEvent::ObjectStart);
-            let mut i = 0;
-            while let Some(key) = r.next_key().unwrap() {
-                log.push(format!("key {key:?}"));
-                if i % 2 == 1 {
-                    r.skip_value().unwrap();
-                    log.push("skipped".into());
-                } else {
-                    walk(r, log);
-                }
-                i += 1;
-            }
-            log.push(format!("end object after {i}"));
-        }
-        JsonEvent::ArrayStart => {
-            assert_eq!(r.next_event().unwrap(), JsonEvent::ArrayStart);
-            let mut n = 0;
-            while r.array_next().unwrap() {
-                walk(r, log);
-                n += 1;
-            }
-            log.push(format!("end array after {n}"));
-        }
-        _ => log.push(format!("{:?}", r.read_value().unwrap())),
-    }
-}
-
-/// The helper log of a whole document, checked to end at `Eof`.
-fn helper_log<'a>(r: &mut impl JsonPull<'a>) -> Vec<String> {
-    let mut log = Vec::new();
-    walk(r, &mut log);
-    r.finish().unwrap();
-    log
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Replaying a parsed tree, borrowed or owned, yields exactly the
-    /// streaming reader's events, and every structured helper answers the
-    /// same on both sources.
-    #[test]
-    fn tree_replay_equals_the_streaming_reader(doc in arb_json()) {
-        let text = doc.to_compact();
-        let borrowed = json::parse(&text).unwrap();
-        let owned = json::parse(&text).unwrap().into_owned();
-        let streamed = events(&mut JsonReader::new(&text));
-        prop_assert_eq!(&events(&mut TreeReader::new(&borrowed)), &streamed);
-        prop_assert_eq!(&events(&mut TreeReader::new(&owned)), &streamed);
-
-        let log = helper_log(&mut JsonReader::new(&text));
-        prop_assert_eq!(&helper_log(&mut TreeReader::new(&borrowed)), &log);
-        prop_assert_eq!(&helper_log(&mut TreeReader::new(&owned)), &log);
-        let mut replay = TreeReader::new(&owned);
-        prop_assert_eq!(replay.read_value().unwrap(), borrowed);
-        replay.finish().unwrap();
-    }
 
     /// Borrowed parse inverts both writers.
     #[test]
@@ -158,20 +80,9 @@ proptest! {
     fn borrowed_equals_owned(doc in arb_json()) {
         let text = doc.to_compact();
         let borrowed = json::parse(&text).unwrap();
-        let owned = json::parse_owned(&text).unwrap();
+        let owned: OwnedJsonValue = json::parse(&text).unwrap().into_owned();
         prop_assert_eq!(&borrowed, &owned);
         prop_assert_eq!(borrowed.into_owned(), owned);
-    }
-
-    /// The pull reader materializes exactly the tree the parser builds, and
-    /// leaves the document fully consumed.
-    #[test]
-    fn reader_equals_parser(doc in arb_json()) {
-        let text = doc.to_pretty();
-        let mut reader = JsonReader::new(&text);
-        let value = reader.read_value().unwrap();
-        reader.finish().unwrap();
-        prop_assert_eq!(value, json::parse(&text).unwrap());
     }
 
     /// `skip_value` consumes exactly one value.
@@ -304,38 +215,6 @@ fn malformed_inputs_report_exact_offsets() {
 }
 
 #[test]
-fn reader_reports_the_same_offsets_as_the_parser() {
-    for doc in [
-        "{\"a\":}",
-        "[1,]",
-        "nul",
-        "{\"a\" :  x}",
-        "\"ab\u{1}c\"",
-        "{\"a\":1 \"b\":2}",
-        "{} {}",
-        "{\"a\" 1}",
-    ] {
-        let parser_err = json::parse(doc).unwrap_err();
-        let mut reader = JsonReader::new(doc);
-        let mut reader_err = None;
-        for _ in 0..64 {
-            match reader.next_event() {
-                Err(e) => {
-                    reader_err = Some(e);
-                    break;
-                }
-                Ok(JsonEvent::Eof) => {
-                    reader_err = reader.finish().err();
-                    break;
-                }
-                Ok(_) => {}
-            }
-        }
-        assert_eq!(Some(parser_err), reader_err, "divergence on {doc:?}");
-    }
-}
-
-#[test]
 fn borrowed_spans_only_allocate_for_escapes() {
     let text = r#"{"plain": "span", "esc\taped": "a\nb", "nested": ["x", "y\\z"]}"#;
     let doc = json::parse(text).unwrap();
@@ -361,53 +240,7 @@ fn borrowed_spans_only_allocate_for_escapes() {
     ));
 }
 
-#[test]
-fn tree_reader_replays_the_same_events_as_the_streaming_reader() {
-    let doc = r#"{"a": [1, "x", {"deep": null}], "b": 2.5, "c": true}"#;
-    let tree = json::parse(doc).unwrap();
-    let mut stream = JsonReader::new(doc);
-    let mut replay = TreeReader::new(&tree);
-    loop {
-        let a = JsonPull::next_event(&mut stream).unwrap();
-        let b = JsonPull::next_event(&mut replay).unwrap();
-        assert_eq!(a, b);
-        if a == JsonEvent::Eof {
-            break;
-        }
-    }
-    // Eof is sticky on the replay.
-    assert_eq!(JsonPull::next_event(&mut replay).unwrap(), JsonEvent::Eof);
-}
-
-#[test]
-fn tree_reader_structured_helpers_work_via_defaults() {
-    let doc = r#"{"skip": {"deep": [1, {"x": 2}]}, "keep": [7, 8]}"#;
-    let tree = json::parse(doc).unwrap();
-    let mut r = TreeReader::new(&tree);
-    assert_eq!(
-        JsonPull::next_event(&mut r).unwrap(),
-        JsonEvent::ObjectStart
-    );
-    assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("skip"));
-    JsonPull::skip_value(&mut r).unwrap();
-    assert_eq!(JsonPull::next_key(&mut r).unwrap().as_deref(), Some("keep"));
-    let v = JsonPull::read_value(&mut r).unwrap();
-    assert_eq!(v, json::parse("[7, 8]").unwrap());
-    assert_eq!(JsonPull::next_key(&mut r).unwrap(), None);
-    JsonPull::finish(&mut r).unwrap();
-}
-
-#[test]
-fn tree_reader_read_value_reproduces_the_tree() {
-    let doc = r#"{"plan": {"ops": [1, 2.5, true, null], "name": "scan"}}"#;
-    let tree = json::parse(doc).unwrap();
-    let mut r = TreeReader::new(&tree);
-    assert_eq!(JsonPull::read_value(&mut r).unwrap(), tree);
-    JsonPull::finish(&mut r).unwrap();
-}
-
-/// Malformed unified documents and the exact error each one gets,
-/// identical from text and from a parsed tree.
+/// Malformed unified documents and the exact error each one gets.
 const MALFORMED: [(&str, &str); 5] = [
     (
         r#"{"tree": 5}"#,
@@ -435,12 +268,7 @@ const MALFORMED: [(&str, &str); 5] = [
 #[test]
 fn malformed_documents_get_the_same_error_from_text_and_tree() {
     for (doc, expected) in MALFORMED {
-        let streamed = unified::from_json(doc).unwrap_err().to_string();
-        let tree = json::parse(doc).unwrap();
-        let via_tree = unified::read_plan(&mut TreeReader::new(&tree))
-            .unwrap_err()
-            .to_string();
-        assert_eq!(streamed, expected, "{doc}");
-        assert_eq!(via_tree, expected, "{doc}");
+        let err = unified::from_json(doc).unwrap_err().to_string();
+        assert_eq!(err, expected, "{doc}");
     }
 }

@@ -114,18 +114,6 @@ proptest! {
         prop_assert_eq!(parsed, plan);
     }
 
-    /// The streaming reader path and the tree path of the unified JSON
-    /// format agree on every representable plan.
-    #[test]
-    fn streaming_and_tree_json_paths_agree(plan in arb_plan()) {
-        let json = uplan::core::formats::unified::to_json(&plan);
-        let streamed = uplan::core::formats::unified::from_json(&json).unwrap();
-        let doc = uplan::core::formats::json::parse(&json).unwrap();
-        let mut replay = uplan::testing::json::TreeReader::new(&doc);
-        let via_tree = uplan::core::formats::unified::read_plan(&mut replay).unwrap();
-        prop_assert_eq!(streamed, via_tree);
-    }
-
     /// The XML schema round-trips every representable plan.
     #[test]
     fn xml_round_trips(plan in arb_plan()) {
