@@ -17,8 +17,8 @@
 //! moves every ratio together and is absorbed; a genuine regression moves a
 //! few benches away from the median and still trips the gate.
 //!
-//! The machine is one, so a run divides every file by one machine factor:
-//! the largest per-file calibration. A historical baseline whose rows were
+//! A run measures one machine, so it divides every file by one machine
+//! factor: the largest per-file calibration. A historical baseline whose rows were
 //! mostly optimized away since (fresh/baseline ratios well below 1)
 //! calibrates to the 1.0 floor on any host, and would otherwise flag the
 //! untouched rows on a slow one.

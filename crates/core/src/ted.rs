@@ -782,12 +782,8 @@ mod tests {
         );
         assert_eq!(BoundedTed::Exact(exact).exact(), Some(exact));
         assert_eq!(BoundedTed::Exceeded.exact(), None);
-    }
-
-    #[test]
-    fn bounded_ted_answers_empty_plans_by_node_count() {
+        // An empty side: the other side's node count, or 0 for two.
         let empty = UnifiedPlan::default();
-        let a = UnifiedPlan::with_root(join(vec![leaf("A"), leaf("B")]));
         for (x, y) in [(&empty, &a), (&a, &empty)] {
             assert_eq!(tree_edit_distance_bounded(x, y, 3), BoundedTed::Exact(3));
             assert_eq!(tree_edit_distance_bounded(x, y, 2), BoundedTed::Exceeded);
