@@ -1270,9 +1270,11 @@ mod tests {
 
     /// Every malformed input of the JSON unit and property tests, and the
     /// nesting bound's edge, with the exact outcome (error text and byte
-    /// offset) of [`parse`] and of an event drain.
+    /// offset) of [`parse`], which builds values through `read_value`, and
+    /// of an event drain through `next_event`: the two paths must agree
+    /// with the pinned error, and so with each other.
     #[test]
-    fn parse_and_event_drain_give_the_pinned_errors() {
+    fn reader_error_offsets_match_parser() {
         let at = |offset, message: &str| Err(Error::parse(offset, message));
         let eof = |what: &str| Err(Error::UnexpectedEof(what.to_owned()));
         let deep = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));

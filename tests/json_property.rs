@@ -62,6 +62,24 @@ fn arb_json() -> impl Strategy<Value = OwnedJsonValue> {
     })
 }
 
+/// Pieces spliced into a written document to break it.
+const SPLICES: [&str; 12] = [
+    "{", "}", "[", "]", ":", ",", "\"", "\\", "x", "1", " ", "\u{1}",
+];
+
+/// Drains a reader's events and finishes it, returning the first error.
+/// Every event but `Eof` consumes input, so a drain that outlasts the
+/// input's length has stopped making progress and fails the test.
+fn drain(doc: &str) -> Result<(), Error> {
+    let mut reader = JsonReader::new(doc);
+    for _ in 0..=doc.len() + 1 {
+        if reader.next_event()? == JsonEvent::Eof {
+            return reader.finish();
+        }
+    }
+    panic!("event drain of {doc:?} made no progress");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -92,6 +110,34 @@ proptest! {
         let mut reader = JsonReader::new(&text);
         reader.skip_value().unwrap();
         reader.finish().unwrap();
+    }
+
+    /// On a written document broken by a truncation, a dropped character
+    /// or a spliced-in piece, an event drain fails (or succeeds) exactly as
+    /// `json::parse` does: same error text, same byte offset.
+    #[test]
+    fn reader_reports_the_same_offsets_as_the_parser(
+        doc in arb_json(),
+        cut in any::<usize>(),
+        edit in 0usize..SPLICES.len() + 2,
+    ) {
+        let text = doc.to_compact();
+        let mut at = cut % (text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let broken = match edit {
+            0 => text[..at].to_owned(),
+            1 => {
+                let mut dropped = text.clone();
+                if at < dropped.len() {
+                    dropped.remove(at);
+                }
+                dropped
+            }
+            splice => format!("{}{}{}", &text[..at], SPLICES[splice - 2], &text[at..]),
+        };
+        prop_assert_eq!(json::parse(&broken).map(drop), drain(&broken), "on {:?}", broken);
     }
 
     /// The event stream is balanced and terminates in Eof.
