@@ -293,6 +293,71 @@ impl BinaryEncoder {
 // Decoder
 // ---------------------------------------------------------------------------
 
+/// A byte cursor over an encoded document: the byte, varint and
+/// length-prefixed-string reads both the plan-body decoder and the segment
+/// layouts are built from. Every error names the field being read, `what`.
+pub(crate) struct Cursor<'a> {
+    pub(crate) input: &'a [u8],
+    pub(crate) pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The next byte.
+    pub(crate) fn byte(&mut self, what: &str) -> Result<u8> {
+        let byte = *self
+            .input
+            .get(self.pos)
+            .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    /// An LEB128 `u64` of at most 10 bytes, canonical in its last group.
+    pub(crate) fn varint(&mut self, what: &str) -> Result<u64> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte(what)?;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                // Reject non-canonical padding in the final (10th) group.
+                if shift == 63 && byte > 1 {
+                    return Err(Error::parse(
+                        self.pos - 1,
+                        format!("{what} overflows 64 bits"),
+                    ));
+                }
+                return Ok(value);
+            }
+        }
+        Err(Error::parse(self.pos, format!("{what} varint too long")))
+    }
+
+    /// The next `len` bytes.
+    pub(crate) fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8]> {
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|end| *end <= self.input.len())
+            .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
+        let bytes = &self.input[self.pos..end];
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    /// The next `len` bytes as UTF-8.
+    pub(crate) fn utf8(&mut self, len: usize, what: &str) -> Result<&'a str> {
+        let at = self.pos;
+        std::str::from_utf8(self.take(len, what)?)
+            .map_err(|_| Error::parse(at, format!("{what} is not valid UTF-8")))
+    }
+
+    /// A varint length, then that many bytes of UTF-8.
+    pub(crate) fn str(&mut self, what: &str) -> Result<&'a str> {
+        let len = self.varint(what)? as usize;
+        self.utf8(len, what)
+    }
+}
+
 /// Decoder over bare plan bodies against an externally supplied symbol
 /// table — the offset-addressed decode path of the segment codec, where
 /// one shared symbol chain serves every plan of every segment and each
@@ -300,8 +365,7 @@ impl BinaryEncoder {
 /// integrity checking (segment blocks are CRC-verified before any body in
 /// them decodes).
 pub(crate) struct BinaryDecoder<'a> {
-    input: &'a [u8],
-    pos: usize,
+    cur: Cursor<'a>,
     symbols: &'a [Symbol],
 }
 
@@ -310,8 +374,7 @@ impl<'a> BinaryDecoder<'a> {
     /// against `symbols`.
     pub(crate) fn new(input: &'a [u8], pos: usize, symbols: &'a [Symbol]) -> BinaryDecoder<'a> {
         BinaryDecoder {
-            input,
-            pos,
+            cur: Cursor { input, pos },
             symbols,
         }
     }
@@ -319,15 +382,15 @@ impl<'a> BinaryDecoder<'a> {
     /// Current byte position in the input (segment decodes validate that a
     /// plan body consumed exactly its recorded length).
     pub(crate) fn position(&self) -> usize {
-        self.pos
+        self.cur.pos
     }
 
     /// Decodes the plan body at the current position.
     pub(crate) fn decode_plan(&mut self) -> Result<UnifiedPlan> {
-        let flags = self.read_byte("plan flags")?;
+        let flags = self.cur.byte("plan flags")?;
         if flags > 1 {
             return Err(Error::parse(
-                self.pos - 1,
+                self.cur.pos - 1,
                 format!("bad plan flags {flags:#x}"),
             ));
         }
@@ -340,42 +403,8 @@ impl<'a> BinaryDecoder<'a> {
         Ok(UnifiedPlan { root, properties })
     }
 
-    fn read_byte(&mut self, what: &str) -> Result<u8> {
-        let byte = *self
-            .input
-            .get(self.pos)
-            .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
-        self.pos += 1;
-        Ok(byte)
-    }
-
     fn read_varint(&mut self) -> Result<u64> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.read_byte("varint")?;
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                // Reject non-canonical padding in the final (10th) group.
-                if shift == 63 && byte > 1 {
-                    return Err(Error::parse(self.pos - 1, "varint overflows 64 bits"));
-                }
-                return Ok(value);
-            }
-        }
-        Err(Error::parse(self.pos, "varint longer than 10 bytes"))
-    }
-
-    fn read_str(&mut self, what: &str) -> Result<&'a str> {
-        let len = self.read_varint()? as usize;
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|end| *end <= self.input.len())
-            .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
-        let text = std::str::from_utf8(&self.input[self.pos..end])
-            .map_err(|_| Error::parse(self.pos, format!("{what} is not valid UTF-8")))?;
-        self.pos = end;
-        Ok(text)
+        self.cur.varint("varint")
     }
 
     fn read_symbol(&mut self) -> Result<Symbol> {
@@ -383,19 +412,22 @@ impl<'a> BinaryDecoder<'a> {
         self.symbols
             .get(id)
             .copied()
-            .ok_or_else(|| Error::parse(self.pos, format!("symbol ref {id} out of range")))
+            .ok_or_else(|| Error::parse(self.cur.pos, format!("symbol ref {id} out of range")))
     }
 
     fn read_node(&mut self, depth: usize) -> Result<PlanNode> {
         if depth >= MAX_PLAN_DEPTH {
-            return Err(Error::parse(self.pos, "plan tree deeper than codec limit"));
+            return Err(Error::parse(
+                self.cur.pos,
+                "plan tree deeper than codec limit",
+            ));
         }
         let category = match self.read_varint()? {
             c @ 0..=6 => OperationCategory::CANONICAL[c as usize],
             7 => OperationCategory::Extension(self.read_symbol()?),
             other => {
                 return Err(Error::parse(
-                    self.pos,
+                    self.cur.pos,
                     format!("bad operation category tag {other}"),
                 ))
             }
@@ -404,8 +436,11 @@ impl<'a> BinaryDecoder<'a> {
         let properties = self.read_properties()?;
         let child_count = self.read_varint()? as usize;
         // Each child costs ≥ 4 bytes; a count past that bound is corrupt.
-        if child_count > self.input.len() - self.pos {
-            return Err(Error::parse(self.pos, "child count longer than document"));
+        if child_count > self.cur.input.len() - self.cur.pos {
+            return Err(Error::parse(
+                self.cur.pos,
+                "child count longer than document",
+            ));
         }
         let mut children = Vec::with_capacity(child_count.min(1024));
         for _ in 0..child_count {
@@ -423,9 +458,9 @@ impl<'a> BinaryDecoder<'a> {
 
     fn read_properties(&mut self) -> Result<Vec<Property>> {
         let count = self.read_varint()? as usize;
-        if count > self.input.len() - self.pos {
+        if count > self.cur.input.len() - self.cur.pos {
             return Err(Error::parse(
-                self.pos,
+                self.cur.pos,
                 "property count longer than document",
             ));
         }
@@ -436,7 +471,7 @@ impl<'a> BinaryDecoder<'a> {
                 4 => PropertyCategory::Extension(self.read_symbol()?),
                 other => {
                     return Err(Error::parse(
-                        self.pos,
+                        self.cur.pos,
                         format!("bad property category tag {other}"),
                     ))
                 }
@@ -453,23 +488,25 @@ impl<'a> BinaryDecoder<'a> {
     }
 
     fn read_value(&mut self) -> Result<Value> {
-        Ok(match self.read_byte("value tag")? {
+        Ok(match self.cur.byte("value tag")? {
             VALUE_NULL => Value::Null,
             VALUE_FALSE => Value::Bool(false),
             VALUE_TRUE => Value::Bool(true),
             VALUE_INT => Value::Int(unzigzag(self.read_varint()?)),
             VALUE_FLOAT => {
-                let end = self.pos + 8;
-                if end > self.input.len() {
-                    return Err(Error::UnexpectedEof("float value".to_owned()));
-                }
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&self.input[self.pos..end]);
-                self.pos = end;
-                Value::Float(f64::from_le_bytes(bytes))
+                let bytes = self.cur.take(8, "float value")?;
+                Value::Float(f64::from_le_bytes(bytes.try_into().expect("took 8 bytes")))
             }
-            VALUE_STR => Value::Str(self.read_str("string value")?.to_owned()),
-            other => return Err(Error::parse(self.pos - 1, format!("bad value tag {other}"))),
+            VALUE_STR => {
+                let len = self.read_varint()? as usize;
+                Value::Str(self.cur.utf8(len, "string value")?.to_owned())
+            }
+            other => {
+                return Err(Error::parse(
+                    self.cur.pos - 1,
+                    format!("bad value tag {other}"),
+                ))
+            }
         })
     }
 }
@@ -691,6 +728,45 @@ mod tests {
             .push(&chain(MAX_PLAN_DEPTH + 1))
             .unwrap_err();
         assert!(err.to_string().contains("codec limit"), "{err}");
+    }
+
+    /// The plan-body decoder and the segment reader share one cursor:
+    /// each names its own field in the truncated, overflowing (a tenth
+    /// group past bit 63) and overlong (an eleventh group) varint errors.
+    #[test]
+    fn varint_errors_are_pinned_for_both_cursor_callers() {
+        let overflow = [[0xff; 9].as_slice(), &[0x02]].concat();
+        let overlong = [0x80; 10];
+        // Body: flags 0 (no root), then the property-count varint.
+        let body = |varint: &[u8]| {
+            let bytes = [&[0x00], varint].concat();
+            BinaryDecoder::new(&bytes, 0, &[])
+                .decode_plan()
+                .unwrap_err()
+        };
+        assert_eq!(body(&[0x80]), Error::UnexpectedEof("varint".into()));
+        assert_eq!(
+            body(&overflow),
+            Error::parse(10, "varint overflows 64 bits")
+        );
+        assert_eq!(body(&overlong), Error::parse(11, "varint varint too long"));
+        // Segment: the magic, then the codec-version varint.
+        let segment = |varint: &[u8]| {
+            let bytes = [super::super::segment::SEGMENT_MAGIC.as_slice(), varint].concat();
+            super::super::segment::parse_segment(&bytes).unwrap_err()
+        };
+        assert_eq!(
+            segment(&[0x80]),
+            Error::UnexpectedEof("codec version".into())
+        );
+        assert_eq!(
+            segment(&overflow),
+            Error::parse(13, "codec version overflows 64 bits")
+        );
+        assert_eq!(
+            segment(&overlong),
+            Error::parse(14, "codec version varint too long")
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ use crate::keyword;
 use crate::model::UnifiedPlan;
 use crate::symbol::{Symbol, SymbolTable};
 
-use super::binary::{write_varint, BinaryDecoder, BinaryEncoder, CHECKSUM_BLOCK_PLANS};
+use super::binary::{write_varint, BinaryDecoder, BinaryEncoder, Cursor, CHECKSUM_BLOCK_PLANS};
 
 /// Leading magic bytes of a segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"UPLS";
@@ -439,57 +439,12 @@ pub fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Minimal byte cursor for the segment layouts (the plan-body grammar
-/// itself is decoded by the [`super::binary`] codec).
-struct Reader<'a> {
-    input: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn byte(&mut self, what: &str) -> Result<u8> {
-        let b = *self
-            .input
-            .get(self.pos)
-            .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self, what: &str) -> Result<u64> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte(what)?;
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                if shift == 63 && byte > 1 {
-                    return Err(Error::parse(
-                        self.pos - 1,
-                        format!("{what} overflows 64 bits"),
-                    ));
-                }
-                return Ok(value);
-            }
-        }
-        Err(Error::parse(self.pos, format!("{what} varint too long")))
-    }
-
+/// The segment layouts' reads on top of the shared byte cursor (the
+/// plan-body grammar itself is decoded by the [`super::binary`] codec).
+impl Cursor<'_> {
     fn varint_u32(&mut self, what: &str) -> Result<u32> {
         u32::try_from(self.varint(what)?)
             .map_err(|_| Error::parse(self.pos, format!("{what} overflows 32 bits")))
-    }
-
-    fn str(&mut self, what: &str) -> Result<&'a str> {
-        let len = self.varint(what)? as usize;
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|e| *e <= self.input.len())
-            .ok_or_else(|| Error::UnexpectedEof(what.to_owned()))?;
-        let text = std::str::from_utf8(&self.input[self.pos..end])
-            .map_err(|_| Error::parse(self.pos, format!("{what} is not valid UTF-8")))?;
-        self.pos = end;
-        Ok(text)
     }
 
     /// Reads and verifies the 4-byte CRC trailer over `input[start..pos]`.
@@ -553,7 +508,7 @@ impl<'a> Reader<'a> {
 /// chain.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
     use super::binary::{MAX_FEATURE_DIM, MAX_INDEX_SHARDS};
-    let mut r = Reader {
+    let mut r = Cursor {
         input: bytes,
         pos: 0,
     };
@@ -635,7 +590,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
 /// with [`decode_plan_at`]).
 pub fn parse_segment(bytes: &[u8]) -> Result<SegmentView> {
     use super::binary::{MAX_FEATURE_DIM, MAX_INDEX_SHARDS};
-    let mut r = Reader {
+    let mut r = Cursor {
         input: bytes,
         pos: 0,
     };

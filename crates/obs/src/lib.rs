@@ -8,13 +8,13 @@
 //! threads through:
 //!
 //! * [`metrics`] — lock-free counters, gauges, and log₂ [`Histogram`]s in
-//!   a [`Registry`] with Prometheus-text and JSON exposition. A process
+//!   a [`Registry`] with Prometheus-text exposition. A process
 //!   [`global`] registry hosts the library-side series (ingest, corpus);
 //!   components with per-instance lifecycles (the serve daemon) own their
 //!   own `Registry` and concatenate it at scrape time.
 //! * [`trace`] — structured RAII spans with process-unique IDs, per-thread
-//!   parent linkage, monotonic durations, a bounded recent-span ring, and
-//!   a JSONL sink (`repro --log-json`, `UPLAN_LOG` level filtering). Off
+//!   parent linkage, monotonic durations, and one output, a JSONL sink
+//!   (`repro --log-json`, `UPLAN_LOG` level filtering). Off
 //!   by default at one atomic load per site, so it stays inside the bench
 //!   tolerance with no configuration.
 //!
@@ -24,10 +24,9 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{global, Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, Registry};
+pub use metrics::{global, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use trace::{
-    enabled, event, flush_json_log, init_json_log, recent_spans, span, FieldValue, Filter, Level,
-    SpanGuard, SpanRecord,
+    enabled, event, flush_json_log, init_json_log, span, FieldValue, Filter, Level, SpanGuard,
 };
 
 /// Package version and the git revision the binary was built from

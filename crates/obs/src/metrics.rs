@@ -9,13 +9,11 @@
 //! **exposition** time (a `/metrics` scrape or `/stats` render), never on
 //! the record path.
 //!
-//! Two encoders read a registry out:
-//!
-//! * [`Registry::encode_prometheus`] — the Prometheus text exposition
-//!   format (`# HELP`/`# TYPE` headers, `family{label="v"} value` samples,
-//!   histograms as cumulative `_bucket{le=…}` series plus `_sum`/`_count`);
-//! * [`Registry::encode_json`] — the same data as a JSON document for
-//!   scripts and the `/stats` payload.
+//! One encoder reads a registry out: [`Registry::encode_prometheus`], the
+//! Prometheus text exposition format (`# HELP`/`# TYPE` headers,
+//! `family{label="v"} value` samples, histograms as cumulative
+//! `_bucket{le=…}` series plus `_sum`/`_count`). The `/stats` payload's
+//! per-endpoint quantiles come from [`HistogramSnapshot::summary_json`].
 //!
 //! The [`Histogram`] is the log₂-bucketed design the serve daemon
 //! introduced, generalized and sharpened: buckets hold values by
@@ -25,8 +23,7 @@
 //! observed maximum) instead of answering only the bucket's upper bound —
 //! p50/p99 on smooth distributions land within a few percent rather than
 //! within a factor of two. The raw bucket bounds stay accessible via
-//! [`Histogram::bucket_lower`] / [`Histogram::bucket_upper`] and
-//! [`HistogramSnapshot::quantile_bounds`].
+//! [`Histogram::bucket_lower`] / [`Histogram::bucket_upper`].
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -74,11 +71,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Adjusts the value by `delta`.
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
@@ -91,7 +83,6 @@ impl Gauge {
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -100,7 +91,6 @@ impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -135,17 +125,11 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Four relaxed atomic writes, no lock.
+    /// Records one sample. Three relaxed atomic writes, no lock.
     pub fn record(&self, value: u64) {
         self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy for quantile math and exposition. Buckets and
@@ -159,12 +143,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-
-    /// Interpolated quantile of the live histogram (see
-    /// [`HistogramSnapshot::quantile`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
     }
 }
 
@@ -188,11 +166,6 @@ impl HistogramSnapshot {
         self.sum
     }
 
-    /// Largest sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Mean sample (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count()).unwrap_or(0)
@@ -203,53 +176,28 @@ impl HistogramSnapshot {
         &self.buckets
     }
 
-    /// The bucket holding the `q`-quantile sample, with the count of
-    /// samples strictly below it and inside it: `(bucket, below, inside)`.
-    /// `None` when empty.
-    fn quantile_bucket(&self, q: f64) -> Option<(usize, u64, u64)> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let rank = (((count as f64) * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
-            if n > 0 && seen + n >= rank {
-                return Some((b, seen, n));
-            }
-            seen += n;
-        }
-        None
-    }
-
     /// The `q`-quantile (`0.5` = median), **interpolated within the log₂
     /// bucket**: the winning bucket's samples are assumed uniformly spread
     /// between its lower bound and `min(upper bound, max sample)`, so the
     /// readout tracks the true quantile closely on smooth distributions
     /// instead of being quantized to within a factor of two. 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let Some((b, below, inside)) = self.quantile_bucket(q) else {
-            return 0;
-        };
         let count = self.count();
-        let rank = (((count as f64) * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, count);
-        let lower = Histogram::bucket_lower(b);
-        let upper = Histogram::bucket_upper(b).min(self.max).max(lower);
-        let position = (rank - below) as f64 / inside as f64;
-        lower + ((upper - lower) as f64 * position).round() as u64
-    }
-
-    /// Lower and upper bounds of the bucket containing the `q`-quantile —
-    /// the true quantile is guaranteed to lie inside (clamped to the
-    /// observed maximum). `(0, 0)` when empty.
-    pub fn quantile_bounds(&self, q: f64) -> (u64, u64) {
-        match self.quantile_bucket(q) {
-            None => (0, 0),
-            Some((b, _, _)) => (
-                Histogram::bucket_lower(b),
-                Histogram::bucket_upper(b).min(self.max),
-            ),
+        if count == 0 {
+            return 0;
         }
+        let rank = (((count as f64) * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, count);
+        let mut below = 0u64;
+        for (b, &inside) in self.buckets.iter().enumerate() {
+            if inside > 0 && below + inside >= rank {
+                let lower = Histogram::bucket_lower(b);
+                let upper = Histogram::bucket_upper(b).min(self.max).max(lower);
+                let position = (rank - below) as f64 / inside as f64;
+                return lower + ((upper - lower) as f64 * position).round() as u64;
+            }
+            below += inside;
+        }
+        0
     }
 
     /// The `{count, mean, p50, p90, p99, max}` summary object `/stats`
@@ -269,7 +217,7 @@ impl HistogramSnapshot {
 
 /// What a registered family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+enum MetricKind {
     /// Monotonic total.
     Counter,
     /// Instantaneous value.
@@ -502,60 +450,12 @@ impl Registry {
         }
         out
     }
-
-    /// The same data as a JSON document: `{family: {type, help, metrics:
-    /// [{labels, value | summary}]}}` (`/metrics?format=json`).
-    pub fn encode_json(&self) -> OwnedJsonValue {
-        let families = self.families.lock().expect("metrics registry lock");
-        JsonValue::Object(
-            families
-                .iter()
-                .map(|family| {
-                    let metrics: Vec<OwnedJsonValue> = family
-                        .members
-                        .iter()
-                        .map(|(labels, handle)| {
-                            let label_obj = JsonValue::Object(
-                                labels
-                                    .iter()
-                                    .map(|(k, v)| {
-                                        (
-                                            std::borrow::Cow::Owned(k.clone()),
-                                            JsonValue::from(v.clone()),
-                                        )
-                                    })
-                                    .collect(),
-                            );
-                            let value = match handle {
-                                Handle::Counter(c) => int(c.get()),
-                                Handle::Gauge(g) => JsonValue::Int(g.get()),
-                                Handle::Histogram(h) => h.snapshot().summary_json(),
-                            };
-                            object([("labels", label_obj), ("value", value)])
-                        })
-                        .collect();
-                    (
-                        std::borrow::Cow::Owned(family.name.clone()),
-                        object([
-                            ("type", JsonValue::from(family.kind.name())),
-                            ("help", JsonValue::from(family.help.clone())),
-                            ("metrics", JsonValue::Array(metrics)),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
 }
 
 fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
     have.iter()
         .zip(want)
         .all(|((hk, hv), (wk, wv))| hk == wk && hv == wv)
-}
-
-fn int(v: u64) -> OwnedJsonValue {
-    JsonValue::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
 /// One exposition sample line: `name{labels,extra} value`.
@@ -650,7 +550,7 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count(), 1000);
-        assert_eq!(snap.max(), 1000);
+        assert_eq!(snap.max, 1000);
         assert_eq!(snap.mean(), 500);
         // Within-bucket interpolation: a few samples of error, not a
         // factor of two.
@@ -661,14 +561,9 @@ mod tests {
         let p99 = snap.quantile(0.99);
         assert!((975..=1000).contains(&p99), "p99 {p99}");
         assert_eq!(snap.quantile(1.0), 1000);
-        // The bounds accessors still expose the factor-of-two envelope.
-        let (lo, hi) = snap.quantile_bounds(0.5);
-        assert!(lo <= p50 && p50 <= hi);
-        assert_eq!((lo, hi), (256, 511));
         // Degenerate cases.
         let empty = Histogram::default();
         assert_eq!(empty.snapshot().quantile(0.5), 0);
-        assert_eq!(empty.snapshot().quantile_bounds(0.9), (0, 0));
         let zeros = Histogram::default();
         zeros.record(0);
         zeros.record(0);
@@ -688,7 +583,6 @@ mod tests {
         let registry = Registry::new();
         let counter = registry.counter("t_ops_total", "test counter");
         let histogram = registry.histogram("t_lat_us", "test histogram");
-        let gauge = registry.gauge("t_depth", "test gauge");
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 // Re-register inside each thread: idempotent registration
@@ -697,11 +591,9 @@ mod tests {
                 scope.spawn(move || {
                     let counter = registry.counter("t_ops_total", "test counter");
                     let histogram = registry.histogram("t_lat_us", "test histogram");
-                    let gauge = registry.gauge("t_depth", "test gauge");
                     for i in 0..PER_THREAD {
                         counter.inc();
                         histogram.record(t as u64 * PER_THREAD + i);
-                        gauge.add(1);
                     }
                 });
             }
@@ -709,8 +601,7 @@ mod tests {
         assert_eq!(counter.get(), THREADS as u64 * PER_THREAD);
         let snap = histogram.snapshot();
         assert_eq!(snap.count(), THREADS as u64 * PER_THREAD);
-        assert_eq!(snap.max(), THREADS as u64 * PER_THREAD - 1);
-        assert_eq!(gauge.get(), (THREADS as u64 * PER_THREAD) as i64);
+        assert_eq!(snap.max, THREADS as u64 * PER_THREAD - 1);
         // The bucket census agrees with the exact per-bucket expectation.
         let mut expect = [0u64; BUCKETS];
         for v in 0..THREADS as u64 * PER_THREAD {
@@ -777,26 +668,6 @@ u_lat_us_sum 207
 u_lat_us_count 5
 ";
         assert_eq!(text, expect);
-
-        let doc = registry.encode_json();
-        let family = doc.get("u_req_total").unwrap();
-        assert_eq!(family.get("type").unwrap().as_str(), Some("counter"));
-        let members = family.get("metrics").unwrap().as_array().unwrap();
-        assert_eq!(members.len(), 2);
-        assert_eq!(
-            members[0]
-                .get("labels")
-                .unwrap()
-                .get("endpoint")
-                .unwrap()
-                .as_str(),
-            Some("knn")
-        );
-        assert_eq!(members[0].get("value").unwrap().as_int(), Some(5));
-        let lat = doc.get("u_lat_us").unwrap().get("metrics").unwrap();
-        let summary = lat.as_array().unwrap()[0].get("value").unwrap();
-        assert_eq!(summary.get("count").unwrap().as_int(), Some(5));
-        assert_eq!(summary.get("max").unwrap().as_int(), Some(200));
     }
 
     #[test]

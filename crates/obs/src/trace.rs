@@ -1,4 +1,4 @@
-//! # Structured span tracing with a JSONL sink and a recent-span ring
+//! # Structured span tracing with a JSONL sink
 //!
 //! The pipeline's long operations — a raw-dump ingest, an epoch merge, a
 //! served query — are recorded as **spans**: RAII guards carrying a
@@ -21,10 +21,8 @@
 //!   `UPLAN_LOG` is unset this bumps the default level to `debug` so the
 //!   log is not silently empty.
 //!
-//! Closed spans are also pushed into a bounded in-memory ring buffer
-//! ([`recent_spans`]) so a process can self-report its last moments (the
-//! serve daemon's slow-query accounting reads it in tests) without any
-//! sink configured.
+//! The JSONL sink is the one output. An enabled span or event with no
+//! sink installed still tracks its parent and fields, but builds no line.
 //!
 //! ## JSONL schema
 //!
@@ -170,31 +168,6 @@ impl Filter {
     }
 }
 
-/// Ring-buffer capacity for recently closed spans.
-const RECENT_SPANS: usize = 256;
-
-/// A closed span as kept in the recent-spans ring.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Microseconds since process start when the span opened.
-    pub ts_us: u64,
-    /// Wall time between open and close, microseconds (monotonic clock).
-    pub dur_us: u64,
-    /// Severity the span was opened at.
-    pub level: Level,
-    /// Dotted component path (`serve.request`, `corpus.merge`).
-    pub target: &'static str,
-    /// Span name (`ingest`, `knn`).
-    pub name: &'static str,
-    /// Process-unique span ID (also the request/batch ID surfaced to
-    /// callers).
-    pub id: u64,
-    /// Enclosing span's ID, if the span was opened inside one.
-    pub parent: Option<u64>,
-    /// `(key, value)` fields attached to the span.
-    pub fields: Vec<(&'static str, FieldValue)>,
-}
-
 /// A span or event field value (kept simple on purpose: numbers and
 /// small strings).
 #[derive(Debug, Clone)]
@@ -258,8 +231,6 @@ struct Tracer {
     next_id: AtomicU64,
     /// Full filter, consulted only after `max_level` passes.
     filter: Mutex<Filter>,
-    /// Recently closed spans, newest last, capped at [`RECENT_SPANS`].
-    recent: Mutex<Vec<SpanRecord>>,
     /// JSONL sink, when configured.
     sink: Mutex<Option<Box<dyn Write + Send>>>,
 }
@@ -277,7 +248,6 @@ fn tracer() -> &'static Tracer {
             max_level: AtomicU8::new(max),
             next_id: AtomicU64::new(1),
             filter: Mutex::new(filter),
-            recent: Mutex::new(Vec::new()),
             sink: Mutex::new(None),
         }
     })
@@ -340,16 +310,6 @@ pub fn enabled(target: &str, level: Level) -> bool {
         .enabled(target, level)
 }
 
-/// The recently closed spans, oldest first (bounded at a few hundred).
-pub fn recent_spans() -> Vec<SpanRecord> {
-    tracer().recent.lock().expect("trace ring lock").clone()
-}
-
-/// Clears the recent-span ring (tests).
-pub fn clear_recent_spans() {
-    tracer().recent.lock().expect("trace ring lock").clear();
-}
-
 /// Microseconds since process start on the monotonic clock.
 fn now_us() -> u64 {
     tracer().epoch.elapsed().as_micros() as u64
@@ -404,25 +364,18 @@ impl Drop for SpanGuard {
                 stack.retain(|&id| id != self.id);
             }
         });
-        let record = SpanRecord {
-            ts_us: live.ts_us,
-            dur_us: live.start.elapsed().as_micros() as u64,
-            level: live.level,
-            target: live.target,
-            name: live.name,
-            id: self.id,
-            parent: live.parent,
-            fields: live.fields,
-        };
-        let t = tracer();
-        {
-            let mut recent = t.recent.lock().expect("trace ring lock");
-            if recent.len() >= RECENT_SPANS {
-                recent.remove(0);
-            }
-            recent.push(record.clone());
-        }
-        write_line(t, &span_json(&record));
+        let dur_us = live.start.elapsed().as_micros() as u64;
+        write_line(|| {
+            line_json(
+                live.ts_us,
+                Some((dur_us, self.id)),
+                live.level,
+                live.target,
+                live.name,
+                live.parent,
+                &live.fields,
+            )
+        });
     }
 }
 
@@ -465,14 +418,39 @@ pub fn event(
     if !enabled(target, level) {
         return;
     }
-    let t = tracer();
+    let ts_us = now_us();
     let parent = SPAN_STACK.with(|stack| stack.borrow().last().copied());
-    let mut members: JsonMembers<'static> = vec![
-        ("ts_us".into(), int_json(now_us())),
-        ("level".into(), JsonValue::from(level.name())),
-        ("target".into(), JsonValue::from(target)),
-        ("event".into(), JsonValue::from(name)),
-    ];
+    write_line(|| line_json(ts_us, None, level, target, name, parent, fields));
+}
+
+fn int_json(v: u64) -> OwnedJsonValue {
+    JsonValue::Int(i64::try_from(v).unwrap_or(i64::MAX))
+}
+
+/// One JSONL line in the schema's member order. `span` is `(dur_us, id)`
+/// for a closed span and `None` for an event.
+fn line_json(
+    ts_us: u64,
+    span: Option<(u64, u64)>,
+    level: Level,
+    target: &'static str,
+    name: &'static str,
+    parent: Option<u64>,
+    fields: &[(&'static str, FieldValue)],
+) -> OwnedJsonValue {
+    let mut members: JsonMembers<'static> = vec![("ts_us".into(), int_json(ts_us))];
+    if let Some((dur_us, _)) = span {
+        members.push(("dur_us".into(), int_json(dur_us)));
+    }
+    members.push(("level".into(), JsonValue::from(level.name())));
+    members.push(("target".into(), JsonValue::from(target)));
+    match span {
+        Some((_, id)) => {
+            members.push(("span".into(), JsonValue::from(name)));
+            members.push(("id".into(), int_json(id)));
+        }
+        None => members.push(("event".into(), JsonValue::from(name))),
+    }
     if let Some(parent) = parent {
         members.push(("parent".into(), int_json(parent)));
     }
@@ -487,44 +465,15 @@ pub fn event(
             ),
         ));
     }
-    write_line(t, &JsonValue::Object(members));
-}
-
-fn int_json(v: u64) -> OwnedJsonValue {
-    JsonValue::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
-fn span_json(record: &SpanRecord) -> OwnedJsonValue {
-    let mut members: JsonMembers<'static> = vec![
-        ("ts_us".into(), int_json(record.ts_us)),
-        ("dur_us".into(), int_json(record.dur_us)),
-        ("level".into(), JsonValue::from(record.level.name())),
-        ("target".into(), JsonValue::from(record.target)),
-        ("span".into(), JsonValue::from(record.name)),
-        ("id".into(), int_json(record.id)),
-    ];
-    if let Some(parent) = record.parent {
-        members.push(("parent".into(), int_json(parent)));
-    }
-    if !record.fields.is_empty() {
-        members.push((
-            "fields".into(),
-            JsonValue::Object(
-                record
-                    .fields
-                    .iter()
-                    .map(|(k, v)| (std::borrow::Cow::Borrowed(*k), v.to_json()))
-                    .collect(),
-            ),
-        ));
-    }
     JsonValue::Object(members)
 }
 
-fn write_line(t: &Tracer, line: &OwnedJsonValue) {
-    let mut sink = t.sink.lock().expect("trace sink lock");
+/// Appends one line to the JSONL sink. `line` runs only when a sink is
+/// installed, so an enabled span or event costs no JSON without one.
+fn write_line(line: impl FnOnce() -> OwnedJsonValue) {
+    let mut sink = tracer().sink.lock().expect("trace sink lock");
     if let Some(sink) = sink.as_mut() {
-        let mut text = line.to_compact();
+        let mut text = line().to_compact();
         text.push('\n');
         // Log-writer errors must never take the pipeline down; drop the
         // sink on failure instead.
@@ -549,7 +498,23 @@ mod tests {
     fn reset() {
         set_filter(Filter::default());
         set_json_sink(None);
-        clear_recent_spans();
+    }
+
+    /// Installs an in-memory JSONL sink and returns its buffer.
+    fn capture() -> std::sync::Arc<Mutex<Vec<u8>>> {
+        struct Shared(std::sync::Arc<Mutex<Vec<u8>>>);
+        impl Write for Shared {
+            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = std::sync::Arc::new(Mutex::new(Vec::new()));
+        set_json_sink(Some(Box::new(Shared(buf.clone()))));
+        buf
     }
 
     #[test]
@@ -585,13 +550,18 @@ mod tests {
     fn disabled_spans_still_mint_ids() {
         let _x = exclusive();
         reset();
+        let buf = capture();
         let a = span("test.off", Level::Debug, "a");
         let b = span("test.off", Level::Debug, "b");
         assert_ne!(a.id(), 0);
         assert_ne!(a.id(), b.id());
         drop(b);
         drop(a);
-        assert!(recent_spans().is_empty(), "disabled spans are not recorded");
+        reset();
+        assert!(
+            buf.lock().unwrap().is_empty(),
+            "disabled spans are not logged"
+        );
     }
 
     #[test]
@@ -599,18 +569,7 @@ mod tests {
         let _x = exclusive();
         reset();
         set_filter(Filter::parse("test.nest=debug"));
-        let buf = std::sync::Arc::new(Mutex::new(Vec::<u8>::new()));
-        struct Shared(std::sync::Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        set_json_sink(Some(Box::new(Shared(buf.clone()))));
+        let buf = capture();
 
         let (outer_id, inner_id);
         {
@@ -668,27 +627,6 @@ mod tests {
         );
         for line in &lines {
             assert!(line.contains("\"ts_us\":"));
-        }
-    }
-
-    #[test]
-    fn ring_buffer_keeps_the_most_recent_spans() {
-        let _x = exclusive();
-        reset();
-        set_filter(Filter::parse("test.ring=debug"));
-        for i in 0..(RECENT_SPANS + 10) {
-            let mut s = span("test.ring", Level::Debug, "tick");
-            s.field("i", i);
-        }
-        let recent = recent_spans();
-        reset();
-        assert_eq!(recent.len(), RECENT_SPANS);
-        // Oldest entries were evicted; the newest survives at the back.
-        let last = recent.last().unwrap();
-        assert_eq!(last.name, "tick");
-        match last.fields[0].1 {
-            FieldValue::U64(i) => assert_eq!(i as usize, RECENT_SPANS + 9),
-            ref other => panic!("unexpected field {other:?}"),
         }
     }
 }

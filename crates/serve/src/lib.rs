@@ -14,10 +14,10 @@
 //! | POST   | `/knn`      | `{"k": …, "probe": …}`     | 200 [`uplan_corpus::QueryResponse`] JSON; **422** when a counted-TED budget trips |
 //! | POST   | `/radius`   | `{"radius": …, "probe": …}`| same |
 //! | POST   | `/cluster`  | `{"radius": …}`            | 200 clustering of the snapshot |
-//! | GET    | `/stats`    | —                          | 200 epoch, pending, corpus stats (the walk is cached per epoch), the segment census when the service persists to a segment store, per-endpoint latency/eval histograms |
+//! | GET    | `/stats`    | —                          | 200 epoch, pending, corpus stats (an O(1) read of the snapshot's running totals), the segment census when the service persists to a segment store, per-endpoint latency/eval histograms |
 //! | POST   | `/diff`     | JSONL corpus (`?radius=N`) | 200 fingerprint + radius novelty both ways |
 //! | POST   | `/merge`    | —                          | 200 forces an epoch merge now |
-//! | GET    | `/metrics`  | —                          | 200 Prometheus-text exposition (`?format=json` for JSON): this daemon's request series plus the process-global ingest/corpus series |
+//! | GET    | `/metrics`  | —                          | 200 Prometheus-text exposition: this daemon's request series plus the process-global ingest/corpus series |
 //! | POST   | `/shutdown` | —                          | 200, then graceful drain: in-flight requests finish, the delta merges one last time |
 //!
 //! Queries run against an epoch-consistent [`CorpusSnapshot`]; each
@@ -223,7 +223,7 @@ pub fn handle(state: &ServeState, reader: &mut SnapshotReader, req: &HttpRequest
         ("GET" | "POST", "/stats") => ("stats", stats(state, reader)),
         ("POST", "/diff") => ("diff", diff(state, reader, req)),
         ("POST", "/merge") => ("merge", merge(state)),
-        ("GET" | "POST", "/metrics") => ("metrics", metrics_exposition(state, req)),
+        ("GET" | "POST", "/metrics") => ("metrics", metrics_exposition(state)),
         ("POST", "/shutdown") => ("shutdown", shutdown(state)),
         (_, path) if known => {
             return with_id(HttpResponse::json(
@@ -397,31 +397,20 @@ fn stats(state: &ServeState, reader: &mut SnapshotReader) -> (HttpResponse, u64)
     (HttpResponse::json(200, doc.to_compact()), 0)
 }
 
-/// GET /metrics: the Prometheus-text exposition (or `?format=json`) of
-/// this daemon's request registry concatenated with the process-global
-/// registry (ingest/corpus instrumentation). Uptime is stamped into the
-/// instance registry at scrape time. The scrape itself is recorded
-/// *after* the body is rendered, so the counters a scrape reports never
-/// include that scrape.
-fn metrics_exposition(state: &ServeState, req: &HttpRequest) -> (HttpResponse, u64) {
+/// GET /metrics: the Prometheus-text exposition of this daemon's request
+/// registry concatenated with the process-global registry (ingest/corpus
+/// instrumentation). Uptime is stamped into the instance registry at
+/// scrape time. The scrape itself is recorded *after* the body is
+/// rendered, so the counters a scrape reports never include that scrape.
+fn metrics_exposition(state: &ServeState) -> (HttpResponse, u64) {
     state
         .metrics
         .registry()
         .gauge("uplan_uptime_seconds", "seconds since the daemon started")
         .set(i64::try_from(state.uptime().as_secs()).unwrap_or(i64::MAX));
-    if req.param("format") == Some("json") {
-        let mut doc = state.metrics.registry().encode_json();
-        if let (JsonValue::Object(mine), JsonValue::Object(global)) =
-            (&mut doc, uplan_obs::global().encode_json())
-        {
-            mine.extend(global);
-        }
-        (HttpResponse::json(200, doc.to_compact()), 0)
-    } else {
-        let mut text = state.metrics.registry().encode_prometheus();
-        text.push_str(&uplan_obs::global().encode_prometheus());
-        (HttpResponse::text(200, text), 0)
-    }
+    let mut text = state.metrics.registry().encode_prometheus();
+    text.push_str(&uplan_obs::global().encode_prometheus());
+    (HttpResponse::text(200, text), 0)
 }
 
 /// POST /diff?radius=N: body is a JSONL corpus; answers fingerprint and
@@ -815,12 +804,6 @@ mod tests {
         assert!(text.contains("# TYPE uplan_http_request_latency_us histogram"));
         // The global registry rides along (this process ran raw ingest).
         assert!(text.contains("uplan_ingest_records_total"), "{text}");
-        // JSON flavor of the same exposition.
-        let (status, body) = request(addr, "GET", "/metrics?format=json", "");
-        assert_eq!(status, 200);
-        let doc = json::parse(&body).unwrap();
-        assert!(doc.get("uplan_http_requests_total").is_some());
-        assert!(doc.get("uplan_uptime_seconds").is_some());
 
         // Unknown path and wrong method: every endpoint refuses PUT.
         let error = |code: &str, message: &str| {
@@ -944,6 +927,30 @@ mod tests {
         service.merge(1);
         assert_eq!(reader.current().epoch(), 1);
         assert_eq!(reader.current().corpus().len(), 5);
+    }
+
+    /// `/metrics` has one encoding: a `?format=json` query string still
+    /// answers the Prometheus text.
+    #[test]
+    fn metrics_answers_prometheus_text_whatever_the_format_parameter() {
+        let state = ServeState::new(seed_corpus(), 100, 1);
+        let service = Arc::clone(state.service());
+        let mut reader = service.reader();
+        let req = HttpRequest {
+            method: "GET".into(),
+            path: "/metrics".into(),
+            query: vec![("format".into(), "json".into())],
+            body: Vec::new(),
+        };
+        let response = handle(&state, &mut reader, &req);
+        assert_eq!(response.status, 200);
+        assert_eq!(response.content_type, "text/plain; version=0.0.4");
+        let text = &response.body;
+        assert!(text.starts_with("# HELP uplan_build_info "), "{text}");
+        assert!(
+            text.contains("\nuplan_http_requests_total{endpoint=\"metrics\"} 0\n"),
+            "{text}"
+        );
     }
 
     /// A `k` or `candidates` far beyond the corpus size answers 200 with at

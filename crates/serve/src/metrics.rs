@@ -2,8 +2,8 @@
 //! latency (microseconds), counted TED evaluations and slow-query counts,
 //! per endpoint — plus build-info and uptime series stamped at scrape
 //! time. Recording is lock-free (pre-registered atomic handles looked up
-//! by endpoint name); exposition is the obs crate's Prometheus-text and
-//! JSON encoders.
+//! by endpoint name); exposition is the obs crate's Prometheus-text
+//! encoder.
 //!
 //! The registry is **per [`ServeMetrics`] instance**, not process-global:
 //! each daemon (or test, or bench harness) owns its own request series,
@@ -16,8 +16,7 @@
 use std::sync::Arc;
 
 use uplan_core::formats::json::{JsonValue, OwnedJsonValue};
-use uplan_obs::{Counter, Registry};
-pub use uplan_obs::{Histogram, HistogramSnapshot};
+use uplan_obs::{Counter, Histogram, Registry};
 
 /// Every endpoint the daemon dispatches, in exposition order.
 pub const ENDPOINT_NAMES: [&str; 9] = [
@@ -127,11 +126,6 @@ impl ServeMetrics {
         self.endpoints.iter().map(|e| e.requests.get()).sum()
     }
 
-    /// Requests recorded for one endpoint.
-    pub fn requests_for(&self, endpoint: &str) -> u64 {
-        self.endpoint(endpoint).map_or(0, |e| e.requests.get())
-    }
-
     /// The instance registry (the `/metrics` exposition source).
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -171,8 +165,6 @@ mod tests {
         metrics.record("stats", 5, 0);
         metrics.record("bogus", 1, 1);
         assert_eq!(metrics.requests(), 3, "unknown endpoints are ignored");
-        assert_eq!(metrics.requests_for("knn"), 2);
-        assert_eq!(metrics.requests_for("merge"), 0);
         let doc = metrics.to_json_value();
         let knn = doc.get("knn").unwrap();
         assert_eq!(

@@ -206,10 +206,10 @@ fn ingest_advances_the_global_counters_by_exact_deltas() {
         1
     );
 
-    // The JSON exposition carries the same families.
-    let json = uplan::obs::global().encode_json().to_compact();
-    assert!(json.contains("\"uplan_ingest_records_total\""));
-    assert!(json.contains("\"uplan_ingest_batch_records\""));
+    // The exposition carries the ingest families.
+    let text = uplan::obs::global().encode_prometheus();
+    assert!(text.contains("# TYPE uplan_ingest_records_total counter\n"));
+    assert!(text.contains("# TYPE uplan_ingest_batch_records histogram\n"));
 }
 
 #[test]
